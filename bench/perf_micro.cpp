@@ -12,7 +12,6 @@
 #include <sstream>
 
 #include "analysis/overlay.hpp"
-#include "analysis/parallel.hpp"
 #include "engine/engine.hpp"
 #include "lint/lint.hpp"
 #include "analysis/patterns.hpp"
@@ -189,7 +188,7 @@ const trace::Trace& trace64() {
   return tr;
 }
 
-void BM_FullPipelineParallel(benchmark::State& state) {
+void BM_FullPipelineThreads(benchmark::State& state) {
   const trace::Trace& tr = trace64();
   analysis::PipelineOptions opts;
   opts.threads = static_cast<std::size_t>(state.range(0));
@@ -201,7 +200,7 @@ void BM_FullPipelineParallel(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(
       util::ThreadPool::resolveThreadCount(opts.threads));
 }
-BENCHMARK(BM_FullPipelineParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(0);
+BENCHMARK(BM_FullPipelineThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(0);
 
 /// Serial-vs-parallel speedup of the full pipeline on the 64-rank trace,
 /// recorded as counters (speedup = serial seconds / parallel seconds at
@@ -232,19 +231,19 @@ void BM_PipelineSpeedup64(benchmark::State& state) {
 }
 BENCHMARK(BM_PipelineSpeedup64)->Arg(4)->Unit(benchmark::kMillisecond);
 
-void BM_SosAnalysisParallel(benchmark::State& state) {
+void BM_SosAnalysisPooled(benchmark::State& state) {
   const trace::Trace& tr = trace64();
   const auto selection = analysis::selectDominantFunction(tr);
   const auto f = selection.dominant().function;
   util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        analysis::analyzeSosParallel(tr, f, analysis::SyncClassifier{}, pool));
+        analysis::analyzeSos(tr, f, {}, &pool));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(tr.eventCount()));
 }
-BENCHMARK(BM_SosAnalysisParallel)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_SosAnalysisPooled)->Arg(1)->Arg(2)->Arg(4);
 
 // ---- lint ------------------------------------------------------------------
 //

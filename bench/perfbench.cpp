@@ -6,9 +6,7 @@
 /// the trajectory is fixed (cold load -> full analyze -> lint -> warm
 /// engine re-query -> SOS streaming replay), and every run reports the
 /// same global iterations/second counter — so two builds are comparable
-/// number for number. The skewed-tail analyze additionally records its
-/// own pre-optimization baseline (static partition + reference kernels)
-/// in the same run, making the headline speedup self-contained.
+/// number for number.
 ///
 /// Output: BENCH_throughput.json (override with --out FILE). --smoke
 /// shrinks the scale trace and the time budgets so the run finishes in
@@ -103,15 +101,6 @@ StageResult timeStage(const std::string& name, double budgetSeconds,
   return r;
 }
 
-analysis::PipelineOptions pipelineOptions(bool stealing,
-                                          bool referenceKernels) {
-  analysis::PipelineOptions opts;
-  opts.threads = 0;  // hardware concurrency, sharded even at 1 core
-  opts.stealing = stealing;
-  opts.referenceKernels = referenceKernels;
-  return opts;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -158,46 +147,16 @@ int main(int argc, char** argv) {
   }));
 
   // ---- stage 2: full analyze of the skewed scale trace ---------------------
-  // Three variants in one run: the pre-optimization baseline (static
-  // partition + reference kernels), stealing-off with the tuned kernels
-  // (isolates the scheduler), and the tuned configuration. All three are
-  // bit-identical in output; only the wall clock differs.
   util::ThreadPoolStats poolStats;
-  StageResult baseline = timeStage(
-      "analyze_baseline", budget, 1, true, [&] {
-        const auto result =
-            analysis::analyzeTrace(scale, pipelineOptions(false, true));
-        if (result.variation.processes.empty()) {
-          std::abort();
-        }
-      });
-  StageResult stealingOff = timeStage(
-      "analyze_stealing_off", budget, 1, true, [&] {
-        const auto result =
-            analysis::analyzeTrace(scale, pipelineOptions(false, false));
-        if (result.variation.processes.empty()) {
-          std::abort();
-        }
-      });
-  StageResult tuned = timeStage("analyze", budget, 1, true, [&] {
-    analysis::PipelineOptions opts = pipelineOptions(true, false);
+  stages.push_back(timeStage("analyze", budget, 1, true, [&] {
+    analysis::PipelineOptions opts;
+    opts.threads = 0;  // hardware concurrency, sharded even at 1 core
     opts.poolStats = &poolStats;
     const auto result = analysis::analyzeTrace(scale, opts);
     if (result.variation.processes.empty()) {
       std::abort();
     }
-  });
-  stages.push_back(tuned);
-  const double speedupEndToEnd =
-      tuned.secondsPerIter() > 0.0
-          ? baseline.secondsPerIter() / tuned.secondsPerIter()
-          : 0.0;
-  const double speedupScheduler =
-      tuned.secondsPerIter() > 0.0
-          ? stealingOff.secondsPerIter() / tuned.secondsPerIter()
-          : 0.0;
-  std::cout << "  speedup vs baseline: " << speedupEndToEnd
-            << "x end-to-end, " << speedupScheduler << "x scheduler-only\n";
+  }));
   std::cout << formatThreadPoolStats(poolStats);
 
   // ---- stage 3: lint of the paper trace ------------------------------------
@@ -276,11 +235,6 @@ int main(int argc, char** argv) {
   std::cout << "  global: " << totalIters << " iters in " << totalSeconds
             << " s = " << globalItersPerSec << " iters/s\n";
 
-  const double targetSpeedup = 1.5;
-  const bool meetsTarget = speedupEndToEnd >= targetSpeedup;
-  std::cout << "  target " << targetSpeedup << "x end-to-end: "
-            << (meetsTarget ? "MET" : "NOT MET") << '\n';
-
   // ---- BENCH_throughput.json ----------------------------------------------
   {
     std::ofstream out(outPath);
@@ -321,23 +275,6 @@ int main(int argc, char** argv) {
       j.endObject();
     }
     j.endArray();
-    j.key("scale_analyze");
-    j.beginObject();
-    j.key("baseline_s");
-    j.value(baseline.secondsPerIter());
-    j.key("stealing_off_s");
-    j.value(stealingOff.secondsPerIter());
-    j.key("tuned_s");
-    j.value(tuned.secondsPerIter());
-    j.key("speedup_end_to_end");
-    j.value(speedupEndToEnd);
-    j.key("speedup_scheduler");
-    j.value(speedupScheduler);
-    j.key("target_speedup");
-    j.value(targetSpeedup);
-    j.key("meets_target");
-    j.value(meetsTarget);
-    j.endObject();
     j.key("pool");
     j.beginObject();
     j.key("workers");

@@ -179,14 +179,10 @@ DepGraph buildDepGraph(const trace::TraceView& trace,
   // independent of scheduling (parallelChunks' chunk boundaries depend
   // only on n and grain, and shards merge in rank order below).
   std::vector<RankShard> shards(graph.processCount);
-  util::ThreadPool* pool = options.pool;
   std::unique_ptr<util::ThreadPool> owned;
-  if (pool == nullptr && options.threads != 1) {
-    owned = std::make_unique<util::ThreadPool>(options.threads);
-    pool = owned.get();
-  }
-  util::parallelChunks(pool, graph.processCount,
-                       std::max<std::size_t>(1, options.grainSizeRanks),
+  util::ThreadPool* pool =
+      util::resolvePool(options.pool, options.threads, owned);
+  util::parallelChunks(pool, graph.processCount, 1,
                        [&](std::size_t begin, std::size_t end) {
                          for (std::size_t p = begin; p < end; ++p) {
                            shards[p] = extractRank(
@@ -614,7 +610,6 @@ DepAnalysis analyzeDependencies(const trace::TraceView& trace,
   DepGraphOptions graphOptions;
   graphOptions.sync = options.sync;
   graphOptions.threads = options.threads;
-  graphOptions.grainSizeRanks = options.grainSizeRanks;
   graphOptions.pool = options.pool;
   const DepGraph graph = buildDepGraph(trace, graphOptions);
 

@@ -28,7 +28,7 @@
 ///     sent by a rank that was itself delayed earlier. The head of a
 ///     chain names the origin rank of the wave.
 ///
-/// Determinism discipline (same contract as analysis/parallel.hpp): node
+/// Determinism discipline (same contract as analyzeTrace): node
 /// extraction is sharded per rank — each rank's nodes are a pure function
 /// of its own event stream — and every cross-rank phase (matching, path
 /// walk, detectors) is serial with total tie-break orders, so all results
@@ -116,16 +116,14 @@ struct DepGraphStats {
   bool operator==(const DepGraphStats& other) const = default;
 };
 
-/// Options of buildDepGraph(). Execution fields (threads/grain/pool) do
-/// not change the result.
+/// Options of buildDepGraph(). Execution fields (threads/pool) do not
+/// change the result.
 struct DepGraphOptions {
   /// Classifier deciding which regions count as synchronization (the
   /// waitStart attribution of receives).
   SyncClassifier sync{};
   /// Worker threads of the per-rank extraction: 1 = inline, 0 = hardware.
   std::size_t threads = 1;
-  /// Ranks per pool task when threads != 1.
-  std::size_t grainSizeRanks = 1;
   /// Optional external pool; overrides `threads` when set.
   util::ThreadPool* pool = nullptr;
 };
@@ -305,7 +303,6 @@ struct DepAnalysisOptions {
   IdleWaveOptions idleWave{};
   /// Execution only; results are identical for every value.
   std::size_t threads = 1;
-  std::size_t grainSizeRanks = 1;
   util::ThreadPool* pool = nullptr;
 };
 

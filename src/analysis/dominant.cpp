@@ -13,6 +13,16 @@ const DominantCandidate& DominantSelection::dominant() const {
   return candidates.front();
 }
 
+trace::FunctionId DominantSelection::candidateFunction(
+    std::size_t index) const {
+  PERFVAR_REQUIRE(hasDominant(),
+                  "no function qualifies as time-dominant; lower the "
+                  "invocation multiplier or check the instrumentation");
+  PERFVAR_REQUIRE(index < candidates.size(),
+                  "candidateIndex exceeds the number of dominant candidates");
+  return candidates[index].function;
+}
+
 DominantSelection selectDominantFunction(const trace::TraceView& tr,
                                          const profile::FlatProfile& profile,
                                          const DominantOptions& options) {

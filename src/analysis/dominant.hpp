@@ -62,6 +62,10 @@ struct DominantSelection {
 
   bool hasDominant() const { return !candidates.empty(); }
   const DominantCandidate& dominant() const;
+  /// The segmentation function of ranking position `index` (0 = the
+  /// time-dominant function, k > 0 = finer segmentations). Throws
+  /// perfvar::Error when no function qualifies or `index` is out of range.
+  trace::FunctionId candidateFunction(std::size_t index) const;
 };
 
 /// Run the selection on a prebuilt profile.

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "analysis/parallel.hpp"
 #include "trace/filter.hpp"
 #include "util/error.hpp"
 
@@ -19,53 +18,21 @@ AnalysisResult analyzeTrace(const trace::TraceView& tr,
     result.salvagedView = view;
     return result;
   }
-  if (options.threads != 1) {
-    return detail::analyzeTraceSharded(tr, options);
-  }
+  std::unique_ptr<util::ThreadPool> owned;
+  util::ThreadPool* pool = util::resolvePool(nullptr, options.threads, owned);
+
   AnalysisResult result;
-  if (options.referenceKernels) {
-    std::vector<std::vector<profile::FunctionStats>> perProcess(
-        tr.processCount());
-    for (std::size_t p = 0; p < tr.processCount(); ++p) {
-      perProcess[p] = profile::FlatProfile::buildProcessReference(
-          tr, static_cast<trace::ProcessId>(p));
-    }
-    result.profile =
-        profile::FlatProfile::fromPerProcess(tr, std::move(perProcess));
-  } else {
-    result.profile = profile::FlatProfile::build(tr);
-  }
+  result.profile = profile::FlatProfile::build(tr, pool);
   result.selection = selectDominantFunction(tr, result.profile,
                                             options.dominant);
-  PERFVAR_REQUIRE(result.selection.hasDominant(),
-                  "no function qualifies as time-dominant; lower the "
-                  "invocation multiplier or check the instrumentation");
-  PERFVAR_REQUIRE(options.candidateIndex < result.selection.candidates.size(),
-                  "candidateIndex exceeds the number of dominant candidates");
   result.segmentFunction =
-      result.selection.candidates[options.candidateIndex].function;
-  if (options.referenceKernels) {
-    const std::vector<bool> syncMask = options.sync.mask(tr);
-    std::vector<std::vector<SegmentAnalysis>> perProcess(tr.processCount());
-    for (std::size_t p = 0; p < tr.processCount(); ++p) {
-      perProcess[p] = detail::analyzeSosProcessReference(
-          tr, static_cast<trace::ProcessId>(p), result.segmentFunction,
-          syncMask);
-    }
-    result.sos = std::make_unique<SosResult>(
-        SosResult(tr, result.segmentFunction, std::move(perProcess)));
-  } else {
-    result.sos = std::make_unique<SosResult>(
-        analyzeSos(tr, result.segmentFunction, options.sync));
+      result.selection.candidateFunction(options.candidateIndex);
+  result.sos = std::make_unique<SosResult>(
+      analyzeSos(tr, result.segmentFunction, options.sync, pool));
+  result.variation = analyzeVariation(*result.sos, options.variation, pool);
+  if (pool != nullptr && options.poolStats != nullptr) {
+    *options.poolStats = pool->stats();
   }
-  result.variation = detail::analyzeVariationImpl(
-      *result.sos, options.variation,
-      [](std::size_t n, const std::function<void(std::size_t)>& body) {
-        for (std::size_t i = 0; i < n; ++i) {
-          body(i);
-        }
-      },
-      options.referenceKernels);
   return result;
 }
 

@@ -33,27 +33,11 @@ struct PipelineOptions {
   /// Which candidate of the dominant ranking to segment by: 0 = the
   /// time-dominant function, k > 0 = increasingly finer segmentation.
   std::size_t candidateIndex = 0;
-  /// Worker threads of the rank-sharded stages: 1 (the default) runs every
+  /// Worker threads of the per-rank stages: 1 (the default) runs every
   /// stage inline on the calling thread; 0 = hardware concurrency; any
-  /// other value spawns that many pool workers. The result is bit-identical
-  /// regardless of this value (see parallel.hpp for the determinism
-  /// argument).
+  /// other value spawns a pool of that many workers for the call. The
+  /// result is bit-identical regardless of this value (see analyzeTrace).
   std::size_t threads = 1;
-  /// Ranks per pool task when threads != 1. Larger grains amortize task
-  /// overhead on traces with many cheap ranks; has no effect on the result.
-  std::size_t grainSizeRanks = 1;
-  /// Work stealing between worker shards of the rank-sharded stages
-  /// (threads != 1). Off = static contiguous partition, the pre-stealing
-  /// baseline where a tail of expensive ranks serializes on its shard
-  /// owner. Purely a scheduling knob: results are bit-identical either way.
-  bool stealing = true;
-  /// Run the pre-optimization reference kernels (std::function replay
-  /// visitors, per-element leave-one-out rebuilds) instead of the tuned
-  /// ones. Results are bit-identical by contract (the differential matrix
-  /// in tests/throughput_test.cpp enforces it); this exists as the oracle
-  /// side of that matrix and as perfbench's recorded-in-the-same-run
-  /// baseline.
-  bool referenceKernels = false;
   /// When non-null and threads != 1, receives the per-worker scheduler
   /// counters of the run's pool (chunks run/stolen, idle wakeups) — the
   /// tail-rank idling visibility behind `trace_tool --verbose`.
@@ -76,9 +60,15 @@ struct AnalysisResult {
 /// Run the full pipeline; throws perfvar::Error if no function qualifies
 /// as time-dominant (or candidateIndex is out of range).
 ///
-/// With options.threads == 1 every stage runs inline; any other value
-/// routes through the rank-sharded parallel engine (parallel.hpp) with
-/// bit-identical output. This is the one analysis entry point.
+/// The run is the three per-rank stages FlatProfile::build, analyzeSos and
+/// analyzeVariation, with dominant-function selection between the first
+/// two; each stage shards its per-rank loop over the pool that
+/// options.threads resolves to (none when threads == 1: everything runs
+/// inline). Determinism: a task writes only its own pre-sized per-rank
+/// slots and every cross-rank reduction runs on the calling thread in
+/// ascending rank order, so the result is bit-identical for every thread
+/// count (tests/parallel_differential_test.cpp proves it over a trace
+/// matrix). This is the one analysis entry point.
 ///
 /// Graceful degradation: a trace carrying quarantined ranks (a Salvage-
 /// mode load) is analyzed as if those ranks were never present — the

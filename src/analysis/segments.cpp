@@ -7,8 +7,9 @@
 
 namespace perfvar::analysis {
 
-namespace detail {
+namespace {
 
+/// Segments of a single process (row `p` of extractSegments).
 std::vector<Segment> extractSegmentsProcess(const trace::TraceView& tr,
                                             trace::ProcessId p,
                                             trace::FunctionId f) {
@@ -44,7 +45,7 @@ std::vector<Segment> extractSegmentsProcess(const trace::TraceView& tr,
   return result;
 }
 
-}  // namespace detail
+}  // namespace
 
 std::vector<std::vector<Segment>> extractSegments(const trace::TraceView& tr,
                                                   trace::FunctionId f) {
@@ -52,7 +53,7 @@ std::vector<std::vector<Segment>> extractSegments(const trace::TraceView& tr,
                   "segmentation function is not defined in this trace");
   std::vector<std::vector<Segment>> result(tr.processCount());
   for (trace::ProcessId p = 0; p < tr.processCount(); ++p) {
-    result[p] = detail::extractSegmentsProcess(tr, p, f);
+    result[p] = extractSegmentsProcess(tr, p, f);
   }
   return result;
 }

@@ -44,17 +44,6 @@ struct SegmentationInfo {
 SegmentationInfo describeSegmentation(
     const std::vector<std::vector<Segment>>& segments);
 
-namespace detail {
-
-/// Segments of a single process (row `p` of extractSegments). Both the
-/// serial extractor and the rank-sharded parallel one call this, so their
-/// results are identical by construction.
-std::vector<Segment> extractSegmentsProcess(const trace::TraceView& trace,
-                                            trace::ProcessId p,
-                                            trace::FunctionId f);
-
-}  // namespace detail
-
 }  // namespace perfvar::analysis
 
 #endif  // PERFVAR_ANALYSIS_SEGMENTS_HPP

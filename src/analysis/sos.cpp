@@ -7,6 +7,7 @@
 #include "trace/replay.hpp"
 #include "util/error.hpp"
 #include "util/perf_counters.hpp"
+#include "util/thread_pool.hpp"
 
 namespace perfvar::analysis {
 
@@ -201,10 +202,9 @@ std::vector<double> SosResult::totalMetricPerProcess(trace::MetricId m) const {
 
 namespace {
 
-/// Statically-typed replay visitor of the SOS hot loop: the same
-/// per-process state machine as the reference implementation below, but
-/// with every callback a plain member function so the replay walk inlines
-/// it (no std::function dispatch per event).
+/// Statically-typed replay visitor of the SOS hot loop: every callback is
+/// a plain member function so the replay walk inlines it (no std::function
+/// dispatch per event).
 struct SosProcessVisitor {
   const trace::TraceView& tr;
   trace::ProcessId p;
@@ -320,123 +320,28 @@ std::vector<SegmentAnalysis> analyzeSosProcess(
   return segments;
 }
 
-std::vector<SegmentAnalysis> analyzeSosProcess(
-    const trace::TraceView& tr, trace::ProcessId p,
-    trace::FunctionId segmentFunction, const std::vector<bool>& syncMask) {
-  SosScratch scratch;
-  return analyzeSosProcess(tr, p, segmentFunction, syncMask, scratch);
-}
-
-std::vector<SegmentAnalysis> analyzeSosProcessReference(
-    const trace::TraceView& tr, trace::ProcessId p,
-    trace::FunctionId segmentFunction, const std::vector<bool>& syncMask) {
-  PERFVAR_REQUIRE(p < tr.processCount(), "invalid process id");
-  const std::size_t nMetrics = tr.metrics().size();
-  std::vector<SegmentAnalysis> segments;
-
-  // Per-process replay state.
-  std::size_t segNesting = 0;       // nesting inside the segment function
-  trace::Timestamp segStart = 0;    // enter of the outermost invocation
-  SegmentAnalysis current;          // accumulators of the open segment
-  std::size_t syncNesting = 0;      // nesting inside sync functions
-  trace::Timestamp syncStart = 0;
-  std::array<std::size_t, kParadigmCount> paradigmNesting{};
-  std::array<trace::Timestamp, kParadigmCount> paradigmStart{};
-  // Last observed cumulative value of every metric (for deltas).
-  std::vector<double> lastMetric(nMetrics, 0.0);
-  std::vector<bool> seenMetric(nMetrics, false);
-
-  const auto beginSegment = [&](trace::Timestamp t) {
-    current = SegmentAnalysis{};
-    current.metricDelta.assign(nMetrics, 0.0);
-    segStart = t;
-  };
-
-  trace::ReplayVisitor v;
-  v.onEnter = [&](trace::FunctionId fn, trace::Timestamp t, std::size_t) {
-    if (fn == segmentFunction) {
-      if (segNesting == 0) {
-        beginSegment(t);
-      }
-      ++segNesting;
-    }
-    if (segNesting > 0) {
-      const auto& def = tr.functions().at(fn);
-      const auto par = static_cast<std::size_t>(def.paradigm);
-      if (paradigmNesting[par]++ == 0) {
-        paradigmStart[par] = t;
-      }
-      if (syncMask[fn]) {
-        if (syncNesting++ == 0) {
-          syncStart = t;
-        }
-      }
-    }
-  };
-  v.onLeave = [&](const trace::Frame& frame) {
-    if (segNesting > 0) {
-      const auto& def = tr.functions().at(frame.function);
-      const auto par = static_cast<std::size_t>(def.paradigm);
-      PERFVAR_ASSERT(paradigmNesting[par] > 0, "paradigm nesting underflow");
-      if (--paradigmNesting[par] == 0) {
-        current.paradigmTime[par] += frame.leaveTime - paradigmStart[par];
-      }
-      if (syncMask[frame.function]) {
-        PERFVAR_ASSERT(syncNesting > 0, "sync nesting underflow");
-        if (--syncNesting == 0) {
-          current.syncTime += frame.leaveTime - syncStart;
-        }
-      }
-    }
-    if (frame.function == segmentFunction) {
-      PERFVAR_ASSERT(segNesting > 0, "segment nesting underflow");
-      if (--segNesting == 0) {
-        current.segment.process = p;
-        current.segment.index =
-            static_cast<std::uint32_t>(segments.size());
-        current.segment.enter = segStart;
-        current.segment.leave = frame.leaveTime;
-        const trace::Timestamp duration = current.segment.inclusive();
-        PERFVAR_ASSERT(current.syncTime <= duration,
-                       "sync time exceeds segment duration");
-        current.sosTime = duration - current.syncTime;
-        segments.push_back(std::move(current));
-        current = SegmentAnalysis{};
-      }
-    }
-  };
-  v.onMetric = [&](const trace::Event& e, std::size_t) {
-    const trace::MetricId m = e.ref;
-    const bool accumulated =
-        tr.metrics().at(m).mode == trace::MetricMode::Accumulated;
-    if (segNesting > 0 && !current.metricDelta.empty()) {
-      if (accumulated) {
-        const double base = seenMetric[m] ? lastMetric[m] : 0.0;
-        current.metricDelta[m] += e.value - base;
-      } else {
-        current.metricDelta[m] = e.value;
-      }
-    }
-    lastMetric[m] = e.value;
-    seenMetric[m] = true;
-  };
-  const trace::RankPin pin = tr.rank(p);
-  trace::replayEvents(pin.events(), v);
-  return segments;
-}
-
 }  // namespace detail
 
 SosResult analyzeSos(const trace::TraceView& tr,
                      trace::FunctionId segmentFunction,
-                     const SyncClassifier& classifier) {
+                     const SyncClassifier& classifier,
+                     util::ThreadPool* pool) {
   PERFVAR_REQUIRE(segmentFunction < tr.functions().size(),
                   "segmentation function is not defined in this trace");
   const std::vector<bool> syncMask = classifier.mask(tr);
   std::vector<std::vector<SegmentAnalysis>> perProcess(tr.processCount());
-  for (trace::ProcessId p = 0; p < tr.processCount(); ++p) {
-    perProcess[p] = detail::analyzeSosProcess(tr, p, segmentFunction, syncMask);
-  }
+  util::parallelChunks(
+      pool, tr.processCount(), 1, [&](std::size_t begin, std::size_t end) {
+        // One scratch per chunk: the metric-state buffers are sized by
+        // the (fixed) metric count, so ranks after the first reuse the
+        // allocation instead of repeating it.
+        detail::SosScratch scratch;
+        for (std::size_t p = begin; p < end; ++p) {
+          perProcess[p] = detail::analyzeSosProcess(
+              tr, static_cast<trace::ProcessId>(p), segmentFunction,
+              syncMask, scratch);
+        }
+      });
   return SosResult(tr, segmentFunction, std::move(perProcess));
 }
 

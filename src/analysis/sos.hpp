@@ -27,6 +27,10 @@
 #include "trace/trace.hpp"
 #include "trace/view.hpp"
 
+namespace perfvar::util {
+class ThreadPool;
+}
+
 namespace perfvar::analysis {
 
 inline constexpr std::size_t kParadigmCount = 6;
@@ -110,16 +114,20 @@ private:
 };
 
 /// Run the SOS analysis: segment every process by `segmentFunction` and
-/// compute SOS-times with the given synchronization classifier.
+/// compute SOS-times with the given synchronization classifier. The
+/// per-rank replays are sharded over `pool` (inline when null); the
+/// result is bit-identical either way.
 ///
 /// Lifetime: for a borrowed view (the implicit conversion from Trace&)
 /// the trace must outlive the SosResult. Passing a temporary Trace is a
 /// compile error; out-of-core and owned views share ownership.
 SosResult analyzeSos(const trace::TraceView& trace,
                      trace::FunctionId segmentFunction,
-                     const SyncClassifier& classifier = SyncClassifier{});
+                     const SyncClassifier& classifier = SyncClassifier{},
+                     util::ThreadPool* pool = nullptr);
 SosResult analyzeSos(trace::Trace&&, trace::FunctionId,
-                     const SyncClassifier& = SyncClassifier{}) = delete;
+                     const SyncClassifier& = SyncClassifier{},
+                     util::ThreadPool* = nullptr) = delete;
 
 /// Baseline from the paper's Section V discussion: plain segment durations
 /// (no synchronization subtraction). Equivalent to analyzeSos with
@@ -157,27 +165,12 @@ struct SosScratch {
 /// SOS analysis of a single process (row `p` of analyzeSos): segment the
 /// process timeline by `segmentFunction` and compute SOS-time, paradigm
 /// breakdown and metric deltas per segment. `syncMask` is the classifier's
-/// precomputed per-function decision vector. Both the serial analyzer and
-/// the rank-sharded parallel one call this, so their results are identical
-/// by construction.
-std::vector<SegmentAnalysis> analyzeSosProcess(
-    const trace::TraceView& trace, trace::ProcessId p,
-    trace::FunctionId segmentFunction, const std::vector<bool>& syncMask);
-
-/// As above with caller-owned scratch buffers (the hot path of the
-/// rank-sharded analyzer).
+/// precomputed per-function decision vector; `scratch` is reset on entry,
+/// so the result never depends on which ranks reused it before.
 std::vector<SegmentAnalysis> analyzeSosProcess(
     const trace::TraceView& trace, trace::ProcessId p,
     trace::FunctionId segmentFunction, const std::vector<bool>& syncMask,
     SosScratch& scratch);
-
-/// The original std::function-visitor implementation, retained as the
-/// differential oracle for the inlined replay kernel (and as perfbench's
-/// pre-optimization baseline). Must stay bit-identical to
-/// analyzeSosProcess; tests/throughput_test.cpp enforces it.
-std::vector<SegmentAnalysis> analyzeSosProcessReference(
-    const trace::TraceView& trace, trace::ProcessId p,
-    trace::FunctionId segmentFunction, const std::vector<bool>& syncMask);
 
 }  // namespace detail
 

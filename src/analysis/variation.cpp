@@ -6,6 +6,7 @@
 
 #include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/thread_pool.hpp"
 
 namespace perfvar::analysis {
 
@@ -15,22 +16,8 @@ trace::ProcessId VariationReport::slowestProcess() const {
 }
 
 VariationReport analyzeVariation(const SosResult& sos,
-                                 const VariationOptions& options) {
-  return detail::analyzeVariationImpl(
-      sos, options,
-      [](std::size_t n, const std::function<void(std::size_t)>& body) {
-        for (std::size_t i = 0; i < n; ++i) {
-          body(i);
-        }
-      });
-}
-
-namespace detail {
-
-VariationReport analyzeVariationImpl(const SosResult& sos,
-                                     const VariationOptions& options,
-                                     const IndexRunner& run,
-                                     bool referenceKernels) {
+                                 const VariationOptions& options,
+                                 util::ThreadPool* pool) {
   VariationReport report;
   const auto& perProcess = sos.all();
   const std::size_t nProcs = perProcess.size();
@@ -55,37 +42,40 @@ VariationReport analyzeVariationImpl(const SosResult& sos,
 
   // ---- per-iteration stats ------------------------------------------------
   // Every index writes only its own slot; the inner sums always walk the
-  // processes in ascending order, so the result is runner-independent.
+  // processes in ascending order, so the result is pool-independent.
   report.iterations.resize(nIters);
-  run(nIters, [&](std::size_t i) {
-    std::vector<double> iterSos;
-    IterationStats is;
-    is.iteration = i;
-    double durationSum = 0.0;
-    double best = -1.0;
-    for (std::size_t p = 0; p < nProcs; ++p) {
-      if (i < perProcess[p].size()) {
-        const auto& a = perProcess[p][i];
-        const double v = static_cast<double>(a.sosTime) / res;
-        iterSos.push_back(v);
-        durationSum += static_cast<double>(a.segment.inclusive()) / res;
-        if (v > best) {
-          best = v;
-          is.slowestProcess = static_cast<trace::ProcessId>(p);
+  util::parallelChunks(pool, nIters, 1, [&](std::size_t begin,
+                                            std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      std::vector<double> iterSos;
+      IterationStats is;
+      is.iteration = i;
+      double durationSum = 0.0;
+      double best = -1.0;
+      for (std::size_t p = 0; p < nProcs; ++p) {
+        if (i < perProcess[p].size()) {
+          const auto& a = perProcess[p][i];
+          const double v = static_cast<double>(a.sosTime) / res;
+          iterSos.push_back(v);
+          durationSum += static_cast<double>(a.segment.inclusive()) / res;
+          if (v > best) {
+            best = v;
+            is.slowestProcess = static_cast<trace::ProcessId>(p);
+          }
         }
       }
+      is.processCount = iterSos.size();
+      if (!iterSos.empty()) {
+        const auto s = stats::summarize(iterSos);
+        is.minSos = s.min;
+        is.maxSos = s.max;
+        is.meanSos = s.mean;
+        is.stddevSos = s.stddev;
+        is.meanDuration = durationSum / static_cast<double>(iterSos.size());
+        is.imbalance = stats::imbalanceFactor(iterSos);
+      }
+      report.iterations[i] = is;
     }
-    is.processCount = iterSos.size();
-    if (!iterSos.empty()) {
-      const auto s = stats::summarize(iterSos);
-      is.minSos = s.min;
-      is.maxSos = s.max;
-      is.meanSos = s.mean;
-      is.stddevSos = s.stddev;
-      is.meanDuration = durationSum / static_cast<double>(iterSos.size());
-      is.imbalance = stats::imbalanceFactor(iterSos);
-    }
-    report.iterations[i] = is;
   });
 
   // ---- trends --------------------------------------------------------------
@@ -102,41 +92,30 @@ VariationReport analyzeVariationImpl(const SosResult& sos,
   // ---- per-process stats ----------------------------------------------------
   report.processes.resize(nProcs);
   std::vector<double> totals(nProcs, 0.0);
-  run(nProcs, [&](std::size_t p) {
-    ProcessStats ps;
-    ps.process = static_cast<trace::ProcessId>(p);
-    ps.segments = perProcess[p].size();
-    for (const auto& a : perProcess[p]) {
-      const double v = static_cast<double>(a.sosTime) / res;
-      ps.totalSos += v;
-      ps.maxSos = std::max(ps.maxSos, v);
+  util::parallelChunks(pool, nProcs, 1, [&](std::size_t begin,
+                                            std::size_t end) {
+    for (std::size_t p = begin; p < end; ++p) {
+      ProcessStats ps;
+      ps.process = static_cast<trace::ProcessId>(p);
+      ps.segments = perProcess[p].size();
+      for (const auto& a : perProcess[p]) {
+        const double v = static_cast<double>(a.sosTime) / res;
+        ps.totalSos += v;
+        ps.maxSos = std::max(ps.maxSos, v);
+      }
+      if (ps.segments > 0) {
+        ps.meanSos = ps.totalSos / static_cast<double>(ps.segments);
+      }
+      totals[p] = ps.totalSos;
+      report.processes[p] = ps;
     }
-    if (ps.segments > 0) {
-      ps.meanSos = ps.totalSos / static_cast<double>(ps.segments);
-    }
-    totals[p] = ps.totalSos;
-    report.processes[p] = ps;
   });
   // Leave-one-out scoring: a single extreme process must not dilute its
   // own score by inflating the scale estimate. The batched kernel scores
-  // all processes from one shared sort; the per-process rebuild loop it
-  // replaced (kept below as the reference path) is O(P^2 log P) and was
-  // the analyze wall at 10k+ ranks.
-  if (referenceKernels) {
-    run(nProcs, [&](std::size_t p) {
-      std::vector<double> others;
-      others.reserve(nProcs > 0 ? nProcs - 1 : 0);
-      for (std::size_t q = 0; q < nProcs; ++q) {
-        if (q != p) {
-          others.push_back(totals[q]);
-        }
-      }
-      report.processes[p].totalZ = stats::referenceZ(totals[p], others);
-    });
-  } else {
-    const std::vector<double> totalZ = stats::leaveOneOutZ(totals);
-    run(nProcs,
-        [&](std::size_t p) { report.processes[p].totalZ = totalZ[p]; });
+  // all processes from one shared sort.
+  const std::vector<double> totalZ = stats::leaveOneOutZ(totals);
+  for (std::size_t p = 0; p < nProcs; ++p) {
+    report.processes[p].totalZ = totalZ[p];
   }
 
   report.processesBySos.resize(nProcs);
@@ -157,52 +136,45 @@ VariationReport analyzeVariationImpl(const SosResult& sos,
   // ---- hotspots --------------------------------------------------------------
   // Collected per iteration into disjoint slots, then concatenated in
   // iteration order; the final sort key (globalZ, process, iteration) is a
-  // total order, so the ranking is independent of the runner.
+  // total order, so the ranking is independent of the pool.
   std::vector<std::vector<Hotspot>> perIterHotspots(nIters);
-  run(nIters, [&](std::size_t i) {
-    std::vector<double> iterSos;
-    std::vector<double> iterOthers;
-    for (std::size_t p = 0; p < nProcs; ++p) {
-      if (i < perProcess[p].size()) {
-        iterSos.push_back(static_cast<double>(perProcess[p][i].sosTime) / res);
+  util::parallelChunks(pool, nIters, 1, [&](std::size_t begin,
+                                            std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      std::vector<double> iterSos;
+      for (std::size_t p = 0; p < nProcs; ++p) {
+        if (i < perProcess[p].size()) {
+          iterSos.push_back(static_cast<double>(perProcess[p][i].sosTime) /
+                            res);
+        }
       }
-    }
-    // Leave-one-out iteration z, batched like the process scoring above;
-    // computed lazily because most iterations have no hotspot at all.
-    std::vector<double> iterZ;
-    bool iterZReady = false;
-    std::size_t compactIdx = 0;
-    for (std::size_t p = 0; p < nProcs; ++p) {
-      if (i >= perProcess[p].size()) {
-        continue;
-      }
-      const std::size_t myIdx = compactIdx++;
-      const auto& a = perProcess[p][i];
-      const double v = static_cast<double>(a.sosTime) / res;
-      const double gz = globalZ(v);
-      if (gz >= options.outlierThreshold) {
-        Hotspot h;
-        h.process = static_cast<trace::ProcessId>(p);
-        h.iteration = i;
-        h.sosSeconds = v;
-        h.durationSeconds = static_cast<double>(a.segment.inclusive()) / res;
-        h.globalZ = gz;
-        if (referenceKernels) {
-          iterOthers.clear();
-          for (std::size_t k = 0; k < iterSos.size(); ++k) {
-            if (k != myIdx) {
-              iterOthers.push_back(iterSos[k]);
-            }
-          }
-          h.iterationZ = stats::referenceZ(v, iterOthers);
-        } else {
+      // Leave-one-out iteration z, batched like the process scoring above;
+      // computed lazily because most iterations have no hotspot at all.
+      std::vector<double> iterZ;
+      bool iterZReady = false;
+      std::size_t compactIdx = 0;
+      for (std::size_t p = 0; p < nProcs; ++p) {
+        if (i >= perProcess[p].size()) {
+          continue;
+        }
+        const std::size_t myIdx = compactIdx++;
+        const auto& a = perProcess[p][i];
+        const double v = static_cast<double>(a.sosTime) / res;
+        const double gz = globalZ(v);
+        if (gz >= options.outlierThreshold) {
+          Hotspot h;
+          h.process = static_cast<trace::ProcessId>(p);
+          h.iteration = i;
+          h.sosSeconds = v;
+          h.durationSeconds = static_cast<double>(a.segment.inclusive()) / res;
+          h.globalZ = gz;
           if (!iterZReady) {
             iterZ = stats::leaveOneOutZ(iterSos);
             iterZReady = true;
           }
           h.iterationZ = iterZ[myIdx];
+          perIterHotspots[i].push_back(h);
         }
-        perIterHotspots[i].push_back(h);
       }
     }
   });
@@ -226,8 +198,6 @@ VariationReport analyzeVariationImpl(const SosResult& sos,
   report.hotspots = std::move(hotspots);
   return report;
 }
-
-}  // namespace detail
 
 std::string formatVariationReport(const SosResult& sos,
                                   const VariationReport& report,

@@ -14,7 +14,6 @@
 /// scale estimate.
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -94,36 +93,13 @@ struct VariationReport {
   trace::ProcessId slowestProcess() const;
 };
 
-/// Run the variation analysis over an SOS result.
+/// Run the variation analysis over an SOS result. The per-iteration and
+/// per-process loops are sharded over `pool` (inline when null); every
+/// cross-cutting reduction (global summary, rankings, trends) stays on the
+/// calling thread, so the report is bit-identical either way.
 VariationReport analyzeVariation(const SosResult& sos,
-                                 const VariationOptions& options = {});
-
-namespace detail {
-
-/// Index-space executor: run body(i) for every i in [0, n), in any order
-/// and possibly concurrently. Calls of body must be independent; the
-/// arithmetic performed for one index never depends on the executor, so
-/// serial and pool-backed runners produce bit-identical reports.
-using IndexRunner =
-    std::function<void(std::size_t n, const std::function<void(std::size_t)>&)>;
-
-/// The one variation-analysis implementation. analyzeVariation() passes a
-/// serial runner; analyzeVariationParallel() (parallel.hpp) passes a
-/// thread-pool runner. Per-iteration and per-process loops go through
-/// `run`; cross-cutting reductions (global summary, rankings, trends) stay
-/// on the calling thread.
-///
-/// `referenceKernels` selects the original O(n^2) per-element referenceZ
-/// loops instead of the batched stats::leaveOneOutZ kernel. The two are
-/// bit-identical (enforced by tests/throughput_test.cpp); the reference
-/// path exists as differential oracle and as perfbench's pre-optimization
-/// baseline.
-VariationReport analyzeVariationImpl(const SosResult& sos,
-                                     const VariationOptions& options,
-                                     const IndexRunner& run,
-                                     bool referenceKernels = false);
-
-}  // namespace detail
+                                 const VariationOptions& options = {},
+                                 util::ThreadPool* pool = nullptr);
 
 /// Multi-line human-readable report.
 std::string formatVariationReport(const SosResult& sos,

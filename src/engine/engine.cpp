@@ -9,7 +9,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "analysis/parallel.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/filter.hpp"
 #include "util/error.hpp"
@@ -61,7 +60,7 @@ std::uint64_t fingerprintVariation(std::uint64_t sosKey,
 }
 
 std::uint64_t fingerprintDep(const analysis::DepAnalysisOptions& o) {
-  // Execution fields (threads/grainSizeRanks/pool) are deliberately
+  // Execution fields (threads/pool) are deliberately
   // excluded: graph construction is byte-identical at every thread count.
   return util::Hasher{}
       .u64(kTagDep)
@@ -173,11 +172,24 @@ struct AnalysisEngine::Impl {
   std::atomic<std::uint64_t> evictions{0};
 
   /// Workers of the heavy stages (null when EngineOptions::threads == 1).
-  /// poolMutex serializes whole stage batches: ThreadPool::wait() waits
+  std::unique_ptr<util::ThreadPool> pool;
+  /// Serializes whole stage batches on `pool`: ThreadPool::wait() waits
   /// for pool-wide idleness, so interleaving two batches would let one
   /// query wait on (and steal exceptions of) another's tasks.
-  std::unique_ptr<util::ThreadPool> pool;
   std::mutex poolMutex;
+
+  /// Run `stage(pool)` — one of the pool-taking stage functions — on the
+  /// engine's workers. Only an engine that owns a pool takes poolMutex;
+  /// without one the stage runs inline, so concurrent queries on a
+  /// threads == 1 engine never serialize here.
+  template <typename Stage>
+  auto onPool(Stage&& stage) {
+    if (!pool) {
+      return stage(nullptr);
+    }
+    std::lock_guard<std::mutex> lock(poolMutex);
+    return stage(pool.get());
+  }
 
   template <typename Map>
   void evictLruFrom(Map& map, typename Map::iterator victim) {
@@ -324,16 +336,10 @@ std::shared_ptr<const profile::FlatProfile> AnalysisEngine::profile() {
     }
   }
   impl_->misses.fetch_add(1, std::memory_order_relaxed);
-  auto computed = [&] {
-    if (!impl_->pool) {
-      return std::make_shared<const profile::FlatProfile>(
-          profile::FlatProfile::build(analysisView_));
-    }
-    std::lock_guard<std::mutex> poolLock(impl_->poolMutex);
-    return std::make_shared<const profile::FlatProfile>(
-        analysis::buildProfileParallel(analysisView_, *impl_->pool,
-                                       options_.grainSizeRanks));
-  }();
+  auto computed = std::make_shared<const profile::FlatProfile>(
+      impl_->onPool([&](util::ThreadPool* pool) {
+        return profile::FlatProfile::build(analysisView_, pool);
+      }));
   std::lock_guard<std::mutex> lock(impl_->cacheMutex);
   if (!impl_->profile) {
     impl_->profile = computed;
@@ -354,19 +360,13 @@ std::shared_ptr<const lint::LintReport> AnalysisEngine::lintReport() {
   impl_->misses.fetch_add(1, std::memory_order_relaxed);
   // Lint the raw trace (not the filtered view): the quarantine-interaction
   // rule exists precisely to surface the ranks the analyses drop.
-  auto computed = [&] {
-    lint::LintOptions lintOptions;
-    lintOptions.grainSizeRanks = options_.grainSizeRanks;
-    lintOptions.disabledRules = options_.lintDisabledRules;
-    if (!impl_->pool) {
-      return std::make_shared<const lint::LintReport>(
-          lint::lintTrace(view_, lintOptions));
-    }
-    std::lock_guard<std::mutex> poolLock(impl_->poolMutex);
-    lintOptions.pool = impl_->pool.get();
-    return std::make_shared<const lint::LintReport>(
-        lint::lintTrace(view_, lintOptions));
-  }();
+  auto computed = std::make_shared<const lint::LintReport>(
+      impl_->onPool([&](util::ThreadPool* pool) {
+        lint::LintOptions lintOptions;
+        lintOptions.pool = pool;
+        lintOptions.disabledRules = options_.lintDisabledRules;
+        return lint::lintTrace(view_, lintOptions);
+      }));
   std::lock_guard<std::mutex> lock(impl_->cacheMutex);
   if (!impl_->lint) {
     impl_->lint = computed;
@@ -391,16 +391,12 @@ std::shared_ptr<const analysis::DepAnalysis> AnalysisEngine::depAnalysis(
     const analysis::DepAnalysisOptions& options) {
   return impl_->getOrCompute(
       impl_->dep, fingerprintDep(options), options_.maxCacheEntries, [&] {
-        analysis::DepAnalysisOptions effective = options;
-        effective.threads = options_.threads;
-        effective.grainSizeRanks = options_.grainSizeRanks;
-        effective.pool = nullptr;
-        if (!impl_->pool) {
+        return impl_->onPool([&](util::ThreadPool* pool) {
+          analysis::DepAnalysisOptions effective = options;
+          effective.threads = 1;  // the engine's pool, or inline
+          effective.pool = pool;
           return analysis::analyzeDependencies(analysisView_, effective);
-        }
-        std::lock_guard<std::mutex> poolLock(impl_->poolMutex);
-        effective.pool = impl_->pool.get();
-        return analysis::analyzeDependencies(analysisView_, effective);
+        });
       });
 }
 
@@ -431,41 +427,26 @@ EngineResult AnalysisEngine::analyze(const analysis::PipelineOptions& options) {
                                                 *result.profile,
                                                 options.dominant);
       });
-  PERFVAR_REQUIRE(result.selection->hasDominant(),
-                  "no function qualifies as time-dominant; lower the "
-                  "invocation multiplier or check the instrumentation");
-  PERFVAR_REQUIRE(
-      options.candidateIndex < result.selection->candidates.size(),
-      "candidateIndex exceeds the number of dominant candidates");
   result.segmentFunction =
-      result.selection->candidates[options.candidateIndex].function;
+      result.selection->candidateFunction(options.candidateIndex);
 
   const std::uint64_t sosKey =
       fingerprintSos(result.segmentFunction, options.sync);
   result.sos = impl_->getOrCompute(
       impl_->sos, sosKey, options_.maxCacheEntries, [&] {
-        if (!impl_->pool) {
+        return impl_->onPool([&](util::ThreadPool* pool) {
           return analysis::analyzeSos(analysisView_, result.segmentFunction,
-                                      options.sync);
-        }
-        std::lock_guard<std::mutex> poolLock(impl_->poolMutex);
-        return analysis::analyzeSosParallel(analysisView_,
-                                            result.segmentFunction,
-                                            options.sync, *impl_->pool,
-                                            options_.grainSizeRanks);
+                                      options.sync, pool);
+        });
       });
 
   result.variation = impl_->getOrCompute(
       impl_->variation, fingerprintVariation(sosKey, options.variation),
       options_.maxCacheEntries, [&] {
-        if (!impl_->pool) {
-          return analysis::analyzeVariation(*result.sos, options.variation);
-        }
-        std::lock_guard<std::mutex> poolLock(impl_->poolMutex);
-        return analysis::analyzeVariationParallel(*result.sos,
-                                                  options.variation,
-                                                  *impl_->pool,
-                                                  options_.grainSizeRanks);
+        return impl_->onPool([&](util::ThreadPool* pool) {
+          return analysis::analyzeVariation(*result.sos, options.variation,
+                                            pool);
+        });
       });
   return result;
 }

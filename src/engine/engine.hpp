@@ -25,26 +25,27 @@
 /// cached profile and dominant ranking; a re-export with unchanged options
 /// recomputes nothing.
 ///
-/// Execution options that do NOT change results (EngineOptions::threads,
-/// grainSizeRanks — see parallel.hpp's determinism guarantee) are
-/// deliberately excluded from every fingerprint, so results computed
-/// serially and in parallel share cache entries. By the same guarantee,
-/// every cached result is bit-identical to a fresh analyzeTrace() run.
+/// The execution option EngineOptions::threads does NOT change results
+/// (see analyzeTrace's determinism guarantee), so it is deliberately
+/// excluded from every fingerprint and results computed serially and in
+/// parallel share cache entries. By the same guarantee, every cached
+/// result is bit-identical to a fresh analyzeTrace() run.
 ///
 /// Thread safety: all public member functions may be called concurrently.
 /// Cache lookups and inserts synchronize on an internal mutex held only
 /// for map operations; stage computation runs outside the lock (two
 /// threads racing on the same missing key may both compute it; the first
 /// insert wins and both observe the same instance afterwards). Heavy
-/// stages dispatch onto an engine-owned util::ThreadPool (serialized by a
-/// second mutex — the pool's wait() semantics do not allow interleaved
-/// batches) and reuse the rank-sharded helpers from analysis/parallel.hpp.
+/// stages call the same pool-taking stage functions analyzeTrace() runs,
+/// on an engine-owned util::ThreadPool serialized by a second mutex (the
+/// pool's wait() semantics do not allow interleaved batches). An engine
+/// with threads == 1 owns no pool and never takes that mutex.
 ///
-/// Capacity: derived-stage entries (dominant/SOS/variation) are evicted
-/// least-recently-used once their count exceeds EngineOptions
-/// maxCacheEntries; the profile is never evicted. EngineResult holds
-/// shared_ptrs, so eviction never invalidates a result a caller still
-/// owns.
+/// Capacity: derived-stage entries (dominant, SOS, variation and
+/// dependency analysis) are evicted least-recently-used once their
+/// combined count exceeds EngineOptions::maxCacheEntries; the profile and
+/// the lint report are never evicted. EngineResult holds shared_ptrs, so
+/// eviction never invalidates a result a caller still owns.
 
 #include <cstdint>
 #include <iosfwd>
@@ -72,10 +73,9 @@ struct EngineOptions {
   /// the querying thread, 0 = hardware concurrency, else that many pool
   /// workers. Does not affect results (and is not part of cache keys).
   std::size_t threads = 1;
-  /// Ranks per pool task when threads != 1. No effect on results.
-  std::size_t grainSizeRanks = 1;
-  /// Maximum number of cached derived-stage results (dominant + SOS +
-  /// variation entries together; the profile is exempt). 0 = unlimited.
+  /// Maximum number of cached derived-stage results (dominant, SOS,
+  /// variation and dependency-analysis entries together; the profile and
+  /// the lint report are exempt). 0 = unlimited.
   std::size_t maxCacheEntries = 64;
 
   /// Opt-in lint-on-load gate: run lint::lintTrace() over the raw trace
@@ -175,8 +175,8 @@ public:
   /// like the other derived stages: the fingerprint covers the classifier
   /// token and the detector thresholds, never the execution options, so a
   /// warm re-query at any thread count is a cache hit returning the same
-  /// byte-identical instance. Threads/grainSizeRanks/pool in `options`
-  /// are ignored; execution is governed by EngineOptions.
+  /// byte-identical instance. Threads/pool in `options` are ignored;
+  /// execution is governed by EngineOptions.
   std::shared_ptr<const analysis::DepAnalysis> depAnalysis(
       const analysis::DepAnalysisOptions& options = {});
 
@@ -190,7 +190,7 @@ public:
   /// Full pipeline query: every stage is served from cache when its
   /// options fingerprint matches a previous query. Throws perfvar::Error
   /// exactly like analyzeTrace() (no dominant candidate, candidateIndex
-  /// out of range). PipelineOptions::threads / grainSizeRanks are ignored:
+  /// out of range). PipelineOptions::threads and poolStats are ignored:
   /// execution is governed by EngineOptions.
   EngineResult analyze(const analysis::PipelineOptions& options = {});
 

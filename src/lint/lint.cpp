@@ -327,15 +327,10 @@ LintReport lintTrace(const trace::TraceView& trace, const LintOptions& options,
     sortRankFindings(out, ruleOrder, findingRule);
   };
 
-  util::ThreadPool* pool = options.pool;
   std::unique_ptr<util::ThreadPool> owned;
-  if (pool == nullptr && options.threads != 1) {
-    owned = std::make_unique<util::ThreadPool>(
-        util::ThreadPool::resolveThreadCount(options.threads));
-    pool = owned.get();
-  }
-  util::parallelChunks(pool, processCount,
-                       std::max<std::size_t>(1, options.grainSizeRanks),
+  util::ThreadPool* pool =
+      util::resolvePool(options.pool, options.threads, owned);
+  util::parallelChunks(pool, processCount, 1,
                        [&](std::size_t begin, std::size_t end) {
                          for (std::size_t p = begin; p < end; ++p) {
                            checkRank(p);

@@ -21,7 +21,7 @@
 /// rank's findings sorted by event index (ties in registry order), global
 /// findings appended in registry order — so the report is byte-identical
 /// for every thread count (the same discipline as analyzeTrace, see
-/// analysis/parallel.hpp).
+/// analysis/pipeline.hpp).
 ///
 /// Robustness contract: lintTrace() never throws on hostile trace
 /// content. Every rule invocation is guarded; a rule that throws is
@@ -82,8 +82,6 @@ struct LintOptions {
   /// 0 = hardware concurrency. The report is byte-identical for every
   /// value (see the determinism note in the file comment).
   std::size_t threads = 1;
-  /// Ranks per pool task when threads != 1. No effect on the report.
-  std::size_t grainSizeRanks = 1;
   /// Optional external pool; overrides `threads` when set.
   util::ThreadPool* pool = nullptr;
 

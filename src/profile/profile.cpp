@@ -4,6 +4,7 @@
 
 #include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/thread_pool.hpp"
 
 namespace perfvar::profile {
 
@@ -66,23 +67,6 @@ std::vector<FunctionStats> FlatProfile::buildProcess(
   return row;
 }
 
-std::vector<FunctionStats> FlatProfile::buildProcessReference(
-    const trace::TraceView& tr, trace::ProcessId p) {
-  PERFVAR_REQUIRE(p < tr.processCount(), "invalid process id");
-  const std::size_t nFuncs = tr.functions().size();
-  std::vector<FunctionStats> row(nFuncs);
-  for (std::size_t f = 0; f < nFuncs; ++f) {
-    row[f].function = static_cast<trace::FunctionId>(f);
-  }
-  trace::ReplayVisitor v;
-  v.onLeave = [&](const trace::Frame& frame) {
-    row[frame.function].add(frame.inclusive(), frame.exclusive());
-  };
-  const trace::RankPin pin = tr.rank(p);
-  trace::replayEvents(pin.events(), v);
-  return row;
-}
-
 FlatProfile FlatProfile::fromPerProcess(
     const trace::TraceView& tr,
     std::vector<std::vector<FunctionStats>> perProcess) {
@@ -104,11 +88,16 @@ FlatProfile FlatProfile::fromPerProcess(
   return profile;
 }
 
-FlatProfile FlatProfile::build(const trace::TraceView& tr) {
+FlatProfile FlatProfile::build(const trace::TraceView& tr,
+                               util::ThreadPool* pool) {
   std::vector<std::vector<FunctionStats>> perProcess(tr.processCount());
-  for (trace::ProcessId p = 0; p < tr.processCount(); ++p) {
-    perProcess[p] = buildProcess(tr, p);
-  }
+  util::parallelChunks(pool, tr.processCount(), 1,
+                       [&](std::size_t begin, std::size_t end) {
+                         for (std::size_t p = begin; p < end; ++p) {
+                           perProcess[p] = buildProcess(
+                               tr, static_cast<trace::ProcessId>(p));
+                         }
+                       });
   return fromPerProcess(tr, std::move(perProcess));
 }
 

@@ -21,6 +21,10 @@
 #include "trace/trace.hpp"
 #include "trace/view.hpp"
 
+namespace perfvar::util {
+class ThreadPool;
+}
+
 namespace perfvar::profile {
 
 /// Accumulated statistics of one function on one process (or aggregated).
@@ -40,20 +44,16 @@ struct FunctionStats {
 class FlatProfile {
 public:
   /// Build the profile of a structurally valid trace (accepts a Trace via
-  /// the implicit TraceView conversion).
-  static FlatProfile build(const trace::TraceView& trace);
+  /// the implicit TraceView conversion). The per-rank replays are sharded
+  /// over `pool` (inline when null); rows merge in ascending rank order,
+  /// so the profile is identical either way.
+  static FlatProfile build(const trace::TraceView& trace,
+                           util::ThreadPool* pool = nullptr);
 
-  /// Stats of a single process (row `p` of the full profile). Used by the
-  /// parallel pipeline to shard the replay by rank; build() is implemented
-  /// on top of it, so sharded and serial profiles are identical.
+  /// Stats of a single process (row `p` of the full profile); build()
+  /// runs it once per rank.
   static std::vector<FunctionStats> buildProcess(const trace::TraceView& trace,
                                                  trace::ProcessId p);
-
-  /// The original std::function-visitor row builder, retained as the
-  /// differential oracle for the inlined replay kernel (and as perfbench's
-  /// pre-optimization baseline). Must stay bit-identical to buildProcess.
-  static std::vector<FunctionStats> buildProcessReference(
-      const trace::TraceView& trace, trace::ProcessId p);
 
   /// Assemble a full profile from per-process rows (as produced by
   /// buildProcess, one row per process of `trace`), aggregating in

@@ -117,12 +117,10 @@ Trace loadSelected(const std::string& directory,
   // writes only its own process slot (the remap table is read-only), and
   // slot order follows the selection, so the result is identical for
   // every thread count.
-  std::unique_ptr<util::ThreadPool> pool;
-  if (options.threads != 1) {
-    pool = std::make_unique<util::ThreadPool>(options.threads);
-  }
+  std::unique_ptr<util::ThreadPool> owned;
+  util::ThreadPool* pool = util::resolvePool(nullptr, options.threads, owned);
   util::parallelChunks(
-      pool.get(), ranks.size(), 1, [&](std::size_t begin, std::size_t end) {
+      pool, ranks.size(), 1, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           Trace rankTrace = loadBinaryFile(rankPath(directory, ranks[i]));
           PERFVAR_REQUIRE(rankTrace.processCount() == 1,

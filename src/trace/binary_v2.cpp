@@ -463,20 +463,6 @@ std::vector<std::string> decodeDefs(const unsigned char* image,
   return names;
 }
 
-/// Resolve the effective pool: the caller's, a transient one, or none
-/// (inline execution).
-util::ThreadPool* resolvePool(util::ThreadPool* external, std::size_t threads,
-                              std::unique_ptr<util::ThreadPool>& owned) {
-  if (external != nullptr) {
-    return external;
-  }
-  if (threads != 1) {
-    owned = std::make_unique<util::ThreadPool>(threads);
-    return owned.get();
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 std::string encodeV2Defs(const FunctionRegistry& functions,
@@ -616,7 +602,8 @@ void writeBinaryV2(const Trace& trace, std::ostream& out,
   std::vector<std::string> blocks(nProcs);
   std::vector<std::uint64_t> hashes(nProcs, 0);
   std::unique_ptr<util::ThreadPool> owned;
-  util::ThreadPool* pool = resolvePool(options.pool, options.threads, owned);
+  util::ThreadPool* pool =
+      util::resolvePool(options.pool, options.threads, owned);
   util::parallelChunks(pool, nProcs, 1,
                        [&](std::size_t begin, std::size_t end) {
                          for (std::size_t i = begin; i < end; ++i) {
@@ -675,7 +662,8 @@ Trace readBinaryV2(const unsigned char* image, std::size_t size,
 
   trace.processes.resize(layout.table.size());
   std::unique_ptr<util::ThreadPool> owned;
-  util::ThreadPool* pool = resolvePool(options.pool, options.threads, owned);
+  util::ThreadPool* pool =
+      util::resolvePool(options.pool, options.threads, owned);
   // Per-rank decode, zero-copy out of the image; every task verifies and
   // fills only its own process slot, and reassembly order is fixed by the
   // table, so the result is identical for every thread count.
@@ -766,7 +754,8 @@ Trace readBinaryV2Salvage(const unsigned char* image, std::size_t size,
   report.ranks.assign(nProcs, RankLoadStatus{});
 
   std::unique_ptr<util::ThreadPool> owned;
-  util::ThreadPool* pool = resolvePool(options.pool, options.threads, owned);
+  util::ThreadPool* pool =
+      util::resolvePool(options.pool, options.threads, owned);
   // Same rank-sharded shape as the strict reader: every task verifies,
   // decodes (or salvages) and reports only its own process slot, so the
   // result is identical for every thread count.

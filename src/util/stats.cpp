@@ -11,23 +11,6 @@ namespace perfvar::stats {
 
 namespace {
 
-std::vector<double> sorted(std::span<const double> xs) {
-  std::vector<double> v(xs.begin(), xs.end());
-  std::sort(v.begin(), v.end());
-  return v;
-}
-
-double medianOfSorted(const std::vector<double>& v) {
-  if (v.empty()) {
-    return 0.0;
-  }
-  const std::size_t n = v.size();
-  if (n % 2 == 1) {
-    return v[n / 2];
-  }
-  return 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
 /// Per-thread scratch for the selection kernels: one allocation amortized
 /// across every median/MAD/robust-z call on the thread instead of a fresh
 /// vector per call. Never escapes this translation unit.
@@ -40,7 +23,7 @@ std::vector<double>& selectionScratch() {
 /// sort would: for odd n the value at sorted index n/2, for even n the
 /// max of the lower half paired with the n/2-th order statistic, combined
 /// in the exact expression order of the sort-based implementation — so
-/// the result is bit-identical to medianOfSorted(sorted(v)).
+/// the result is bit-identical to the median of a fully sorted copy.
 double medianInPlace(std::vector<double>& v) {
   if (v.empty()) {
     return 0.0;
@@ -465,59 +448,5 @@ std::vector<std::size_t> histogram(std::span<const double> xs, std::size_t bins)
   }
   return counts;
 }
-
-namespace detail {
-
-double medianReference(std::span<const double> xs) {
-  return medianOfSorted(sorted(xs));
-}
-
-double quantileReference(std::span<const double> xs, double q) {
-  PERFVAR_REQUIRE(q >= 0.0 && q <= 1.0, "quantile: q must be in [0,1]");
-  if (xs.empty()) {
-    return 0.0;
-  }
-  const std::vector<double> v = sorted(xs);
-  if (v.size() == 1) {
-    return v[0];
-  }
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return v[lo] * (1.0 - frac) + v[hi] * frac;
-}
-
-double madReference(std::span<const double> xs) {
-  if (xs.empty()) {
-    return 0.0;
-  }
-  const double med = medianOfSorted(sorted(xs));
-  std::vector<double> dev;
-  dev.reserve(xs.size());
-  for (const double x : xs) {
-    dev.push_back(std::abs(x - med));
-  }
-  std::sort(dev.begin(), dev.end());
-  return medianOfSorted(dev);
-}
-
-std::vector<double> leaveOneOutZReference(std::span<const double> xs) {
-  const std::size_t n = xs.size();
-  std::vector<double> out(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<double> others;
-    others.reserve(n > 0 ? n - 1 : 0);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j != i) {
-        others.push_back(xs[j]);
-      }
-    }
-    out[i] = referenceZ(xs[i], others);
-  }
-  return out;
-}
-
-}  // namespace detail
 
 }  // namespace perfvar::stats

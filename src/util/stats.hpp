@@ -105,18 +105,6 @@ std::vector<double> ranks(std::span<const double> xs);
 /// equal to max land in the last bucket. Empty input yields all-zero counts.
 std::vector<std::size_t> histogram(std::span<const double> xs, std::size_t bins);
 
-namespace detail {
-
-/// Straightforward sort-based implementations retained as differential
-/// oracles: the optimized kernels above must match them bit for bit (see
-/// tests/util_stats_test.cpp). Not for production call sites.
-double medianReference(std::span<const double> xs);
-double quantileReference(std::span<const double> xs, double q);
-double madReference(std::span<const double> xs);
-std::vector<double> leaveOneOutZReference(std::span<const double> xs);
-
-}  // namespace detail
-
 }  // namespace perfvar::stats
 
 #endif  // PERFVAR_UTIL_STATS_HPP

@@ -314,4 +314,16 @@ void parallelChunks(ThreadPool* pool, std::size_t n,
   pool->runChunks(n, options, body);
 }
 
+ThreadPool* resolvePool(ThreadPool* external, std::size_t threads,
+                        std::unique_ptr<ThreadPool>& owned) {
+  if (external != nullptr) {
+    return external;
+  }
+  if (threads != 1) {
+    owned = std::make_unique<ThreadPool>(threads);
+    return owned.get();
+  }
+  return nullptr;
+}
+
 }  // namespace perfvar::util

@@ -154,6 +154,13 @@ void parallelChunks(ThreadPool* pool, std::size_t n,
                     const ChunkOptions& options,
                     const std::function<void(std::size_t, std::size_t)>& body);
 
+/// The pool a `threads` / `pool` option pair resolves to: `external` when
+/// set; otherwise, for threads != 1, a transient pool of that many workers
+/// (0 = hardware concurrency) parked in `owned` for the caller's scope;
+/// otherwise null, which parallelChunks runs inline.
+ThreadPool* resolvePool(ThreadPool* external, std::size_t threads,
+                        std::unique_ptr<ThreadPool>& owned);
+
 }  // namespace perfvar::util
 
 #endif  // PERFVAR_UTIL_THREAD_POOL_HPP

@@ -276,7 +276,6 @@ TEST(DepGraphEngine, ThresholdChangesMissAndExecOptionsDoNot) {
   // Execution fields are not part of the fingerprint.
   DepAnalysisOptions execOnly;
   execOnly.threads = 8;
-  execOnly.grainSizeRanks = 4;
   EXPECT_EQ(eng.depAnalysis(execOnly).get(), base.get());
   // A threshold change is a different stage key.
   DepAnalysisOptions tightened;

@@ -351,7 +351,6 @@ TEST(LintDeterminism, ExternalPoolMatchesSerial) {
   util::ThreadPool pool(3);
   LintOptions options;
   options.pool = &pool;
-  options.grainSizeRanks = 2;
   const LintReport report = lintTrace(tr, options);
   EXPECT_EQ(report.findings, reference.findings);
 }

@@ -13,8 +13,8 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/parallel.hpp"
 #include "analysis/pipeline.hpp"
+#include "apps/scale_synthetic.hpp"
 #include "sim/program.hpp"
 #include "sim/simulator.hpp"
 #include "trace/builder.hpp"
@@ -318,52 +318,38 @@ TEST(ParallelDifferential, FullPipelineMatchesSerialAcrossMatrix) {
   }
 }
 
-TEST(ParallelDifferential, GrainSizeDoesNotChangeTheResult) {
-  const trace::Trace tr = buildSynthetic(8, 12, Shape::Imbalanced);
-  const analysis::AnalysisResult serial = analysis::analyzeTrace(tr);
-  for (const std::size_t grain : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{8}, std::size_t{100}}) {
-    SCOPED_TRACE("grain=" + std::to_string(grain));
-    analysis::PipelineOptions opts;
-    opts.threads = 4;
-    opts.grainSizeRanks = grain;
-    const analysis::AnalysisResult par = analysis::analyzeTrace(tr, opts);
-    expectSosEqual(*serial.sos, *par.sos);
-    expectVariationEqual(serial.variation, par.variation);
-  }
-}
-
 TEST(ParallelDifferential, StageEntryPointsMatchSerial) {
-  const trace::Trace tr = buildSimulated();
+  // Each per-rank stage takes an optional pool: nullptr runs it inline,
+  // a pool shards its rank loop. Both must give bit-identical results.
+  apps::ScaleConfig skewed;
+  skewed.ranks = 48;
+  skewed.iterations = 4;
+  skewed.skewTailPerMille = 100;
+  skewed.skewEventsFactor = 32;
+  std::vector<Case> cases;
+  cases.push_back({"simulated", buildSimulated()});
+  cases.push_back({"skewed_scale", apps::buildScaleTrace(skewed)});
   util::ThreadPool pool(4);
-  const auto selection = analysis::selectDominantFunction(tr);
-  ASSERT_TRUE(selection.hasDominant());
-  const auto f = selection.dominant().function;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const profile::FlatProfile inlineProfile =
+        profile::FlatProfile::build(c.tr, nullptr);
+    expectProfileEqual(inlineProfile,
+                       profile::FlatProfile::build(c.tr, &pool), c.tr);
 
-  const auto segSerial = analysis::extractSegments(tr, f);
-  const auto segPar = analysis::extractSegmentsParallel(tr, f, pool, 2);
-  ASSERT_EQ(segSerial.size(), segPar.size());
-  for (std::size_t p = 0; p < segSerial.size(); ++p) {
-    ASSERT_EQ(segSerial[p].size(), segPar[p].size());
-    for (std::size_t i = 0; i < segSerial[p].size(); ++i) {
-      EXPECT_EQ(segSerial[p][i].enter, segPar[p][i].enter);
-      EXPECT_EQ(segSerial[p][i].leave, segPar[p][i].leave);
-      EXPECT_EQ(segSerial[p][i].index, segPar[p][i].index);
-      EXPECT_EQ(segSerial[p][i].process, segPar[p][i].process);
-    }
+    const auto selection =
+        analysis::selectDominantFunction(c.tr, inlineProfile);
+    ASSERT_TRUE(selection.hasDominant());
+    const auto f = selection.dominant().function;
+    const analysis::SosResult inlineSos =
+        analysis::analyzeSos(c.tr, f, analysis::SyncClassifier{}, nullptr);
+    const analysis::SosResult pooledSos =
+        analysis::analyzeSos(c.tr, f, analysis::SyncClassifier{}, &pool);
+    expectSosEqual(inlineSos, pooledSos);
+
+    expectVariationEqual(analysis::analyzeVariation(inlineSos, {}, nullptr),
+                         analysis::analyzeVariation(pooledSos, {}, &pool));
   }
-
-  const auto sosSerial = analysis::analyzeSos(tr, f);
-  const auto sosPar =
-      analysis::analyzeSosParallel(tr, f, analysis::SyncClassifier{}, pool);
-  expectSosEqual(sosSerial, sosPar);
-
-  expectVariationEqual(
-      analysis::analyzeVariation(sosSerial),
-      analysis::analyzeVariationParallel(sosPar, {}, pool));
-
-  expectProfileEqual(profile::FlatProfile::build(tr),
-                     analysis::buildProfileParallel(tr, pool), tr);
 }
 
 // ---- thread pool unit coverage -------------------------------------------
@@ -448,6 +434,14 @@ static_assert(!AnalyzableAsTemporary<trace::Trace>,
               "analyzeTrace must reject temporary traces");
 static_assert(!SosAnalyzableAsTemporary<trace::Trace>,
               "analyzeSos must reject temporary traces");
+template <typename T>
+concept PooledSosAnalyzableAsTemporary =
+    requires(T t, util::ThreadPool* pool) {
+      analysis::analyzeSos(std::move(t), trace::FunctionId{0},
+                           analysis::SyncClassifier{}, pool);
+    };
+static_assert(!PooledSosAnalyzableAsTemporary<trace::Trace>,
+              "the pool-taking analyzeSos must reject temporary traces");
 template <typename T>
 concept AnalyzableAsLvalue = requires(T& t) { analysis::analyzeTrace(t); };
 static_assert(AnalyzableAsLvalue<trace::Trace>,

@@ -1,28 +1,183 @@
-/// Differential matrix of the throughput engineering pass: every
-/// scheduling configuration (thread count x stealing on/off) and both
-/// kernel generations (tuned vs reference) must produce byte-identical
-/// analysis output on skewed, uniform and empty-rank traces. Plus direct
-/// coverage of the work-stealing chunk scheduler itself: full coverage,
-/// deterministic chunk boundaries, exception propagation and the
-/// ThreadPoolStats counters. Runs under the TSan CI job (label:
-/// parallel).
+/// Differential matrix of the throughput engineering pass: every thread
+/// count must produce byte-identical analysis output to a serial run
+/// assembled from the pre-optimization reference kernels on skewed,
+/// uniform and empty-rank traces. The reference row builders live here as
+/// test oracles: the std::function-visitor replays the inlined replay
+/// kernels replaced. Plus direct coverage of the work-stealing chunk
+/// scheduler itself: full coverage, deterministic chunk boundaries,
+/// exception propagation and the ThreadPoolStats counters. Runs under the
+/// TSan CI job (label: parallel).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <vector>
 
-#include "analysis/parallel.hpp"
 #include "analysis/pipeline.hpp"
 #include "analysis/sos.hpp"
 #include "apps/scale_synthetic.hpp"
 #include "profile/profile.hpp"
+#include "trace/replay.hpp"
+#include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
 namespace perfvar {
 namespace {
+
+// ---- reference kernels (oracles) -------------------------------------------
+
+/// The original std::function-visitor profile row builder. Must stay
+/// bit-identical to FlatProfile::buildProcess.
+std::vector<profile::FunctionStats> buildProcessReference(
+    const trace::TraceView& tr, trace::ProcessId p) {
+  PERFVAR_REQUIRE(p < tr.processCount(), "invalid process id");
+  const std::size_t nFuncs = tr.functions().size();
+  std::vector<profile::FunctionStats> row(nFuncs);
+  for (std::size_t f = 0; f < nFuncs; ++f) {
+    row[f].function = static_cast<trace::FunctionId>(f);
+  }
+  trace::ReplayVisitor v;
+  v.onLeave = [&](const trace::Frame& frame) {
+    row[frame.function].add(frame.inclusive(), frame.exclusive());
+  };
+  const trace::RankPin pin = tr.rank(p);
+  trace::replayEvents(pin.events(), v);
+  return row;
+}
+
+/// The original std::function-visitor SOS row analyzer. Must stay
+/// bit-identical to analysis::detail::analyzeSosProcess.
+std::vector<analysis::SegmentAnalysis> analyzeSosProcessReference(
+    const trace::TraceView& tr, trace::ProcessId p,
+    trace::FunctionId segmentFunction, const std::vector<bool>& syncMask) {
+  using analysis::kParadigmCount;
+  using analysis::SegmentAnalysis;
+  PERFVAR_REQUIRE(p < tr.processCount(), "invalid process id");
+  const std::size_t nMetrics = tr.metrics().size();
+  std::vector<SegmentAnalysis> segments;
+
+  // Per-process replay state.
+  std::size_t segNesting = 0;       // nesting inside the segment function
+  trace::Timestamp segStart = 0;    // enter of the outermost invocation
+  SegmentAnalysis current;          // accumulators of the open segment
+  std::size_t syncNesting = 0;      // nesting inside sync functions
+  trace::Timestamp syncStart = 0;
+  std::array<std::size_t, kParadigmCount> paradigmNesting{};
+  std::array<trace::Timestamp, kParadigmCount> paradigmStart{};
+  // Last observed cumulative value of every metric (for deltas).
+  std::vector<double> lastMetric(nMetrics, 0.0);
+  std::vector<bool> seenMetric(nMetrics, false);
+
+  const auto beginSegment = [&](trace::Timestamp t) {
+    current = SegmentAnalysis{};
+    current.metricDelta.assign(nMetrics, 0.0);
+    segStart = t;
+  };
+
+  trace::ReplayVisitor v;
+  v.onEnter = [&](trace::FunctionId fn, trace::Timestamp t, std::size_t) {
+    if (fn == segmentFunction) {
+      if (segNesting == 0) {
+        beginSegment(t);
+      }
+      ++segNesting;
+    }
+    if (segNesting > 0) {
+      const auto& def = tr.functions().at(fn);
+      const auto par = static_cast<std::size_t>(def.paradigm);
+      if (paradigmNesting[par]++ == 0) {
+        paradigmStart[par] = t;
+      }
+      if (syncMask[fn]) {
+        if (syncNesting++ == 0) {
+          syncStart = t;
+        }
+      }
+    }
+  };
+  v.onLeave = [&](const trace::Frame& frame) {
+    if (segNesting > 0) {
+      const auto& def = tr.functions().at(frame.function);
+      const auto par = static_cast<std::size_t>(def.paradigm);
+      PERFVAR_ASSERT(paradigmNesting[par] > 0, "paradigm nesting underflow");
+      if (--paradigmNesting[par] == 0) {
+        current.paradigmTime[par] += frame.leaveTime - paradigmStart[par];
+      }
+      if (syncMask[frame.function]) {
+        PERFVAR_ASSERT(syncNesting > 0, "sync nesting underflow");
+        if (--syncNesting == 0) {
+          current.syncTime += frame.leaveTime - syncStart;
+        }
+      }
+    }
+    if (frame.function == segmentFunction) {
+      PERFVAR_ASSERT(segNesting > 0, "segment nesting underflow");
+      if (--segNesting == 0) {
+        current.segment.process = p;
+        current.segment.index =
+            static_cast<std::uint32_t>(segments.size());
+        current.segment.enter = segStart;
+        current.segment.leave = frame.leaveTime;
+        const trace::Timestamp duration = current.segment.inclusive();
+        PERFVAR_ASSERT(current.syncTime <= duration,
+                       "sync time exceeds segment duration");
+        current.sosTime = duration - current.syncTime;
+        segments.push_back(std::move(current));
+        current = SegmentAnalysis{};
+      }
+    }
+  };
+  v.onMetric = [&](const trace::Event& e, std::size_t) {
+    const trace::MetricId m = e.ref;
+    const bool accumulated =
+        tr.metrics().at(m).mode == trace::MetricMode::Accumulated;
+    if (segNesting > 0 && !current.metricDelta.empty()) {
+      if (accumulated) {
+        const double base = seenMetric[m] ? lastMetric[m] : 0.0;
+        current.metricDelta[m] += e.value - base;
+      } else {
+        current.metricDelta[m] = e.value;
+      }
+    }
+    lastMetric[m] = e.value;
+    seenMetric[m] = true;
+  };
+  const trace::RankPin pin = tr.rank(p);
+  trace::replayEvents(pin.events(), v);
+  return segments;
+}
+
+/// The whole pipeline assembled on the calling thread from reference
+/// rows: profile rows -> dominant selection -> SOS rows -> variation.
+analysis::AnalysisResult analyzeWithReferenceKernels(
+    const trace::TraceView& tr) {
+  analysis::AnalysisResult result;
+  std::vector<std::vector<profile::FunctionStats>> profileRows(
+      tr.processCount());
+  for (std::size_t p = 0; p < tr.processCount(); ++p) {
+    profileRows[p] =
+        buildProcessReference(tr, static_cast<trace::ProcessId>(p));
+  }
+  result.profile =
+      profile::FlatProfile::fromPerProcess(tr, std::move(profileRows));
+  result.selection = analysis::selectDominantFunction(tr, result.profile);
+  result.segmentFunction = result.selection.candidateFunction(0);
+  const std::vector<bool> syncMask = analysis::SyncClassifier{}.mask(tr);
+  std::vector<std::vector<analysis::SegmentAnalysis>> sosRows(
+      tr.processCount());
+  for (std::size_t p = 0; p < tr.processCount(); ++p) {
+    sosRows[p] = analyzeSosProcessReference(
+        tr, static_cast<trace::ProcessId>(p), result.segmentFunction,
+        syncMask);
+  }
+  result.sos = std::make_unique<analysis::SosResult>(
+      tr, result.segmentFunction, std::move(sosRows));
+  result.variation = analysis::analyzeVariation(*result.sos);
+  return result;
+}
 
 // ---- fixtures --------------------------------------------------------------
 
@@ -70,52 +225,39 @@ std::vector<const trace::Trace*> traceMatrix() {
 
 TEST(ThroughputMatrix, AllSchedulesMatchSerialReferenceByteForByte) {
   for (const trace::Trace* tr : traceMatrix()) {
-    // Oracle: serial run of the pre-optimization reference kernels.
-    analysis::PipelineOptions oracleOpts;
-    oracleOpts.referenceKernels = true;
-    const analysis::AnalysisResult oracle =
-        analysis::analyzeTrace(*tr, oracleOpts);
+    const analysis::AnalysisResult oracle = analyzeWithReferenceKernels(*tr);
     const std::string oracleText = analysis::formatAnalysis(*tr, oracle);
 
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                       std::size_t{8}}) {
-      for (const bool stealing : {false, true}) {
-        for (const bool reference : {false, true}) {
-          analysis::PipelineOptions opts;
-          opts.threads = threads;
-          opts.stealing = stealing;
-          opts.referenceKernels = reference;
-          const analysis::AnalysisResult result =
-              analysis::analyzeTrace(*tr, opts);
-          EXPECT_EQ(analysis::formatAnalysis(*tr, result), oracleText)
-              << "threads=" << threads << " stealing=" << stealing
-              << " reference=" << reference;
+      analysis::PipelineOptions opts;
+      opts.threads = threads;
+      const analysis::AnalysisResult result =
+          analysis::analyzeTrace(*tr, opts);
+      EXPECT_EQ(analysis::formatAnalysis(*tr, result), oracleText)
+          << "threads=" << threads;
 
-          // The formatted report rounds; the numeric fields must match
-          // bit for bit as well.
-          ASSERT_EQ(result.variation.processes.size(),
-                    oracle.variation.processes.size());
-          for (std::size_t p = 0; p < oracle.variation.processes.size();
-               ++p) {
-            EXPECT_EQ(result.variation.processes[p].totalZ,
-                      oracle.variation.processes[p].totalZ);
-            EXPECT_EQ(result.variation.processes[p].totalSos,
-                      oracle.variation.processes[p].totalSos);
-          }
-          ASSERT_EQ(result.variation.hotspots.size(),
-                    oracle.variation.hotspots.size());
-          for (std::size_t h = 0; h < oracle.variation.hotspots.size();
-               ++h) {
-            EXPECT_EQ(result.variation.hotspots[h].globalZ,
-                      oracle.variation.hotspots[h].globalZ);
-            EXPECT_EQ(result.variation.hotspots[h].iterationZ,
-                      oracle.variation.hotspots[h].iterationZ);
-            EXPECT_EQ(result.variation.hotspots[h].process,
-                      oracle.variation.hotspots[h].process);
-            EXPECT_EQ(result.variation.hotspots[h].iteration,
-                      oracle.variation.hotspots[h].iteration);
-          }
-        }
+      // The formatted report rounds; the numeric fields must match bit
+      // for bit as well.
+      ASSERT_EQ(result.variation.processes.size(),
+                oracle.variation.processes.size());
+      for (std::size_t p = 0; p < oracle.variation.processes.size(); ++p) {
+        EXPECT_EQ(result.variation.processes[p].totalZ,
+                  oracle.variation.processes[p].totalZ);
+        EXPECT_EQ(result.variation.processes[p].totalSos,
+                  oracle.variation.processes[p].totalSos);
+      }
+      ASSERT_EQ(result.variation.hotspots.size(),
+                oracle.variation.hotspots.size());
+      for (std::size_t h = 0; h < oracle.variation.hotspots.size(); ++h) {
+        EXPECT_EQ(result.variation.hotspots[h].globalZ,
+                  oracle.variation.hotspots[h].globalZ);
+        EXPECT_EQ(result.variation.hotspots[h].iterationZ,
+                  oracle.variation.hotspots[h].iterationZ);
+        EXPECT_EQ(result.variation.hotspots[h].process,
+                  oracle.variation.hotspots[h].process);
+        EXPECT_EQ(result.variation.hotspots[h].iteration,
+                  oracle.variation.hotspots[h].iteration);
       }
     }
   }
@@ -129,7 +271,7 @@ TEST(ThroughputKernels, ProfileVisitorMatchesReference) {
     for (std::size_t p = 0; p < view.processCount(); ++p) {
       const auto rank = static_cast<trace::ProcessId>(p);
       const auto fast = profile::FlatProfile::buildProcess(view, rank);
-      const auto ref = profile::FlatProfile::buildProcessReference(view, rank);
+      const auto ref = buildProcessReference(view, rank);
       ASSERT_EQ(fast.size(), ref.size());
       for (std::size_t f = 0; f < ref.size(); ++f) {
         EXPECT_EQ(fast[f].invocations, ref[f].invocations);
@@ -154,8 +296,7 @@ TEST(ThroughputKernels, SosVisitorMatchesReference) {
       const auto rank = static_cast<trace::ProcessId>(p);
       const auto fast =
           analysis::detail::analyzeSosProcess(view, rank, fn, mask, scratch);
-      const auto ref =
-          analysis::detail::analyzeSosProcessReference(view, rank, fn, mask);
+      const auto ref = analyzeSosProcessReference(view, rank, fn, mask);
       ASSERT_EQ(fast.size(), ref.size());
       for (std::size_t s = 0; s < ref.size(); ++s) {
         EXPECT_EQ(fast[s].segment.enter, ref[s].segment.enter);
