@@ -84,6 +84,7 @@
 #include "engine/engine.hpp"
 #include "profile/profile.hpp"
 #include "server/client.hpp"
+#include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "trace/archive.hpp"
 #include "trace/binary_io.hpp"
@@ -271,62 +272,6 @@ int usageError(const std::string& message) {
 using tool::parseDouble;
 using tool::parseSize;
 
-bool parseExportFormat(const std::string& name,
-                       analysis::ExportFormat& format) {
-  if (name == "text") {
-    format = analysis::ExportFormat::Text;
-  } else if (name == "json") {
-    format = analysis::ExportFormat::Json;
-  } else if (name == "csv") {
-    format = analysis::ExportFormat::Csv;
-  } else if (name == "csv-iterations") {
-    format = analysis::ExportFormat::CsvIterations;
-  } else if (name == "csv-hotspots") {
-    format = analysis::ExportFormat::CsvHotspots;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-/// Parse `[candidate K] [threshold Z] [max-hotspots N]` pairs starting at
-/// tokens[first]. Returns false (with a message on stderr) on bad input.
-bool parseQueryOptions(const std::vector<std::string>& tokens,
-                       std::size_t first, analysis::PipelineOptions& opts) {
-  for (std::size_t i = first; i < tokens.size(); i += 2) {
-    if (i + 1 >= tokens.size()) {
-      std::cerr << "trace_tool: query option '" << tokens[i]
-                << "' needs a value\n";
-      return false;
-    }
-    const std::string& key = tokens[i];
-    const std::string& value = tokens[i + 1];
-    if (key == "candidate") {
-      if (!parseSize(value, opts.candidateIndex)) {
-        std::cerr << "trace_tool: candidate expects a non-negative "
-                     "integer, got '" << value << "'\n";
-        return false;
-      }
-    } else if (key == "threshold") {
-      if (!parseDouble(value, opts.variation.outlierThreshold)) {
-        std::cerr << "trace_tool: threshold expects a number, got '"
-                  << value << "'\n";
-        return false;
-      }
-    } else if (key == "max-hotspots") {
-      if (!parseSize(value, opts.variation.maxHotspots)) {
-        std::cerr << "trace_tool: max-hotspots expects a non-negative "
-                     "integer, got '" << value << "'\n";
-        return false;
-      }
-    } else {
-      std::cerr << "trace_tool: unknown query option '" << key << "'\n";
-      return false;
-    }
-  }
-  return true;
-}
-
 void printQueryHelp(std::ostream& out) {
   out << "query commands:\n"
          "  analyze [candidate K] [threshold Z] [max-hotspots N]\n"
@@ -371,24 +316,27 @@ int runQuerySession(engine::AnalysisEngine& eng, std::istream& in,
     } else if (cmd == "critpath") {
       out << eng.formatDepReport();
     } else if (cmd == "analyze" || cmd == "export") {
-      analysis::PipelineOptions opts;
-      analysis::ExportFormat format = analysis::ExportFormat::Text;
-      std::size_t firstOption = 1;
-      if (cmd == "export") {
-        if (tokens.size() < 2 || !parseExportFormat(tokens[1], format)) {
-          std::cerr << "trace_tool: export needs a format (text | json | "
-                       "csv | csv-iterations | csv-hotspots)\n";
-          return kExitUsage;
-        }
-        firstOption = 2;
-      }
-      if (!parseQueryOptions(tokens, firstOption, opts)) {
+      const bool exporting = cmd == "export";
+      if (exporting && tokens.size() < 2) {
+        std::cerr << "trace_tool: export needs a format (text | json | "
+                     "csv | csv-iterations | csv-hotspots)\n";
         return kExitUsage;
       }
-      if (cmd == "analyze") {
-        out << eng.formatReport(opts);
-      } else {
+      analysis::ExportFormat format = analysis::ExportFormat::Text;
+      analysis::PipelineOptions opts;
+      try {
+        if (exporting) {
+          format = server::parseExportFormat(tokens[1]);
+        }
+        opts = server::parsePipelineOptions(tokens, exporting ? 2 : 1);
+      } catch (const Error& e) {
+        std::cerr << "trace_tool: " << e.what() << '\n';
+        return kExitUsage;
+      }
+      if (exporting) {
         eng.exportReport(format, out, opts);
+      } else {
+        out << eng.formatReport(opts);
       }
     } else {
       std::cerr << "trace_tool: unknown query command '" << cmd
@@ -698,10 +646,14 @@ int main(int argc, char** argv) {
       }
       analysis::ExportFormat format = analysis::ExportFormat::Text;
       if (args.size() == 3) {
-        if (!parseExportFormat(args[2], format) ||
-            (format != analysis::ExportFormat::Text &&
-             format != analysis::ExportFormat::Json &&
-             format != analysis::ExportFormat::Csv)) {
+        try {
+          format = server::parseExportFormat(args[2]);
+        } catch (const Error& e) {
+          return usageError(e.what());
+        }
+        if (format != analysis::ExportFormat::Text &&
+            format != analysis::ExportFormat::Json &&
+            format != analysis::ExportFormat::Csv) {
           return usageError("'critpath' expects a format of text, json or "
                             "csv, got '" + args[2] + "'");
         }

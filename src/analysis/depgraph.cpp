@@ -176,13 +176,12 @@ DepGraph buildDepGraph(const trace::TraceView& trace,
   const std::vector<bool> syncMask = options.sync.mask(trace);
 
   // Per-rank phase: every rank writes its own shard, so the result is
-  // independent of scheduling (parallelChunks' chunk boundaries depend
-  // only on n and grain, and shards merge in rank order below).
+  // independent of scheduling (shards merge in rank order below).
   std::vector<RankShard> shards(graph.processCount);
   std::unique_ptr<util::ThreadPool> owned;
   util::ThreadPool* pool =
       util::resolvePool(options.pool, options.threads, owned);
-  util::parallelChunks(pool, graph.processCount, 1,
+  util::parallelChunks(pool, graph.processCount,
                        [&](std::size_t begin, std::size_t end) {
                          for (std::size_t p = begin; p < end; ++p) {
                            shards[p] = extractRank(

@@ -331,8 +331,8 @@ SosResult analyzeSos(const trace::TraceView& tr,
   const std::vector<bool> syncMask = classifier.mask(tr);
   std::vector<std::vector<SegmentAnalysis>> perProcess(tr.processCount());
   util::parallelChunks(
-      pool, tr.processCount(), 1, [&](std::size_t begin, std::size_t end) {
-        // One scratch per chunk: the metric-state buffers are sized by
+      pool, tr.processCount(), [&](std::size_t begin, std::size_t end) {
+        // One scratch per range: the metric-state buffers are sized by
         // the (fixed) metric count, so ranks after the first reuse the
         // allocation instead of repeating it.
         detail::SosScratch scratch;

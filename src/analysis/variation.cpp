@@ -44,7 +44,7 @@ VariationReport analyzeVariation(const SosResult& sos,
   // Every index writes only its own slot; the inner sums always walk the
   // processes in ascending order, so the result is pool-independent.
   report.iterations.resize(nIters);
-  util::parallelChunks(pool, nIters, 1, [&](std::size_t begin,
+  util::parallelChunks(pool, nIters, [&](std::size_t begin,
                                             std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       std::vector<double> iterSos;
@@ -92,7 +92,7 @@ VariationReport analyzeVariation(const SosResult& sos,
   // ---- per-process stats ----------------------------------------------------
   report.processes.resize(nProcs);
   std::vector<double> totals(nProcs, 0.0);
-  util::parallelChunks(pool, nProcs, 1, [&](std::size_t begin,
+  util::parallelChunks(pool, nProcs, [&](std::size_t begin,
                                             std::size_t end) {
     for (std::size_t p = begin; p < end; ++p) {
       ProcessStats ps;
@@ -138,7 +138,7 @@ VariationReport analyzeVariation(const SosResult& sos,
   // iteration order; the final sort key (globalZ, process, iteration) is a
   // total order, so the ranking is independent of the pool.
   std::vector<std::vector<Hotspot>> perIterHotspots(nIters);
-  util::parallelChunks(pool, nIters, 1, [&](std::size_t begin,
+  util::parallelChunks(pool, nIters, [&](std::size_t begin,
                                             std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       std::vector<double> iterSos;

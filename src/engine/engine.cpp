@@ -172,24 +172,9 @@ struct AnalysisEngine::Impl {
   std::atomic<std::uint64_t> evictions{0};
 
   /// Workers of the heavy stages (null when EngineOptions::threads == 1).
+  /// Concurrent queries share it: every parallelChunks call waits only
+  /// for its own ranges.
   std::unique_ptr<util::ThreadPool> pool;
-  /// Serializes whole stage batches on `pool`: ThreadPool::wait() waits
-  /// for pool-wide idleness, so interleaving two batches would let one
-  /// query wait on (and steal exceptions of) another's tasks.
-  std::mutex poolMutex;
-
-  /// Run `stage(pool)` — one of the pool-taking stage functions — on the
-  /// engine's workers. Only an engine that owns a pool takes poolMutex;
-  /// without one the stage runs inline, so concurrent queries on a
-  /// threads == 1 engine never serialize here.
-  template <typename Stage>
-  auto onPool(Stage&& stage) {
-    if (!pool) {
-      return stage(nullptr);
-    }
-    std::lock_guard<std::mutex> lock(poolMutex);
-    return stage(pool.get());
-  }
 
   template <typename Map>
   void evictLruFrom(Map& map, typename Map::iterator victim) {
@@ -337,9 +322,7 @@ std::shared_ptr<const profile::FlatProfile> AnalysisEngine::profile() {
   }
   impl_->misses.fetch_add(1, std::memory_order_relaxed);
   auto computed = std::make_shared<const profile::FlatProfile>(
-      impl_->onPool([&](util::ThreadPool* pool) {
-        return profile::FlatProfile::build(analysisView_, pool);
-      }));
+      profile::FlatProfile::build(analysisView_, impl_->pool.get()));
   std::lock_guard<std::mutex> lock(impl_->cacheMutex);
   if (!impl_->profile) {
     impl_->profile = computed;
@@ -360,13 +343,11 @@ std::shared_ptr<const lint::LintReport> AnalysisEngine::lintReport() {
   impl_->misses.fetch_add(1, std::memory_order_relaxed);
   // Lint the raw trace (not the filtered view): the quarantine-interaction
   // rule exists precisely to surface the ranks the analyses drop.
+  lint::LintOptions lintOptions;
+  lintOptions.pool = impl_->pool.get();
+  lintOptions.disabledRules = options_.lintDisabledRules;
   auto computed = std::make_shared<const lint::LintReport>(
-      impl_->onPool([&](util::ThreadPool* pool) {
-        lint::LintOptions lintOptions;
-        lintOptions.pool = pool;
-        lintOptions.disabledRules = options_.lintDisabledRules;
-        return lint::lintTrace(view_, lintOptions);
-      }));
+      lint::lintTrace(view_, lintOptions));
   std::lock_guard<std::mutex> lock(impl_->cacheMutex);
   if (!impl_->lint) {
     impl_->lint = computed;
@@ -391,12 +372,10 @@ std::shared_ptr<const analysis::DepAnalysis> AnalysisEngine::depAnalysis(
     const analysis::DepAnalysisOptions& options) {
   return impl_->getOrCompute(
       impl_->dep, fingerprintDep(options), options_.maxCacheEntries, [&] {
-        return impl_->onPool([&](util::ThreadPool* pool) {
-          analysis::DepAnalysisOptions effective = options;
-          effective.threads = 1;  // the engine's pool, or inline
-          effective.pool = pool;
-          return analysis::analyzeDependencies(analysisView_, effective);
-        });
+        analysis::DepAnalysisOptions effective = options;
+        effective.threads = 1;  // the engine's pool, or inline
+        effective.pool = impl_->pool.get();
+        return analysis::analyzeDependencies(analysisView_, effective);
       });
 }
 
@@ -434,19 +413,15 @@ EngineResult AnalysisEngine::analyze(const analysis::PipelineOptions& options) {
       fingerprintSos(result.segmentFunction, options.sync);
   result.sos = impl_->getOrCompute(
       impl_->sos, sosKey, options_.maxCacheEntries, [&] {
-        return impl_->onPool([&](util::ThreadPool* pool) {
-          return analysis::analyzeSos(analysisView_, result.segmentFunction,
-                                      options.sync, pool);
-        });
+        return analysis::analyzeSos(analysisView_, result.segmentFunction,
+                                    options.sync, impl_->pool.get());
       });
 
   result.variation = impl_->getOrCompute(
       impl_->variation, fingerprintVariation(sosKey, options.variation),
       options_.maxCacheEntries, [&] {
-        return impl_->onPool([&](util::ThreadPool* pool) {
-          return analysis::analyzeVariation(*result.sos, options.variation,
-                                            pool);
-        });
+        return analysis::analyzeVariation(*result.sos, options.variation,
+                                          impl_->pool.get());
       });
   return result;
 }

@@ -37,9 +37,10 @@
 /// threads racing on the same missing key may both compute it; the first
 /// insert wins and both observe the same instance afterwards). Heavy
 /// stages call the same pool-taking stage functions analyzeTrace() runs,
-/// on an engine-owned util::ThreadPool serialized by a second mutex (the
-/// pool's wait() semantics do not allow interleaved batches). An engine
-/// with threads == 1 owns no pool and never takes that mutex.
+/// on one engine-owned util::ThreadPool that concurrent queries share:
+/// each parallelChunks call waits only for its own ranges and rethrows
+/// only its own errors. An engine with threads == 1 owns no pool and runs
+/// every stage inline on the calling thread.
 ///
 /// Capacity: derived-stage entries (dominant, SOS, variation and
 /// dependency analysis) are evicted least-recently-used once their

@@ -184,8 +184,8 @@ const analysis::DepAnalysis* RuleContext::depAnalysisOrNull() const {
       dopts.sync = options_.sync;
       dopts.serialization = options_.serialization;
       dopts.idleWave = options_.idleWave;
-      // Runs in the serial global phase; the per-rank pool (if any) is
-      // idle there, so graph construction may reuse it. Thread count
+      // Runs in the serial global phase, outside every range body, so
+      // graph construction may reuse the per-rank pool. Thread count
       // never changes the result (see depgraph.hpp).
       dopts.pool = options_.pool;
       dopts.threads = options_.threads;
@@ -330,7 +330,7 @@ LintReport lintTrace(const trace::TraceView& trace, const LintOptions& options,
   std::unique_ptr<util::ThreadPool> owned;
   util::ThreadPool* pool =
       util::resolvePool(options.pool, options.threads, owned);
-  util::parallelChunks(pool, processCount, 1,
+  util::parallelChunks(pool, processCount,
                        [&](std::size_t begin, std::size_t end) {
                          for (std::size_t p = begin; p < end; ++p) {
                            checkRank(p);

@@ -91,7 +91,7 @@ FlatProfile FlatProfile::fromPerProcess(
 FlatProfile FlatProfile::build(const trace::TraceView& tr,
                                util::ThreadPool* pool) {
   std::vector<std::vector<FunctionStats>> perProcess(tr.processCount());
-  util::parallelChunks(pool, tr.processCount(), 1,
+  util::parallelChunks(pool, tr.processCount(),
                        [&](std::size_t begin, std::size_t end) {
                          for (std::size_t p = begin; p < end; ++p) {
                            perProcess[p] = buildProcess(

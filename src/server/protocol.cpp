@@ -174,30 +174,33 @@ std::vector<std::string> splitTokens(std::string_view text) {
 
 analysis::PipelineOptions parsePipelineOptions(
     const std::vector<std::string>& tokens, std::size_t first) {
+  // Plain messages (no source location): trace_tool prints them as-is.
+  const auto malformed = [](const std::string& message) {
+    return Error(message, ErrorContext::at(ErrorCode::MalformedEvent));
+  };
   analysis::PipelineOptions opts;
   for (std::size_t i = first; i < tokens.size(); i += 2) {
-    PERFVAR_REQUIRE_E(i + 1 < tokens.size(),
-                      "query option '" + tokens[i] + "' needs a value",
-                      ErrorContext::at(ErrorCode::MalformedEvent));
+    if (i + 1 >= tokens.size()) {
+      throw malformed("query option '" + tokens[i] + "' needs a value");
+    }
     const std::string& key = tokens[i];
     const std::string& value = tokens[i + 1];
     if (key == "candidate") {
-      PERFVAR_REQUIRE_E(parseSize(value, opts.candidateIndex),
-                        "candidate expects a non-negative integer, got '" +
-                            value + "'",
-                        ErrorContext::at(ErrorCode::MalformedEvent));
+      if (!parseSize(value, opts.candidateIndex)) {
+        throw malformed("candidate expects a non-negative integer, got '" +
+                        value + "'");
+      }
     } else if (key == "threshold") {
-      PERFVAR_REQUIRE_E(parseDouble(value, opts.variation.outlierThreshold),
-                        "threshold expects a number, got '" + value + "'",
-                        ErrorContext::at(ErrorCode::MalformedEvent));
+      if (!parseDouble(value, opts.variation.outlierThreshold)) {
+        throw malformed("threshold expects a number, got '" + value + "'");
+      }
     } else if (key == "max-hotspots") {
-      PERFVAR_REQUIRE_E(parseSize(value, opts.variation.maxHotspots),
-                        "max-hotspots expects a non-negative integer, got '" +
-                            value + "'",
-                        ErrorContext::at(ErrorCode::MalformedEvent));
+      if (!parseSize(value, opts.variation.maxHotspots)) {
+        throw malformed("max-hotspots expects a non-negative integer, got '" +
+                        value + "'");
+      }
     } else {
-      throw Error("unknown query option '" + key + "'",
-                  ErrorContext::at(ErrorCode::MalformedEvent));
+      throw malformed("unknown query option '" + key + "'");
     }
   }
   return opts;

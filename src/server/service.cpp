@@ -478,20 +478,7 @@ std::vector<util::Frame> TraceService::handleLoad(
     std::lock_guard<std::mutex> lock(entry->mutex);
     if (!entry->engine) {
       try {
-        trace::BinaryReadOptions ro;
-        ro.threads = options_.threads;
-        trace::Trace tr = trace::loadBinaryFile(path, ro);
-        engine::EngineOptions eo;
-        eo.threads = options_.threads;
-        eo.maxCacheEntries = options_.maxCacheEntries;
-        auto eng = std::make_unique<engine::AnalysisEngine>(std::move(tr),
-                                                            eo);
-        std::ostringstream msg;
-        msg << "loaded " << name << ": "
-            << eng->trace().processCount() << " processes, "
-            << eng->trace().eventCount() << " events";
-        entry->loadMessage = msg.str();
-        entry->engine = std::move(eng);
+        loadEngineLocked(*entry);
       } catch (...) {
         // Roll the registration back so the name is usable again; a
         // concurrent waiter holding this shared_ptr retries the load
@@ -669,24 +656,28 @@ TraceService::Lookup TraceService::resolveEntry(const std::string& name) {
   return found;
 }
 
+void TraceService::loadEngineLocked(Entry& e) const {
+  trace::BinaryReadOptions ro;
+  ro.threads = options_.threads;
+  trace::Trace tr = trace::loadBinaryFile(e.path, ro);
+  engine::EngineOptions eo;
+  eo.threads = options_.threads;
+  eo.maxCacheEntries = options_.maxCacheEntries;
+  auto eng = std::make_unique<engine::AnalysisEngine>(std::move(tr), eo);
+  std::ostringstream msg;
+  msg << "loaded " << e.name << ": " << eng->trace().processCount()
+      << " processes, " << eng->trace().eventCount() << " events";
+  e.loadMessage = msg.str();
+  e.engine = std::move(eng);
+}
+
 std::shared_ptr<TraceService::Entry> TraceService::buildEngineEntry(
     const std::string& name, const std::string& path) {
   auto entry = std::make_shared<Entry>();
   entry->kind = Entry::Kind::Engine;
   entry->name = name;
   entry->path = path;
-  trace::BinaryReadOptions ro;
-  ro.threads = options_.threads;
-  trace::Trace tr = trace::loadBinaryFile(path, ro);
-  engine::EngineOptions eo;
-  eo.threads = options_.threads;
-  eo.maxCacheEntries = options_.maxCacheEntries;
-  auto eng = std::make_unique<engine::AnalysisEngine>(std::move(tr), eo);
-  std::ostringstream msg;
-  msg << "loaded " << name << ": " << eng->trace().processCount()
-      << " processes, " << eng->trace().eventCount() << " events";
-  entry->loadMessage = msg.str();
-  entry->engine = std::move(eng);
+  loadEngineLocked(*entry);
   entry->bytes = trace::approxMemoryBytes(entry->engine->trace());
   return entry;
 }
@@ -734,17 +725,7 @@ std::shared_ptr<TraceService::Entry> TraceService::buildLiveFromJournal(
           ro.threads = options_.threads;
           trace::Trace chunk = trace::readBinaryBuffer(
               append.image.data(), append.image.size(), ro);
-          Entry::PendingChunk pc;
-          pc.image.assign(append.image.data(), append.image.size());
-          pc.start = chunk.startTime();
-          pc.seq = entry->nextChunkSeq++;
-          const auto pos = std::upper_bound(
-              entry->pending.begin(), entry->pending.end(), pc.start,
-              [](trace::Timestamp start, const Entry::PendingChunk& c) {
-                return start < c.start;
-              });
-          entry->pendingBytes += pc.image.size();
-          entry->pending.insert(pos, std::move(pc));
+          bufferChunkLocked(*entry, append.image, chunk.startTime());
         } catch (const Error&) {
           ++entry->chunksDropped;
         }
@@ -849,6 +830,22 @@ trace::AppendStats TraceService::commitChunkLocked(Entry& entry,
     entry.sos->feed(tail);
   }
   return stats;
+}
+
+void TraceService::bufferChunkLocked(Entry& entry, std::string_view image,
+                                     trace::Timestamp start) {
+  Entry::PendingChunk pc;
+  pc.image.assign(image.data(), image.size());
+  pc.start = start;
+  pc.seq = entry.nextChunkSeq++;
+  // After every chunk with the same start: equal starts keep arrival order.
+  const auto pos = std::upper_bound(
+      entry.pending.begin(), entry.pending.end(), start,
+      [](trace::Timestamp s, const Entry::PendingChunk& c) {
+        return s < c.start;
+      });
+  entry.pendingBytes += pc.image.size();
+  entry.pending.insert(pos, std::move(pc));
 }
 
 void TraceService::commitEarliestLocked(Entry& entry) {
@@ -1038,17 +1035,7 @@ std::vector<util::Frame> TraceService::handleAppend(
       journalRecordLocked(*entry, JournalRecordType::Append,
                           encodeJournalAppend(/*buffered=*/true,
                                               append.image));
-      Entry::PendingChunk pc;
-      pc.image.assign(append.image.data(), append.image.size());
-      pc.start = chunk.startTime();
-      pc.seq = entry->nextChunkSeq++;
-      const auto pos = std::upper_bound(
-          entry->pending.begin(), entry->pending.end(), pc.start,
-          [](trace::Timestamp start, const Entry::PendingChunk& c) {
-            return start < c.start;
-          });
-      entry->pendingBytes += pc.image.size();
-      entry->pending.insert(pos, std::move(pc));
+      bufferChunkLocked(*entry, append.image, chunk.startTime());
       ++entry->appendsDone;
       if (entry->pendingBytes > window) {
         flushed += flushWindowToLocked(*entry, window);

@@ -241,11 +241,20 @@ private:
   std::shared_ptr<Entry> buildEngineEntry(const std::string& name,
                                           const std::string& path);
 
+  /// Load `e.path` into `e.engine` and set the "loaded ..." message.
+  /// Leaves `e.bytes` (registry-guarded) to the caller.
+  void loadEngineLocked(Entry& e) const;
+
   // -- live-entry helpers; all *Locked members expect the entry lock --
 
   /// Append one chunk image to the live trace and feed the streaming
   /// analyzer exactly the appended tail (the legacy append body).
   trace::AppendStats commitChunkLocked(Entry& e, std::string_view image);
+
+  /// Insert a chunk image into the reorder window, after every chunk
+  /// starting at or before `start`.
+  static void bufferChunkLocked(Entry& e, std::string_view image,
+                                trace::Timestamp start);
 
   /// Commit the earliest reorder-window chunk. A chunk the trace rejects
   /// is dropped and counted — its producer was acknowledged long ago, so

@@ -120,7 +120,7 @@ Trace loadSelected(const std::string& directory,
   std::unique_ptr<util::ThreadPool> owned;
   util::ThreadPool* pool = util::resolvePool(nullptr, options.threads, owned);
   util::parallelChunks(
-      pool, ranks.size(), 1, [&](std::size_t begin, std::size_t end) {
+      pool, ranks.size(), [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           Trace rankTrace = loadBinaryFile(rankPath(directory, ranks[i]));
           PERFVAR_REQUIRE(rankTrace.processCount() == 1,

@@ -36,10 +36,6 @@
 
 #include "trace/trace.hpp"
 
-namespace perfvar::util {
-class ThreadPool;
-}
-
 namespace perfvar::trace {
 
 inline constexpr std::uint32_t kBinaryFormatV1 = 1;
@@ -53,12 +49,11 @@ struct BinaryWriteOptions {
   /// On-disk layout to emit: kBinaryFormatV1 or kBinaryFormatV2.
   std::uint32_t version = kBinaryFormatVersion;
   /// Worker threads for the per-rank v2 block encode: 1 (default) encodes
-  /// inline, 0 = hardware concurrency. The bytes produced are identical
-  /// for every thread count (blocks are encoded independently and
-  /// assembled in process order). Ignored for v1.
+  /// inline, 0 = hardware concurrency; other values run the encode on a
+  /// pool the call owns for its duration. The bytes produced are
+  /// identical for every thread count (blocks are encoded independently
+  /// and assembled in process order). Ignored for v1.
   std::size_t threads = 1;
-  /// Optional external pool; overrides `threads` when set.
-  util::ThreadPool* pool = nullptr;
 };
 
 /// Recovery policy of the binary readers.
@@ -102,12 +97,11 @@ std::string formatLoadReport(const LoadReport& report);
 /// Options of the binary readers.
 struct BinaryReadOptions {
   /// Worker threads for the per-rank v2 block decode: 1 (default) decodes
-  /// inline, 0 = hardware concurrency. The resulting Trace is identical
-  /// for every thread count (each task fills only its own process slot).
-  /// Ignored for v1 files.
+  /// inline, 0 = hardware concurrency; other values run the decode on a
+  /// pool the call owns for its duration. The resulting Trace is
+  /// identical for every thread count (each rank fills only its own
+  /// process slot). Ignored for v1 files.
   std::size_t threads = 1;
-  /// Optional external pool; overrides `threads` when set.
-  util::ThreadPool* pool = nullptr;
   /// loadBinaryFile(): memory-map the file and decode zero-copy out of
   /// the mapping when the platform supports it; a buffered read of the
   /// whole file is the fallback (and the behavior when false).

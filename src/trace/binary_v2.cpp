@@ -602,9 +602,8 @@ void writeBinaryV2(const Trace& trace, std::ostream& out,
   std::vector<std::string> blocks(nProcs);
   std::vector<std::uint64_t> hashes(nProcs, 0);
   std::unique_ptr<util::ThreadPool> owned;
-  util::ThreadPool* pool =
-      util::resolvePool(options.pool, options.threads, owned);
-  util::parallelChunks(pool, nProcs, 1,
+  util::ThreadPool* pool = util::resolvePool(nullptr, options.threads, owned);
+  util::parallelChunks(pool, nProcs,
                        [&](std::size_t begin, std::size_t end) {
                          for (std::size_t i = begin; i < end; ++i) {
                            blocks[i] = encodeEvents(trace.processes[i]);
@@ -662,13 +661,12 @@ Trace readBinaryV2(const unsigned char* image, std::size_t size,
 
   trace.processes.resize(layout.table.size());
   std::unique_ptr<util::ThreadPool> owned;
-  util::ThreadPool* pool =
-      util::resolvePool(options.pool, options.threads, owned);
+  util::ThreadPool* pool = util::resolvePool(nullptr, options.threads, owned);
   // Per-rank decode, zero-copy out of the image; every task verifies and
   // fills only its own process slot, and reassembly order is fixed by the
   // table, so the result is identical for every thread count.
   util::parallelChunks(
-      pool, layout.table.size(), 1, [&](std::size_t begin, std::size_t end) {
+      pool, layout.table.size(), [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           const TableEntry& t = layout.table[i];
           const V2BlockExtent extent{t.offset, t.size, t.events, t.hash,
@@ -754,12 +752,11 @@ Trace readBinaryV2Salvage(const unsigned char* image, std::size_t size,
   report.ranks.assign(nProcs, RankLoadStatus{});
 
   std::unique_ptr<util::ThreadPool> owned;
-  util::ThreadPool* pool =
-      util::resolvePool(options.pool, options.threads, owned);
+  util::ThreadPool* pool = util::resolvePool(nullptr, options.threads, owned);
   // Same rank-sharded shape as the strict reader: every task verifies,
   // decodes (or salvages) and reports only its own process slot, so the
   // result is identical for every thread count.
-  util::parallelChunks(pool, nProcs, 1, [&](std::size_t begin,
+  util::parallelChunks(pool, nProcs, [&](std::size_t begin,
                                             std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       const TableEntry& t = layout.table[i];

@@ -1,23 +1,12 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <sstream>
 
 #include "util/error.hpp"
 
 namespace perfvar::util {
-
-namespace {
-
-/// Index of the current thread inside its owning pool. Every worker
-/// thread belongs to exactly one pool for its whole lifetime, so a plain
-/// thread_local (no pool tag) is unambiguous. Non-worker threads (the
-/// caller running an inline chunk) keep kNotAWorker and account their
-/// chunks to worker slot 0 only when the pool is asked.
-constexpr std::size_t kNotAWorker = static_cast<std::size_t>(-1);
-thread_local std::size_t tlsWorkerIndex = kNotAWorker;
-
-}  // namespace
 
 std::uint64_t ThreadPoolStats::totalTasks() const {
   std::uint64_t total = 0;
@@ -85,38 +74,38 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  PERFVAR_REQUIRE(task != nullptr, "cannot submit an empty task");
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(task));
-    ++inFlight_;
-  }
-  taskReady_.notify_one();
-}
+/// Shared state of one runChunks call. Lives on the caller's stack: the
+/// caller blocks on `done` until every runner has counted down, and the
+/// last runner signals while holding `mutex`, so no runner touches the
+/// run after the caller can return.
+struct ThreadPool::ChunkRun {
+  /// One contiguous slice of the index space, owned by one runner.
+  /// Claims are a single fetch_add on `next`; a cursor past `end` just
+  /// means the shard is drained (overshoot is bounded by the batch size
+  /// times the number of failed claims, far from wrapping).
+  struct alignas(64) Shard {
+    std::atomic<std::size_t> next{0};
+    std::size_t end = 0;
+  };
 
-void ThreadPool::wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return inFlight_ == 0; });
-  if (firstError_) {
-    std::exception_ptr err;
-    std::swap(err, firstError_);
-    std::rethrow_exception(err);
-  }
-}
+  const ChunkBody* body = nullptr;
+  std::size_t batch = 1;
+  std::size_t stealBatch = 1;
+  // Raw array: Shard holds an atomic, so vector growth is ill-formed.
+  std::unique_ptr<Shard[]> shards;
+  std::size_t shardCount = 0;
 
-void ThreadPool::recordError() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!firstError_) {
-    firstError_ = std::current_exception();
-  }
-}
+  // Completion latch and first error of this call only.
+  std::mutex mutex;
+  std::condition_variable done;
+  std::size_t runnersLeft = 0;
+  std::exception_ptr firstError;
+};
 
 void ThreadPool::workerLoop(std::size_t workerIndex) {
-  tlsWorkerIndex = workerIndex;
   WorkerCounters& counters = counters_[workerIndex];
   for (;;) {
-    std::function<void()> task;
+    Task task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       // Hand-rolled predicate loop so spurious/late wakeups (another
@@ -130,69 +119,30 @@ void ThreadPool::workerLoop(std::size_t workerIndex) {
       if (queue_.empty()) {
         return;  // stop_ set and queue drained
       }
-      task = std::move(queue_.front());
+      task = queue_.front();
       queue_.pop_front();
     }
     counters.tasksRun.fetch_add(1, std::memory_order_relaxed);
-    try {
-      task();
-    } catch (...) {
-      recordError();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--inFlight_ == 0) {
-        idle_.notify_all();
-      }
-    }
+    runnerLoop(*task.run, task.shard, counters);
   }
 }
 
-/// Shared state of one runChunks call. Lives on the caller's stack: the
-/// caller blocks in wait() until every runner finished, so the runners'
-/// raw pointer never dangles.
-struct ThreadPool::ChunkRun {
-  /// One contiguous slice of the chunk index space, owned by one runner.
-  /// Claims are a single fetch_add on `next`; a cursor past `end` just
-  /// means the shard is drained (overshoot is bounded by the batch size
-  /// times the number of failed claims, far from wrapping).
-  struct alignas(64) Shard {
-    std::atomic<std::size_t> next{0};
-    std::size_t end = 0;
-  };
-
-  std::size_t n = 0;
-  std::size_t grain = 1;
-  bool stealing = true;
-  std::size_t batch = 1;
-  std::size_t stealBatch = 1;
-  // Raw array: Shard holds an atomic, so vector growth is ill-formed.
-  std::unique_ptr<Shard[]> shards;
-  std::size_t shardCount = 0;
-};
-
-void ThreadPool::runnerLoop(
-    ChunkRun& run, std::size_t shard,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  const std::size_t self = tlsWorkerIndex == kNotAWorker ? 0 : tlsWorkerIndex;
-  WorkerCounters& counters = counters_[self];
-  const auto runRange = [&](std::size_t chunkBegin, std::size_t chunkEnd,
+void ThreadPool::runnerLoop(ChunkRun& run, std::size_t shard,
+                            WorkerCounters& counters) {
+  const auto runRange = [&](std::size_t begin, std::size_t end,
                             bool stolen) {
-    for (std::size_t c = chunkBegin; c < chunkEnd; ++c) {
-      const std::size_t begin = c * run.grain;
-      const std::size_t end = std::min(run.n, begin + run.grain);
-      try {
-        body(begin, end);
-      } catch (...) {
-        // Match the one-task-per-chunk behavior of the old scheduler:
-        // record the first error, keep running the remaining chunks.
-        recordError();
+    try {
+      (*run.body)(begin, end);
+    } catch (...) {
+      // Record the first error, keep running the remaining ranges.
+      std::lock_guard<std::mutex> lock(run.mutex);
+      if (!run.firstError) {
+        run.firstError = std::current_exception();
       }
     }
-    counters.chunksRun.fetch_add(chunkEnd - chunkBegin,
-                                 std::memory_order_relaxed);
+    counters.chunksRun.fetch_add(end - begin, std::memory_order_relaxed);
     if (stolen) {
-      counters.chunksStolen.fetch_add(chunkEnd - chunkBegin,
+      counters.chunksStolen.fetch_add(end - begin,
                                       std::memory_order_relaxed);
     }
   };
@@ -206,9 +156,6 @@ void ThreadPool::runnerLoop(
     }
     runRange(begin, std::min(own.end, begin + run.batch), false);
   }
-  if (!run.stealing) {
-    return;
-  }
   for (std::size_t k = 1; k < run.shardCount; ++k) {
     ChunkRun::Shard& victim = run.shards[(shard + k) % run.shardCount];
     for (;;) {
@@ -220,52 +167,50 @@ void ThreadPool::runnerLoop(
       runRange(begin, std::min(victim.end, begin + run.stealBatch), true);
     }
   }
+
+  std::lock_guard<std::mutex> lock(run.mutex);
+  if (--run.runnersLeft == 0) {
+    run.done.notify_one();
+  }
 }
 
-void ThreadPool::runChunks(
-    std::size_t n, const ChunkOptions& options,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  PERFVAR_REQUIRE(body != nullptr, "runChunks needs a body");
-  if (n == 0) {
-    return;
-  }
-  const std::size_t grain = std::max<std::size_t>(1, options.grain);
-  const std::size_t numChunks = (n + grain - 1) / grain;
-  if (threadCount() <= 1 || numChunks <= 1) {
-    body(0, n);
-    return;
-  }
-
+void ThreadPool::runChunks(std::size_t n, const ChunkBody& body) {
   ChunkRun run;
-  run.n = n;
-  run.grain = grain;
-  run.stealing = options.stealing;
-  const std::size_t runners = std::min(threadCount(), numChunks);
-  run.batch = options.batch != 0
-                  ? options.batch
-                  : std::clamp<std::size_t>(numChunks / (runners * 16), 1, 32);
+  run.body = &body;
+  const std::size_t runners = std::min(threadCount(), n);
+  run.batch = std::clamp<std::size_t>(n / (runners * 16), 1, 32);
   run.stealBatch = std::max<std::size_t>(1, run.batch / 4);
 
-  // Static contiguous partition of the chunk space: shard s owns
-  // [s*per + min(s, rem), ...) — a function of numChunks and the worker
-  // count only. With stealing off this *is* the schedule.
+  // Static contiguous partition of the index space: shard s owns
+  // [s*per + min(s, rem), ...), a function of n and the worker count.
   run.shards = std::make_unique<ChunkRun::Shard[]>(runners);
   run.shardCount = runners;
-  const std::size_t per = numChunks / runners;
-  const std::size_t rem = numChunks % runners;
-  std::size_t chunkCursor = 0;
+  const std::size_t per = n / runners;
+  const std::size_t rem = n % runners;
+  std::size_t cursor = 0;
   for (std::size_t s = 0; s < runners; ++s) {
     const std::size_t len = per + (s < rem ? 1 : 0);
-    run.shards[s].next.store(chunkCursor, std::memory_order_relaxed);
-    run.shards[s].end = chunkCursor + len;
-    chunkCursor += len;
+    run.shards[s].next.store(cursor, std::memory_order_relaxed);
+    run.shards[s].end = cursor + len;
+    cursor += len;
+  }
+  run.runnersLeft = runners;
+
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t s = 0; s < runners; ++s) {
+      queue_.push_back(Task{&run, s});
+    }
+  }
+  for (std::size_t s = 0; s < runners; ++s) {
+    taskReady_.notify_one();
   }
 
-  ChunkRun* shared = &run;
-  for (std::size_t s = 0; s < runners; ++s) {
-    submit([this, shared, s, &body] { runnerLoop(*shared, s, body); });
+  std::unique_lock<std::mutex> lock(run.mutex);
+  run.done.wait(lock, [&run] { return run.runnersLeft == 0; });
+  if (run.firstError) {
+    std::rethrow_exception(run.firstError);
   }
-  wait();
 }
 
 ThreadPoolStats ThreadPool::stats() const {
@@ -283,35 +228,16 @@ ThreadPoolStats ThreadPool::stats() const {
   return out;
 }
 
-void ThreadPool::resetStats() {
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    WorkerCounters& c = counters_[i];
-    c.tasksRun.store(0, std::memory_order_relaxed);
-    c.chunksRun.store(0, std::memory_order_relaxed);
-    c.chunksStolen.store(0, std::memory_order_relaxed);
-    c.idleWakeups.store(0, std::memory_order_relaxed);
-  }
-}
-
-void parallelChunks(ThreadPool* pool, std::size_t n, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& body) {
-  ChunkOptions options;
-  options.grain = grain;
-  parallelChunks(pool, n, options, body);
-}
-
-void parallelChunks(ThreadPool* pool, std::size_t n,
-                    const ChunkOptions& options,
-                    const std::function<void(std::size_t, std::size_t)>& body) {
+void parallelChunks(ThreadPool* pool, std::size_t n, const ChunkBody& body) {
   PERFVAR_REQUIRE(body != nullptr, "parallelChunks needs a body");
   if (n == 0) {
     return;
   }
-  if (pool == nullptr) {
+  if (pool == nullptr || pool->threadCount() <= 1 || n == 1) {
     body(0, n);
     return;
   }
-  pool->runChunks(n, options, body);
+  pool->runChunks(n, body);
 }
 
 ThreadPool* resolvePool(ThreadPool* external, std::size_t threads,

@@ -18,7 +18,6 @@
 #include "sim/program.hpp"
 #include "sim/simulator.hpp"
 #include "trace/builder.hpp"
-#include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
 namespace perfvar {
@@ -354,60 +353,22 @@ TEST(ParallelDifferential, StageEntryPointsMatchSerial) {
 
 // ---- thread pool unit coverage -------------------------------------------
 
-TEST(ThreadPool, RunsAllSubmittedTasksAndIsReusable) {
+TEST(ThreadPool, ParallelChunksCoversTheIndexSpaceExactlyOnce) {
+  // One pool serves call after call; the null pool runs inline.
   util::ThreadPool pool(4);
   EXPECT_EQ(pool.threadCount(), 4u);
-  for (int round = 0; round < 3; ++round) {
+  for (util::ThreadPool* p : {&pool, &pool, &pool,
+                              static_cast<util::ThreadPool*>(nullptr)}) {
     std::vector<int> hits(100, 0);
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      pool.submit([&hits, i] { hits[i] = 1; });
-    }
-    pool.wait();
+    util::parallelChunks(p, hits.size(),
+                         [&](std::size_t begin, std::size_t end) {
+                           for (std::size_t i = begin; i < end; ++i) {
+                             ++hits[i];
+                           }
+                         });
     for (const int h : hits) {
       EXPECT_EQ(h, 1);
     }
-  }
-}
-
-TEST(ThreadPool, PropagatesTheFirstExceptionAndRecovers) {
-  util::ThreadPool pool(2);
-  pool.submit([] { throw Error("boom"); });
-  EXPECT_THROW(pool.wait(), Error);
-  // The pool stays usable after an exception.
-  int ok = 0;
-  pool.submit([&ok] { ok = 1; });
-  pool.wait();
-  EXPECT_EQ(ok, 1);
-}
-
-TEST(ThreadPool, ParallelChunksCoversTheIndexSpaceExactlyOnce) {
-  util::ThreadPool pool(4);
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                              std::size_t{64}, std::size_t{1000}}) {
-    for (const std::size_t grain : {std::size_t{1}, std::size_t{3},
-                                    std::size_t{64}}) {
-      std::vector<int> hits(n, 0);
-      util::parallelChunks(&pool, n, grain,
-                           [&](std::size_t begin, std::size_t end) {
-                             for (std::size_t i = begin; i < end; ++i) {
-                               ++hits[i];
-                             }
-                           });
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(hits[i], 1) << "n=" << n << " grain=" << grain;
-      }
-    }
-  }
-  // Null pool: runs inline.
-  std::vector<int> hits(10, 0);
-  util::parallelChunks(nullptr, hits.size(), 4,
-                       [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t i = begin; i < end; ++i) {
-                           ++hits[i];
-                         }
-                       });
-  for (const int h : hits) {
-    EXPECT_EQ(h, 1);
   }
 }
 

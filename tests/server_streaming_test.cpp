@@ -179,7 +179,10 @@ TEST(ServerStreaming, GlobalBudgetEvictsLeastRecentlyUsed) {
 
 TEST(ServerStreaming, SessionBudgetDoesNotEvictOtherSessions) {
   const trace::Trace tr = outlierTrace();
-  const std::string path = "server_streaming_budget.pvt";
+  // Not the file of GlobalBudgetEvictsLeastRecentlyUsed: ctest -j runs the
+  // two concurrently, and rewriting a file another process has mapped
+  // faults that process.
+  const std::string path = "server_streaming_session_budget.pvt";
   trace::saveBinaryFile(tr, path);
 
   ServerOptions options;

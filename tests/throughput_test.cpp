@@ -4,9 +4,9 @@
 /// uniform and empty-rank traces. The reference row builders live here as
 /// test oracles: the std::function-visitor replays the inlined replay
 /// kernels replaced. Plus direct coverage of the work-stealing chunk
-/// scheduler itself: full coverage, deterministic chunk boundaries,
-/// exception propagation and the ThreadPoolStats counters. Runs under the
-/// TSan CI job (label: parallel).
+/// scheduler itself: full coverage, inline fallbacks, exception
+/// propagation, independent concurrent calls and the ThreadPoolStats
+/// counters. Runs under the TSan CI job (label: parallel).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,8 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/pipeline.hpp"
@@ -314,85 +316,128 @@ TEST(ThroughputKernels, SosVisitorMatchesReference) {
 // ---- the chunk scheduler itself -------------------------------------------
 
 TEST(ChunkScheduler, EveryIndexCoveredExactlyOnce) {
-  util::ThreadPool pool(4);
-  for (const bool stealing : {false, true}) {
-    for (const std::size_t batch : {std::size_t{0}, std::size_t{1},
-                                    std::size_t{5}}) {
-      const std::size_t n = 1000;
-      const std::size_t grain = 7;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{4}, std::size_t{8}}) {
+    util::ThreadPool pool(workers);
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                                std::size_t{7}, std::size_t{64},
+                                std::size_t{1000}}) {
       std::vector<std::atomic<int>> hits(n);
-      util::ChunkOptions opts;
-      opts.grain = grain;
-      opts.stealing = stealing;
-      opts.batch = batch;
-      util::parallelChunks(&pool, n, opts,
-                           [&](std::size_t begin, std::size_t end) {
-                             // Chunk boundaries are a function of n and
-                             // grain only, regardless of scheduling.
-                             EXPECT_EQ(begin % grain, 0u);
-                             EXPECT_LE(end - begin, grain);
-                             EXPECT_TRUE(end == n || (end - begin) == grain);
-                             for (std::size_t i = begin; i < end; ++i) {
-                               hits[i].fetch_add(1,
-                                                 std::memory_order_relaxed);
-                             }
-                           });
+      util::parallelChunks(&pool, n, [&](std::size_t begin, std::size_t end) {
+        // Any non-empty contiguous range inside [0, n) is a valid call.
+        EXPECT_LT(begin, end);
+        EXPECT_LE(end, n);
+        for (std::size_t i = begin; i < end; ++i) {
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+        }
+      });
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(hits[i].load(), 1)
-            << "i=" << i << " stealing=" << stealing << " batch=" << batch;
+            << "i=" << i << " n=" << n << " workers=" << workers;
       }
     }
   }
 }
 
 TEST(ChunkScheduler, NullPoolAndSingleChunkRunInline) {
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  util::parallelChunks(nullptr, 10, 3,
-                       [&](std::size_t b, std::size_t e) {
-                         ranges.emplace_back(b, e);
-                       });
+  const auto record = [&](std::size_t b, std::size_t e) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ranges.emplace_back(b, e);
+  };
+  util::parallelChunks(nullptr, 10, record);
   ASSERT_EQ(ranges.size(), 1u);
   EXPECT_EQ(ranges[0], std::make_pair(std::size_t{0}, std::size_t{10}));
 
   util::ThreadPool pool(2);
   ranges.clear();
-  util::parallelChunks(&pool, 5, 100,
-                       [&](std::size_t b, std::size_t e) {
-                         ranges.emplace_back(b, e);
-                       });
-  ASSERT_EQ(ranges.size(), 1u);  // one chunk -> inline on the caller
+  util::parallelChunks(&pool, 1, record);
+  ASSERT_EQ(ranges.size(), 1u);  // one index -> inline on the caller
+  EXPECT_EQ(ranges[0], std::make_pair(std::size_t{0}, std::size_t{1}));
+
+  util::ThreadPool single(1);
+  ranges.clear();
+  util::parallelChunks(&single, 5, record);
+  ASSERT_EQ(ranges.size(), 1u);  // one worker -> inline on the caller
   EXPECT_EQ(ranges[0], std::make_pair(std::size_t{0}, std::size_t{5}));
 }
 
 TEST(ChunkScheduler, ExceptionPropagatesAndPoolStaysUsable) {
   util::ThreadPool pool(3);
-  util::ChunkOptions opts;
-  opts.grain = 1;
-  EXPECT_THROW(
-      util::parallelChunks(&pool, 64, opts,
-                           [&](std::size_t begin, std::size_t) {
-                             if (begin == 17) {
-                               throw std::runtime_error("boom");
-                             }
-                           }),
-      std::runtime_error);
+  EXPECT_THROW(util::parallelChunks(&pool, 64,
+                                    [&](std::size_t begin, std::size_t end) {
+                                      if (begin <= 17 && 17 < end) {
+                                        throw std::runtime_error("boom");
+                                      }
+                                    }),
+               std::runtime_error);
 
-  // The error state is cleared; the pool keeps scheduling correctly.
+  // The error stayed with its call; the pool keeps scheduling correctly.
   std::atomic<std::size_t> covered{0};
-  util::parallelChunks(&pool, 64, opts,
-                       [&](std::size_t begin, std::size_t end) {
-                         covered.fetch_add(end - begin,
-                                           std::memory_order_relaxed);
-                       });
+  util::parallelChunks(&pool, 64, [&](std::size_t begin, std::size_t end) {
+    covered.fetch_add(end - begin, std::memory_order_relaxed);
+  });
   EXPECT_EQ(covered.load(), 64u);
 }
 
-TEST(ChunkScheduler, StatsCountChunksAndReset) {
+TEST(ChunkScheduler, ConcurrentCallsOnOnePoolAreIndependent) {
+  // Two threads drive one pool at the same time. One body throws on a
+  // single index in every round, the other never throws: the throwing
+  // call must rethrow, the clean call must return normally, and both
+  // must still run every index exactly once.
+  util::ThreadPool pool(4);
+  constexpr int kRounds = 200;
+  constexpr std::size_t kThrowAt = 37;
+  std::atomic<int> ready{0};
+  const auto drive = [&](bool throwing, int& rethrown, int& badCoverage) {
+    ready.fetch_add(1);
+    while (ready.load() < 2) {
+      std::this_thread::yield();
+    }
+    for (int round = 0; round < kRounds; ++round) {
+      const std::size_t n = 64 + static_cast<std::size_t>(round);
+      std::vector<std::atomic<int>> hits(n);
+      try {
+        util::parallelChunks(&pool, n, [&](std::size_t begin,
+                                           std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            hits[i].fetch_add(1, std::memory_order_relaxed);
+          }
+          if (throwing && begin <= kThrowAt && kThrowAt < end) {
+            throw std::runtime_error("boom");
+          }
+        });
+      } catch (const std::runtime_error&) {
+        ++rethrown;
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        if (hits[i].load() != 1) {
+          ++badCoverage;
+          break;
+        }
+      }
+    }
+  };
+  int throwingRethrown = 0;
+  int throwingBad = 0;
+  int cleanRethrown = 0;
+  int cleanBad = 0;
+  std::thread thrower(
+      [&] { drive(true, throwingRethrown, throwingBad); });
+  std::thread clean([&] { drive(false, cleanRethrown, cleanBad); });
+  thrower.join();
+  clean.join();
+  EXPECT_EQ(throwingRethrown, kRounds);
+  EXPECT_EQ(cleanRethrown, 0);
+  EXPECT_EQ(throwingBad, 0);
+  EXPECT_EQ(cleanBad, 0);
+}
+
+TEST(ChunkScheduler, StatsCountChunks) {
   util::ThreadPool pool(2);
-  util::ChunkOptions opts;
-  opts.grain = 1;
-  util::parallelChunks(&pool, 100, opts, [](std::size_t, std::size_t) {});
-  util::ThreadPoolStats stats = pool.stats();
+  util::parallelChunks(&pool, 100, [](std::size_t, std::size_t) {});
+  const util::ThreadPoolStats stats = pool.stats();
   ASSERT_EQ(stats.workers.size(), 2u);
   EXPECT_EQ(stats.totalChunks(), 100u);
   EXPECT_LE(stats.totalStolen(), stats.totalChunks());
@@ -401,21 +446,6 @@ TEST(ChunkScheduler, StatsCountChunksAndReset) {
   const std::string text = util::formatThreadPoolStats(stats);
   EXPECT_NE(text.find("thread pool: 2 workers"), std::string::npos);
   EXPECT_NE(text.find("worker 0:"), std::string::npos);
-
-  pool.resetStats();
-  stats = pool.stats();
-  EXPECT_EQ(stats.totalChunks(), 0u);
-  EXPECT_EQ(stats.totalTasks(), 0u);
-}
-
-TEST(ChunkScheduler, StealingDisabledStealsNothing) {
-  util::ThreadPool pool(4);
-  util::ChunkOptions opts;
-  opts.grain = 1;
-  opts.stealing = false;
-  pool.resetStats();
-  util::parallelChunks(&pool, 500, opts, [](std::size_t, std::size_t) {});
-  EXPECT_EQ(pool.stats().totalStolen(), 0u);
 }
 
 TEST(ChunkScheduler, PipelineExportsPoolStats) {

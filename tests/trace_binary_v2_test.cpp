@@ -18,7 +18,6 @@
 #include "trace/builder.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace perfvar::trace {
 namespace {
@@ -121,19 +120,6 @@ TEST(BinaryV2, ThreadedEncodeIsByteIdenticalToSerial) {
       EXPECT_EQ(serial, image(original, options));
     }
   }
-}
-
-TEST(BinaryV2, ExternalPoolIsReusedForEncodeAndDecode) {
-  util::ThreadPool pool(4);
-  const Trace original = syntheticTrace(8, 30);
-  BinaryWriteOptions writeOptions;
-  writeOptions.pool = &pool;
-  const std::string bytes = image(original, writeOptions);
-  EXPECT_EQ(bytes, image(original));
-  BinaryReadOptions readOptions;
-  readOptions.pool = &pool;
-  expectTracesEqual(original,
-                    readBinaryBuffer(bytes.data(), bytes.size(), readOptions));
 }
 
 TEST(BinaryV2, ExplicitV1WriteStillRoundTrips) {
