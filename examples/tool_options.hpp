@@ -25,6 +25,7 @@
 
 #include "lint/lint.hpp"
 #include "trace/binary_io.hpp"
+#include "util/format.hpp"
 
 namespace perfvar::tool {
 
@@ -91,20 +92,6 @@ enum class ParseStatus {
   Error, ///< bad flag/value: report `error`, exit 2
 };
 
-/// Strict non-negative integer parse (digits only, no sign/whitespace).
-inline bool parseSize(const std::string& value, std::size_t& out) {
-  if (value.empty() ||
-      value.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  try {
-    out = static_cast<std::size_t>(std::stoull(value));
-  } catch (const std::exception&) {
-    return false;
-  }
-  return true;
-}
-
 /// Append the comma-separated ids of `value` to `out`. Empty segments
 /// (leading/trailing/doubled commas, or an empty value) are rejected.
 inline bool parseIdList(const std::string& value,
@@ -123,17 +110,6 @@ inline bool parseIdList(const std::string& value,
     begin = comma + 1;
   }
   return false;
-}
-
-/// Full-token floating-point parse.
-inline bool parseDouble(const std::string& value, double& out) {
-  try {
-    std::size_t pos = 0;
-    out = std::stod(value, &pos);
-    return pos == value.size();
-  } catch (const std::exception&) {
-    return false;
-  }
 }
 
 /// Parse argv[1..argc) into `options`. On Error, `error` holds a one-line
@@ -164,7 +140,7 @@ inline ParseStatus parseToolOptions(int argc, const char* const* argv,
       if (!needsValue(arg, i)) return ParseStatus::Error;
       const std::string value = argv[++i];
       // 0 = all hardware threads; 1 = serial.
-      if (!parseSize(value, options.threads)) {
+      if (!fmt::parseSize(value, options.threads)) {
         return badValue(arg, "a non-negative integer", value);
       }
     } else if (arg == "--format") {
@@ -180,19 +156,19 @@ inline ParseStatus parseToolOptions(int argc, const char* const* argv,
     } else if (arg == "--shard-budget-mb") {
       if (!needsValue(arg, i)) return ParseStatus::Error;
       const std::string value = argv[++i];
-      if (!parseSize(value, options.shardBudgetMb)) {
+      if (!fmt::parseSize(value, options.shardBudgetMb)) {
         return badValue(arg, "a non-negative integer", value);
       }
     } else if (arg == "--budget-mb") {
       if (!needsValue(arg, i)) return ParseStatus::Error;
       const std::string value = argv[++i];
-      if (!parseSize(value, options.budgetMb)) {
+      if (!fmt::parseSize(value, options.budgetMb)) {
         return badValue(arg, "a non-negative integer", value);
       }
     } else if (arg == "--session-budget-mb") {
       if (!needsValue(arg, i)) return ParseStatus::Error;
       const std::string value = argv[++i];
-      if (!parseSize(value, options.sessionBudgetMb)) {
+      if (!fmt::parseSize(value, options.sessionBudgetMb)) {
         return badValue(arg, "a non-negative integer", value);
       }
     } else if (arg == "--journal-dir") {
@@ -201,25 +177,25 @@ inline ParseStatus parseToolOptions(int argc, const char* const* argv,
     } else if (arg == "--reorder-window-bytes") {
       if (!needsValue(arg, i)) return ParseStatus::Error;
       const std::string value = argv[++i];
-      if (!parseSize(value, options.reorderWindowBytes)) {
+      if (!fmt::parseSize(value, options.reorderWindowBytes)) {
         return badValue(arg, "a non-negative integer", value);
       }
     } else if (arg == "--send-timeout-ms") {
       if (!needsValue(arg, i)) return ParseStatus::Error;
       const std::string value = argv[++i];
-      if (!parseSize(value, options.sendTimeoutMs)) {
+      if (!fmt::parseSize(value, options.sendTimeoutMs)) {
         return badValue(arg, "a non-negative integer", value);
       }
     } else if (arg == "--retry") {
       if (!needsValue(arg, i)) return ParseStatus::Error;
       const std::string value = argv[++i];
-      if (!parseSize(value, options.retry)) {
+      if (!fmt::parseSize(value, options.retry)) {
         return badValue(arg, "a non-negative integer", value);
       }
     } else if (arg == "--retry-delay-ms") {
       if (!needsValue(arg, i)) return ParseStatus::Error;
       const std::string value = argv[++i];
-      if (!parseSize(value, options.retryDelayMs)) {
+      if (!fmt::parseSize(value, options.retryDelayMs)) {
         return badValue(arg, "a non-negative integer", value);
       }
     } else if (arg == "--recover") {

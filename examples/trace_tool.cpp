@@ -269,9 +269,6 @@ int usageError(const std::string& message) {
   return kExitUsage;
 }
 
-using tool::parseDouble;
-using tool::parseSize;
-
 void printQueryHelp(std::ostream& out) {
   out << "query commands:\n"
          "  analyze [candidate K] [threshold Z] [max-hotspots N]\n"
@@ -555,11 +552,11 @@ int main(int argc, char** argv) {
                           "--format v1");
       }
       apps::ScaleConfig cfg;
-      if (args.size() >= 4 && !parseSize(args[3], cfg.ranks)) {
+      if (args.size() >= 4 && !fmt::parseSize(args[3], cfg.ranks)) {
         return usageError("'generate scale' ranks expects a non-negative "
                           "integer, got '" + args[3] + "'");
       }
-      if (args.size() == 5 && !parseSize(args[4], cfg.iterations)) {
+      if (args.size() == 5 && !fmt::parseSize(args[4], cfg.iterations)) {
         return usageError("'generate scale' iterations expects a "
                           "non-negative integer, got '" + args[4] + "'");
       }
@@ -588,7 +585,7 @@ int main(int argc, char** argv) {
       }
       double startSec = 0.0;
       double endSec = 0.0;
-      if (!parseDouble(args[3], startSec) || !parseDouble(args[4], endSec)) {
+      if (!fmt::parseDouble(args[3], startSec) || !fmt::parseDouble(args[4], endSec)) {
         return usageError("'slice' expects numeric start/end seconds");
       }
       const trace::Trace tr = trace::loadBinaryFile(args[1], readOptions);

@@ -6,7 +6,6 @@
 
 #include "trace/replay.hpp"
 #include "util/error.hpp"
-#include "util/perf_counters.hpp"
 #include "util/thread_pool.hpp"
 
 namespace perfvar::analysis {
@@ -316,7 +315,6 @@ std::vector<SegmentAnalysis> analyzeSosProcess(
   SosProcessVisitor visitor{tr,       p,       segmentFunction, syncMask,
                             nMetrics, segments, scratch};
   trace::replayEventsWith(pin.events(), visitor);
-  PERFVAR_COUNTER_ADD("sos.segments", segments.size());
   return segments;
 }
 

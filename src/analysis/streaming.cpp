@@ -52,12 +52,17 @@ void StreamingSos::completeSegment(trace::ProcessId p,
 
   const double sosSeconds = defs_->toSeconds(st.current.sosTime);
   if (onAlert_ && sosHistory_.size() >= options_.warmupSegments) {
-    const double z = stats::robustZ(sosSeconds, sosHistory_);
+    const double z =
+        stats::robustZSorted(sosSeconds, sortedSosHistory_, sosHistory_);
     if (z >= options_.alertThreshold) {
       onAlert_(StreamingAlert{st.current, z});
     }
   }
   sosHistory_.push_back(sosSeconds);
+  sortedSosHistory_.insert(std::upper_bound(sortedSosHistory_.begin(),
+                                            sortedSosHistory_.end(),
+                                            sosSeconds),
+                           sosSeconds);
 
   if (onSegment_) {
     onSegment_(st.current);

@@ -119,6 +119,7 @@ private:
   SegmentCallback onSegment_;
   std::function<void(const StreamingAlert&)> onAlert_;
   std::vector<double> sosHistory_;  ///< seconds, for the online monitor
+  std::vector<double> sortedSosHistory_;  ///< sosHistory_, ascending
   std::size_t completed_ = 0;
 };
 

@@ -3,6 +3,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "util/format.hpp"
+
 namespace perfvar::server {
 
 namespace {
@@ -19,29 +21,6 @@ std::uint32_t getU32LE(const unsigned char* p) {
     v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
   }
   return v;
-}
-
-bool parseSize(const std::string& value, std::size_t& out) {
-  if (value.empty() ||
-      value.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  try {
-    out = static_cast<std::size_t>(std::stoul(value));
-  } catch (const std::exception&) {
-    return false;
-  }
-  return true;
-}
-
-bool parseDouble(const std::string& value, double& out) {
-  try {
-    std::size_t pos = 0;
-    out = std::stod(value, &pos);
-    return pos == value.size();
-  } catch (const std::exception&) {
-    return false;
-  }
 }
 
 }  // namespace
@@ -186,16 +165,17 @@ analysis::PipelineOptions parsePipelineOptions(
     const std::string& key = tokens[i];
     const std::string& value = tokens[i + 1];
     if (key == "candidate") {
-      if (!parseSize(value, opts.candidateIndex)) {
+      if (!fmt::parseSize(value, opts.candidateIndex)) {
         throw malformed("candidate expects a non-negative integer, got '" +
                         value + "'");
       }
     } else if (key == "threshold") {
-      if (!parseDouble(value, opts.variation.outlierThreshold)) {
-        throw malformed("threshold expects a number, got '" + value + "'");
+      if (!fmt::parseDouble(value, opts.variation.outlierThreshold)) {
+        throw malformed("threshold expects a finite number, got '" + value +
+                        "'");
       }
     } else if (key == "max-hotspots") {
-      if (!parseSize(value, opts.variation.maxHotspots)) {
+      if (!fmt::parseSize(value, opts.variation.maxHotspots)) {
         throw malformed("max-hotspots expects a non-negative integer, got '" +
                         value + "'");
       }

@@ -524,23 +524,15 @@ std::vector<util::Frame> TraceService::handleOpen(
     const std::string& key = tokens[i];
     const std::string& value = tokens[i + 1];
     if (key == "threshold") {
-      try {
-        std::size_t pos = 0;
-        streamOptions.alertThreshold = std::stod(value, &pos);
-        if (pos != value.size()) {
-          throwUsage("open threshold expects a number, got '" + value + "'");
-        }
-      } catch (const std::exception&) {
-        throwUsage("open threshold expects a number, got '" + value + "'");
+      if (!fmt::parseDouble(value, streamOptions.alertThreshold)) {
+        throwUsage("open threshold expects a finite number, got '" + value +
+                   "'");
       }
     } else if (key == "warmup") {
-      if (value.empty() ||
-          value.find_first_not_of("0123456789") != std::string::npos) {
+      if (!fmt::parseSize(value, streamOptions.warmupSegments)) {
         throwUsage("open warmup expects a non-negative integer, got '" +
                    value + "'");
       }
-      streamOptions.warmupSegments =
-          static_cast<std::size_t>(std::stoul(value));
     } else {
       throwUsage("unknown open option '" + key + "'");
     }

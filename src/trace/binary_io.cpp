@@ -744,7 +744,7 @@ namespace {
 
 Trace loadBinaryFile(const std::string& path,
                      const BinaryReadOptions& options) {
-  const util::FileView file = util::FileView::open(path, options.mapFile);
+  const util::FileView file = util::FileView::open(path);
   try {
     return readBinaryBuffer(file.data(), file.size(), options);
   } catch (const Error& e) {
@@ -792,7 +792,7 @@ LoadReport verifyBinaryFile(const std::string& path,
   LoadReport report;
   o.recovery = RecoveryMode::Salvage;
   o.report = &report;
-  const util::FileView file = util::FileView::open(path, o.mapFile);
+  const util::FileView file = util::FileView::open(path);
   try {
     readBinaryBuffer(file.data(), file.size(), o);
   } catch (const Error& e) {

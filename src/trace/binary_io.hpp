@@ -102,10 +102,6 @@ struct BinaryReadOptions {
   /// identical for every thread count (each rank fills only its own
   /// process slot). Ignored for v1 files.
   std::size_t threads = 1;
-  /// loadBinaryFile(): memory-map the file and decode zero-copy out of
-  /// the mapping when the platform supports it; a buffered read of the
-  /// whole file is the fallback (and the behavior when false).
-  bool mapFile = true;
   /// Strict (default) throws on any fault; Salvage quarantines faulty
   /// rank blocks (Trace::quarantined) and keeps the healthy ranks.
   RecoveryMode recovery = RecoveryMode::Strict;
@@ -155,8 +151,8 @@ AppendStats appendBinaryBuffer(Trace& trace, const void* data,
                                const BinaryReadOptions& options = {});
 
 /// Convenience file wrappers. loadBinaryFile() memory-maps the file when
-/// possible (BinaryReadOptions::mapFile) and falls back to one buffered
-/// read.
+/// the platform supports it, decoding zero-copy out of the mapping, and
+/// falls back to one buffered read.
 void saveBinaryFile(const Trace& trace, const std::string& path,
                     const BinaryWriteOptions& options = {});
 Trace loadBinaryFile(const std::string& path,

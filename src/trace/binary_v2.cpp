@@ -28,7 +28,6 @@
 #include "trace/binary_format.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
-#include "util/perf_counters.hpp"
 #include "util/thread_pool.hpp"
 
 namespace perfvar::trace::detail {
@@ -138,7 +137,6 @@ std::uint64_t decodeVarint(const unsigned char*& p, const unsigned char* end) {
   // tests/trace_binary_v2_test.cpp pin it byte-for-byte (value, cursor
   // advance, error classification) against the scalar loop above.
   if (end - p >= 10) {
-    PERFVAR_COUNTER_INC("v2.varint_fast");
     const unsigned char* q = p;
     std::uint64_t v = static_cast<std::uint64_t>(q[0] & 0x7F);
     if ((q[0] & 0x80) == 0) {
@@ -194,7 +192,6 @@ std::uint64_t decodeVarint(const unsigned char*& p, const unsigned char* end) {
     p = q + 10;
     return v;
   }
-  PERFVAR_COUNTER_INC("v2.varint_scalar");
   return decodeVarintScalar(p, end);
 }
 

@@ -444,7 +444,7 @@ TraceView TraceView::owned(Trace&& trace) {
 
 TraceView TraceView::openFile(const std::string& path,
                               const TraceViewOptions& options) {
-  util::FileView file = util::FileView::open(path, options.mapFile);
+  util::FileView file = util::FileView::open(path);
   try {
     const std::uint32_t version =
         detail::sniffViewPrologue(file.data(), file.size());
@@ -452,7 +452,6 @@ TraceView TraceView::openFile(const std::string& path,
       // v1 has no per-rank block table to decode lazily; materialize
       // behind the same interface.
       BinaryReadOptions readOptions;
-      readOptions.mapFile = options.mapFile;
       readOptions.recovery = options.recovery;
       readOptions.report = options.report;
       return owned(readBinaryBuffer(file.data(), file.size(), readOptions));

@@ -96,9 +96,6 @@ struct TraceViewOptions {
   /// pinned). The cache may overshoot by at most one shard so the shard
   /// currently requested always fits.
   std::size_t shardBudgetBytes = 256ull << 20;
-  /// Memory-map the file when the platform supports it; buffered
-  /// whole-file read otherwise (util::FileView semantics).
-  bool mapFile = true;
   /// Strict (default): header/table/defs verify at open, block checksums
   /// verify at first access — a corrupt block throws from rank().
   /// Salvage: every block is additionally verified and classified at open

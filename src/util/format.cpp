@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 
 namespace perfvar::fmt {
 
@@ -119,6 +120,33 @@ std::string sparkline(std::span<const double> values) {
     out += kBlocks[level];
   }
   return out;
+}
+
+bool parseSize(const std::string& value, std::size_t& out) {
+  if (value.empty() ||
+      value.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  try {
+    out = static_cast<std::size_t>(std::stoull(value));
+  } catch (const std::exception&) {
+    return false;
+  }
+  return true;
+}
+
+bool parseDouble(const std::string& value, double& out) {
+  try {
+    std::size_t pos = 0;
+    const double v = std::stod(value, &pos);
+    if (pos != value.size() || !std::isfinite(v)) {
+      return false;
+    }
+    out = v;
+    return true;
+  } catch (const std::exception&) {
+    return false;
+  }
 }
 
 }  // namespace perfvar::fmt

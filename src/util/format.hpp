@@ -2,8 +2,10 @@
 #define PERFVAR_UTIL_FORMAT_HPP
 
 /// \file format.hpp
-/// Small text-formatting helpers shared by reports, dumps and benches.
+/// Small text-formatting and number-parsing helpers shared by reports,
+/// dumps, benches and the command parsers.
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -36,6 +38,14 @@ std::string table(const std::vector<std::vector<std::string>>& rows);
 /// A sparkline string using Unicode block characters, scaled to [min,max]
 /// of the data; empty input gives an empty string.
 std::string sparkline(std::span<const double> values);
+
+/// Strict non-negative integer parse (digits only, no sign/whitespace).
+/// On failure returns false and leaves `out` unchanged.
+bool parseSize(const std::string& value, std::size_t& out);
+
+/// Full-token floating-point parse that rejects NaN and +-infinity. On
+/// failure returns false and leaves `out` unchanged.
+bool parseDouble(const std::string& value, double& out);
 
 }  // namespace perfvar::fmt
 

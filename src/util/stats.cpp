@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "util/error.hpp"
-#include "util/perf_counters.hpp"
 
 namespace perfvar::stats {
 
@@ -176,6 +175,54 @@ double robustZ(double x, std::span<const double> sample) {
   return zScore(x, sample);
 }
 
+double robustZSorted(double x, std::span<const double> sorted,
+                     std::span<const double> sample) {
+  const std::size_t n = sorted.size();
+  if (n == 0) {
+    return 0.0;
+  }
+  // Same expressions as medianInPlace(): for even n the max of the lower
+  // half is sorted[mid - 1].
+  const std::size_t mid = n / 2;
+  const double med =
+      n % 2 == 1 ? sorted[mid] : 0.5 * (sorted[mid - 1] + sorted[mid]);
+  // |s - med| ascends leftwards from `split` (values below the median)
+  // and rightwards from it (the rest): the deviations are two sorted runs.
+  const std::size_t split = static_cast<std::size_t>(
+      std::lower_bound(sorted.begin(), sorted.end(), med) - sorted.begin());
+  const auto left = [&](std::size_t t) {
+    return std::abs(sorted[split - 1 - t] - med);
+  };
+  const auto right = [&](std::size_t t) {
+    return std::abs(sorted[split + t] - med);
+  };
+  // k-th smallest (0-based) deviation: binary search for how many of the
+  // k + 1 smallest come from the left run.
+  const auto kth = [&](std::size_t k) {
+    std::size_t lo = k + 1 > n - split ? k + 1 - (n - split) : 0;
+    std::size_t hi = std::min(k + 1, split);
+    while (lo < hi) {
+      const std::size_t i = lo + (hi - lo) / 2;
+      if (right(k - i) > left(i)) {
+        lo = i + 1;
+      } else {
+        hi = i;
+      }
+    }
+    const std::size_t j = k + 1 - lo;
+    if (lo == 0) {
+      return right(j - 1);
+    }
+    return j == 0 ? left(lo - 1) : std::max(left(lo - 1), right(j - 1));
+  };
+  const double mad = n % 2 == 1 ? kth(mid) : 0.5 * (kth(mid - 1) + kth(mid));
+  const double scale = kMadToSigma * mad;
+  if (scale > 0.0) {
+    return (x - med) / scale;
+  }
+  return zScore(x, sample);
+}
+
 double zScore(double x, std::span<const double> sample) {
   const double sd = stddev(sample);
   if (sd <= 0.0) {
@@ -246,7 +293,6 @@ std::vector<double> leaveOneOutZ(std::span<const double> xs) {
         others.push_back(xs[j]);
       }
     }
-    PERFVAR_COUNTER_INC("stats.leave_one_out_fallback");
     return referenceZ(xs[i], others);
   };
 
@@ -305,7 +351,6 @@ std::vector<double> leaveOneOutZ(std::span<const double> xs) {
           kMadToSigma * medianOfSortedMinusOne(devs, devRank[k]);
       if (scale > 0.0) {
         out[i] = (xs[i] - med) / scale;
-        PERFVAR_COUNTER_INC("stats.leave_one_out_fast");
       } else {
         out[i] = fallback(i);
       }

@@ -61,6 +61,13 @@ inline constexpr double kMadToSigma = 1.4826022185056018;
 /// also zero (constant sample).
 double robustZ(double x, std::span<const double> sample);
 
+/// robustZ(x, sample), bit for bit, given the same values in ascending
+/// order as `sorted`: the median and the MAD are read off order
+/// statistics in O(log n) instead of selected in O(n). `sample` keeps its
+/// own order for the classic-z fallback, whose sums are order-sensitive.
+double robustZSorted(double x, std::span<const double> sorted,
+                     std::span<const double> sample);
+
 /// Classic z-score; 0 when the sample standard deviation is zero.
 double zScore(double x, std::span<const double> sample);
 

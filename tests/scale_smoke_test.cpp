@@ -4,7 +4,7 @@
 /// deliberately small shard budget, and checks that resident memory
 /// stayed bounded while the report still names the planted culprits.
 /// This is the CI-sized stand-in for the 100k-rank walkthrough in the
-/// README; the BM_Scale bench family covers the full sizes.
+/// README, which the `scale` CI job also runs at full size.
 
 #include <gtest/gtest.h>
 #include <unistd.h>

@@ -220,6 +220,9 @@ TEST(ServerProtocolFuzz, MalformedTextRequestsAreStructuredErrors) {
       {FrameType::Open, "live"},                    // missing function
       {FrameType::Open, "live step threshold"},     // option without value
       {FrameType::Open, "live step threshold x"},   // non-numeric value
+      {FrameType::Open, "live step threshold nan"}, // non-finite value
+      {FrameType::Open, "live step threshold inf"}, // non-finite value
+      {FrameType::Open, "live step warmup -1"},     // negative count
       {FrameType::Open, "live step frobnicate 3"},  // unknown option
       {FrameType::Analyze, ""},                     // missing name
       {FrameType::Export, "name"},                  // missing format

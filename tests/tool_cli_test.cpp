@@ -275,6 +275,37 @@ TEST(ToolCli, AnalyzeSucceedsAndThreadsDoNotChangeTheOutput) {
   EXPECT_EQ(parallel.out, serial.out);
 }
 
+TEST(ToolCli, VerboseAnalyzeAppendsThePoolCountersAfterTheReport) {
+  const RunResult plain = run(tool() + " --threads 4 analyze " + tracePath());
+  ASSERT_EQ(plain.exitCode, 0);
+  const RunResult verbose =
+      run(tool() + " --threads 4 --verbose analyze " + tracePath());
+  ASSERT_EQ(verbose.exitCode, 0);
+  // The report is unchanged; the counter block follows it.
+  ASSERT_EQ(verbose.out.substr(0, plain.out.size()), plain.out);
+  const std::string tail = verbose.out.substr(plain.out.size());
+  EXPECT_EQ(tail.rfind("\nthread pool: 4 workers, tasks=", 0), 0u) << tail;
+  EXPECT_NE(tail.find("\n  worker 3: tasks="), std::string::npos) << tail;
+
+  const RunResult serial =
+      run(tool() + " --threads 1 --verbose analyze " + tracePath());
+  ASSERT_EQ(serial.exitCode, 0);
+  EXPECT_NE(serial.out.find("thread pool: serial run (no workers)"),
+            std::string::npos)
+      << serial.out;
+}
+
+TEST(ToolCli, NonFiniteSliceBoundsAreAUsageError) {
+  const std::string out = uniqueName("tool_cli_test_slice_nan");
+  EXPECT_EQ(run(tool() + " slice " + tracePath() + " " + out +
+                " nan 1 2>/dev/null").exitCode,
+            2);
+  EXPECT_EQ(run(tool() + " slice " + tracePath() + " " + out +
+                " 0 inf 2>/dev/null").exitCode,
+            2);
+  std::remove(out.c_str());
+}
+
 // ---- lint ----------------------------------------------------------------
 // The lint subcommand has its own exit-code contract: 0 = clean (below
 // --fail-on), 1 = findings at/above --fail-on, 2 = trace unloadable.
@@ -502,9 +533,14 @@ TEST(ToolCli, QueryUnknownCommandIsAUsageError) {
 }
 
 TEST(ToolCli, QueryBadOptionValueIsAUsageError) {
-  const RunResult r = run("printf 'analyze candidate x\\n' | " + tool() +
-                          " query " + tracePath() + " 2>/dev/null");
-  EXPECT_EQ(r.exitCode, 2);
+  for (const std::string command :
+       {"analyze candidate x", "analyze threshold nan",
+        "analyze threshold inf", "analyze threshold -inf"}) {
+    const RunResult r = run("printf '" + command + "\\n' | " + tool() +
+                            " query " + tracePath() + " 2>/dev/null");
+    EXPECT_EQ(r.exitCode, 2) << command;
+    EXPECT_TRUE(r.out.empty()) << command << ": " << r.out;
+  }
 }
 
 // The session input grammar, pinned: EOF is a normal way to end the

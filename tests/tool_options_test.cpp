@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "examples/tool_options.hpp"
+#include "util/format.hpp"
 
 namespace {
 
@@ -205,19 +206,25 @@ TEST(ToolOptions, MissingAndMalformedValues) {
 
 TEST(ToolOptions, SizeAndDoubleParsers) {
   std::size_t n = 0;
-  EXPECT_TRUE(tool::parseSize("42", n));
+  EXPECT_TRUE(fmt::parseSize("42", n));
   EXPECT_EQ(n, 42u);
-  EXPECT_FALSE(tool::parseSize("", n));
-  EXPECT_FALSE(tool::parseSize("4 2", n));
-  EXPECT_FALSE(tool::parseSize("-1", n));
-  EXPECT_FALSE(tool::parseSize("0x10", n));
+  EXPECT_FALSE(fmt::parseSize("", n));
+  EXPECT_FALSE(fmt::parseSize("4 2", n));
+  EXPECT_FALSE(fmt::parseSize("-1", n));
+  EXPECT_FALSE(fmt::parseSize("0x10", n));
 
   double d = 0.0;
-  EXPECT_TRUE(tool::parseDouble("2.5", d));
+  EXPECT_TRUE(fmt::parseDouble("2.5", d));
   EXPECT_EQ(d, 2.5);
-  EXPECT_TRUE(tool::parseDouble("-1e-3", d));
-  EXPECT_FALSE(tool::parseDouble("2.5x", d));
-  EXPECT_FALSE(tool::parseDouble("", d));
+  EXPECT_TRUE(fmt::parseDouble("-1e-3", d));
+  EXPECT_FALSE(fmt::parseDouble("2.5x", d));
+  EXPECT_FALSE(fmt::parseDouble("", d));
+  d = 1.0;
+  EXPECT_FALSE(fmt::parseDouble("nan", d));
+  EXPECT_FALSE(fmt::parseDouble("inf", d));
+  EXPECT_FALSE(fmt::parseDouble("-infinity", d));
+  EXPECT_FALSE(fmt::parseDouble("1e999", d));
+  EXPECT_EQ(d, 1.0);
 }
 
 }  // namespace

@@ -360,6 +360,31 @@ TEST(StatsBitIdentity, LeaveOneOutDegenerateSamples) {
   }
 }
 
+TEST(StatsBitIdentity, RobustZSortedMatchesRobustZ) {
+  std::vector<std::vector<double>> samples = {
+      {5.0, 5.0, 5.0, 5.0},  // constant: MAD and stddev are zero
+      {5.0, 5.0, 5.0, 9.0},  // MAD zero: classic-z fallback
+      {1.0, 1.0, 2.0, 2.0},
+      {-2.0, -2.0, -2.0, -2.0, 7.5, 7.5},
+  };
+  Rng rng(19);
+  for (const bool withTies : {false, true}) {
+    for (std::size_t n = 0; n <= 64; ++n) {
+      samples.push_back(randomSample(rng, n, withTies));
+    }
+  }
+  for (const std::vector<double>& xs : samples) {
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<double> probes = {-3.0, 4.0, 25.0};
+    probes.insert(probes.end(), xs.begin(), xs.end());
+    for (const double x : probes) {
+      EXPECT_EQ(robustZSorted(x, sorted, xs), robustZ(x, xs))
+          << "n=" << xs.size() << " x=" << x;
+    }
+  }
+}
+
 TEST(StatsBitIdentity, RobustZAndReferenceZUnchangedByScratchReuse) {
   // Interleave kernels so each call inherits a dirty scratch buffer from
   // a different predecessor; results must not depend on it.
