@@ -158,10 +158,9 @@ struct AnalysisEngine::Impl {
   std::uint64_t useClock = 0;
   std::uint64_t bytes = 0;
 
-  std::shared_ptr<const profile::FlatProfile> profile;
-  std::size_t profileBytes = 0;
-  std::shared_ptr<const lint::LintReport> lint;
-  std::size_t lintBytes = 0;
+  /// Single-key maps (key 0), inserted with maxEntries 0: never evicted.
+  Map<profile::FlatProfile> profile;
+  Map<lint::LintReport> lint;
   Map<analysis::DominantSelection> dominant;
   Map<analysis::SosResult> sos;
   Map<analysis::VariationReport> variation;
@@ -223,7 +222,7 @@ struct AnalysisEngine::Impl {
     }
   }
 
-  /// The cache protocol of every derived stage: lookup under the lock,
+  /// The cache protocol of every stage: lookup under the lock,
   /// compute outside it on a miss, insert (first writer wins — a racing
   /// thread that lost simply adopts the winner's instance so all callers
   /// observe one object per key).
@@ -253,6 +252,18 @@ struct AnalysisEngine::Impl {
     bytes += it->second.bytes;
     evictIfNeeded(maxEntries);
     return computed;
+  }
+
+  /// Stage 2 over an already-fetched profile, shared by dominant() and
+  /// analyze() so each counts one cache event per stage.
+  std::shared_ptr<const analysis::DominantSelection> dominantOf(
+      const trace::TraceView& view, const profile::FlatProfile& prof,
+      const analysis::DominantOptions& options, std::size_t maxEntries) {
+    return getOrCompute(dominant, fingerprintDominant(options), maxEntries,
+                        [&] {
+                          return analysis::selectDominantFunction(view, prof,
+                                                                  options);
+                        });
   }
 };
 
@@ -313,59 +324,27 @@ AnalysisEngine AnalysisEngine::fromFileLazy(const std::string& path,
 }
 
 std::shared_ptr<const profile::FlatProfile> AnalysisEngine::profile() {
-  {
-    std::lock_guard<std::mutex> lock(impl_->cacheMutex);
-    if (impl_->profile) {
-      impl_->hits.fetch_add(1, std::memory_order_relaxed);
-      return impl_->profile;
-    }
-  }
-  impl_->misses.fetch_add(1, std::memory_order_relaxed);
-  auto computed = std::make_shared<const profile::FlatProfile>(
-      profile::FlatProfile::build(analysisView_, impl_->pool.get()));
-  std::lock_guard<std::mutex> lock(impl_->cacheMutex);
-  if (!impl_->profile) {
-    impl_->profile = computed;
-    impl_->profileBytes = approxBytes(*computed);
-    impl_->bytes += impl_->profileBytes;
-  }
-  return impl_->profile;
+  return impl_->getOrCompute(impl_->profile, 0, /*maxEntries=*/0, [&] {
+    return profile::FlatProfile::build(analysisView_, impl_->pool.get());
+  });
 }
 
 std::shared_ptr<const lint::LintReport> AnalysisEngine::lintReport() {
-  {
-    std::lock_guard<std::mutex> lock(impl_->cacheMutex);
-    if (impl_->lint) {
-      impl_->hits.fetch_add(1, std::memory_order_relaxed);
-      return impl_->lint;
-    }
-  }
-  impl_->misses.fetch_add(1, std::memory_order_relaxed);
-  // Lint the raw trace (not the filtered view): the quarantine-interaction
-  // rule exists precisely to surface the ranks the analyses drop.
-  lint::LintOptions lintOptions;
-  lintOptions.pool = impl_->pool.get();
-  lintOptions.disabledRules = options_.lintDisabledRules;
-  auto computed = std::make_shared<const lint::LintReport>(
-      lint::lintTrace(view_, lintOptions));
-  std::lock_guard<std::mutex> lock(impl_->cacheMutex);
-  if (!impl_->lint) {
-    impl_->lint = computed;
-    impl_->lintBytes = approxBytes(*computed);
-    impl_->bytes += impl_->lintBytes;
-  }
-  return impl_->lint;
+  return impl_->getOrCompute(impl_->lint, 0, /*maxEntries=*/0, [&] {
+    // Lint the raw trace (not the filtered view): the
+    // quarantine-interaction rule exists precisely to surface the ranks
+    // the analyses drop.
+    lint::LintOptions lintOptions;
+    lintOptions.pool = impl_->pool.get();
+    lintOptions.disabledRules = options_.lintDisabledRules;
+    return lint::lintTrace(view_, lintOptions);
+  });
 }
 
 std::shared_ptr<const analysis::DominantSelection> AnalysisEngine::dominant(
     const analysis::DominantOptions& options) {
-  const auto prof = profile();
-  return impl_->getOrCompute(
-      impl_->dominant, fingerprintDominant(options), options_.maxCacheEntries,
-      [&] {
-        return analysis::selectDominantFunction(analysisView_, *prof,
-                                                options);
-      });
+  return impl_->dominantOf(analysisView_, *profile(), options,
+                           options_.maxCacheEntries);
 }
 
 std::shared_ptr<const analysis::DepAnalysis> AnalysisEngine::depAnalysis(
@@ -397,15 +376,11 @@ EngineResult AnalysisEngine::analyze(const analysis::PipelineOptions& options) {
   // the backend, so the result stays valid past the engine.
   result.trace = analysisView_;
   result.profile = profile();
-  // Inline dominant() with the profile already in hand: one counter event
-  // per stage per query (a cold analyze is 4 misses, a warm one 4 hits).
-  result.selection = impl_->getOrCompute(
-      impl_->dominant, fingerprintDominant(options.dominant),
-      options_.maxCacheEntries, [&] {
-        return analysis::selectDominantFunction(analysisView_,
-                                                *result.profile,
-                                                options.dominant);
-      });
+  // Stage 2 on the profile already in hand: one counter event per stage
+  // per query (a cold analyze is 4 misses, a warm one 4 hits).
+  result.selection = impl_->dominantOf(analysisView_, *result.profile,
+                                       options.dominant,
+                                       options_.maxCacheEntries);
   result.segmentFunction =
       result.selection->candidateFunction(options.candidateIndex);
 
@@ -452,10 +427,8 @@ CacheStats AnalysisEngine::cacheStats() const {
 
 void AnalysisEngine::clearCache() {
   std::lock_guard<std::mutex> lock(impl_->cacheMutex);
-  impl_->profile.reset();
-  impl_->profileBytes = 0;
-  impl_->lint.reset();
-  impl_->lintBytes = 0;
+  impl_->profile.clear();
+  impl_->lint.clear();
   impl_->dominant.clear();
   impl_->sos.clear();
   impl_->variation.clear();

@@ -1,6 +1,7 @@
 #include "server/service.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "analysis/streaming.hpp"
@@ -178,8 +179,10 @@ struct TraceService::Entry {
   std::uint64_t ownerSession = 0;
 };
 
-/// Name -> entry map plus eviction state. All members are guarded by
-/// `mutex`; Entry contents (beyond the accounting block) are not.
+/// Name -> entry map plus eviction state and the byte accounting. All
+/// members are guarded by `mutex`; Entry contents (beyond the accounting
+/// block) are not. Resident bytes are charged and discharged only by the
+/// members below, so they always sum the resident entries' `bytes`.
 class TraceService::Registry {
 public:
   /// On-disk remains of a spilled (rehydratable) entry.
@@ -198,11 +201,59 @@ public:
   /// faults it back in (rehydration). Disjoint from tombstones.
   std::map<std::string, SpillInfo> spilled;
   std::uint64_t useClock = 0;
-  std::uint64_t evictions = 0;
   std::uint64_t rehydrations = 0;
-  std::size_t residentBytes = 0;
-  std::map<std::uint64_t, std::size_t> sessionBytes;
-  std::uint64_t nextSessionId = 1;
+
+  ServiceStats stats() const {
+    std::lock_guard<std::mutex> lock(mutex);
+    ServiceStats s;
+    s.traces = entries.size();
+    s.residentBytes = residentBytes;
+    s.evictions = evictions;
+    s.spilled = spilled.size();
+    s.rehydrations = rehydrations;
+    return s;
+  }
+
+  std::uint64_t openSession() {
+    std::lock_guard<std::mutex> lock(mutex);
+    const std::uint64_t id = nextSessionId++;
+    sessionBytes[id] = 0;
+    return id;
+  }
+
+  void closeSession(std::uint64_t id) {
+    std::lock_guard<std::mutex> lock(mutex);
+    sessionBytes.erase(id);
+  }
+
+  /// The bytes an entry is charged with.
+  std::size_t bytesOf(const Entry& e) const {
+    std::lock_guard<std::mutex> lock(mutex);
+    return e.bytes;
+  }
+
+  /// Publish an entry under its name, charged `bytes`, and forget the
+  /// name's tombstone or spill (caller holds `mutex`; the name is not
+  /// resident).
+  void admitLocked(const std::shared_ptr<Entry>& e, std::size_t bytes) {
+    tombstones.erase(e->name);
+    spilled.erase(e->name);
+    e->lastUse = ++useClock;
+    entries.emplace(e->name, e);
+    chargeLocked(*e, bytes);
+  }
+
+  /// Re-charge a resident entry at `bytes` and enforce the budgets around
+  /// it; a no-op when `e` is no longer resident under its name.
+  void resize(const std::shared_ptr<Entry>& e, std::size_t bytes,
+              const ServerOptions& options) {
+    std::lock_guard<std::mutex> lock(mutex);
+    const auto it = entries.find(e->name);
+    if (it != entries.end() && it->second == e) {
+      chargeLocked(*e, bytes);
+      enforceBudgetsLocked(options, e.get(), e->ownerSession);
+    }
+  }
 
   /// Drop one entry (caller holds `mutex`). With `spill` set, an entry
   /// whose state survives on disk — an engine's source file or a live
@@ -214,11 +265,7 @@ public:
                                   std::shared_ptr<Entry>>::iterator it,
                    bool spill) {
     const std::shared_ptr<Entry>& e = it->second;
-    residentBytes -= std::min(residentBytes, e->bytes);
-    auto sess = sessionBytes.find(e->ownerSession);
-    if (sess != sessionBytes.end()) {
-      sess->second -= std::min(sess->second, e->bytes);
-    }
+    chargeLocked(*e, 0);
     std::string source;
     if (spill) {
       if (e->kind == Entry::Kind::Engine) {
@@ -274,6 +321,21 @@ public:
       evictLocked(victim, options.rehydrate);
     }
   }
+
+private:
+  void chargeLocked(Entry& e, std::size_t bytes) {
+    residentBytes += bytes;
+    residentBytes -= std::min(residentBytes, e.bytes);
+    std::size_t& session = sessionBytes[e.ownerSession];
+    session += bytes;
+    session -= std::min(session, e.bytes);
+    e.bytes = bytes;
+  }
+
+  std::size_t residentBytes = 0;
+  std::map<std::uint64_t, std::size_t> sessionBytes;
+  std::uint64_t evictions = 0;
+  std::uint64_t nextSessionId = 1;
 };
 
 namespace {
@@ -298,6 +360,15 @@ std::vector<util::Frame> one(FrameType type, std::string payload) {
 
 [[noreturn]] void throwUsage(const std::string& message) {
   throw Error(message, ErrorContext::at(ErrorCode::MalformedEvent));
+}
+
+/// The options of every engine the service builds: a loaded entry's
+/// resident one and a live entry's per-read one.
+engine::EngineOptions engineOptionsFor(const ServerOptions& options) {
+  engine::EngineOptions eo;
+  eo.threads = options.threads;
+  eo.maxCacheEntries = options.maxCacheEntries;
+  return eo;
 }
 
 std::string formatOpenMessage(const std::string& name, const std::string& fn,
@@ -326,9 +397,7 @@ std::shared_ptr<ServerSession> TraceService::openSession(
     std::shared_ptr<Sender> sender) {
   auto session = std::make_shared<ServerSession>();
   session->sender = std::move(sender);
-  std::lock_guard<std::mutex> lock(registry_->mutex);
-  session->id = registry_->nextSessionId++;
-  registry_->sessionBytes[session->id] = 0;
+  session->id = registry_->openSession();
   return session;
 }
 
@@ -340,22 +409,12 @@ void TraceService::closeSession(
   if (session->sender) {
     session->sender->deactivate();
   }
-  std::lock_guard<std::mutex> lock(registry_->mutex);
-  registry_->sessionBytes.erase(session->id);
+  registry_->closeSession(session->id);
   // Resident traces deliberately outlive the session that loaded them;
   // subscriptions die with the session (the weak_ptrs expire).
 }
 
-ServiceStats TraceService::stats() const {
-  std::lock_guard<std::mutex> lock(registry_->mutex);
-  ServiceStats s;
-  s.traces = registry_->entries.size();
-  s.residentBytes = registry_->residentBytes;
-  s.evictions = registry_->evictions;
-  s.spilled = registry_->spilled.size();
-  s.rehydrations = registry_->rehydrations;
-  return s;
-}
+ServiceStats TraceService::stats() const { return registry_->stats(); }
 
 void TraceService::syncJournals() {
   std::vector<std::shared_ptr<Entry>> entries;
@@ -422,14 +481,6 @@ std::vector<util::Frame> TraceService::dispatch(
   }
 }
 
-/// Registry lookup outcome shared by the name-referencing handlers.
-struct TraceService::Lookup {
-  std::shared_ptr<Entry> entry;
-  bool evicted = false;
-  bool spilled = false;
-  Registry::SpillInfo spill;  ///< valid when spilled
-};
-
 std::vector<util::Frame> TraceService::handleLoad(
     const std::shared_ptr<ServerSession>& session,
     const std::vector<std::string>& tokens) {
@@ -461,50 +512,36 @@ std::vector<util::Frame> TraceService::handleLoad(
       }
       entry->lastUse = ++registry_->useClock;
     } else {
-      registry_->tombstones.erase(name);
-      registry_->spilled.erase(name);
       entry = std::make_shared<Entry>();
       entry->kind = Entry::Kind::Engine;
       entry->name = name;
       entry->path = path;
       entry->ownerSession = session->id;
-      entry->lastUse = ++registry_->useClock;
-      registry_->entries.emplace(name, entry);
+      registry_->admitLocked(entry, 0);  // charged once loaded
       created = true;
     }
   }
 
-  {
-    std::lock_guard<std::mutex> lock(entry->mutex);
-    if (!entry->engine) {
-      try {
-        loadEngineLocked(*entry);
-      } catch (...) {
-        // Roll the registration back so the name is usable again; a
-        // concurrent waiter holding this shared_ptr retries the load
-        // itself and reports the same error.
-        if (created) {
-          std::lock_guard<std::mutex> lock2(registry_->mutex);
-          const auto it = registry_->entries.find(name);
-          if (it != registry_->entries.end() && it->second == entry) {
-            registry_->entries.erase(it);
-          }
+  std::lock_guard<std::mutex> lock(entry->mutex);
+  if (!entry->engine) {
+    try {
+      loadEngineLocked(*entry);
+    } catch (...) {
+      // Roll the registration back so the name is usable again; a
+      // concurrent waiter holding this shared_ptr retries the load
+      // itself and reports the same error.
+      if (created) {
+        std::lock_guard<std::mutex> lock2(registry_->mutex);
+        const auto it = registry_->entries.find(name);
+        if (it != registry_->entries.end() && it->second == entry) {
+          registry_->entries.erase(it);
         }
-        throw;
       }
-      const std::size_t bytes =
-          trace::approxMemoryBytes(entry->engine->trace());
-      std::lock_guard<std::mutex> lock2(registry_->mutex);
-      const auto it = registry_->entries.find(name);
-      if (it != registry_->entries.end() && it->second == entry) {
-        registry_->residentBytes += bytes;
-        registry_->sessionBytes[entry->ownerSession] += bytes;
-        entry->bytes = bytes;
-        registry_->enforceBudgetsLocked(options_, entry.get(), session->id);
-      }
+      throw;
     }
-    return one(FrameType::Ok, entry->loadMessage);
+    registry_->resize(entry, footprintLocked(*entry), options_);
   }
+  return one(FrameType::Ok, entry->loadMessage);
 }
 
 std::vector<util::Frame> TraceService::handleOpen(
@@ -563,15 +600,12 @@ std::vector<util::Frame> TraceService::handleOpen(
     entry->lastUse = ++registry_->useClock;
     return one(FrameType::Ok, entry->openMessage);
   }
-  registry_->tombstones.erase(name);
-  registry_->spilled.erase(name);
   auto entry = std::make_shared<Entry>();
   entry->kind = Entry::Kind::Live;
   entry->name = name;
   entry->segmentFunctionName = fn;
   entry->streamOptions = streamOptions;
   entry->ownerSession = session->id;
-  entry->lastUse = ++registry_->useClock;
   entry->openMessage = formatOpenMessage(name, fn, streamOptions);
   if (!options_.journalDir.empty()) {
     // Journal the open before the entry becomes visible: an acknowledged
@@ -584,40 +618,39 @@ std::vector<util::Frame> TraceService::handleOpen(
     open.warmup = streamOptions.warmupSegments;
     entry->journal->append(JournalRecordType::Open, encodeJournalOpen(open));
   }
-  registry_->entries.emplace(name, entry);
+  registry_->admitLocked(entry, 0);
   return one(FrameType::Ok, entry->openMessage);
 }
 
-TraceService::Lookup TraceService::lookupEntry(const std::string& name) {
-  std::lock_guard<std::mutex> lock(registry_->mutex);
-  Lookup out;
-  const auto it = registry_->entries.find(name);
-  if (it != registry_->entries.end()) {
-    out.entry = it->second;
-    out.entry->lastUse = ++registry_->useClock;
-  } else if (const auto sit = registry_->spilled.find(name);
-             sit != registry_->spilled.end()) {
-    out.spilled = true;
-    out.spill = sit->second;
-  } else if (registry_->tombstones.count(name) > 0) {
-    out.evicted = true;
-  }
-  return out;
-}
-
-TraceService::Lookup TraceService::resolveEntry(const std::string& name) {
-  Lookup found = lookupEntry(name);
-  if (found.entry || found.evicted || !found.spilled) {
-    return found;
+std::shared_ptr<TraceService::Entry> TraceService::resolveEntry(
+    const std::string& name, bool* evicted) {
+  Registry::SpillInfo spill;
+  {
+    std::lock_guard<std::mutex> lock(registry_->mutex);
+    const auto it = registry_->entries.find(name);
+    if (it != registry_->entries.end()) {
+      it->second->lastUse = ++registry_->useClock;
+      return it->second;
+    }
+    const auto sit = registry_->spilled.find(name);
+    if (sit == registry_->spilled.end()) {
+      if (evicted != nullptr) {
+        *evicted = registry_->tombstones.count(name) > 0;
+      }
+      return nullptr;
+    }
+    spill = sit->second;
   }
   // Rebuild outside any lock: engine loads and journal replays are slow,
   // and the budgets below must not hold the registry hostage meanwhile.
   std::shared_ptr<Entry> entry;
+  std::size_t bytes = 0;
   try {
-    entry = found.spill.kind == Entry::Kind::Engine
-                ? buildEngineEntry(name, found.spill.source)
-                : buildLiveFromJournal(found.spill.source, &name);
-    entry->ownerSession = found.spill.ownerSession;
+    entry = spill.kind == Entry::Kind::Engine
+                ? buildEngineEntry(name, spill.source)
+                : buildLiveFromJournal(spill.source, &name);
+    entry->ownerSession = spill.ownerSession;
+    bytes = footprintLocked(*entry);
   } catch (const std::exception&) {
     entry = nullptr;  // source gone / unreadable: degrade to a tombstone
   }
@@ -625,37 +658,40 @@ TraceService::Lookup TraceService::resolveEntry(const std::string& name) {
   const auto it = registry_->entries.find(name);
   if (it != registry_->entries.end()) {
     // Lost a rehydration race; the resident entry wins.
-    found.spilled = false;
-    found.entry = it->second;
-    found.entry->lastUse = ++registry_->useClock;
-    return found;
+    it->second->lastUse = ++registry_->useClock;
+    return it->second;
   }
-  registry_->spilled.erase(name);
-  found.spilled = false;
   if (!entry) {
+    registry_->spilled.erase(name);
     registry_->tombstones.insert(name);
-    found.evicted = true;
-    return found;
+    if (evicted != nullptr) {
+      *evicted = true;
+    }
+    return nullptr;
   }
   ++registry_->rehydrations;
-  entry->lastUse = ++registry_->useClock;
-  registry_->entries.emplace(name, entry);
-  registry_->residentBytes += entry->bytes;
-  registry_->sessionBytes[entry->ownerSession] += entry->bytes;
+  registry_->admitLocked(entry, bytes);
   registry_->enforceBudgetsLocked(options_, entry.get(),
                                   entry->ownerSession);
-  found.entry = entry;
-  return found;
+  return entry;
+}
+
+std::shared_ptr<TraceService::Entry> TraceService::requireEntry(
+    const std::string& name) {
+  bool evicted = false;
+  std::shared_ptr<Entry> entry = resolveEntry(name, &evicted);
+  if (!entry && !evicted) {
+    throwUnknownTrace(name);
+  }
+  return entry;
 }
 
 void TraceService::loadEngineLocked(Entry& e) const {
   trace::BinaryReadOptions ro;
   ro.threads = options_.threads;
   trace::Trace tr = trace::loadBinaryFile(e.path, ro);
-  engine::EngineOptions eo;
-  eo.threads = options_.threads;
-  eo.maxCacheEntries = options_.maxCacheEntries;
-  auto eng = std::make_unique<engine::AnalysisEngine>(std::move(tr), eo);
+  auto eng = std::make_unique<engine::AnalysisEngine>(
+      std::move(tr), engineOptionsFor(options_));
   std::ostringstream msg;
   msg << "loaded " << e.name << ": " << eng->trace().processCount()
       << " processes, " << eng->trace().eventCount() << " events";
@@ -670,7 +706,6 @@ std::shared_ptr<TraceService::Entry> TraceService::buildEngineEntry(
   entry->name = name;
   entry->path = path;
   loadEngineLocked(*entry);
-  entry->bytes = trace::approxMemoryBytes(entry->engine->trace());
   return entry;
 }
 
@@ -741,8 +776,6 @@ std::shared_ptr<TraceService::Entry> TraceService::buildLiveFromJournal(
     entry->pendingAlerts.clear();
   }
 
-  entry->bytes =
-      trace::approxMemoryBytes(entry->live) + entry->pendingBytes;
   if (!options_.journalDir.empty()) {
     entry->journal = std::make_unique<JournalWriter>(
         JournalWriter::openExisting(path, options_.journalFsync));
@@ -758,14 +791,11 @@ void TraceService::recoverJournals() {
     } catch (const std::exception&) {
       continue;  // recovery never fails on one bad journal
     }
+    const std::size_t bytes = footprintLocked(*entry);
     std::lock_guard<std::mutex> lock(registry_->mutex);
-    if (registry_->entries.count(entry->name) > 0) {
-      continue;
+    if (registry_->entries.count(entry->name) == 0) {
+      registry_->admitLocked(entry, bytes);
     }
-    entry->lastUse = ++registry_->useClock;
-    registry_->entries.emplace(entry->name, entry);
-    registry_->residentBytes += entry->bytes;
-    registry_->sessionBytes[entry->ownerSession] += entry->bytes;
   }
   std::lock_guard<std::mutex> lock(registry_->mutex);
   registry_->enforceBudgetsLocked(options_, nullptr, 0);
@@ -933,38 +963,20 @@ std::size_t TraceService::flushForReadLocked(
   return processed;
 }
 
-void TraceService::reaccountEntry(const std::string& name,
-                                  const std::shared_ptr<Entry>& entry,
-                                  std::size_t newBytes) {
-  std::lock_guard<std::mutex> lock(registry_->mutex);
-  const auto it = registry_->entries.find(name);
-  if (it != registry_->entries.end() && it->second == entry) {
-    registry_->residentBytes += newBytes;
-    registry_->residentBytes -= std::min(registry_->residentBytes,
-                                         entry->bytes);
-    auto sess = registry_->sessionBytes.find(entry->ownerSession);
-    if (sess != registry_->sessionBytes.end()) {
-      sess->second += newBytes;
-      sess->second -= std::min(sess->second, entry->bytes);
-    }
-    entry->bytes = newBytes;
-    registry_->enforceBudgetsLocked(options_, entry.get(),
-                                    entry->ownerSession);
-  }
+std::size_t TraceService::footprintLocked(const Entry& entry) {
+  return entry.kind == Entry::Kind::Engine
+             ? trace::approxMemoryBytes(entry.engine->trace())
+             : trace::approxMemoryBytes(entry.live) + entry.pendingBytes;
 }
 
 std::vector<util::Frame> TraceService::handleAppend(
     const std::shared_ptr<ServerSession>& session,
     std::string_view payload) {
   const AppendPayload append = decodeAppendPayload(payload);
-  const Lookup found = resolveEntry(append.name);
-  if (found.evicted) {
+  const std::shared_ptr<Entry> entry = requireEntry(append.name);
+  if (!entry) {
     return one(FrameType::Evicted, append.name);
   }
-  if (!found.entry) {
-    throwUnknownTrace(append.name);
-  }
-  const std::shared_ptr<Entry>& entry = found.entry;
   if (entry->kind != Entry::Kind::Live) {
     throw Error("trace '" + append.name +
                     "' is file-backed; append requires a live trace "
@@ -1043,13 +1055,43 @@ std::vector<util::Frame> TraceService::handleAppend(
       }
       okMessage = msg.str();
     }
-    newBytes =
-        trace::approxMemoryBytes(entry->live) + entry->pendingBytes;
+    newBytes = footprintLocked(*entry);
     broadcastAlertsLocked(*entry, session, alertLines, out);
   }
 
-  reaccountEntry(append.name, entry, newBytes);
+  registry_->resize(entry, newBytes, options_);
   out.push_back(frame(FrameType::Ok, okMessage));
+  return out;
+}
+
+std::vector<util::Frame> TraceService::readEntry(
+    const std::shared_ptr<ServerSession>& session, const std::string& name,
+    const std::function<std::string(engine::AnalysisEngine&)>& render) {
+  const std::shared_ptr<Entry> entry = requireEntry(name);
+  if (!entry) {
+    return one(FrameType::Evicted, name);
+  }
+  std::vector<util::Frame> out;
+  std::size_t flushed = 0;
+  std::size_t newBytes = 0;
+  {
+    std::lock_guard<std::mutex> lock(entry->mutex);
+    flushed = flushForReadLocked(*entry, session, out);
+    std::optional<engine::AnalysisEngine> live;
+    if (!entry->engine) {
+      PERFVAR_REQUIRE(entry->live.processCount() > 0,
+                      "live trace '" + name + "' has no appended data yet");
+      // Built per read and dropped with it: the next append would make a
+      // kept engine's caches stale.
+      live.emplace(trace::TraceView(entry->live), engineOptionsFor(options_));
+    }
+    out.push_back(frame(FrameType::Data,
+                        render(live ? *live : *entry->engine)));
+    newBytes = footprintLocked(*entry);
+  }
+  if (flushed > 0) {
+    registry_->resize(entry, newBytes, options_);
+  }
   return out;
 }
 
@@ -1060,42 +1102,10 @@ std::vector<util::Frame> TraceService::handleAnalyze(
     throwUsage("analyze expects: <name> [candidate K] [threshold Z] "
                "[max-hotspots N]");
   }
-  const Lookup found = resolveEntry(tokens[0]);
-  if (found.evicted) {
-    return one(FrameType::Evicted, tokens[0]);
-  }
-  if (!found.entry) {
-    throwUnknownTrace(tokens[0]);
-  }
-  analysis::PipelineOptions opts = parsePipelineOptions(tokens, 1);
-  const std::shared_ptr<Entry>& entry = found.entry;
-  std::vector<util::Frame> out;
-  std::size_t flushed = 0;
-  std::size_t newBytes = 0;
-  {
-    std::lock_guard<std::mutex> lock(entry->mutex);
-    flushed = flushForReadLocked(*entry, session, out);
-    if (entry->kind == Entry::Kind::Engine) {
-      out.push_back(frame(FrameType::Data, entry->engine->formatReport(opts)));
-    } else {
-      PERFVAR_REQUIRE(entry->live.processCount() > 0,
-                      "live trace '" + tokens[0] +
-                          "' has no appended data yet");
-      opts.threads = options_.threads;
-      const analysis::AnalysisResult result =
-          analysis::analyzeTrace(entry->live, opts);
-      out.push_back(frame(FrameType::Data,
-                          analysis::formatAnalysis(entry->live, result)));
-    }
-    newBytes = entry->kind == Entry::Kind::Live
-                   ? trace::approxMemoryBytes(entry->live) +
-                         entry->pendingBytes
-                   : entry->bytes;
-  }
-  if (flushed > 0) {
-    reaccountEntry(tokens[0], entry, newBytes);
-  }
-  return out;
+  const analysis::PipelineOptions opts = parsePipelineOptions(tokens, 1);
+  return readEntry(session, tokens[0], [&](engine::AnalysisEngine& e) {
+    return e.formatReport(opts);
+  });
 }
 
 std::vector<util::Frame> TraceService::handleExport(
@@ -1105,44 +1115,13 @@ std::vector<util::Frame> TraceService::handleExport(
     throwUsage("export expects: <name> <text|json|csv|csv-iterations|"
                "csv-hotspots> [analyze options]");
   }
-  const Lookup found = resolveEntry(tokens[0]);
-  if (found.evicted) {
-    return one(FrameType::Evicted, tokens[0]);
-  }
-  if (!found.entry) {
-    throwUnknownTrace(tokens[0]);
-  }
   const analysis::ExportFormat format = parseExportFormat(tokens[1]);
-  analysis::PipelineOptions opts = parsePipelineOptions(tokens, 2);
-  const std::shared_ptr<Entry>& entry = found.entry;
-  std::vector<util::Frame> out;
-  std::size_t flushed = 0;
-  std::size_t newBytes = 0;
-  {
-    std::lock_guard<std::mutex> lock(entry->mutex);
-    flushed = flushForReadLocked(*entry, session, out);
+  const analysis::PipelineOptions opts = parsePipelineOptions(tokens, 2);
+  return readEntry(session, tokens[0], [&](engine::AnalysisEngine& e) {
     std::ostringstream os;
-    if (entry->kind == Entry::Kind::Engine) {
-      entry->engine->exportReport(format, os, opts);
-    } else {
-      PERFVAR_REQUIRE(entry->live.processCount() > 0,
-                      "live trace '" + tokens[0] +
-                          "' has no appended data yet");
-      opts.threads = options_.threads;
-      const analysis::AnalysisResult result =
-          analysis::analyzeTrace(entry->live, opts);
-      analysis::exportReport(entry->live, result, format, os);
-    }
-    out.push_back(frame(FrameType::Data, os.str()));
-    newBytes = entry->kind == Entry::Kind::Live
-                   ? trace::approxMemoryBytes(entry->live) +
-                         entry->pendingBytes
-                   : entry->bytes;
-  }
-  if (flushed > 0) {
-    reaccountEntry(tokens[0], entry, newBytes);
-  }
-  return out;
+    e.exportReport(format, os, opts);
+    return os.str();
+  });
 }
 
 std::vector<util::Frame> TraceService::handleLint(
@@ -1151,43 +1130,10 @@ std::vector<util::Frame> TraceService::handleLint(
   if (tokens.size() != 1) {
     throwUsage("lint expects: <name>");
   }
-  const Lookup found = resolveEntry(tokens[0]);
-  if (found.evicted) {
-    return one(FrameType::Evicted, tokens[0]);
-  }
-  if (!found.entry) {
-    throwUnknownTrace(tokens[0]);
-  }
-  const std::shared_ptr<Entry>& entry = found.entry;
-  std::vector<util::Frame> out;
-  std::size_t flushed = 0;
-  std::size_t newBytes = 0;
-  {
-    std::lock_guard<std::mutex> lock(entry->mutex);
-    flushed = flushForReadLocked(*entry, session, out);
-    std::ostringstream os;
-    if (entry->kind == Entry::Kind::Engine) {
-      lint::exportLintReport(*entry->engine->lintReport(),
-                             analysis::ExportFormat::Text, os);
-    } else {
-      PERFVAR_REQUIRE(entry->live.processCount() > 0,
-                      "live trace '" + tokens[0] +
-                          "' has no appended data yet");
-      lint::LintOptions lo;
-      lo.threads = options_.threads;
-      lint::exportLintReport(lint::lintTrace(entry->live, lo),
-                             analysis::ExportFormat::Text, os);
-    }
-    out.push_back(frame(FrameType::Data, os.str()));
-    newBytes = entry->kind == Entry::Kind::Live
-                   ? trace::approxMemoryBytes(entry->live) +
-                         entry->pendingBytes
-                   : entry->bytes;
-  }
-  if (flushed > 0) {
-    reaccountEntry(tokens[0], entry, newBytes);
-  }
-  return out;
+  return readEntry(session, tokens[0], [](engine::AnalysisEngine& e) {
+    return lint::exportLintReportString(*e.lintReport(),
+                                        analysis::ExportFormat::Text);
+  });
 }
 
 std::vector<util::Frame> TraceService::handleStats(
@@ -1207,24 +1153,21 @@ std::vector<util::Frame> TraceService::handleStats(
   if (tokens.size() != 1) {
     throwUsage("stats expects at most one <name>");
   }
-  const Lookup found = resolveEntry(tokens[0]);
-  if (found.evicted) {
+  const std::shared_ptr<Entry> entry = requireEntry(tokens[0]);
+  if (!entry) {
     return one(FrameType::Evicted, tokens[0]);
   }
-  if (!found.entry) {
-    throwUnknownTrace(tokens[0]);
-  }
-  const std::shared_ptr<Entry>& entry = found.entry;
+  const std::size_t bytes = registry_->bytesOf(*entry);
   std::lock_guard<std::mutex> lock(entry->mutex);
   std::ostringstream os;
   os << "trace: " << entry->name << '\n';
   if (entry->kind == Entry::Kind::Engine) {
     os << "kind: engine\n"
-       << "bytes: " << entry->bytes << '\n'
+       << "bytes: " << bytes << '\n'
        << engine::formatCacheStats(entry->engine->cacheStats()) << '\n';
   } else {
     os << "kind: live\n"
-       << "bytes: " << entry->bytes << '\n'
+       << "bytes: " << bytes << '\n'
        << "appends: " << entry->appendsDone << '\n'
        << "segments: "
        << (entry->sos ? entry->sos->segmentsCompleted() : 0) << '\n'
@@ -1269,14 +1212,10 @@ std::vector<util::Frame> TraceService::handleSubscribe(
   if (tokens.size() != 1) {
     throwUsage("subscribe expects: <name>");
   }
-  const Lookup found = resolveEntry(tokens[0]);
-  if (found.evicted) {
+  const std::shared_ptr<Entry> entry = requireEntry(tokens[0]);
+  if (!entry) {
     return one(FrameType::Evicted, tokens[0]);
   }
-  if (!found.entry) {
-    throwUnknownTrace(tokens[0]);
-  }
-  const std::shared_ptr<Entry>& entry = found.entry;
   if (entry->kind != Entry::Kind::Live) {
     throw Error("trace '" + tokens[0] +
                     "' is file-backed; only live traces emit alerts",

@@ -8,16 +8,20 @@
 /// content-addressed stage caches and answers protocol requests:
 ///
 ///   - `load` opens a trace file as an engine::AnalysisEngine entry, so
-///     repeated analyze/export requests are served from its stage caches.
-///     Loading an already-resident name with the same path is idempotent
-///     (same Ok response) — the determinism anchor of the concurrency
-///     tests.
+///     repeated analyze/export/lint requests are served from its stage
+///     caches. Loading an already-resident name with the same path is
+///     idempotent (same Ok response) — the determinism anchor of the
+///     concurrency tests.
 ///   - `open` + `append` maintain a LIVE trace: each Append frame carries
 ///     a self-contained v2 chunk image, decoded with the per-rank block
 ///     path (trace::appendBinaryBuffer) and fed through
 ///     analysis::StreamingSos so windowed SOS alerts stream back — to the
 ///     appending connection (deterministically, before its final Ok) and
 ///     to every subscribed session.
+///   - One read path: analyze/export/lint render both entry kinds through
+///     an AnalysisEngine. A loaded entry keeps its engine; a live entry
+///     gets a throwaway engine per read over the trace as committed so
+///     far, so nothing computed before an append outlives it.
 ///   - Memory budgets: ServerOptions::maxResidentBytes (global) and
 ///     maxSessionBytes (per loading session) are enforced by LRU
 ///     eviction. Evicted names are tombstoned; requests referencing them
@@ -39,15 +43,17 @@
 ///     deterministic chunk-out-of-window error.
 ///
 /// Locking: a registry mutex guards the name -> entry map, tombstones,
-/// LRU clocks and byte accounting; a per-entry mutex serializes
-/// computation on one trace. The two are never held simultaneously in a
-/// nested fashion that could deadlock: handlers take the registry lock
-/// only in short lookup/account sections, and the entry lock only between
-/// them. Responses are deterministic per request (given the same resident
+/// LRU clocks and byte accounting (every entry's charged bytes are read
+/// and written only through the Registry, under that mutex); a per-entry
+/// mutex serializes computation on one trace. Handlers take the registry
+/// lock only in short lookup/account sections; a registry section may run
+/// inside an entry lock (load), never the reverse, so the two cannot
+/// deadlock. Responses are deterministic per request (given the same resident
 /// state), which is what the serial-vs-concurrent differential test
 /// leans on.
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -60,11 +66,16 @@
 #include "trace/binary_io.hpp"
 #include "util/framing.hpp"
 
+namespace perfvar::engine {
+class AnalysisEngine;
+}
+
 namespace perfvar::server {
 
 /// Construction-time options of a TraceService / Server.
 struct ServerOptions {
-  /// Worker threads of trace decode and analysis stages (per request):
+  /// Worker threads of trace decode and of each engine's analysis stages
+  /// (a loaded entry's resident engine, a live read's throwaway one):
   /// 1 = inline, 0 = hardware concurrency.
   std::size_t threads = 1;
   /// Per-engine derived-stage cache capacity (EngineOptions equivalent).
@@ -213,18 +224,19 @@ public:
 private:
   struct Entry;
   class Registry;
-  struct Lookup;
 
-  /// Find a resident trace by name and bump its LRU clock; distinguishes
-  /// "never existed" from "was evicted" (tombstoned) from "spilled to
-  /// disk" (rehydratable).
-  Lookup lookupEntry(const std::string& name);
+  /// Find a resident trace by name and bump its LRU clock. A spilled name
+  /// is rebuilt from its journal / source file and re-registered under
+  /// the budgets first; when that source is gone the name degrades to a
+  /// tombstone. Returns null for a name that is not resident, setting
+  /// `*evicted` when it was evicted (tombstoned) rather than never known.
+  std::shared_ptr<Entry> resolveEntry(const std::string& name,
+                                      bool* evicted = nullptr);
 
-  /// lookupEntry plus transparent rehydration of spilled entries: a
-  /// spilled name is rebuilt from its journal / source file and
-  /// re-registered under the budgets before the lookup returns. When the
-  /// source is gone the name degrades to a tombstone (Evicted).
-  Lookup resolveEntry(const std::string& name);
+  /// resolveEntry for a request naming a trace: the resident entry, or
+  /// null when the name was evicted (the caller answers Evicted). Throws
+  /// the unknown-trace error for a name that never existed.
+  std::shared_ptr<Entry> requireEntry(const std::string& name);
 
   /// Replay every journal in options_.journalDir into resident live
   /// entries (construction with recover set). Unreadable journals are
@@ -290,11 +302,18 @@ private:
                                  const std::shared_ptr<ServerSession>& session,
                                  std::vector<util::Frame>& out);
 
-  /// Re-account an entry's bytes with the registry and enforce budgets
-  /// (call without the entry lock held).
-  void reaccountEntry(const std::string& name,
-                      const std::shared_ptr<Entry>& entry,
-                      std::size_t newBytes);
+  /// The bytes an entry is charged with: its trace, plus a live entry's
+  /// reorder window. Expects the entry lock (or an unpublished entry).
+  static std::size_t footprintLocked(const Entry& e);
+
+  /// The one read path of analyze/export/lint: resolve `name`, flush its
+  /// reorder window, render through an engine and re-account what the
+  /// flush committed. An engine entry renders through its own cached
+  /// engine, a live entry through a throwaway engine over the trace as
+  /// committed so far. Answers Evicted for an evicted name.
+  std::vector<util::Frame> readEntry(
+      const std::shared_ptr<ServerSession>& session, const std::string& name,
+      const std::function<std::string(engine::AnalysisEngine&)>& render);
 
   std::vector<util::Frame> dispatch(
       const std::shared_ptr<ServerSession>& session,

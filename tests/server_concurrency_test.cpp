@@ -198,6 +198,43 @@ TEST(ServerConcurrency, SharedLiveEntrySurvivesConcurrentAppends) {
   EXPECT_EQ(setup.evict("shared_live").type, FrameType::Ok);
 }
 
+/// `stats <live>` reports the bytes charged to the entry while another
+/// session's appends re-charge them. Both sides must hold the registry
+/// lock: under TSan, a read under the entry lock alone is a data race.
+TEST(ServerConcurrency, StatsRacingAppendsReadTheChargedBytes) {
+  Server server;
+  Client setup = connectTo(server);
+  ASSERT_TRUE(setup.open("live", "step threshold 6.0").ok());
+  const auto chunks = trace::splitByTime(fixtureTrace(), 200);
+  std::thread appender([&server, &chunks] {
+    Client client = connectTo(server);
+    for (const trace::Trace& chunk : chunks) {
+      const ClientResponse r = client.append("live", imageOf(chunk));
+      EXPECT_TRUE(r.ok()) << r.payload;
+    }
+  });
+  Client reader = connectTo(server);
+  for (int i = 0; i < 3000; ++i) {
+    const ClientResponse r = reader.stats("live");
+    EXPECT_EQ(r.type, FrameType::Data) << r.payload;
+    if (r.type != FrameType::Data) {
+      break;
+    }
+  }
+  appender.join();
+
+  // Once quiet, the entry's charge is the whole server's resident total.
+  const ClientResponse entry = setup.stats("live");
+  ASSERT_EQ(entry.type, FrameType::Data);
+  EXPECT_NE(entry.payload.find("appends: 200"), std::string::npos)
+      << entry.payload;
+  const ServiceStats total = server.service().stats();
+  EXPECT_NE(entry.payload.find(
+                "bytes: " + std::to_string(total.residentBytes) + "\n"),
+            std::string::npos)
+      << entry.payload;
+}
+
 TEST(ServerConcurrency, ShutdownWithBusyClientsNeverHangs) {
   Server server;
   std::vector<std::thread> workers;

@@ -13,6 +13,9 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/export.hpp"
+#include "analysis/pipeline.hpp"
+#include "lint/lint.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
 #include "trace/binary_io.hpp"
@@ -148,6 +151,54 @@ TEST(ServerStreaming, ChunkCountsAreReportedPerAppend) {
   ASSERT_EQ(stats.type, FrameType::Data);
   EXPECT_NE(stats.payload.find("appends: 4"), std::string::npos);
   EXPECT_NE(stats.payload.find("segments: 200"), std::string::npos);
+}
+
+// ---- re-reads of a growing live trace ---------------------------------------
+
+/// Alternate appends with reads: after each append, analyze, export and
+/// lint must render exactly the chunks committed so far — the offline
+/// pipeline over the same prefix, byte for byte. A read that served a
+/// result computed before the latest append fails here.
+void expectRereadsFollowCommits(ServerOptions options) {
+  const trace::Trace tr = outlierTrace();
+  Rig rig(options);
+  ASSERT_TRUE(rig.client.open("live", "step threshold 6.0").ok());
+  trace::Trace committed;
+  for (const trace::Trace& chunk : trace::splitByTime(tr, 5)) {
+    const std::string image = imageOf(chunk);
+    const ClientResponse appended = rig.client.append("live", image);
+    ASSERT_TRUE(appended.ok()) << appended.payload;
+    trace::appendBinaryBuffer(committed, image.data(), image.size());
+    const analysis::AnalysisResult result = analysis::analyzeTrace(committed);
+
+    const ClientResponse report = rig.client.analyze("live");
+    ASSERT_EQ(report.type, FrameType::Data) << report.payload;
+    EXPECT_EQ(report.payload, analysis::formatAnalysis(committed, result));
+    const ClientResponse exported = rig.client.exportReport("live json");
+    ASSERT_EQ(exported.type, FrameType::Data) << exported.payload;
+    EXPECT_EQ(exported.payload,
+              analysis::exportReportString(committed, result,
+                                           analysis::ExportFormat::Json));
+    const ClientResponse linted = rig.client.lint("live");
+    ASSERT_EQ(linted.type, FrameType::Data) << linted.payload;
+    EXPECT_EQ(linted.payload,
+              lint::exportLintReportString(lint::lintTrace(committed),
+                                           analysis::ExportFormat::Text));
+  }
+  const ClientResponse stats = rig.client.stats("live");
+  EXPECT_NE(stats.payload.find("segments: 200"), std::string::npos)
+      << stats.payload;
+}
+
+TEST(ServerStreaming, RereadsBetweenAppendsFollowTheCommittedChunks) {
+  expectRereadsFollowCommits(ServerOptions{});
+}
+
+TEST(ServerStreaming, RereadsThatFlushTheWindowFollowTheCommittedChunks) {
+  // Every append lands in the window; the analyze after it commits it.
+  ServerOptions options;
+  options.reorderWindowBytes = 64 * 1024 * 1024;
+  expectRereadsFollowCommits(options);
 }
 
 // ---- memory budgets --------------------------------------------------------
