@@ -6,7 +6,7 @@
 #include "analysis/depgraph.hpp"
 
 #include <algorithm>
-#include <array>
+#include <compare>
 #include <cstdio>
 #include <limits>
 #include <map>
@@ -147,8 +147,101 @@ RankShard extractRank(const trace::TraceView& view, trace::ProcessId rank,
   return shard;
 }
 
-std::uint64_t packChannelRank(trace::ProcessId a) {
-  return static_cast<std::uint64_t>(a);
+/// One message node in its sender's bucket: `channel` is
+/// receiver<<32 | tag, `node` is isRecv<<63 | node index.
+struct MessageRecord {
+  std::uint64_t channel;
+  std::uint64_t node;
+
+  auto operator<=>(const MessageRecord&) const = default;
+};
+
+constexpr std::uint64_t kRecvBit = std::uint64_t{1} << 63;
+
+/// Matching phase (serial, deterministic): FIFO per directed (sender,
+/// receiver, tag) channel — the MPI non-overtaking guarantee. A channel's
+/// sends all lie on the sender's rank and its receives on the receiver's,
+/// each in stream order = node order, so the k-th send pairs with the
+/// k-th receive. Valid message nodes are count-sorted by sender (stable in
+/// node order) into one flat array; sorting a sender's bucket by (channel,
+/// node) puts each channel's sends, in node order, ahead of its receives,
+/// in node order, and each run of equal channel is paired. A run never
+/// crosses a bucket, so two senders sharing (receiver, tag) stay apart.
+void matchMessages(DepGraph& graph) {
+  const std::size_t ranks = graph.processCount;
+  const auto senderOf = [&](const DepNode& node) -> std::size_t {
+    if (node.kind != DepNodeKind::Send && node.kind != DepNodeKind::Recv) {
+      return ranks;
+    }
+    if (node.peer >= ranks || node.peer == node.process) {
+      return ranks;
+    }
+    return node.kind == DepNodeKind::Send ? node.process : node.peer;
+  };
+
+  // bucketBegin[s + 1] counts sender s's messages, then prefix-sums to the
+  // start offsets.
+  std::vector<std::size_t> bucketBegin(ranks + 1, 0);
+  for (const DepNode& node : graph.nodes) {
+    if (node.kind != DepNodeKind::Send && node.kind != DepNodeKind::Recv) {
+      continue;
+    }
+    (node.kind == DepNodeKind::Send ? graph.stats.sendEvents
+                                    : graph.stats.recvEvents) += 1;
+    const std::size_t sender = senderOf(node);
+    if (sender == ranks) {
+      graph.stats.invalidEndpoints += 1;
+    } else {
+      bucketBegin[sender + 1] += 1;
+    }
+  }
+  for (std::size_t s = 0; s < ranks; ++s) {
+    bucketBegin[s + 1] += bucketBegin[s];
+  }
+
+  std::vector<MessageRecord> records(bucketBegin[ranks]);
+  std::vector<std::size_t> cursor(bucketBegin.begin(), bucketBegin.end() - 1);
+  for (std::size_t i = 0; i < graph.nodes.size(); ++i) {
+    const DepNode& node = graph.nodes[i];
+    const std::size_t sender = senderOf(node);
+    if (sender == ranks) {
+      continue;
+    }
+    const bool isRecv = node.kind == DepNodeKind::Recv;
+    const std::uint64_t receiver = isRecv ? node.process : node.peer;
+    records[cursor[sender]++] =
+        MessageRecord{receiver << 32 | node.tag,
+                      (isRecv ? kRecvBit : 0) | static_cast<std::uint64_t>(i)};
+  }
+
+  for (std::size_t s = 0; s < ranks; ++s) {
+    const auto first = records.begin() + bucketBegin[s];
+    const auto last = records.begin() + bucketBegin[s + 1];
+    std::sort(first, last);
+    for (auto run = first; run != last;) {
+      const std::uint64_t channel = run->channel;
+      const auto runEnd = std::find_if(run, last, [&](const MessageRecord& r) {
+        return r.channel != channel;
+      });
+      const auto recvBegin =
+          std::partition_point(run, runEnd, [](const MessageRecord& r) {
+            return (r.node & kRecvBit) == 0;
+          });
+      const auto sends = static_cast<std::size_t>(recvBegin - run);
+      const auto recvs = static_cast<std::size_t>(runEnd - recvBegin);
+      const std::size_t paired = std::min(sends, recvs);
+      for (std::size_t k = 0; k < paired; ++k) {
+        const std::uint64_t send = run[k].node;
+        const std::uint64_t recv = recvBegin[k].node & ~kRecvBit;
+        graph.nodes[send].match = static_cast<std::int64_t>(recv);
+        graph.nodes[recv].match = static_cast<std::int64_t>(send);
+      }
+      graph.stats.matchedPairs += paired;
+      graph.stats.unmatchedSends += sends - paired;
+      graph.stats.unmatchedRecvs += recvs - paired;
+      run = runEnd;
+    }
+  }
 }
 
 }  // namespace
@@ -248,45 +341,7 @@ DepGraph buildDepGraph(const trace::TraceView& trace,
     }
   }
 
-  // Matching phase (serial, deterministic): FIFO per (sender, receiver,
-  // tag) channel — the MPI non-overtaking guarantee. Node order within a
-  // channel is stream order on the one rank that feeds it, so the k-th
-  // send pairs with the k-th receive.
-  struct Channel {
-    std::vector<std::size_t> sends;
-    std::vector<std::size_t> recvs;
-  };
-  std::map<std::array<std::uint64_t, 3>, Channel> channels;
-  for (std::size_t i = 0; i < graph.nodes.size(); ++i) {
-    const DepNode& node = graph.nodes[i];
-    if (node.kind != DepNodeKind::Send && node.kind != DepNodeKind::Recv) {
-      continue;
-    }
-    const bool isSend = node.kind == DepNodeKind::Send;
-    (isSend ? graph.stats.sendEvents : graph.stats.recvEvents) += 1;
-    if (node.peer >= graph.processCount || node.peer == node.process) {
-      graph.stats.invalidEndpoints += 1;
-      continue;
-    }
-    const trace::ProcessId sender = isSend ? node.process : node.peer;
-    const trace::ProcessId receiver = isSend ? node.peer : node.process;
-    Channel& channel = channels[{packChannelRank(sender),
-                                 packChannelRank(receiver), node.tag}];
-    (isSend ? channel.sends : channel.recvs).push_back(i);
-  }
-  for (auto& [key, channel] : channels) {
-    const std::size_t paired =
-        std::min(channel.sends.size(), channel.recvs.size());
-    for (std::size_t k = 0; k < paired; ++k) {
-      graph.nodes[channel.sends[k]].match =
-          static_cast<std::int64_t>(channel.recvs[k]);
-      graph.nodes[channel.recvs[k]].match =
-          static_cast<std::int64_t>(channel.sends[k]);
-    }
-    graph.stats.matchedPairs += paired;
-    graph.stats.unmatchedSends += channel.sends.size() - paired;
-    graph.stats.unmatchedRecvs += channel.recvs.size() - paired;
-  }
+  matchMessages(graph);
   return graph;
 }
 

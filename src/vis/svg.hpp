@@ -5,15 +5,15 @@
 /// Minimal SVG document builder for vector renders of timelines,
 /// heatmaps and legends.
 
-#include <iosfwd>
-#include <sstream>
 #include <string>
 
 #include "vis/color.hpp"
 
 namespace perfvar::vis {
 
-/// Accumulates SVG elements and serializes a standalone document.
+/// Accumulates SVG elements and serializes a standalone document. Every
+/// number is written with two fixed decimals, exactly as printf("%.2f")
+/// prints it.
 class SvgDocument {
 public:
   SvgDocument(double width, double height);
@@ -34,8 +34,6 @@ public:
   /// Raw element passthrough for anything not covered above.
   void raw(const std::string& element);
 
-  /// Optional <title> element (tooltips in browsers) attached to the next
-  /// rect: call before rect(). Implemented via raw grouping by callers.
   std::string finalize() const;
 
   void save(const std::string& path) const;
@@ -46,7 +44,7 @@ public:
 private:
   double width_;
   double height_;
-  std::ostringstream body_;
+  std::string body_;
 };
 
 }  // namespace perfvar::vis

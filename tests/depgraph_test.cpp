@@ -3,13 +3,21 @@
 /// (the pipeline's serializing rank, the stencil's idle-wave origin), the
 /// determinism guarantee (byte-identical exports at 1/2/8 threads), the
 /// engine's dep stage cache (warm re-query is a hit returning the same
-/// instance), the three lint rules, and the never-throws robustness
-/// contract on hostile inputs (cyclic timestamps, unmatched sends,
-/// invalid endpoints).
+/// instance), the three lint rules, the never-throws robustness contract
+/// on hostile inputs (cyclic timestamps, unmatched sends, invalid
+/// endpoints), and a differential test of the message matcher against a
+/// map-per-channel FIFO oracle on seeded random hostile streams.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/depgraph.hpp"
@@ -20,6 +28,7 @@
 #include "trace/builder.hpp"
 #include "trace/trace.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace perfvar::analysis {
 namespace {
@@ -384,6 +393,181 @@ TEST(DepGraphRobustness, HostileShapesNeverThrow) {
                 a.graphStats.unmatchedSends,
             2u);
   EXPECT_NO_THROW(formatDepAnalysis(tr, a));
+}
+
+// ---- matching differential -------------------------------------------------
+
+/// The matching of a graph: the counterpart of every node and the
+/// counters of the matching phase.
+struct Matching {
+  std::vector<std::int64_t> match;
+  DepGraphStats stats;
+};
+
+Matching matchingOf(const DepGraph& g) {
+  Matching m;
+  m.stats = g.stats;
+  for (const DepNode& node : g.nodes) {
+    m.match.push_back(node.match);
+  }
+  return m;
+}
+
+/// Reference matcher: one std::map entry per directed (sender, receiver,
+/// tag) channel holding the channel's sends and receives in node order;
+/// the k-th send pairs with the k-th receive (MPI non-overtaking). Reads
+/// only the node kinds, endpoints and tags of `g`.
+Matching oracleMatching(const DepGraph& g) {
+  Matching m;
+  m.match.assign(g.nodes.size(), -1);
+  struct Channel {
+    std::vector<std::size_t> sends;
+    std::vector<std::size_t> recvs;
+  };
+  std::map<std::array<std::uint64_t, 3>, Channel> channels;
+  for (std::size_t i = 0; i < g.nodes.size(); ++i) {
+    const DepNode& node = g.nodes[i];
+    if (node.kind != DepNodeKind::Send && node.kind != DepNodeKind::Recv) {
+      continue;
+    }
+    const bool isSend = node.kind == DepNodeKind::Send;
+    (isSend ? m.stats.sendEvents : m.stats.recvEvents) += 1;
+    if (node.peer >= g.processCount || node.peer == node.process) {
+      m.stats.invalidEndpoints += 1;
+      continue;
+    }
+    const std::uint64_t sender = isSend ? node.process : node.peer;
+    const std::uint64_t receiver = isSend ? node.peer : node.process;
+    Channel& channel = channels[{sender, receiver, node.tag}];
+    (isSend ? channel.sends : channel.recvs).push_back(i);
+  }
+  for (const auto& [key, channel] : channels) {
+    const std::size_t paired =
+        std::min(channel.sends.size(), channel.recvs.size());
+    for (std::size_t k = 0; k < paired; ++k) {
+      m.match[channel.sends[k]] = static_cast<std::int64_t>(channel.recvs[k]);
+      m.match[channel.recvs[k]] = static_cast<std::int64_t>(channel.sends[k]);
+    }
+    m.stats.matchedPairs += paired;
+    m.stats.unmatchedSends += channel.sends.size() - paired;
+    m.stats.unmatchedRecvs += channel.recvs.size() - paired;
+  }
+  return m;
+}
+
+/// A random hostile trace for the matcher: few peers and tags so channels
+/// repeat and senders collide on (receiver, tag); self-sends, out-of-range
+/// peers (up to UINT32_MAX), tags 0 and UINT32_MAX, ranks with no events
+/// or no messages, stray enter/leave events and backward timestamps.
+Trace randomMessageTrace(Rng& rng) {
+  constexpr std::uint32_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+  const auto processes = static_cast<std::uint32_t>(rng.uniformInt(1, 9));
+  Trace tr;
+  tr.functions.intern("f", "APP");
+  for (std::uint32_t p = 0; p < processes; ++p) {
+    trace::ProcessTrace proc;
+    proc.name = "p";
+    proc.name += std::to_string(p);
+    const std::int64_t shape = rng.uniformInt(0, 5);
+    const std::int64_t events = shape == 0 ? 0 : rng.uniformInt(1, 60);
+    trace::Timestamp t = 0;
+    for (std::int64_t e = 0; e < events; ++e) {
+      t += static_cast<trace::Timestamp>(rng.uniformInt(0, 4));
+      const std::int64_t kind = rng.uniformInt(0, 9);
+      if (shape == 1 || kind < 2) {  // a rank with no messages, or noise
+        proc.events.push_back(kind % 2 == 0 ? Event::enter(t, 0)
+                                            : Event::leave(t, 0));
+        continue;
+      }
+      std::uint32_t peer = 0;
+      const std::int64_t pick = rng.uniformInt(0, 19);
+      if (pick == 0) {
+        peer = p;  // self
+      } else if (pick == 1) {
+        peer = processes + static_cast<std::uint32_t>(rng.uniformInt(0, 3));
+      } else if (pick == 2) {
+        peer = kMaxU32;
+      } else {
+        peer = static_cast<std::uint32_t>(rng.uniformInt(0, processes - 1));
+      }
+      const std::int64_t tagPick = rng.uniformInt(0, 3);
+      const std::uint32_t tag =
+          tagPick == 3 ? kMaxU32 : static_cast<std::uint32_t>(tagPick);
+      if (rng.uniformInt(0, 19) == 0) {
+        t -= std::min<trace::Timestamp>(t, 3);  // backward clock
+      }
+      proc.events.push_back(kind < 6 ? Event::mpiSend(t, peer, tag, 8)
+                                     : Event::mpiRecv(t, peer, tag, 8));
+    }
+    tr.processes.push_back(std::move(proc));
+  }
+  return tr;
+}
+
+TEST(DepGraphMatching, AgreesWithTheChannelMapOracleOnRandomHostileStreams) {
+  Rng rng(20160816);
+  DepGraphStats total;
+  std::size_t sharedReceiverTag = 0;
+  std::size_t repeatedChannels = 0;
+  std::size_t selfSends = 0;
+  std::set<std::uint32_t> matchedTags;
+  for (int trial = 0; trial < 400; ++trial) {
+    const Trace tr = randomMessageTrace(rng);
+    const DepGraph serial = buildDepGraph(tr);
+    const Matching expected = oracleMatching(serial);
+    const Matching actual = matchingOf(serial);
+    ASSERT_EQ(actual.stats, expected.stats) << "trial " << trial;
+    ASSERT_EQ(actual.match, expected.match) << "trial " << trial;
+
+    DepGraphOptions parallel;
+    parallel.threads = 4;
+    const Matching threaded = matchingOf(buildDepGraph(tr, parallel));
+    ASSERT_EQ(threaded.stats, expected.stats) << "trial " << trial;
+    ASSERT_EQ(threaded.match, expected.match) << "trial " << trial;
+
+    total.sendEvents += expected.stats.sendEvents;
+    total.recvEvents += expected.stats.recvEvents;
+    total.matchedPairs += expected.stats.matchedPairs;
+    total.unmatchedSends += expected.stats.unmatchedSends;
+    total.unmatchedRecvs += expected.stats.unmatchedRecvs;
+    total.invalidEndpoints += expected.stats.invalidEndpoints;
+
+    // Coverage of the shapes the flat matcher must keep apart.
+    std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>,
+             std::size_t>
+        channelPairs;
+    for (std::size_t i = 0; i < serial.nodes.size(); ++i) {
+      const DepNode& node = serial.nodes[i];
+      if (node.kind == DepNodeKind::Send && node.peer == node.process) {
+        selfSends += 1;
+      }
+      if (node.kind == DepNodeKind::Send && node.match >= 0) {
+        channelPairs[{node.process, node.peer, node.tag}] += 1;
+        matchedTags.insert(node.tag);
+      }
+    }
+    std::map<std::pair<std::uint32_t, std::uint32_t>,
+             std::set<std::uint32_t>>
+        sendersPerReceiverTag;
+    for (const auto& [channel, pairs] : channelPairs) {
+      const auto [sender, receiver, tag] = channel;
+      repeatedChannels += pairs > 1 ? 1 : 0;
+      sendersPerReceiverTag[{receiver, tag}].insert(sender);
+    }
+    for (const auto& [receiverTag, senders] : sendersPerReceiverTag) {
+      sharedReceiverTag += senders.size() > 1 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(total.matchedPairs, 0u);
+  EXPECT_GT(total.unmatchedSends, 0u);
+  EXPECT_GT(total.unmatchedRecvs, 0u);
+  EXPECT_GT(total.invalidEndpoints, 0u);
+  EXPECT_GT(repeatedChannels, 0u);
+  EXPECT_GT(sharedReceiverTag, 0u);
+  EXPECT_GT(selfSends, 0u);
+  EXPECT_TRUE(matchedTags.count(0) == 1);
+  EXPECT_TRUE(matchedTags.count(std::numeric_limits<std::uint32_t>::max()) ==
+              1);
 }
 
 }  // namespace

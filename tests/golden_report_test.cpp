@@ -22,6 +22,8 @@
 #include "apps/paper_examples.hpp"
 #include "apps/pipeline_chain.hpp"
 #include "sim/simulator.hpp"
+#include "vis/heatmap.hpp"
+#include "vis/timeline.hpp"
 
 #ifndef PERFVAR_GOLDEN_DIR
 #error "PERFVAR_GOLDEN_DIR must point at tests/golden"
@@ -109,6 +111,42 @@ TEST(GoldenReport, StencilCritpathReport) {
   const trace::Trace tr = apps::buildStencilTrace({});
   checkGolden("stencil_critpath.txt",
               analysis::formatDepAnalysis(tr, analysis::analyzeDependencies(tr)));
+}
+
+// The dependency JSON export of the small COSMO-SPECS trace carries every
+// match-derived number (pair and unmatched counts, the critical path's
+// remote edges and the detectors built on them), so it pins the matcher
+// on a trace where every message channel is used.
+TEST(GoldenReport, SmallCosmoDependencyJson) {
+  const trace::Trace tr = smallCosmo();
+  checkGolden("cosmo_4x4_deps.json",
+              analysis::exportDepAnalysisString(
+                  tr, analysis::analyzeDependencies(tr),
+                  analysis::ExportFormat::Json));
+}
+
+// SVG bytes: the paper's SOS heatmap of the small COSMO-SPECS trace, and
+// a timeline with message lines (fractional coordinates, hex colors,
+// escaped title and legend text) so the number formatting of every
+// SvgDocument element is pinned.
+TEST(GoldenReport, SmallCosmoHeatmapSvg) {
+  const trace::Trace tr = smallCosmo();
+  const analysis::AnalysisResult result = analysis::analyzeTrace(tr);
+  checkGolden("cosmo_4x4_heatmap.svg",
+              vis::renderHeatmapSvg(result.sos->sosMatrixSeconds(),
+                                    vis::HeatmapOptions{})
+                  .finalize());
+}
+
+TEST(GoldenReport, SmallCosmoTimelineSvg) {
+  const trace::Trace tr = smallCosmo();
+  vis::TimelineOptions opts;
+  opts.title = "cosmo <4x4> & messages";
+  opts.bins = 97;
+  checkGolden("cosmo_4x4_timeline.svg",
+              vis::renderTimelineSvg(tr, vis::FunctionColors::standard(tr),
+                                     opts)
+                  .finalize());
 }
 
 TEST(GoldenReport, ParallelCritpathReproducesTheGoldenReports) {

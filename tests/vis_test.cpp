@@ -159,6 +159,45 @@ TEST(Svg, ProducesWellFormedDocument) {
   EXPECT_EQ(doc.find("<world>"), std::string::npos);
 }
 
+// Every number of an SVG element prints as a `fixed`/`precision(2)`
+// stream does (printf "%.2f"): round-half-even on the exact binary value,
+// signed zero, huge magnitudes in full, and nan/inf spelled as printf
+// spells them.
+TEST(Svg, NumbersFormatLikeAFixedTwoDigitStream) {
+  const double values[] = {-0.0,
+                           0.0,
+                           0.005,
+                           0.015,
+                           0.125,
+                           2.675,
+                           -1234.565,
+                           1e15,
+                           1e300,
+                           -1e300,
+                           std::numeric_limits<double>::denorm_min(),
+                           -1e-310,
+                           kNaN,
+                           -kNaN,
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()};
+  const Rgb fill{18, 52, 171};
+  for (const double v : values) {
+    SvgDocument svg(1, 1);
+    svg.rect(v, -v, v, v, fill);
+    std::ostringstream expected;
+    expected.setf(std::ios::fixed);
+    expected.precision(2);
+    expected << "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
+             << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << 1.0
+             << "\" height=\"" << 1.0 << "\" viewBox=\"0 0 " << 1.0 << ' '
+             << 1.0 << "\">\n"
+             << "<rect x=\"" << v << "\" y=\"" << -v << "\" width=\"" << v
+             << "\" height=\"" << v << "\" fill=\"" << fill.hex() << "\"/>\n"
+             << "</svg>\n";
+    EXPECT_EQ(svg.finalize(), expected.str()) << "value " << v;
+  }
+}
+
 TEST(Svg, EscapeCoversSpecials) {
   EXPECT_EQ(SvgDocument::escape("a<b>&\"c"), "a&lt;b&gt;&amp;&quot;c");
 }
