@@ -222,6 +222,7 @@ struct SosProcessVisitor {
   std::array<trace::Timestamp, kParadigmCount> paradigmStart{};
 
   void onEnter(trace::FunctionId fn, trace::Timestamp t, std::size_t) {
+    trace::requireDefinedRef(fn, syncMask.size(), "function", p);
     if (fn == segmentFunction) {
       if (segNesting == 0) {
         current = SegmentAnalysis{};
@@ -280,6 +281,7 @@ struct SosProcessVisitor {
 
   void onMetric(const trace::Event& e, std::size_t) {
     const trace::MetricId m = e.ref;
+    trace::requireDefinedRef(m, nMetrics, "metric", p);
     const bool accumulated =
         tr.metrics().at(m).mode == trace::MetricMode::Accumulated;
     if (segNesting > 0 && !current.metricDelta.empty()) {
@@ -406,6 +408,7 @@ SosResult analyzeSosWindows(const trace::TraceView& tr,
 
     trace::ReplayVisitor v;
     v.onEnter = [&](trace::FunctionId fn, trace::Timestamp t, std::size_t) {
+      trace::requireDefinedRef(fn, syncMask.size(), "function", p);
       if (syncMask[fn] && syncNesting++ == 0) {
         syncStart = t;
       }
@@ -425,6 +428,7 @@ SosResult analyzeSosWindows(const trace::TraceView& tr,
     };
     v.onMetric = [&](const trace::Event& e, std::size_t) {
       const trace::MetricId m = e.ref;
+      trace::requireDefinedRef(m, nMetrics, "metric", p);
       auto& seg = segs[windowOf(e.time)];
       if (tr.metrics().at(m).mode == trace::MetricMode::Accumulated) {
         const double base = seenMetric[m] ? lastMetric[m] : 0.0;

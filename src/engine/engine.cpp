@@ -10,8 +10,6 @@
 #include <utility>
 
 #include "trace/binary_io.hpp"
-#include "trace/filter.hpp"
-#include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/thread_pool.hpp"
 
@@ -283,25 +281,6 @@ AnalysisEngine::AnalysisEngine(trace::TraceView view, EngineOptions options)
   if (options_.threads != 1) {
     impl_->pool = std::make_unique<util::ThreadPool>(options_.threads);
   }
-  if (options_.lintOnLoad) {
-    const auto report = lintReport();
-    if (report->hasAtLeast(options_.lintGateSeverity)) {
-      std::ostringstream os;
-      os << "lint-on-load gate: trace has "
-         << report->countAtLeast(options_.lintGateSeverity)
-         << " finding(s) at or above "
-         << lint::severityName(options_.lintGateSeverity);
-      for (const lint::Finding& f : report->findings) {
-        if (f.severity >= options_.lintGateSeverity) {
-          os << "\n  first: [" << f.rule << "] " << f.message;
-          break;
-        }
-      }
-      ErrorContext context;
-      context.code = ErrorCode::MalformedEvent;
-      throw Error(os.str(), std::move(context));
-    }
-  }
 }
 
 AnalysisEngine::~AnalysisEngine() = default;
@@ -333,12 +312,17 @@ std::shared_ptr<const lint::LintReport> AnalysisEngine::lintReport() {
   return impl_->getOrCompute(impl_->lint, 0, /*maxEntries=*/0, [&] {
     // Lint the raw trace (not the filtered view): the
     // quarantine-interaction rule exists precisely to surface the ranks
-    // the analyses drop.
+    // the analyses drop. The engine is the run's stage source, so the
+    // global rules read the cached stages a report uses.
     lint::LintOptions lintOptions;
     lintOptions.pool = impl_->pool.get();
-    lintOptions.disabledRules = options_.lintDisabledRules;
-    return lint::lintTrace(view_, lintOptions);
+    return lint::lintTrace(view_, lintOptions, lint::RuleRegistry::builtin(),
+                           this);
   });
+}
+
+const trace::TraceView* AnalysisEngine::analysisTrace() {
+  return &analysisView_;
 }
 
 std::shared_ptr<const analysis::DominantSelection> AnalysisEngine::dominant(

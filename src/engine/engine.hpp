@@ -19,6 +19,8 @@
 ///   SOS          segment function id + SyncClassifier::cacheToken()
 ///   variation    SOS key + VariationOptions fields
 ///   dep          SyncClassifier token + Serialization/IdleWave thresholds
+///   lint         (none; one per trace; its rules read the profile,
+///                dominant and dep entries above, default options)
 ///
 /// A drill-down that only changes candidateIndex therefore recomputes the
 /// SOS and variation stages for the new segment function and reuses the
@@ -52,7 +54,6 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "analysis/depgraph.hpp"
 #include "analysis/export.hpp"
@@ -78,18 +79,6 @@ struct EngineOptions {
   /// variation and dependency-analysis entries together; the profile and
   /// the lint report are exempt). 0 = unlimited.
   std::size_t maxCacheEntries = 64;
-
-  /// Opt-in lint-on-load gate: run lint::lintTrace() over the raw trace
-  /// (quarantined ranks included) at construction and refuse the session
-  /// — by throwing perfvar::Error — when the report has a finding at or
-  /// above `lintGateSeverity`. The report is cached either way and
-  /// available via lintReport() without recomputation.
-  bool lintOnLoad = false;
-  /// Severity at (or above) which lintOnLoad rejects the trace.
-  lint::Severity lintGateSeverity = lint::Severity::Error;
-  /// Rule suppression applied to the lint-on-load run (and the cached
-  /// report). Execution options (threads/pool) are taken from the engine.
-  std::vector<std::string> lintDisabledRules;
 };
 
 /// Cache observability counters (cumulative since construction).
@@ -119,8 +108,9 @@ struct EngineResult {
 
 /// Cached, thread-safe, repeatedly-queryable analysis session over one
 /// trace. Non-copyable and non-movable: cached results reference the
-/// engine's view, whose backend identity must stay stable.
-class AnalysisEngine {
+/// engine's view, whose backend identity must stay stable. The engine is
+/// its own lint report's lint::StageSource.
+class AnalysisEngine final : private lint::StageSource {
 public:
   /// Take ownership of `trace` (move it in; the engine wraps it in an
   /// owned TraceView that keeps it alive for cached results). A trace
@@ -163,13 +153,13 @@ public:
 
   /// The lint report of the raw trace (quarantined ranks included),
   /// computed once per engine on the engine's workers and cached like the
-  /// profile. With EngineOptions::lintOnLoad it was already computed (and
-  /// gated) during construction, so this is a cache hit.
+  /// profile. Its rules read the engine's cached stages, so lint and a
+  /// report compute each stage once. Gate with `->hasAtLeast(severity)`.
   std::shared_ptr<const lint::LintReport> lintReport();
 
   /// The dominant-function ranking (stage 2) under `options`.
   std::shared_ptr<const analysis::DominantSelection> dominant(
-      const analysis::DominantOptions& options = {});
+      const analysis::DominantOptions& options = {}) override;
 
   /// The cross-rank dependency analysis (happens-before graph, critical
   /// path, serialization bottlenecks, idle waves) under `options`. Cached
@@ -179,7 +169,7 @@ public:
   /// byte-identical instance. Threads/pool in `options` are ignored;
   /// execution is governed by EngineOptions.
   std::shared_ptr<const analysis::DepAnalysis> depAnalysis(
-      const analysis::DepAnalysisOptions& options = {});
+      const analysis::DepAnalysisOptions& options = {}) override;
 
   /// formatDepAnalysis() of a (cached) dependency query.
   std::string formatDepReport(const analysis::DepAnalysisOptions& options = {});
@@ -212,6 +202,9 @@ public:
   void clearCache();
 
 private:
+  /// lint::StageSource: the view the stages compute on (never null).
+  const trace::TraceView* analysisTrace() override;
+
   struct Impl;
   trace::TraceView view_;
   /// What the stages compute on: view_ itself for a clean trace, the

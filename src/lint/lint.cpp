@@ -6,7 +6,7 @@
 #include <sstream>
 #include <utility>
 
-#include "trace/filter.hpp"
+#include "profile/profile.hpp"
 #include "util/error.hpp"
 #include "util/json_writer.hpp"
 #include "util/thread_pool.hpp"
@@ -86,119 +86,93 @@ void Rule::checkProcess(const RuleContext&, trace::ProcessId, Sink&) const {}
 void Rule::checkTrace(const RuleContext&, Sink&) const {}
 
 RuleContext::RuleContext(const trace::TraceView& trace,
-                         const LintOptions& options)
-    : view_(trace), options_(options) {}
-
-RuleContext::~RuleContext() = default;
-
-const trace::TraceView* RuleContext::analysisTrace() const {
-  if (!analysisTraceComputed_) {
-    analysisTraceComputed_ = true;
-    if (view_.quarantined().empty()) {
-      analysisTrace_ = &view_;
-    } else {
-      try {
-        filteredView_ = view_.dropQuarantined();
-        analysisTrace_ = &filteredView_;
-      } catch (const std::exception&) {
-        analysisTrace_ = nullptr;  // every rank quarantined
-      }
-    }
-  }
-  return analysisTrace_;
-}
+                         const LintOptions& options, StageSource& stages)
+    : view_(trace), options_(options), stages_(stages) {}
 
 namespace {
 
-/// FlatProfile::build replays streams without consulting the registries
-/// (an undefined function id indexes its stats row out of bounds), so the
-/// context must not hand it a trace with dangling refs. Imbalance and
-/// backwards clocks are caught by the replay's own checks; dangling refs
-/// are the one precondition to screen here.
-bool refsAreDefined(const trace::TraceView& tr) {
-  for (trace::ProcessId p = 0; p < tr.processCount(); ++p) {
-    const trace::RankPin pin = tr.rank(p);
-    for (const trace::Event& e : pin.events()) {
-      switch (e.kind) {
-        case trace::EventKind::Enter:
-        case trace::EventKind::Leave:
-          if (e.ref >= tr.functions().size()) {
-            return false;
-          }
-          break;
-        case trace::EventKind::Metric:
-          if (e.ref >= tr.metrics().size()) {
-            return false;
-          }
-          break;
-        default:
-          break;
-      }
+/// Ask for a stage of the analysis trace `tr` once; no trace or a stage
+/// that throws (malformed streams; the structural rules report them) is
+/// remembered as null.
+template <typename T, typename Ask>
+const T* askOnce(std::optional<std::shared_ptr<const T>>& memo,
+                 const trace::TraceView* tr, Ask&& ask) {
+  if (!memo) {
+    try {
+      memo = tr != nullptr ? ask() : nullptr;
+    } catch (const std::exception&) {
+      memo = nullptr;
     }
   }
-  return true;
+  return memo->get();
 }
 
 }  // namespace
 
-const profile::FlatProfile* RuleContext::profileOrNull() const {
-  if (!profileComputed_) {
-    profileComputed_ = true;
-    const trace::TraceView* tr = analysisTrace();
-    if (tr != nullptr && refsAreDefined(*tr)) {
-      try {
-        profile_ =
-            std::make_unique<profile::FlatProfile>(profile::FlatProfile::build(*tr));
-      } catch (const std::exception&) {
-        profile_.reset();  // malformed streams; structural rules report them
-      }
-    }
-  }
-  return profile_.get();
-}
-
 const analysis::DominantSelection* RuleContext::dominantOrNull() const {
-  if (!dominantComputed_) {
-    dominantComputed_ = true;
-    if (const profile::FlatProfile* prof = profileOrNull()) {
-      analysis::DominantOptions dopts;
-      dopts.invocationMultiplier = options_.invocationMultiplier;
-      dopts.excludeSynchronization = true;
-      dopts.syncClassifier = options_.sync;
-      try {
-        dominant_ = std::make_unique<analysis::DominantSelection>(
-            analysis::selectDominantFunction(*analysisTrace(), *prof, dopts));
-      } catch (const std::exception&) {
-        dominant_.reset();
-      }
-    }
-  }
-  return dominant_.get();
+  return askOnce(dominant_, analysisTrace(), [&] {
+    analysis::DominantOptions dopts;
+    dopts.invocationMultiplier = options_.invocationMultiplier;
+    dopts.excludeSynchronization = true;
+    dopts.syncClassifier = options_.sync;
+    return stages_.dominant(dopts);
+  });
 }
 
 const analysis::DepAnalysis* RuleContext::depAnalysisOrNull() const {
-  if (!depAnalysisComputed_) {
-    depAnalysisComputed_ = true;
-    if (const trace::TraceView* tr = analysisTrace()) {
-      analysis::DepAnalysisOptions dopts;
-      dopts.sync = options_.sync;
-      dopts.serialization = options_.serialization;
-      dopts.idleWave = options_.idleWave;
-      // Runs in the serial global phase, outside every range body, so
-      // graph construction may reuse the per-rank pool. Thread count
-      // never changes the result (see depgraph.hpp).
-      dopts.pool = options_.pool;
-      dopts.threads = options_.threads;
-      try {
-        depAnalysis_ = std::make_unique<analysis::DepAnalysis>(
-            analysis::analyzeDependencies(*tr, dopts));
-      } catch (const std::exception&) {
-        depAnalysis_.reset();
-      }
+  return askOnce(depAnalysis_, analysisTrace(), [&] {
+    analysis::DepAnalysisOptions dopts;
+    dopts.sync = options_.sync;
+    dopts.serialization = options_.serialization;
+    dopts.idleWave = options_.idleWave;
+    return stages_.depAnalysis(dopts);
+  });
+}
+
+namespace {
+
+/// The StageSource of a standalone lintTrace(). The global phase runs
+/// outside every range body, so the stages may reuse the per-rank pool.
+class RunStages final : public StageSource {
+public:
+  RunStages(const trace::TraceView& trace, util::ThreadPool* pool)
+      : pool_(pool) {
+    try {
+      analysisTrace_ = trace.dropQuarantined();
+    } catch (const std::exception&) {
+      // every rank quarantined: nothing analyzable
     }
   }
-  return depAnalysis_.get();
-}
+
+  const trace::TraceView* analysisTrace() override {
+    return analysisTrace_ ? &*analysisTrace_ : nullptr;
+  }
+
+  std::shared_ptr<const analysis::DominantSelection> dominant(
+      const analysis::DominantOptions& options) override {
+    const trace::TraceView& tr = *analysisTrace();
+    profile_.emplace(profile::FlatProfile::build(tr, pool_));
+    return std::make_shared<const analysis::DominantSelection>(
+        analysis::selectDominantFunction(tr, *profile_, options));
+  }
+
+  std::shared_ptr<const analysis::DepAnalysis> depAnalysis(
+      const analysis::DepAnalysisOptions& options) override {
+    analysis::DepAnalysisOptions onPool = options;
+    onPool.pool = pool_;
+    return std::make_shared<const analysis::DepAnalysis>(
+        analysis::analyzeDependencies(*analysisTrace(), onPool));
+  }
+
+private:
+  util::ThreadPool* pool_;
+  std::optional<trace::TraceView> analysisTrace_;
+  // Lives as long as the run: freed before the dependency graph is built,
+  // it leaves a heap hole that raised a 100-report run's peak RSS by 6%.
+  std::optional<profile::FlatProfile> profile_;
+};
+
+}  // namespace
 
 void RuleRegistry::add(std::shared_ptr<const Rule> rule) {
   PERFVAR_REQUIRE(rule != nullptr, "null lint rule");
@@ -260,7 +234,7 @@ void sortRankFindings(std::vector<Finding>& findings,
 }  // namespace
 
 LintReport lintTrace(const trace::TraceView& trace, const LintOptions& options,
-                     const RuleRegistry& registry) {
+                     const RuleRegistry& registry, StageSource* stages) {
   LintReport report;
   report.processCount = trace.processCount();
 
@@ -294,7 +268,13 @@ LintReport lintTrace(const trace::TraceView& trace, const LintOptions& options,
     }
   }
 
-  RuleContext context(trace, options);
+  std::unique_ptr<util::ThreadPool> owned;
+  util::ThreadPool* pool =
+      util::resolvePool(options.pool, options.threads, owned);
+  std::optional<RunStages> runStages;
+  RuleContext context(trace, options,
+                      stages != nullptr ? *stages
+                                        : runStages.emplace(trace, pool));
   const std::size_t processCount = trace.processCount();
 
   // Registry position of each enabled rule, for deterministic tie-breaks.
@@ -327,9 +307,6 @@ LintReport lintTrace(const trace::TraceView& trace, const LintOptions& options,
     sortRankFindings(out, ruleOrder, findingRule);
   };
 
-  std::unique_ptr<util::ThreadPool> owned;
-  util::ThreadPool* pool =
-      util::resolvePool(options.pool, options.threads, owned);
   util::parallelChunks(pool, processCount,
                        [&](std::size_t begin, std::size_t end) {
                          for (std::size_t p = begin; p < end; ++p) {

@@ -23,6 +23,10 @@
 /// for every thread count (the same discipline as analyzeTrace, see
 /// analysis/pipeline.hpp).
 ///
+/// Global rules read the analysis stages from a StageSource:
+/// AnalysisEngine::lintReport() passes the engine, so lint and a report
+/// share one cached copy of each stage.
+///
 /// Robustness contract: lintTrace() never throws on hostile trace
 /// content. Every rule invocation is guarded; a rule that throws is
 /// reported as a finding on the rule itself instead of propagating.
@@ -34,6 +38,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,7 +47,6 @@
 #include "analysis/dominant.hpp"
 #include "analysis/export.hpp"
 #include "analysis/sync.hpp"
-#include "profile/profile.hpp"
 #include "trace/trace.hpp"
 #include "trace/view.hpp"
 
@@ -178,7 +182,7 @@ public:
 
   /// Per-rank check over one process stream. Called concurrently for
   /// different ranks; must not touch shared mutable state and must not
-  /// use the RuleContext's lazily-built stages (profileOrNull etc.).
+  /// use the RuleContext's stages (dominantOrNull etc.).
   virtual void checkProcess(const RuleContext& context, trace::ProcessId p,
                             Sink& sink) const;
   /// Whole-trace check; runs serially after the per-rank phase and may
@@ -186,12 +190,31 @@ public:
   virtual void checkTrace(const RuleContext& context, Sink& sink) const;
 };
 
-/// Shared state handed to rules. The lazily-built stages (analysis view,
-/// profile, dominant ranking) are for the serial global phase only.
+/// Where a lint run's global rules get the analysis stages. A stage that
+/// cannot be built throws. AnalysisEngine serves them from its cache.
+class StageSource {
+public:
+  /// The trace the analysis pipeline runs on (the dropQuarantined view
+  /// of a degraded input); null when every rank is quarantined.
+  virtual const trace::TraceView* analysisTrace() = 0;
+  /// Stages of analysisTrace() under `options`; asked only when it is
+  /// non-null.
+  virtual std::shared_ptr<const analysis::DominantSelection> dominant(
+      const analysis::DominantOptions& options) = 0;
+  virtual std::shared_ptr<const analysis::DepAnalysis> depAnalysis(
+      const analysis::DepAnalysisOptions& options) = 0;
+
+protected:
+  ~StageSource() = default;
+};
+
+/// Shared state handed to rules. The stages come from the run's
+/// StageSource, each asked for at most once per run (a throw reads as
+/// null), and are for the serial global phase only.
 class RuleContext {
 public:
-  RuleContext(const trace::TraceView& trace, const LintOptions& options);
-  ~RuleContext();
+  RuleContext(const trace::TraceView& trace, const LintOptions& options,
+              StageSource& stages);
 
   RuleContext(const RuleContext&) = delete;
   RuleContext& operator=(const RuleContext&) = delete;
@@ -199,34 +222,26 @@ public:
   const trace::TraceView& trace() const { return view_; }
   const LintOptions& options() const { return options_; }
 
-  /// The trace the analysis pipeline would run on: the dropQuarantined
-  /// view for degraded inputs, trace() itself otherwise. Null when every
-  /// rank is quarantined (nothing analyzable). Global phase only.
-  const trace::TraceView* analysisTrace() const;
-  /// Flat profile of analysisTrace(), or null when it cannot be built
-  /// (malformed streams, fully-quarantined trace). Global phase only.
-  const profile::FlatProfile* profileOrNull() const;
-  /// Dominant ranking under options() on analysisTrace(), or null when
-  /// the profile is unavailable. Global phase only.
+  /// StageSource::analysisTrace(). Global phase only.
+  const trace::TraceView* analysisTrace() const {
+    return stages_.analysisTrace();
+  }
+  /// Dominant ranking under options() on analysisTrace(), or null when it
+  /// cannot be built (malformed streams, fully-quarantined trace).
   const analysis::DominantSelection* dominantOrNull() const;
   /// Cross-rank dependency analysis (critical path, serialization,
-  /// idle waves) of analysisTrace() under options(), built once and
-  /// shared by the three dependency rules. Null when there is no
-  /// analyzable trace. Global phase only.
+  /// idle waves) of analysisTrace() under options(), shared by the three
+  /// dependency rules. Null when there is no analyzable trace.
   const analysis::DepAnalysis* depAnalysisOrNull() const;
 
 private:
   trace::TraceView view_;
   const LintOptions& options_;
-  mutable bool analysisTraceComputed_ = false;
-  mutable trace::TraceView filteredView_;
-  mutable const trace::TraceView* analysisTrace_ = nullptr;
-  mutable bool profileComputed_ = false;
-  mutable std::unique_ptr<profile::FlatProfile> profile_;
-  mutable bool dominantComputed_ = false;
-  mutable std::unique_ptr<analysis::DominantSelection> dominant_;
-  mutable bool depAnalysisComputed_ = false;
-  mutable std::unique_ptr<analysis::DepAnalysis> depAnalysis_;
+  StageSource& stages_;
+  mutable std::optional<std::shared_ptr<const analysis::DominantSelection>>
+      dominant_;
+  mutable std::optional<std::shared_ptr<const analysis::DepAnalysis>>
+      depAnalysis_;
 };
 
 /// Ordered collection of rules. Copy RuleRegistry::builtin() and add()
@@ -258,10 +273,14 @@ private:
 /// trace *content*; throws perfvar::Error only for caller mistakes
 /// (unknown rule ids in onlyRules/disabledRules are reported as Info
 /// findings, not errors, so suppression lists stay forward-compatible).
+/// Global rules read their stages from `stages`; null builds them for
+/// this run only, on the run's pool.
 LintReport lintTrace(const trace::TraceView& trace, const LintOptions& options = {},
-                     const RuleRegistry& registry = RuleRegistry::builtin());
+                     const RuleRegistry& registry = RuleRegistry::builtin(),
+                     StageSource* stages = nullptr);
 LintReport lintTrace(trace::Trace&&, const LintOptions& = {},
-                     const RuleRegistry& = RuleRegistry::builtin()) = delete;
+                     const RuleRegistry& = RuleRegistry::builtin(),
+                     StageSource* = nullptr) = delete;
 
 /// Human-readable report: one line per finding plus a summary footer.
 /// Deterministic byte-for-byte function of the report.

@@ -39,16 +39,23 @@ void FunctionStats::merge(const FunctionStats& other) {
 namespace {
 
 /// Statically-typed replay visitor of the profile hot loop; the add() on
-/// each completed frame inlines into the replay walk.
+/// each completed frame inlines into the replay walk. A leave closes an
+/// entered frame, so checking refs on enter keeps `row` in bounds.
 struct ProfileVisitor {
   std::vector<FunctionStats>& row;
+  std::size_t nMetrics;
+  trace::ProcessId p;
 
-  void onEnter(trace::FunctionId, trace::Timestamp, std::size_t) {}
+  void onEnter(trace::FunctionId f, trace::Timestamp, std::size_t) {
+    trace::requireDefinedRef(f, row.size(), "function", p);
+  }
   void onLeave(const trace::Frame& frame) {
     row[frame.function].add(frame.inclusive(), frame.exclusive());
   }
   void onMessage(bool, const trace::Event&) {}
-  void onMetric(const trace::Event&, std::size_t) {}
+  void onMetric(const trace::Event& e, std::size_t) {
+    trace::requireDefinedRef(e.ref, nMetrics, "metric", p);
+  }
 };
 
 }  // namespace
@@ -61,7 +68,7 @@ std::vector<FunctionStats> FlatProfile::buildProcess(
   for (std::size_t f = 0; f < nFuncs; ++f) {
     row[f].function = static_cast<trace::FunctionId>(f);
   }
-  ProfileVisitor visitor{row};
+  ProfileVisitor visitor{row, tr.metrics().size(), p};
   const trace::RankPin pin = tr.rank(p);
   trace::replayEventsWith(pin.events(), visitor);
   return row;

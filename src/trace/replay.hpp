@@ -10,6 +10,7 @@
 /// all implemented on top of this single pass.
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "trace/trace.hpp"
@@ -42,6 +43,19 @@ struct ReplayVisitor {
   /// Called for each metric sample with the current stack depth.
   std::function<void(const Event&, std::size_t)> onMetric;
 };
+
+/// Throw perfvar::Error (MalformedEvent) unless `ref` names one of the
+/// `defined` definitions: the replay never consults the registries, so a
+/// visitor indexing a per-definition table by ref checks it here first.
+inline void requireDefinedRef(std::uint32_t ref, std::size_t defined,
+                              const char* kind, ProcessId p) {
+  PERFVAR_REQUIRE_E(ref < defined,
+                    std::string("undefined ") + kind + " ref " +
+                        std::to_string(ref) + " on process " +
+                        std::to_string(p),
+                    ErrorContext::at(ErrorCode::MalformedEvent,
+                                     ErrorContext::kNoByteOffset, p));
+}
 
 /// Replay one time-sorted event stream through a statically-typed visitor
 /// (any object with onEnter/onLeave/onMessage/onMetric member functions,

@@ -13,10 +13,14 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/depgraph.hpp"
 #include "analysis/pipeline.hpp"
 #include "apps/cosmo_specs.hpp"
+#include "apps/desync_stencil.hpp"
 #include "apps/paper_examples.hpp"
+#include "apps/pipeline_chain.hpp"
 #include "engine/engine.hpp"
+#include "lint/lint.hpp"
 #include "sim/simulator.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/builder.hpp"
@@ -253,6 +257,102 @@ TEST(Engine, FromFileAnswersLikeTheInMemoryEngine) {
   std::remove(path.c_str());
 }
 
+// ---- lint and the dependency report share the analysis stages -----------
+
+TEST(Engine, LintAndDependencyReportReuseTheAnalysisStages) {
+  const trace::Trace tr = smallCosmo();
+  for (const bool analyzeFirst : {true, false}) {
+    SCOPED_TRACE(analyzeFirst ? "analyze first" : "lint first");
+    engine::AnalysisEngine eng{trace::Trace(tr)};
+    if (analyzeFirst) {
+      (void)eng.analyze();
+      (void)eng.lintReport();
+    } else {
+      (void)eng.lintReport();
+      (void)eng.analyze();
+    }
+    (void)eng.formatDepReport();
+    // Misses: profile, dominant, SOS, variation, dep and lint, each once.
+    // Hits: the second asker of the profile and of the dominant ranking,
+    // and the dependency report reading lint's dep entry.
+    const engine::CacheStats stats = eng.cacheStats();
+    EXPECT_EQ(stats.misses, 6u);
+    EXPECT_EQ(stats.hits, 3u);
+  }
+}
+
+TEST(Engine, SharedLintAndDependencyReportsMatchTheStandaloneCalls) {
+  // The planted pipeline and stencil traces make the dependency rules
+  // fire, so lint's findings depend on the shared dep entry.
+  std::vector<Scenario> traces;
+  traces.push_back({"cosmo4x4", smallCosmo()});
+  traces.push_back({"pipeline", apps::buildPipelineTrace({})});
+  traces.push_back({"stencil", apps::buildStencilTrace({})});
+  for (const Scenario& s : traces) {
+    SCOPED_TRACE(s.name);
+    const std::string lintBytes =
+        lint::formatLintReport(lint::lintTrace(s.tr));
+    const std::string depBytes = analysis::formatDepAnalysis(
+        s.tr, analysis::analyzeDependencies(s.tr));
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(threads);
+      lint::LintOptions lopts;
+      lopts.threads = threads;
+      EXPECT_EQ(lint::formatLintReport(lint::lintTrace(s.tr, lopts)),
+                lintBytes);
+      engine::EngineOptions eopts;
+      eopts.threads = threads;
+      engine::AnalysisEngine eng{trace::Trace(s.tr), eopts};
+      EXPECT_EQ(lint::formatLintReport(*eng.lintReport()), lintBytes);
+      EXPECT_EQ(eng.formatDepReport(), depBytes);
+    }
+  }
+}
+
+// ---- shard decodes per stage on the lazy path ----------------------------
+
+/// One-thread decode counts of each report stage over a v2 file whose
+/// shard budget holds about half the decoded trace, so every pass over
+/// the ranks decodes again. A stage that re-reads the trace shows here.
+TEST(Engine, ShardDecodesPerStageArePinned) {
+  const trace::Trace tr = smallCosmo();
+  const std::string path = "engine_test_shard_decodes.pvt";
+  trace::saveBinaryFile(tr, path);
+  trace::TraceViewOptions vopts;
+  {
+    const trace::TraceView all = trace::TraceView::openFile(path);
+    for (trace::ProcessId p = 0; p < all.processCount(); ++p) {
+      (void)all.rank(p);
+    }
+    vopts.shardBudgetBytes = all.stats().residentBytes / 2;
+  }
+
+  const trace::TraceView view = trace::TraceView::openFile(path, vopts);
+  engine::AnalysisEngine eng{view};
+  std::uint64_t seen = 0;
+  const auto decodesSince = [&] {
+    const std::uint64_t now = view.stats().shardDecodes;
+    const std::uint64_t delta = now - seen;
+    seen = now;
+    return delta;
+  };
+  // 16 ranks; each full pass over them decodes every rank once.
+  (void)eng.analyze();
+  EXPECT_EQ(decodesSince(), 32u);  // profile, SOS
+  (void)eng.lintReport();
+  // Per-rank rules, message-pairing, definition-integrity, segment-skew
+  // and the dependency graph; the profile and dominant ranking are hits.
+  EXPECT_EQ(decodesSince(), 80u);
+  (void)eng.formatDepReport();
+  EXPECT_EQ(decodesSince(), 0u);  // lint's dep entry
+
+  // Standalone lint: the same five passes plus its own profile.
+  const trace::TraceView fresh = trace::TraceView::openFile(path, vopts);
+  (void)lint::lintTrace(fresh);
+  EXPECT_EQ(fresh.stats().shardDecodes, 96u);
+  std::remove(path.c_str());
+}
+
 // ---- stats rendering -----------------------------------------------------
 
 TEST(Engine, FormatCacheStatsIsStable) {
@@ -318,6 +418,50 @@ TEST(Engine, ConcurrentMixedQueriesAgreeWithSerialAnswers) {
   const engine::CacheStats stats = eng.cacheStats();
   EXPECT_GT(stats.hits, 0u);
   EXPECT_EQ(stats.evictions, 0u);
+}
+
+TEST(Engine, ConcurrentLintAnalyzeAndDepQueriesShareOneStageSet) {
+  const trace::Trace tr = smallCosmo();
+  const std::string report = reference(tr);
+  const std::string lintBytes = lint::formatLintReport(lint::lintTrace(tr));
+  const std::string depBytes =
+      analysis::formatDepAnalysis(tr, analysis::analyzeDependencies(tr));
+  engine::EngineOptions eopts;
+  eopts.threads = 2;  // lint's global phase re-enters the shared pool
+  engine::AnalysisEngine eng{trace::Trace(tr), eopts};
+
+  constexpr int kThreads = 6;
+  std::vector<int> mismatches(kThreads, 0);
+  {
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        int& bad = mismatches[static_cast<std::size_t>(t)];
+        for (int r = 0; r < 3; ++r) {
+          switch ((t + r) % 3) {
+            case 0:
+              bad += eng.formatReport() != report ? 1 : 0;
+              break;
+            case 1:
+              bad += lint::formatLintReport(*eng.lintReport()) != lintBytes
+                         ? 1
+                         : 0;
+              break;
+            default:
+              bad += eng.formatDepReport() != depBytes ? 1 : 0;
+              break;
+          }
+        }
+      });
+    }
+    for (auto& w : workers) {
+      w.join();
+    }
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
+  }
 }
 
 }  // namespace

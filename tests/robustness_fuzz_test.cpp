@@ -1,19 +1,28 @@
 /// Robustness: corrupted or truncated inputs must produce perfvar::Error,
 /// never crashes or silent misreads. Randomized byte-level corruption of
 /// PVTF images (both on-disk layouts) and line-level corruption of PVTX
-/// texts.
+/// texts. Checksum-valid files with dangling function or metric refs must
+/// make the analysis stages throw, not read out of bounds.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "analysis/pipeline.hpp"
+#include "analysis/sos.hpp"
 #include "apps/paper_examples.hpp"
+#include "engine/engine.hpp"
+#include "lint/lint.hpp"
+#include "profile/profile.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/text_io.hpp"
+#include "trace/view.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
-#include "lint/lint.hpp"
 
 namespace perfvar::trace {
 namespace {
@@ -204,6 +213,127 @@ TEST(PvtxRobustness, LineDeletionIsDetectedOrHarmless) {
           << "deleting line " << skip << " went unnoticed: " << lines[skip];
     } catch (const Error&) {
       // expected for structural lines
+    }
+  }
+}
+
+// ---- dangling refs in checksum-valid files --------------------------------
+
+/// Two ranks, each `enter 0, enter 5000000, leave 5000000, leave 0`: the
+/// file is well-formed and checksummed, function 5000000 is undefined.
+Trace danglingFunctionTrace() {
+  Trace tr;
+  tr.functions.intern("main", "APP");
+  for (const char* name : {"r0", "r1"}) {
+    tr.processes.push_back({name,
+                            {Event::enter(1, 0), Event::enter(2, 5000000),
+                             Event::leave(3, 5000000), Event::leave(4, 0)}});
+  }
+  return tr;
+}
+
+/// `main` runs three times on rank 0 and twice on rank 1, and rank 0
+/// samples undefined metric 7. Were the profile to accept the sample,
+/// lint's segment-skew rule would fire on the uneven counts.
+Trace danglingMetricTrace() {
+  Trace tr;
+  tr.functions.intern("main", "APP");
+  tr.metrics.intern("cycles", "count");
+  tr.processes.push_back({"r0",
+                          {Event::enter(1, 0), Event::metric(2, 7, 1.0),
+                           Event::leave(3, 0), Event::enter(4, 0),
+                           Event::leave(5, 0), Event::enter(6, 0),
+                           Event::leave(7, 0)}});
+  tr.processes.push_back(
+      {"r1",
+       {Event::enter(1, 0), Event::leave(2, 0), Event::enter(3, 0),
+        Event::leave(4, 0)}});
+  return tr;
+}
+
+/// Every analysis entry point throws perfvar::Error on `view`.
+void expectStagesThrow(const TraceView& view) {
+  EXPECT_THROW((void)profile::FlatProfile::build(view), Error);
+  EXPECT_THROW((void)analysis::analyzeSos(view, 0), Error);
+  EXPECT_THROW((void)analysis::analyzeSosWindows(view, 2), Error);
+  EXPECT_THROW((void)analysis::analyzeTrace(view), Error);
+  engine::AnalysisEngine eng{view};
+  EXPECT_THROW((void)eng.analyze(), Error);
+  EXPECT_THROW((void)eng.profile(), Error);
+}
+
+/// The error names the ref, and carries MalformedEvent and the rank.
+void expectMalformedRef(const TraceView& view, const std::string& what) {
+  try {
+    (void)profile::FlatProfile::build(view);
+    ADD_FAILURE() << "expected an undefined-ref error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::MalformedEvent);
+    EXPECT_EQ(e.rank(), 0);
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+/// The in-memory trace, then the same trace after a v1 and a v2 file
+/// round trip, eager and lazy.
+std::vector<TraceView> roundTrips(const Trace& tr, const std::string& stem) {
+  std::vector<TraceView> views;
+  views.push_back(TraceView::owned(Trace(tr)));
+  for (const std::uint32_t version : {kBinaryFormatV1, kBinaryFormatV2}) {
+    const std::string path = stem + "_v" + std::to_string(version) + ".pvt";
+    BinaryWriteOptions options;
+    options.version = version;
+    saveBinaryFile(tr, path, options);
+    views.push_back(TraceView::owned(loadBinaryFile(path)));
+    if (version == kBinaryFormatV2) {
+      views.push_back(TraceView::openFile(path));
+    }
+    std::remove(path.c_str());
+  }
+  return views;
+}
+
+TEST(DanglingRefs, UndefinedFunctionRefThrowsFromEveryStage) {
+  for (const TraceView& view :
+       roundTrips(danglingFunctionTrace(), "robustness_dangling_fn")) {
+    expectStagesThrow(view);
+    expectMalformedRef(view, "undefined function ref 5000000");
+  }
+}
+
+TEST(DanglingRefs, UndefinedMetricRefThrowsFromEveryStage) {
+  for (const TraceView& view :
+       roundTrips(danglingMetricTrace(), "robustness_dangling_metric")) {
+    expectStagesThrow(view);
+    expectMalformedRef(view, "undefined metric ref 7");
+  }
+}
+
+TEST(DanglingRefs, LintReportsOnlyTheStructuralFindings) {
+  const std::string functionReport =
+      "lint: 15 rule(s), 2 process(es)\n"
+      "error [undefined-function-ref] process 0, event 1: enter references "
+      "undefined function\n"
+      "error [undefined-function-ref] process 0, event 2: leave references "
+      "undefined function\n"
+      "error [undefined-function-ref] process 1, event 1: enter references "
+      "undefined function\n"
+      "error [undefined-function-ref] process 1, event 2: leave references "
+      "undefined function\n"
+      "4 error(s), 0 warning(s), 0 info\n";
+  const std::string metricReport =
+      "lint: 15 rule(s), 2 process(es)\n"
+      "error [undefined-metric-ref] process 0, event 1: metric sample "
+      "references undefined metric\n"
+      "1 error(s), 0 warning(s), 0 info\n";
+  for (const auto& [tr, expected] :
+       {std::pair{danglingFunctionTrace(), functionReport},
+        std::pair{danglingMetricTrace(), metricReport}}) {
+    for (const TraceView& view : roundTrips(tr, "robustness_dangling_lint")) {
+      EXPECT_EQ(lint::formatLintReport(lint::lintTrace(view)), expected);
+      engine::AnalysisEngine eng{view};
+      EXPECT_EQ(lint::formatLintReport(*eng.lintReport()), expected);
     }
   }
 }

@@ -9,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "analysis/pipeline.hpp"
+#include "lint/lint.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
 #include "trace/binary_io.hpp"
@@ -342,6 +345,51 @@ TEST(ServerProtocolFuzz, ChunkWithoutSegmentFunctionRollsBackTheTrace) {
   EXPECT_EQ(c.evict("live").type, FrameType::Ok);
   ASSERT_TRUE(c.open("live", "step").ok());
   EXPECT_TRUE(c.append("live", image).ok());
+}
+
+// ---- hostile but loadable traces -------------------------------------------
+
+TEST(ServerProtocolFuzz, ValidFileWithDanglingRefsNeverKillsTheServer) {
+  // Checksums hold, but function 5000000 is never defined: the file loads,
+  // and every analysis of it must answer an error frame.
+  trace::Trace bad;
+  bad.functions.intern("main", "APP");
+  for (const char* name : {"r0", "r1"}) {
+    bad.processes.push_back(
+        {name,
+         {trace::Event::enter(1, 0), trace::Event::enter(2, 5000000),
+          trace::Event::leave(3, 5000000), trace::Event::leave(4, 0)}});
+  }
+  const std::string badPath = "server_fuzz_dangling_refs.pvt";
+  trace::BinaryWriteOptions v1;
+  v1.version = trace::kBinaryFormatV1;
+  trace::saveBinaryFile(bad, badPath, v1);
+  const trace::Trace ok = syntheticTrace();
+  const std::string okPath = "server_fuzz_dangling_refs_ok.pvt";
+  trace::saveBinaryFile(ok, okPath);
+
+  Harness h;
+  Client c = h.client();
+  ASSERT_TRUE(c.load("bad", badPath).ok());
+  for (const ClientResponse& r :
+       {c.analyze("bad"), c.exportReport("bad json")}) {
+    EXPECT_EQ(r.type, FrameType::Error) << r.payload;
+    EXPECT_EQ(r.error().code, ErrorCode::MalformedEvent) << r.payload;
+  }
+  const ClientResponse linted = c.lint("bad");
+  ASSERT_EQ(linted.type, FrameType::Data) << linted.payload;
+  EXPECT_EQ(linted.payload,
+            lint::exportLintReportString(lint::lintTrace(bad),
+                                         analysis::ExportFormat::Text));
+
+  // The same server still answers a clean trace's normal report.
+  ASSERT_TRUE(c.load("ok", okPath).ok());
+  const ClientResponse report = c.analyze("ok");
+  ASSERT_EQ(report.type, FrameType::Data) << report.payload;
+  EXPECT_EQ(report.payload,
+            analysis::formatAnalysis(ok, analysis::analyzeTrace(ok)));
+  std::remove(badPath.c_str());
+  std::remove(okPath.c_str());
 }
 
 }  // namespace
