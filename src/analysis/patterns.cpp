@@ -130,6 +130,7 @@ PatternReport findWaitStates(const trace::TraceView& tr,
     std::vector<Open> stack;
     trace::ReplayVisitor v;
     v.onEnter = [&](trace::FunctionId fn, trace::Timestamp t, std::size_t) {
+      trace::requireDefinedRef(fn, isCollective.size(), "function", p);
       stack.push_back(Open{fn, t});
     };
     v.onLeave = [&](const trace::Frame& frame) {

@@ -130,16 +130,17 @@ std::vector<double> SosResult::syncFractionPerIteration() const {
 
 namespace {
 
+template <typename Ticks>
 std::vector<double> perIterationMean(
     const std::vector<std::vector<SegmentAnalysis>>& perProcess, std::size_t n,
-    double scale, trace::Timestamp SegmentAnalysis::* field) {
+    double scale, Ticks ticks) {
   std::vector<double> out(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     double sum = 0.0;
     std::size_t count = 0;
     for (const auto& per : perProcess) {
       if (i < per.size()) {
-        sum += static_cast<double>(per[i].*field);
+        sum += static_cast<double>(ticks(per[i]));
         ++count;
       }
     }
@@ -151,27 +152,17 @@ std::vector<double> perIterationMean(
 }  // namespace
 
 std::vector<double> SosResult::meanDurationPerIteration() const {
-  const std::size_t n = maxSegmentsPerProcess();
-  std::vector<double> out(n, 0.0);
-  const double res = static_cast<double>(view_.resolution());
-  for (std::size_t i = 0; i < n; ++i) {
-    double sum = 0.0;
-    std::size_t count = 0;
-    for (const auto& per : perProcess_) {
-      if (i < per.size()) {
-        sum += static_cast<double>(per[i].segment.inclusive());
-        ++count;
-      }
-    }
-    out[i] = count > 0 ? sum / (res * static_cast<double>(count)) : 0.0;
-  }
-  return out;
+  return perIterationMean(perProcess_, maxSegmentsPerProcess(),
+                          static_cast<double>(view_.resolution()),
+                          [](const SegmentAnalysis& a) {
+                            return a.segment.inclusive();
+                          });
 }
 
 std::vector<double> SosResult::meanSosPerIteration() const {
   return perIterationMean(perProcess_, maxSegmentsPerProcess(),
                           static_cast<double>(view_.resolution()),
-                          &SegmentAnalysis::sosTime);
+                          [](const SegmentAnalysis& a) { return a.sosTime; });
 }
 
 std::vector<double> SosResult::totalSosPerProcess() const {
@@ -201,122 +192,124 @@ std::vector<double> SosResult::totalMetricPerProcess(trace::MetricId m) const {
 
 namespace {
 
-/// Statically-typed replay visitor of the SOS hot loop: every callback is
-/// a plain member function so the replay walk inlines it (no std::function
-/// dispatch per event).
-struct SosProcessVisitor {
-  const trace::TraceView& tr;
-  trace::ProcessId p;
-  trace::FunctionId segmentFunction;
-  const std::vector<bool>& syncMask;
-  std::size_t nMetrics;
-  std::vector<SegmentAnalysis>& segments;
-  detail::SosScratch& scratch;
-
-  std::size_t segNesting = 0;     // nesting inside the segment function
-  trace::Timestamp segStart = 0;  // enter of the outermost invocation
-  SegmentAnalysis current{};      // accumulators of the open segment
-  std::size_t syncNesting = 0;    // nesting inside sync functions
-  trace::Timestamp syncStart = 0;
-  std::array<std::size_t, kParadigmCount> paradigmNesting{};
-  std::array<trace::Timestamp, kParadigmCount> paradigmStart{};
-
-  void onEnter(trace::FunctionId fn, trace::Timestamp t, std::size_t) {
-    trace::requireDefinedRef(fn, syncMask.size(), "function", p);
-    if (fn == segmentFunction) {
-      if (segNesting == 0) {
-        current = SegmentAnalysis{};
-        current.metricDelta.assign(nMetrics, 0.0);
-        segStart = t;
-      }
-      ++segNesting;
-    }
-    if (segNesting > 0) {
-      const auto& def = tr.functions().at(fn);
-      const auto par = static_cast<std::size_t>(def.paradigm);
-      if (paradigmNesting[par]++ == 0) {
-        paradigmStart[par] = t;
-      }
-      if (syncMask[fn]) {
-        if (syncNesting++ == 0) {
-          syncStart = t;
-        }
-      }
+/// The metric-delta rule: sample `e` of rank `p` adds an accumulated
+/// metric's change since the rank's previous sample (`last`, zero before
+/// the first) to `delta`, or sets an absolute metric's value there, then
+/// becomes the baseline. A null `delta` (outside any segment) skips that.
+void foldMetricSample(const trace::MetricRegistry& metrics,
+                      trace::ProcessId p, const trace::Event& e,
+                      std::vector<double>& last, std::vector<double>* delta) {
+  const trace::MetricId m = e.ref;
+  trace::requireDefinedRef(m, metrics.size(), "metric", p);
+  if (delta != nullptr) {
+    if (metrics.at(m).mode == trace::MetricMode::Accumulated) {
+      (*delta)[m] += e.value - last[m];
+    } else {
+      (*delta)[m] = e.value;
     }
   }
-
-  void onLeave(const trace::Frame& frame) {
-    if (segNesting > 0) {
-      const auto& def = tr.functions().at(frame.function);
-      const auto par = static_cast<std::size_t>(def.paradigm);
-      PERFVAR_ASSERT(paradigmNesting[par] > 0, "paradigm nesting underflow");
-      if (--paradigmNesting[par] == 0) {
-        current.paradigmTime[par] += frame.leaveTime - paradigmStart[par];
-      }
-      if (syncMask[frame.function]) {
-        PERFVAR_ASSERT(syncNesting > 0, "sync nesting underflow");
-        if (--syncNesting == 0) {
-          current.syncTime += frame.leaveTime - syncStart;
-        }
-      }
-    }
-    if (frame.function == segmentFunction) {
-      PERFVAR_ASSERT(segNesting > 0, "segment nesting underflow");
-      if (--segNesting == 0) {
-        current.segment.process = p;
-        current.segment.index = static_cast<std::uint32_t>(segments.size());
-        current.segment.enter = segStart;
-        current.segment.leave = frame.leaveTime;
-        const trace::Timestamp duration = current.segment.inclusive();
-        PERFVAR_ASSERT(current.syncTime <= duration,
-                       "sync time exceeds segment duration");
-        current.sosTime = duration - current.syncTime;
-        segments.push_back(std::move(current));
-        current = SegmentAnalysis{};
-      }
-    }
-  }
-
-  void onMessage(bool, const trace::Event&) {}
-
-  void onMetric(const trace::Event& e, std::size_t) {
-    const trace::MetricId m = e.ref;
-    trace::requireDefinedRef(m, nMetrics, "metric", p);
-    const bool accumulated =
-        tr.metrics().at(m).mode == trace::MetricMode::Accumulated;
-    if (segNesting > 0 && !current.metricDelta.empty()) {
-      if (accumulated) {
-        const double base = scratch.seenMetric[m] ? scratch.lastMetric[m] : 0.0;
-        current.metricDelta[m] += e.value - base;
-      } else {
-        current.metricDelta[m] = e.value;
-      }
-    }
-    scratch.lastMetric[m] = e.value;
-    scratch.seenMetric[m] = true;
-  }
-};
+  last[m] = e.value;
+}
 
 }  // namespace
 
 namespace detail {
 
-std::vector<SegmentAnalysis> analyzeSosProcess(
-    const trace::TraceView& tr, trace::ProcessId p,
-    trace::FunctionId segmentFunction, const std::vector<bool>& syncMask,
-    SosScratch& scratch) {
+void SosFold::reset(trace::ProcessId p) {
+  process_ = p;
+  segmentsDone_ = 0;
+  segNesting_ = 0;
+  syncNesting_ = 0;
+  paradigmNesting_ = {};
+  lastMetric_.assign(metrics_->size(), 0.0);
+}
+
+void SosFold::enter(trace::FunctionId fn, trace::Timestamp t) {
+  trace::requireDefinedRef(fn, functions_->size(), "function", process_);
+  if (fn == segmentFunction_ && segNesting_++ == 0) {
+    current_ = SegmentAnalysis{};
+    current_.metricDelta.assign(metrics_->size(), 0.0);
+    segStart_ = t;
+  }
+  if (segNesting_ == 0) {
+    return;
+  }
+  const auto par = static_cast<std::size_t>(functions_->at(fn).paradigm);
+  if (paradigmNesting_[par]++ == 0) {
+    paradigmStart_[par] = t;
+  }
+  if ((*syncMask_)[fn] && syncNesting_++ == 0) {
+    syncStart_ = t;
+  }
+}
+
+bool SosFold::leave(trace::FunctionId fn, trace::Timestamp t) {
+  if (segNesting_ == 0) {
+    return false;
+  }
+  const auto par = static_cast<std::size_t>(functions_->at(fn).paradigm);
+  PERFVAR_ASSERT(paradigmNesting_[par] > 0, "paradigm nesting underflow");
+  if (--paradigmNesting_[par] == 0) {
+    current_.paradigmTime[par] += t - paradigmStart_[par];
+  }
+  if ((*syncMask_)[fn]) {
+    PERFVAR_ASSERT(syncNesting_ > 0, "sync nesting underflow");
+    if (--syncNesting_ == 0) {
+      current_.syncTime += t - syncStart_;
+    }
+  }
+  if (fn != segmentFunction_ || --segNesting_ > 0) {
+    return false;
+  }
+  current_.segment.process = process_;
+  current_.segment.index = segmentsDone_++;
+  current_.segment.enter = segStart_;
+  current_.segment.leave = t;
+  const trace::Timestamp duration = current_.segment.inclusive();
+  PERFVAR_ASSERT(current_.syncTime <= duration,
+                 "sync time exceeds segment duration");
+  current_.sosTime = duration - current_.syncTime;
+  return true;
+}
+
+void SosFold::metric(const trace::Event& e) {
+  foldMetricSample(*metrics_, process_, e, lastMetric_,
+                   segNesting_ > 0 ? &current_.metricDelta : nullptr);
+}
+
+namespace {
+
+/// Replay visitor driving the fold: plain member functions, so the walk
+/// inlines them (no std::function dispatch per event).
+struct SosFoldVisitor {
+  SosFold& fold;
+  std::vector<SegmentAnalysis>& segments;
+
+  void onEnter(trace::FunctionId fn, trace::Timestamp t, std::size_t) {
+    fold.enter(fn, t);
+  }
+  void onLeave(const trace::Frame& frame) {
+    if (fold.leave(frame.function, frame.leaveTime)) {
+      segments.push_back(fold.takeSegment());
+    }
+  }
+  void onMessage(bool, const trace::Event&) {}
+  void onMetric(const trace::Event& e, std::size_t) { fold.metric(e); }
+};
+
+}  // namespace
+
+std::vector<SegmentAnalysis> analyzeSosProcess(const trace::TraceView& tr,
+                                               trace::ProcessId p,
+                                               SosFold& fold) {
   PERFVAR_REQUIRE(p < tr.processCount(), "invalid process id");
-  const std::size_t nMetrics = tr.metrics().size();
-  scratch.lastMetric.assign(nMetrics, 0.0);
-  scratch.seenMetric.assign(nMetrics, false);
+  fold.reset(p);
   std::vector<SegmentAnalysis> segments;
   const trace::RankPin pin = tr.rank(p);
   // A segment costs at least an enter/leave pair; clamp the guess so a
   // pathological rank cannot reserve unbounded memory up front.
   segments.reserve(std::min<std::size_t>(pin.events().size() / 2, 4096));
-  SosProcessVisitor visitor{tr,       p,       segmentFunction, syncMask,
-                            nMetrics, segments, scratch};
-  trace::replayEventsWith(pin.events(), visitor);
+  trace::replayEventsWith(pin.events(), SosFoldVisitor{fold, segments});
   return segments;
 }
 
@@ -332,14 +325,12 @@ SosResult analyzeSos(const trace::TraceView& tr,
   std::vector<std::vector<SegmentAnalysis>> perProcess(tr.processCount());
   util::parallelChunks(
       pool, tr.processCount(), [&](std::size_t begin, std::size_t end) {
-        // One scratch per range: the metric-state buffers are sized by
-        // the (fixed) metric count, so ranks after the first reuse the
-        // allocation instead of repeating it.
-        detail::SosScratch scratch;
+        // One fold per range: ranks after the first reuse its buffers.
+        detail::SosFold fold(tr.functions(), tr.metrics(), segmentFunction,
+                             syncMask);
         for (std::size_t p = begin; p < end; ++p) {
           perProcess[p] = detail::analyzeSosProcess(
-              tr, static_cast<trace::ProcessId>(p), segmentFunction,
-              syncMask, scratch);
+              tr, static_cast<trace::ProcessId>(p), fold);
         }
       });
   return SosResult(tr, segmentFunction, std::move(perProcess));
@@ -382,29 +373,9 @@ SosResult analyzeSosWindows(const trace::TraceView& tr,
       return std::min(windows - 1,
                       static_cast<std::size_t>((t - start) / windowTicks));
     };
-    // Distribute an interval's overlap over the windows it spans.
-    const auto addInterval = [&](trace::Timestamp a, trace::Timestamp b,
-                                 auto&& apply) {
-      if (b <= a) {
-        return;
-      }
-      for (std::size_t w = windowOf(a); w < windows; ++w) {
-        const auto& seg = segs[w].segment;
-        const trace::Timestamp lo = std::max(a, seg.enter);
-        const trace::Timestamp hi = std::min(b, seg.leave);
-        if (hi > lo) {
-          apply(segs[w], hi - lo);
-        }
-        if (seg.leave >= b) {
-          break;
-        }
-      }
-    };
-
     std::size_t syncNesting = 0;
     trace::Timestamp syncStart = 0;
     std::vector<double> lastMetric(nMetrics, 0.0);
-    std::vector<bool> seenMetric(nMetrics, false);
 
     trace::ReplayVisitor v;
     v.onEnter = [&](trace::FunctionId fn, trace::Timestamp t, std::size_t) {
@@ -413,31 +384,33 @@ SosResult analyzeSosWindows(const trace::TraceView& tr,
         syncStart = t;
       }
     };
+    // A maximal sync frame adds its overlap with each window it spans.
     v.onLeave = [&](const trace::Frame& frame) {
-      if (syncMask[frame.function]) {
-        PERFVAR_ASSERT(syncNesting > 0, "sync nesting underflow");
-        if (--syncNesting == 0) {
-          addInterval(syncStart, frame.leaveTime,
-                      [](SegmentAnalysis& seg, trace::Timestamp ticks) {
-                        seg.syncTime += ticks;
-                        seg.paradigmTime[static_cast<std::size_t>(
-                            trace::Paradigm::MPI)] += ticks;
-                      });
+      if (!syncMask[frame.function]) {
+        return;
+      }
+      PERFVAR_ASSERT(syncNesting > 0, "sync nesting underflow");
+      const trace::Timestamp b = frame.leaveTime;
+      if (--syncNesting > 0 || b <= syncStart) {
+        return;
+      }
+      for (std::size_t w = windowOf(syncStart); w < windows; ++w) {
+        SegmentAnalysis& seg = segs[w];
+        const trace::Timestamp lo = std::max(syncStart, seg.segment.enter);
+        const trace::Timestamp hi = std::min(b, seg.segment.leave);
+        if (hi > lo) {
+          seg.syncTime += hi - lo;
+          seg.paradigmTime[static_cast<std::size_t>(trace::Paradigm::MPI)] +=
+              hi - lo;
+        }
+        if (seg.segment.leave >= b) {
+          break;
         }
       }
     };
     v.onMetric = [&](const trace::Event& e, std::size_t) {
-      const trace::MetricId m = e.ref;
-      trace::requireDefinedRef(m, nMetrics, "metric", p);
-      auto& seg = segs[windowOf(e.time)];
-      if (tr.metrics().at(m).mode == trace::MetricMode::Accumulated) {
-        const double base = seenMetric[m] ? lastMetric[m] : 0.0;
-        seg.metricDelta[m] += e.value - base;
-      } else {
-        seg.metricDelta[m] = e.value;
-      }
-      lastMetric[m] = e.value;
-      seenMetric[m] = true;
+      foldMetricSample(tr.metrics(), p, e, lastMetric,
+                       &segs[windowOf(e.time)].metricDelta);
     };
     const trace::RankPin pin = tr.rank(p);
     trace::replayEvents(pin.events(), v);

@@ -20,6 +20,8 @@
 /// accumulated metric — both used by the case-study reproductions.
 
 #include <array>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "analysis/segments.hpp"
@@ -154,23 +156,58 @@ SosResult analyzeSosWindows(trace::Trace&&, trace::Timestamp,
 
 namespace detail {
 
-/// Reusable per-call buffers of analyzeSosProcess. A worker analyzing many
-/// ranks passes the same scratch to every call so the metric-state vectors
-/// are allocated once per worker instead of once per rank.
-struct SosScratch {
-  std::vector<double> lastMetric;
-  std::vector<bool> seenMetric;
+/// The paper's Section V rule over one rank's events, and its only
+/// implementation: analyzeSos and StreamingSos both run it, so their
+/// per-segment series agree by construction. Fed one rank's enter, leave
+/// and metric events in time order, stack-balanced (the caller replays or
+/// checks the call stack), it tracks the open segment, the maximal sync
+/// and per-paradigm frames inside it and the metric baselines. reset()
+/// lets one fold serve many ranks without reallocating its buffers.
+class SosFold {
+public:
+  /// `functions`, `metrics` and `syncMask` (the classifier's per-function
+  /// decision vector) must outlive the fold.
+  SosFold(const trace::FunctionRegistry& functions,
+          const trace::MetricRegistry& metrics,
+          trace::FunctionId segmentFunction, const std::vector<bool>& syncMask)
+      : functions_(&functions),
+        metrics_(&metrics),
+        segmentFunction_(segmentFunction),
+        syncMask_(&syncMask) {}
+
+  /// Start rank `p` afresh: nothing open, no metric baseline.
+  void reset(trace::ProcessId p);
+  /// Enter and metric steps throw Error(MalformedEvent) on an undefined
+  /// ref before changing any state.
+  void enter(trace::FunctionId fn, trace::Timestamp t);
+  void metric(const trace::Event& e);
+  /// True when the leave closed a segment; takeSegment() hands it out.
+  bool leave(trace::FunctionId fn, trace::Timestamp t);
+  SegmentAnalysis takeSegment() { return std::move(current_); }
+
+private:
+  const trace::FunctionRegistry* functions_;
+  const trace::MetricRegistry* metrics_;
+  trace::FunctionId segmentFunction_;
+  const std::vector<bool>* syncMask_;
+
+  trace::ProcessId process_ = 0;
+  std::uint32_t segmentsDone_ = 0;
+  std::size_t segNesting_ = 0;     ///< nesting inside the segment function
+  trace::Timestamp segStart_ = 0;  ///< enter of the outermost invocation
+  SegmentAnalysis current_;        ///< accumulators of the open segment
+  std::size_t syncNesting_ = 0;    ///< nesting inside sync functions
+  trace::Timestamp syncStart_ = 0;
+  std::array<std::size_t, kParadigmCount> paradigmNesting_{};
+  std::array<trace::Timestamp, kParadigmCount> paradigmStart_{};
+  std::vector<double> lastMetric_;  ///< baseline of the metric deltas
 };
 
-/// SOS analysis of a single process (row `p` of analyzeSos): segment the
-/// process timeline by `segmentFunction` and compute SOS-time, paradigm
-/// breakdown and metric deltas per segment. `syncMask` is the classifier's
-/// precomputed per-function decision vector; `scratch` is reset on entry,
-/// so the result never depends on which ranks reused it before.
-std::vector<SegmentAnalysis> analyzeSosProcess(
-    const trace::TraceView& trace, trace::ProcessId p,
-    trace::FunctionId segmentFunction, const std::vector<bool>& syncMask,
-    SosScratch& scratch);
+/// SOS analysis of a single process (row `p` of analyzeSos): `fold`,
+/// reset to `p`, driven by a replay of the rank's events.
+std::vector<SegmentAnalysis> analyzeSosProcess(const trace::TraceView& trace,
+                                               trace::ProcessId p,
+                                               SosFold& fold);
 
 }  // namespace detail
 

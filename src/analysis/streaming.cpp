@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <queue>
+#include <string>
 
+#include "trace/replay.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
 #include "util/stats.hpp"
@@ -21,126 +23,106 @@ std::string formatStreamingAlert(const trace::Trace& trace,
          " z " + fmt::fixed(alert.robustZ, 2);
 }
 
+namespace {
+
+/// Throw Error(MalformedEvent) unless a leave of `fn` on rank `p` closes
+/// the innermost frame of `stack`.
+void requireMatchingLeave(const std::vector<trace::FunctionId>& stack,
+                          trace::FunctionId fn, trace::ProcessId p) {
+  PERFVAR_REQUIRE_E(!stack.empty() && stack.back() == fn,
+                    "unbalanced leave of function ref " + std::to_string(fn) +
+                        " on process " + std::to_string(p),
+                    ErrorContext::at(ErrorCode::MalformedEvent,
+                                     ErrorContext::kNoByteOffset, p));
+}
+
+/// Walk every rank of `chunk` without feeding it: each ref must be defined
+/// by `defs`, and each leave must close its rank's innermost open frame.
+/// `open` holds the frames open before the chunk; when it is null, a leave
+/// below the chunk's own frames is not judged.
+void checkEvents(const trace::Trace& defs, const trace::Trace& chunk,
+                 const std::vector<std::vector<trace::FunctionId>>* open) {
+  PERFVAR_REQUIRE(open == nullptr || chunk.processCount() <= open->size(),
+                  "invalid process id");
+  std::vector<trace::FunctionId> stack;  // reused: one allocation per call
+  for (trace::ProcessId p = 0; p < chunk.processCount(); ++p) {
+    stack.clear();
+    if (open != nullptr) {
+      stack.assign((*open)[p].begin(), (*open)[p].end());
+    }
+    for (const trace::Event& e : chunk.processes[p].events) {
+      if (e.kind == trace::EventKind::Enter) {
+        trace::requireDefinedRef(e.ref, defs.functions.size(), "function", p);
+        stack.push_back(e.ref);
+      } else if (e.kind == trace::EventKind::Metric) {
+        trace::requireDefinedRef(e.ref, defs.metrics.size(), "metric", p);
+      } else if (e.kind == trace::EventKind::Leave &&
+                 (open != nullptr || !stack.empty())) {
+        requireMatchingLeave(stack, e.ref, p);
+        stack.pop_back();
+      }
+    }
+  }
+}
+
+}  // namespace
+
 StreamingSos::StreamingSos(const trace::Trace& definitions,
                            trace::FunctionId segmentFunction,
                            const StreamingOptions& options)
     : defs_(&definitions),
-      segmentFunction_(segmentFunction),
-      options_(options) {
+      options_(options),
+      syncMask_(options.classifier.mask(definitions)),
+      stacks_(definitions.processCount()) {
   PERFVAR_REQUIRE(segmentFunction < definitions.functions.size(),
                   "segmentation function is not defined");
-  syncMask_ = options_.classifier.mask(definitions);
-  states_.resize(definitions.processCount());
-  for (auto& st : states_) {
-    st.lastMetric.assign(definitions.metrics.size(), 0.0);
-    st.seenMetric.assign(definitions.metrics.size(), false);
+  folds_.reserve(definitions.processCount());
+  for (trace::ProcessId p = 0; p < definitions.processCount(); ++p) {
+    folds_.emplace_back(definitions.functions, definitions.metrics,
+                        segmentFunction, syncMask_);
+    folds_.back().reset(p);
   }
-}
-
-void StreamingSos::completeSegment(trace::ProcessId p,
-                                   trace::Timestamp leaveTime) {
-  ProcessState& st = states_[p];
-  st.current.segment.process = p;
-  st.current.segment.index = st.segmentsDone++;
-  st.current.segment.enter = st.segStart;
-  st.current.segment.leave = leaveTime;
-  const trace::Timestamp duration = st.current.segment.inclusive();
-  PERFVAR_ASSERT(st.current.syncTime <= duration,
-                 "sync time exceeds segment duration");
-  st.current.sosTime = duration - st.current.syncTime;
-  ++completed_;
-
-  const double sosSeconds = defs_->toSeconds(st.current.sosTime);
-  if (onAlert_ && sosHistory_.size() >= options_.warmupSegments) {
-    const double z =
-        stats::robustZSorted(sosSeconds, sortedSosHistory_, sosHistory_);
-    if (z >= options_.alertThreshold) {
-      onAlert_(StreamingAlert{st.current, z});
-    }
-  }
-  sosHistory_.push_back(sosSeconds);
-  sortedSosHistory_.insert(std::upper_bound(sortedSosHistory_.begin(),
-                                            sortedSosHistory_.end(),
-                                            sosSeconds),
-                           sosSeconds);
-
-  if (onSegment_) {
-    onSegment_(st.current);
-  }
-  st.current = SegmentAnalysis{};
 }
 
 void StreamingSos::onEvent(trace::ProcessId p, const trace::Event& e) {
-  PERFVAR_REQUIRE(p < states_.size(), "invalid process id");
-  ProcessState& st = states_[p];
+  PERFVAR_REQUIRE(p < stacks_.size(), "invalid process id");
+  std::vector<trace::FunctionId>& stack = stacks_[p];
+  detail::SosFold& fold = folds_[p];
   switch (e.kind) {
-    case trace::EventKind::Enter: {
-      const trace::FunctionId fn = e.ref;
-      PERFVAR_REQUIRE(fn < defs_->functions.size(), "undefined function");
-      if (fn == segmentFunction_) {
-        if (st.segNesting == 0) {
-          st.current = SegmentAnalysis{};
-          st.current.metricDelta.assign(defs_->metrics.size(), 0.0);
-          st.segStart = e.time;
-        }
-        ++st.segNesting;
-      }
-      if (st.segNesting > 0) {
-        const auto par = static_cast<std::size_t>(
-            defs_->functions.at(fn).paradigm);
-        if (st.paradigmNesting[par]++ == 0) {
-          st.paradigmStart[par] = e.time;
-        }
-        if (syncMask_[fn] && st.syncNesting++ == 0) {
-          st.syncStart = e.time;
-        }
-      }
-      st.stack.push_back(fn);
+    case trace::EventKind::Enter:
+      fold.enter(e.ref, e.time);
+      stack.push_back(e.ref);
       break;
-    }
     case trace::EventKind::Leave: {
-      PERFVAR_REQUIRE(!st.stack.empty() && st.stack.back() == e.ref,
-                      "streaming: unbalanced enter/leave");
-      st.stack.pop_back();
-      const trace::FunctionId fn = e.ref;
-      if (st.segNesting > 0) {
-        const auto par = static_cast<std::size_t>(
-            defs_->functions.at(fn).paradigm);
-        PERFVAR_ASSERT(st.paradigmNesting[par] > 0,
-                       "paradigm nesting underflow");
-        if (--st.paradigmNesting[par] == 0) {
-          st.current.paradigmTime[par] += e.time - st.paradigmStart[par];
-        }
-        if (syncMask_[fn]) {
-          PERFVAR_ASSERT(st.syncNesting > 0, "sync nesting underflow");
-          if (--st.syncNesting == 0) {
-            st.current.syncTime += e.time - st.syncStart;
-          }
+      requireMatchingLeave(stack, e.ref, p);
+      stack.pop_back();
+      if (!fold.leave(e.ref, e.time)) {
+        break;
+      }
+      // A segment completed: run the online monitor, then the sinks.
+      const SegmentAnalysis segment = fold.takeSegment();
+      ++completed_;
+      const double sosSeconds = defs_->toSeconds(segment.sosTime);
+      if (onAlert_ && sosHistory_.size() >= options_.warmupSegments) {
+        const double z =
+            stats::robustZSorted(sosSeconds, sortedSosHistory_, sosHistory_);
+        if (z >= options_.alertThreshold) {
+          onAlert_(StreamingAlert{segment, z});
         }
       }
-      if (fn == segmentFunction_) {
-        PERFVAR_ASSERT(st.segNesting > 0, "segment nesting underflow");
-        if (--st.segNesting == 0) {
-          completeSegment(p, e.time);
-        }
+      sosHistory_.push_back(sosSeconds);
+      sortedSosHistory_.insert(std::upper_bound(sortedSosHistory_.begin(),
+                                                sortedSosHistory_.end(),
+                                                sosSeconds),
+                               sosSeconds);
+      if (onSegment_) {
+        onSegment_(segment);
       }
       break;
     }
-    case trace::EventKind::Metric: {
-      const trace::MetricId m = e.ref;
-      PERFVAR_REQUIRE(m < defs_->metrics.size(), "undefined metric");
-      if (st.segNesting > 0 && !st.current.metricDelta.empty()) {
-        if (defs_->metrics.at(m).mode == trace::MetricMode::Accumulated) {
-          const double base = st.seenMetric[m] ? st.lastMetric[m] : 0.0;
-          st.current.metricDelta[m] += e.value - base;
-        } else {
-          st.current.metricDelta[m] = e.value;
-        }
-      }
-      st.lastMetric[m] = e.value;
-      st.seenMetric[m] = true;
+    case trace::EventKind::Metric:
+      fold.metric(e);
       break;
-    }
     case trace::EventKind::MpiSend:
     case trace::EventKind::MpiRecv:
       break;  // messages carry no SOS information beyond their frames
@@ -148,19 +130,22 @@ void StreamingSos::onEvent(trace::ProcessId p, const trace::Event& e) {
 }
 
 void StreamingSos::finish() {
-  for (trace::ProcessId p = 0; p < states_.size(); ++p) {
-    PERFVAR_REQUIRE(states_[p].stack.empty(),
+  for (trace::ProcessId p = 0; p < stacks_.size(); ++p) {
+    PERFVAR_REQUIRE(stacks_[p].empty(),
                     "streaming: process " + std::to_string(p) +
                         " has unclosed frames at finish");
   }
 }
 
+void StreamingSos::checkChunk(const trace::Trace& chunk) {
+  checkEvents(chunk, chunk, nullptr);
+}
+
 void StreamingSos::feed(const trace::Trace& tr) {
+  checkEvents(*defs_, tr, &stacks_);
   // Interleave the per-process streams in global time order (stable by
-  // process id), as a live measurement system would deliver them. A
-  // min-heap on (time, process) delivers the exact pop order of the
-  // former linear scan — the minimum over all cursors with the process id
-  // as tie-break — at O(log P) instead of O(P) per event.
+  // process id), as a live measurement system would deliver them, through
+  // a min-heap on (time, process).
   struct Cursor {
     trace::Timestamp time;
     trace::ProcessId process;

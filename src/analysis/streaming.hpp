@@ -14,9 +14,12 @@
 /// running robust hotspot monitor so anomalies are flagged while the
 /// application still runs.
 ///
-/// Equivalence: feeding a complete trace through StreamingSos yields
-/// exactly the per-segment results of the post-mortem analyzeSos()
-/// (verified by property tests).
+/// Equivalence: StreamingSos runs each rank through the same
+/// analysis::detail::SosFold as the post-mortem analyzeSos(), so feeding a
+/// complete trace - whole or in time-ordered chunks - yields exactly its
+/// per-segment results. StreamingSos itself only adds the per-rank call
+/// stack, the (time, process) interleave, the online monitor and the
+/// callbacks.
 
 #include <functional>
 #include <vector>
@@ -62,9 +65,14 @@ public:
                trace::FunctionId segmentFunction,
                const StreamingOptions& options = {});
 
+  StreamingSos(const StreamingSos&) = delete;
+  StreamingSos& operator=(const StreamingSos&) = delete;
+
   /// Feed the next event of process `p` (timestamps non-decreasing per
   /// process). Invokes `onSegment` for each completed segment and
-  /// `onAlert` (optional) when the online monitor flags it.
+  /// `onAlert` (optional) when the online monitor flags it. Throws
+  /// Error(MalformedEvent) on an undefined ref or a leave that does not
+  /// close the innermost open frame, leaving the analyzer unchanged.
   void onEvent(trace::ProcessId p, const trace::Event& event);
 
   /// Register sinks. Must be set before feeding events that complete
@@ -87,7 +95,15 @@ public:
   /// trace::splitByTime() in order visits events exactly like one replay()
   /// of the whole trace (minus the final finish()). `chunk` only supplies
   /// events; definitions remain the ones given at construction.
+  /// All-or-nothing: a chunk with an undefined ref, or a leave that does
+  /// not close its rank's innermost open frame, throws
+  /// Error(MalformedEvent) before anything changes.
   void feed(const trace::Trace& chunk);
+
+  /// feed()'s check as far as it needs no analyzer state, against the
+  /// chunk's own definitions: a leave of a frame opened before the chunk
+  /// passes. The server's reorder window runs it before buffering.
+  static void checkChunk(const trace::Trace& chunk);
 
   /// Convenience: replay a complete trace through the streaming analyzer
   /// (events interleaved across processes in time order); equivalent to
@@ -95,27 +111,11 @@ public:
   static void replay(const trace::Trace& trace, StreamingSos& analyzer);
 
 private:
-  struct ProcessState {
-    std::vector<trace::FunctionId> stack;
-    std::size_t segNesting = 0;
-    trace::Timestamp segStart = 0;
-    SegmentAnalysis current;
-    std::size_t syncNesting = 0;
-    trace::Timestamp syncStart = 0;
-    std::array<std::size_t, kParadigmCount> paradigmNesting{};
-    std::array<trace::Timestamp, kParadigmCount> paradigmStart{};
-    std::vector<double> lastMetric;
-    std::vector<bool> seenMetric;
-    std::uint32_t segmentsDone = 0;
-  };
-
-  void completeSegment(trace::ProcessId p, trace::Timestamp leaveTime);
-
   const trace::Trace* defs_;
-  trace::FunctionId segmentFunction_;
   StreamingOptions options_;
   std::vector<bool> syncMask_;
-  std::vector<ProcessState> states_;
+  std::vector<std::vector<trace::FunctionId>> stacks_;  ///< per rank
+  std::vector<detail::SosFold> folds_;  ///< per rank, over syncMask_
   SegmentCallback onSegment_;
   std::function<void(const StreamingAlert&)> onAlert_;
   std::vector<double> sosHistory_;  ///< seconds, for the online monitor

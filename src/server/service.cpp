@@ -803,11 +803,15 @@ void TraceService::recoverJournals() {
 
 trace::AppendStats TraceService::commitChunkLocked(Entry& entry,
                                                    std::string_view image) {
-  // Sizes before the append: the chunk's events land at each stream's
-  // tail, which is what the streaming analyzer must consume.
-  std::vector<std::size_t> before(entry.live.processCount());
-  for (std::size_t p = 0; p < before.size(); ++p) {
-    before[p] = entry.live.processes[p].events.size();
+  // Stream sizes before the append: the chunk's events land at each
+  // stream's tail, which is what the streaming analyzer must consume.
+  // With the capacities they are also what a rejected chunk is cut back to.
+  const bool adopting = !entry.sos;
+  std::vector<std::size_t> before;
+  std::vector<std::size_t> capacity;
+  for (const trace::ProcessTrace& process : entry.live.processes) {
+    before.push_back(process.events.size());
+    capacity.push_back(process.events.capacity());
   }
 
   trace::BinaryReadOptions ro;
@@ -815,41 +819,61 @@ trace::AppendStats TraceService::commitChunkLocked(Entry& entry,
   const trace::AppendStats stats = trace::appendBinaryBuffer(
       entry.live, image.data(), image.size(), ro);
 
-  if (!entry.sos && entry.live.processCount() > 0) {
-    // Adopt-on-first-append just defined the trace; bring the
-    // streaming analyzer up against its definitions.
-    const auto fn = entry.live.functions.find(entry.segmentFunctionName);
-    if (!fn.has_value()) {
-      entry.live = trace::Trace{};  // back to pristine, name reusable
-      throw Error("segment function '" + entry.segmentFunctionName +
-                      "' is not defined in the appended chunk",
-                  ErrorContext::at(ErrorCode::MalformedEvent));
+  try {
+    if (adopting && entry.live.processCount() > 0) {
+      // Adopt-on-first-append just defined the trace; bring the
+      // streaming analyzer up against its definitions.
+      const auto fn = entry.live.functions.find(entry.segmentFunctionName);
+      if (!fn.has_value()) {
+        throw Error("segment function '" + entry.segmentFunctionName +
+                        "' is not defined in the appended chunk",
+                    ErrorContext::at(ErrorCode::MalformedEvent));
+      }
+      entry.sos = std::make_unique<analysis::StreamingSos>(
+          entry.live, *fn, entry.streamOptions);
+      Entry* raw = &entry;
+      entry.sos->setAlertCallback(
+          [raw](const analysis::StreamingAlert& alert) {
+            raw->pendingAlerts.push_back(alert);
+          });
+      before.assign(entry.live.processCount(), 0);
     }
-    entry.sos = std::make_unique<analysis::StreamingSos>(
-        entry.live, *fn, entry.streamOptions);
-    Entry* raw = &entry;
-    entry.sos->setAlertCallback(
-        [raw](const analysis::StreamingAlert& alert) {
-          raw->pendingAlerts.push_back(alert);
-        });
-    before.assign(entry.live.processCount(), 0);
-  }
 
-  if (entry.sos) {
-    // Feed exactly the appended tail, interleaved in (time, process)
-    // order — identical to what one replay() of the final trace visits
-    // for this time window. (A zero-process chunk leaves the analyzer
-    // unconstructed; there is nothing to feed either.)
-    trace::Trace tail;
-    tail.resolution = entry.live.resolution;
-    tail.processes.resize(entry.live.processCount());
-    for (std::size_t p = 0; p < entry.live.processCount(); ++p) {
-      const auto& events = entry.live.processes[p].events;
-      tail.processes[p].events.assign(
-          events.begin() + static_cast<std::ptrdiff_t>(before[p]),
-          events.end());
+    if (entry.sos) {
+      // Feed exactly the appended tail, interleaved in (time, process)
+      // order — identical to what one replay() of the final trace visits
+      // for this time window. (A zero-process chunk leaves the analyzer
+      // unconstructed; there is nothing to feed either.)
+      trace::Trace tail;
+      tail.resolution = entry.live.resolution;
+      tail.processes.resize(entry.live.processCount());
+      for (std::size_t p = 0; p < entry.live.processCount(); ++p) {
+        const auto& events = entry.live.processes[p].events;
+        tail.processes[p].events.assign(
+            events.begin() + static_cast<std::ptrdiff_t>(before[p]),
+            events.end());
+      }
+      entry.sos->feed(tail);
     }
-    entry.sos->feed(tail);
+  } catch (...) {
+    // The feed is all-or-nothing, so only the trace needs undoing: back to
+    // pristine (name reusable) if this chunk defined it, else each stream
+    // cut back to its size and capacity (the byte accounting) before it.
+    if (adopting) {
+      entry.live = trace::Trace{};
+      entry.sos.reset();
+    } else {
+      for (std::size_t p = 0; p < before.size(); ++p) {
+        auto& events = entry.live.processes[p].events;
+        std::vector<trace::Event> kept;
+        kept.reserve(capacity[p]);
+        kept.assign(events.begin(),
+                    events.begin() + static_cast<std::ptrdiff_t>(before[p]));
+        events.swap(kept);
+      }
+      entry.live.invalidateTimeBounds();
+    }
+    throw;
   }
   return stats;
 }
@@ -1002,6 +1026,9 @@ std::vector<util::Frame> TraceService::handleAppend(
       ro.threads = options_.threads;
       chunk = trace::readBinaryBuffer(append.image.data(),
                                       append.image.size(), ro);
+      // So is a chunk no commit could accept: an undefined ref, or a
+      // leave that does not close the innermost frame the chunk opened.
+      analysis::StreamingSos::checkChunk(chunk);
       // Definition-only chunks carry no ordering constraint; commit them
       // directly so adopt-on-first-append semantics hold.
       direct = chunk.eventCount() == 0;

@@ -260,7 +260,8 @@ private:
   // -- live-entry helpers; all *Locked members expect the entry lock --
 
   /// Append one chunk image to the live trace and feed the streaming
-  /// analyzer exactly the appended tail (the legacy append body).
+  /// analyzer exactly the appended tail. Atomic: a chunk the trace or the
+  /// analyzer rejects throws and leaves the entry as it was.
   trace::AppendStats commitChunkLocked(Entry& e, std::string_view image);
 
   /// Insert a chunk image into the reorder window, after every chunk

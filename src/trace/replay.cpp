@@ -39,29 +39,12 @@ void replayEvents(EventSpan events, const ReplayVisitor& visitor) {
   replayEventsWith(events, DynamicVisitor{visitor});
 }
 
-void replayProcess(const ProcessTrace& process, const ReplayVisitor& visitor) {
-  replayEvents(EventSpan(process.events.data(), process.events.size()),
-               visitor);
-}
-
-void replayTrace(const TraceView& trace,
-                 const std::function<ReplayVisitor(ProcessId)>& makeVisitor) {
-  for (ProcessId p = 0; p < trace.processCount(); ++p) {
-    const RankPin pin = trace.rank(p);
-    replayEvents(pin.events(), makeVisitor(p));
-  }
-}
-
-std::vector<Frame> collectFrames(EventSpan events) {
+std::vector<Frame> collectFrames(const ProcessTrace& process) {
   std::vector<Frame> frames;
   ReplayVisitor v;
   v.onLeave = [&](const Frame& f) { frames.push_back(f); };
-  replayEvents(events, v);
+  replayEvents(EventSpan(process.events.data(), process.events.size()), v);
   return frames;
-}
-
-std::vector<Frame> collectFrames(const ProcessTrace& process) {
-  return collectFrames(EventSpan(process.events.data(), process.events.size()));
 }
 
 }  // namespace perfvar::trace

@@ -4,10 +4,11 @@
 /// \file replay.hpp
 /// Call-stack replay over a process event stream.
 ///
-/// StackReplayer walks one process stream and reconstructs the call stack,
-/// invoking visitor callbacks with full frame information (enter time,
-/// depth, parent). Profile construction, segmentation and SOS analysis are
-/// all implemented on top of this single pass.
+/// replayEventsWith (and its std::function front end replayEvents) walks
+/// one process stream and reconstructs the call stack, invoking visitor
+/// callbacks with full frame information (enter time, depth, parent).
+/// Profile construction, segmentation and SOS analysis are all
+/// implemented on top of this single pass.
 
 #include <functional>
 #include <string>
@@ -115,16 +116,7 @@ void replayEventsWith(EventSpan events, Visitor&& visitor) {
 /// malformed streams throw.
 void replayEvents(EventSpan events, const ReplayVisitor& visitor);
 
-/// Replay one process stream (span overload above does the work).
-void replayProcess(const ProcessTrace& process, const ReplayVisitor& visitor);
-
-/// Replay every process of a view (in process order). Accepts a Trace via
-/// the implicit TraceView conversion.
-void replayTrace(const TraceView& trace,
-                 const std::function<ReplayVisitor(ProcessId)>& makeVisitor);
-
-/// Collect all completed frames of a stream in leave order.
-std::vector<Frame> collectFrames(EventSpan events);
+/// Collect all completed frames of a process stream in leave order.
 std::vector<Frame> collectFrames(const ProcessTrace& process);
 
 }  // namespace perfvar::trace

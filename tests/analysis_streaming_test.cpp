@@ -5,6 +5,7 @@
 #include "apps/paper_examples.hpp"
 #include "sim/simulator.hpp"
 #include "trace/builder.hpp"
+#include "trace/filter.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -117,6 +118,46 @@ TEST(Streaming, RejectsMalformedStreams) {
   EXPECT_THROW(unfinished.finish(), Error);
 }
 
+TEST(Streaming, RejectedChunkChangesNothing) {
+  const trace::Trace tr = apps::buildFigure3Trace();
+  const auto fA = *tr.functions.find("a");
+  const std::vector<trace::Trace> chunks = trace::splitByTime(tr, 3);
+  StreamingSos analyzer(tr, fA);
+  std::vector<std::vector<SegmentAnalysis>> out(tr.processCount());
+  analyzer.setSegmentCallback([&](const SegmentAnalysis& seg) {
+    out[seg.segment.process].push_back(seg);
+  });
+  analyzer.feed(chunks[0]);
+  const std::size_t done = analyzer.segmentsCompleted();
+
+  // Each bad chunk is valid on rank 0 and wrong only on the last rank, so
+  // an analyzer that fed as it checked would already have moved.
+  const trace::ProcessId last = tr.processCount() - 1;
+  const trace::Timestamp t = chunks[0].endTime();
+  for (const auto& [bad, what] :
+       {std::pair{trace::Event::enter(t, 4000), "undefined function ref 4000"},
+        std::pair{trace::Event::metric(t, 77, 1.0), "undefined metric ref 77"},
+        std::pair{trace::Event::leave(t, 4000), "unbalanced leave"}}) {
+    trace::Trace chunk = chunks[1];
+    chunk.processes[last].events.insert(chunk.processes[last].events.begin(),
+                                        bad);
+    try {
+      analyzer.feed(chunk);
+      ADD_FAILURE() << "expected a rejection: " << what;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::MalformedEvent) << e.what();
+      EXPECT_EQ(e.rank(), static_cast<std::int64_t>(last));
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(analyzer.segmentsCompleted(), done);
+  }
+  analyzer.feed(chunks[1]);
+  analyzer.feed(chunks[2]);
+  analyzer.finish();
+  expectEqualResults(out, analyzeSos(tr, fA));
+}
+
 // Property: streaming == batch on random traces (different interleavings
 // cannot change per-process results).
 class StreamingEquivalenceSweep
@@ -150,7 +191,22 @@ TEST_P(StreamingEquivalenceSweep, StreamEqualsBatch) {
     }
   }
   const trace::Trace tr = b.finish();
-  expectEqualResults(streamAll(tr, fStep), analyzeSos(tr, fStep));
+  const SosResult batch = analyzeSos(tr, fStep);
+  expectEqualResults(streamAll(tr, fStep), batch);
+
+  // The same events fed as k time-ordered chunks: the fold state (open
+  // segment, nesting, metric baselines) carries across feed() calls.
+  const auto k = static_cast<std::size_t>(rng.uniformInt(2, 12));
+  StreamingSos chunked(tr, fStep);
+  std::vector<std::vector<SegmentAnalysis>> out(tr.processCount());
+  chunked.setSegmentCallback([&](const SegmentAnalysis& seg) {
+    out[seg.segment.process].push_back(seg);
+  });
+  for (const trace::Trace& chunk : trace::splitByTime(tr, k)) {
+    chunked.feed(chunk);
+  }
+  chunked.finish();
+  expectEqualResults(out, batch);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamingEquivalenceSweep,

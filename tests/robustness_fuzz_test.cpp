@@ -12,8 +12,10 @@
 #include <tuple>
 #include <vector>
 
+#include "analysis/patterns.hpp"
 #include "analysis/pipeline.hpp"
 #include "analysis/sos.hpp"
+#include "analysis/streaming.hpp"
 #include "apps/paper_examples.hpp"
 #include "engine/engine.hpp"
 #include "lint/lint.hpp"
@@ -262,16 +264,34 @@ void expectStagesThrow(const TraceView& view) {
   EXPECT_THROW((void)eng.profile(), Error);
 }
 
-/// The error names the ref, and carries MalformedEvent and the rank.
-void expectMalformedRef(const TraceView& view, const std::string& what) {
+/// `stage` throws an error that names the ref, and carries MalformedEvent
+/// and the rank.
+template <typename Stage>
+void expectMalformedRefFrom(const char* label, Stage&& stage,
+                            const std::string& what) {
   try {
-    (void)profile::FlatProfile::build(view);
-    ADD_FAILURE() << "expected an undefined-ref error";
+    stage();
+    ADD_FAILURE() << label << ": expected an undefined-ref error";
   } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::MalformedEvent);
-    EXPECT_EQ(e.rank(), 0);
+    EXPECT_EQ(e.code(), ErrorCode::MalformedEvent) << label;
+    EXPECT_EQ(e.rank(), 0) << label;
     EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
-        << e.what();
+        << label << ": " << e.what();
+  }
+}
+
+/// The profile, and the in-situ analyzer on eager views, reject the ref.
+void expectMalformedRef(const TraceView& view, const std::string& what) {
+  expectMalformedRefFrom(
+      "profile", [&] { (void)profile::FlatProfile::build(view); }, what);
+  if (const Trace* eager = view.eagerOrNull()) {
+    expectMalformedRefFrom(
+        "streaming",
+        [&] {
+          analysis::StreamingSos sos(*eager, 0);
+          analysis::StreamingSos::replay(*eager, sos);
+        },
+        what);
   }
 }
 
@@ -299,6 +319,9 @@ TEST(DanglingRefs, UndefinedFunctionRefThrowsFromEveryStage) {
        roundTrips(danglingFunctionTrace(), "robustness_dangling_fn")) {
     expectStagesThrow(view);
     expectMalformedRef(view, "undefined function ref 5000000");
+    expectMalformedRefFrom(
+        "patterns", [&] { (void)analysis::findWaitStates(view); },
+        "undefined function ref 5000000");
   }
 }
 

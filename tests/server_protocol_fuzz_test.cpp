@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +24,7 @@
 #include "trace/binary_io.hpp"
 #include "trace/builder.hpp"
 #include "trace/fault_injection.hpp"
+#include "trace/filter.hpp"
 #include "util/framing.hpp"
 #include "util/rng.hpp"
 #include "util/socket.hpp"
@@ -34,6 +38,8 @@ namespace ft = perfvar::testing;
 /// connections against it.
 struct Harness {
   Server server;
+
+  explicit Harness(ServerOptions options = {}) : server(options) {}
 
   util::FileDescriptor rawConnection() {
     auto [serverEnd, clientEnd] = util::socketPair();
@@ -345,6 +351,116 @@ TEST(ServerProtocolFuzz, ChunkWithoutSegmentFunctionRollsBackTheTrace) {
   EXPECT_EQ(c.evict("live").type, FrameType::Ok);
   ASSERT_TRUE(c.open("live", "step").ok());
   EXPECT_TRUE(c.append("live", image).ok());
+}
+
+// ---- chunks the streaming analyzer rejects ---------------------------------
+
+/// The queryable face of a live trace after a stream of appends: every
+/// alert line (appends and the read that flushes the window), the report
+/// and the per-trace stats.
+struct LiveFace {
+  std::vector<std::string> alerts;
+  std::string analyze;
+  std::string stats;
+
+  bool operator==(const LiveFace& other) const {
+    return alerts == other.alerts && analyze == other.analyze &&
+           stats == other.stats;
+  }
+};
+
+LiveFace readFace(Client& c, std::vector<std::string> alerts) {
+  LiveFace face;
+  const ClientResponse report = c.analyze("live");
+  EXPECT_EQ(report.type, FrameType::Data) << report.payload;
+  face.alerts = std::move(alerts);
+  face.alerts.insert(face.alerts.end(), report.alerts.begin(),
+                     report.alerts.end());
+  face.analyze = report.payload;
+  face.stats = c.stats("live").payload;
+  return face;
+}
+
+/// A chunk with syntheticTrace()'s definitions whose only events are
+/// `events` on rank 1.
+std::string rankOneChunk(const std::vector<trace::Event>& events) {
+  trace::Trace chunk = syntheticTrace();
+  for (trace::ProcessTrace& process : chunk.processes) {
+    process.events.clear();
+  }
+  chunk.processes[1].events = events;
+  return imageOf(chunk, trace::kBinaryFormatV2);
+}
+
+TEST(ServerProtocolFuzz, ChunksTheAnalyzerRejectsLeaveTheLiveTraceUntouched) {
+  const trace::Trace tr = syntheticTrace();
+  const std::vector<trace::Trace> chunks = trace::splitByTime(tr, 6);
+  const trace::Timestamp t = chunks[2].endTime();
+  const auto fStep = *tr.functions.find("step");
+  const auto fSync = *tr.functions.find("MPI_Barrier");
+  // Checksum-valid chunks with the live definitions, appended after
+  // chunks[0..2]: each must be refused without a trace of it remaining.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"undefined function ref 99",
+       rankOneChunk({trace::Event::enter(t, 99), trace::Event::leave(t, 99)})},
+      {"unbalanced leave of function ref " + std::to_string(fSync),
+       rankOneChunk(
+           {trace::Event::enter(t, fStep), trace::Event::leave(t, fSync)})},
+  };
+  // Only a commit knows the open frames a leading leave would close.
+  const std::string strayLeave = rankOneChunk({trace::Event::leave(t, fSync)});
+
+  for (const std::size_t window : {std::size_t{0}, std::size_t{1} << 26}) {
+    const std::string tag = "server_fuzz_reject_" + std::to_string(window) +
+                            "_" + std::to_string(getpid());
+    const auto run = [&](const std::string& dir, bool withBadChunks,
+                         bool recover) {
+      ServerOptions options;
+      options.journalDir = dir;
+      options.reorderWindowBytes = window;
+      options.recover = recover;
+      Harness h(options);
+      Client c = h.client();
+      std::vector<std::string> alerts;
+      if (!recover) {
+        EXPECT_TRUE(c.open("live", "step threshold 1.0 warmup 4").ok());
+        EXPECT_TRUE(c.subscribe("live").ok());
+        for (std::size_t i = 0; i < chunks.size(); ++i) {
+          if (i == 3 && withBadChunks) {
+            for (const auto& [what, image] : bad) {
+              const ClientResponse r = c.append("live", image);
+              EXPECT_EQ(r.type, FrameType::Error) << what;
+              EXPECT_EQ(r.error().code, ErrorCode::MalformedEvent) << what;
+              EXPECT_NE(r.error().message.find(what), std::string::npos)
+                  << r.error().message;
+            }
+            if (window == 0) {
+              const ClientResponse r = c.append("live", strayLeave);
+              EXPECT_EQ(r.type, FrameType::Error);
+              EXPECT_EQ(r.error().code, ErrorCode::MalformedEvent);
+            }
+          }
+          const ClientResponse r =
+              c.append("live", imageOf(chunks[i], trace::kBinaryFormatV2));
+          EXPECT_TRUE(r.ok()) << r.payload;
+          alerts.insert(alerts.end(), r.alerts.begin(), r.alerts.end());
+        }
+      }
+      return readFace(c, std::move(alerts));
+    };
+
+    const LiveFace reference = run(tag + "_ref", false, false);
+    EXPECT_FALSE(reference.alerts.empty());
+    EXPECT_TRUE(run(tag + "_bad", true, false) == reference)
+        << "window " << window;
+    // Neither journal holds a rejected chunk: both recover to one state.
+    const LiveFace recovered = run(tag + "_ref", false, true);
+    EXPECT_TRUE(run(tag + "_bad", false, true) == recovered)
+        << "window " << window;
+    EXPECT_EQ(recovered.analyze, reference.analyze);
+    std::filesystem::remove_all(tag + "_ref");
+    std::filesystem::remove_all(tag + "_bad");
+  }
 }
 
 // ---- hostile but loadable traces -------------------------------------------

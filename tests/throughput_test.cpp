@@ -293,11 +293,11 @@ TEST(ThroughputKernels, SosVisitorMatchesReference) {
     ASSERT_TRUE(selection.hasDominant());
     const trace::FunctionId fn = selection.dominant().function;
     const std::vector<bool> mask = analysis::SyncClassifier{}.mask(view);
-    analysis::detail::SosScratch scratch;
+    analysis::detail::SosFold fold(view.functions(), view.metrics(), fn,
+                                   mask);
     for (std::size_t p = 0; p < view.processCount(); ++p) {
       const auto rank = static_cast<trace::ProcessId>(p);
-      const auto fast =
-          analysis::detail::analyzeSosProcess(view, rank, fn, mask, scratch);
+      const auto fast = analysis::detail::analyzeSosProcess(view, rank, fold);
       const auto ref = analyzeSosProcessReference(view, rank, fn, mask);
       ASSERT_EQ(fast.size(), ref.size());
       for (std::size_t s = 0; s < ref.size(); ++s) {

@@ -82,7 +82,8 @@ TEST(Replay, VisitsMessagesAndMetrics) {
     EXPECT_EQ(depth, 1u);
     ++metrics;
   };
-  trace::replayProcess(tr.processes[0], v);
+  const auto& events = tr.processes[0].events;
+  trace::replayEvents(trace::EventSpan(events.data(), events.size()), v);
   EXPECT_EQ(messages, 1);
   EXPECT_EQ(metrics, 1);
 }
