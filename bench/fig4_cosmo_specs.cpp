@@ -117,12 +117,9 @@ int main() {
   tl.title = "COSMO-SPECS timeline (100 ranks)";
   tl.messageLines = false;
   const auto colors = vis::FunctionColors::standard(tr);
-  vis::renderTimelineImage(tr, colors, tl).savePpm(dir + "/fig4a_timeline.ppm");
   vis::renderTimelineSvg(tr, colors, tl).save(dir + "/fig4a_timeline.svg");
   vis::HeatmapOptions heat;
   heat.title = "COSMO-SPECS SOS-time (rank x iteration)";
-  vis::renderHeatmapImage(result.sos->sosMatrixSeconds(), heat)
-      .savePpm(dir + "/fig4b_sos.ppm");
   vis::renderHeatmapSvg(result.sos->sosMatrixSeconds(), heat)
       .save(dir + "/fig4b_sos.svg");
 
@@ -151,8 +148,8 @@ int main() {
   chart.yMax = 1.0;
   vis::renderLineChart({mpiSeries, durSeries}, chart)
       .save(dir + "/fig4a_series.svg");
-  std::cout << "  wrote " << dir << "/fig4a_timeline.{ppm,svg}, "
-            << dir << "/fig4a_series.svg, " << dir << "/fig4b_sos.{ppm,svg}\n";
+  std::cout << "  wrote " << dir << "/fig4a_timeline.svg, "
+            << dir << "/fig4a_series.svg, " << dir << "/fig4b_sos.svg\n";
 
   return verdict.exitCode();
 }

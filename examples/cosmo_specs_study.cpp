@@ -31,7 +31,6 @@ int main() {
   tl.title = "COSMO-SPECS timeline (100 ranks)";
   tl.messageLines = false;
   auto colors = vis::FunctionColors::standard(tr);
-  vis::renderTimelineImage(tr, colors, tl).savePpm("cosmo_specs_timeline.ppm");
   vis::renderTimelineSvg(tr, colors, tl).save("cosmo_specs_timeline.svg");
 
   const auto mpiShare = vis::paradigmShareOverTime(tr, 10);
@@ -52,7 +51,6 @@ int main() {
     heat.rowLabels.push_back(p.name);
   }
   const auto matrix = result.sos->sosMatrixSeconds();
-  vis::renderHeatmapImage(matrix, heat).savePpm("cosmo_specs_sos.ppm");
   vis::renderHeatmapSvg(matrix, heat).save("cosmo_specs_sos.svg");
   std::cout << vis::renderHeatmapAscii(matrix, heat, 60) << '\n';
 
@@ -71,7 +69,7 @@ int main() {
                    scenario.hottestRank)
             << " (separation z " << fmt::fixed(durOutcome.topSeparation(), 1)
             << ")\n";
-  std::cout << "wrote cosmo_specs_{timeline,sos}.{ppm,svg}\n";
+  std::cout << "wrote cosmo_specs_{timeline,sos}.svg\n";
 
   return sosOutcome.rankOf(scenario.hottestRank) == 0 ? 0 : 1;
 }

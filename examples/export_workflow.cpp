@@ -72,10 +72,7 @@ int main() {
   vis::renderTopologySvg(result.sos->totalSosPerProcess(), cfg.gridX,
                          cfg.gridY, topo)
       .save("cosmo_specs_topology.svg");
-  vis::renderTopologyImage(result.sos->totalSosPerProcess(), cfg.gridX,
-                           cfg.gridY, topo)
-      .savePpm("cosmo_specs_topology.ppm");
-  std::cout << "wrote cosmo_specs_topology.{svg,ppm} - the hotspot has the "
+  std::cout << "wrote cosmo_specs_topology.svg - the hotspot has the "
                "cloud's spatial footprint\n";
 
   return slicedReport.slowestProcess() ==

@@ -54,8 +54,7 @@ int main() {
   std::cout << '\n' << vis::renderHeatmapAscii(matrix, heat, 80);
 
   vis::renderHeatmapSvg(matrix, heat).save("quickstart_sos.svg");
-  vis::renderHeatmapImage(matrix, heat).savePpm("quickstart_sos.ppm");
-  std::cout << "\nwrote quickstart_sos.svg and quickstart_sos.ppm\n";
+  std::cout << "\nwrote quickstart_sos.svg\n";
 
   // The report names the culprit; assert it for good measure.
   const trace::ProcessId worst = result.variation.slowestProcess();

@@ -44,7 +44,6 @@ public:
               Fd4Options options = {});
 
   std::size_t ranks() const { return ranks_; }
-  std::size_t blockCount() const { return curveOrderOfBlock_.size(); }
 
   /// Curve position of grid block (bx, by).
   std::size_t curveIndex(std::uint32_t bx, std::uint32_t by) const;

@@ -214,26 +214,9 @@ void ProgramBuilder::waitAll(std::uint32_t rank) {
   }
 }
 
-void ProgramBuilder::metricAdd(std::uint32_t rank, trace::MetricId metric,
-                               double value) {
-  PERFVAR_REQUIRE(metric < program_.metrics.size(),
-                  "metricAdd references undefined metric");
-  Op op;
-  op.kind = OpKind::MetricAdd;
-  op.metric = metric;
-  op.value = value;
-  rankOps(rank).push_back(op);
-}
-
 void ProgramBuilder::barrierAll() {
   for (std::uint32_t r = 0; r < program_.ranks; ++r) {
     barrier(r);
-  }
-}
-
-void ProgramBuilder::allreduceAll(std::uint64_t bytes) {
-  for (std::uint32_t r = 0; r < program_.ranks; ++r) {
-    allreduce(r, bytes);
   }
 }
 

@@ -32,7 +32,6 @@ enum class OpKind : std::uint8_t {
   Isend,        ///< nonblocking eager send; completes via Wait
   Irecv,        ///< nonblocking receive post; completes via Wait
   Wait,         ///< wait for the request in `request`
-  MetricAdd,    ///< add `value` to metric `metric`
 };
 
 /// One operation of a rank program.
@@ -47,8 +46,6 @@ struct Op {
   std::uint32_t tag = 0;      ///< Send/Recv message tag
   std::uint64_t bytes = 0;    ///< message / collective payload
   std::uint32_t request = 0;  ///< Isend/Irecv/Wait request handle
-  trace::MetricId metric = trace::kInvalidMetric;  ///< MetricAdd target
-  double value = 0.0;                              ///< MetricAdd amount
 };
 
 /// Extra attributes of a compute operation.
@@ -114,11 +111,8 @@ public:
   /// Wait for every outstanding request of the rank, in posting order.
   void waitAll(std::uint32_t rank);
 
-  void metricAdd(std::uint32_t rank, trace::MetricId metric, double value);
-
-  /// All ranks at once (SPMD helpers).
+  /// All ranks at once (SPMD helper).
   void barrierAll();
-  void allreduceAll(std::uint64_t bytes);
 
   Program finish();
 

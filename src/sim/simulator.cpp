@@ -372,11 +372,6 @@ private:
           builder_.leave(r, tick(clock_[r]), op.fn);
           ++pc_[r];
           break;
-        case OpKind::MetricAdd:
-          cumulative_[r][op.metric] += op.value;
-          emitMetricIfChanged(r, clock_[r], op.metric);
-          ++pc_[r];
-          break;
         case OpKind::Send:
           execSend(r, op);
           ++pc_[r];

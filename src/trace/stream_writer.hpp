@@ -51,9 +51,6 @@ public:
   /// Every rank must have been written. Throws on I/O failure.
   void finish();
 
-  /// Ranks written so far.
-  std::size_t ranksWritten() const { return nextRank_; }
-
 private:
   std::ofstream out_;
   std::string path_;

@@ -1,6 +1,5 @@
 #include "trace/text_io.hpp"
 
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -290,20 +289,6 @@ std::string toText(const Trace& trace) {
 Trace fromText(const std::string& text) {
   std::istringstream is(text);
   return readText(is);
-}
-
-void saveTextFile(const Trace& trace, const std::string& path) {
-  std::ofstream out(path);
-  PERFVAR_REQUIRE(out.good(), "cannot open '" + path + "' for writing");
-  writeText(trace, out);
-  out.close();
-  PERFVAR_REQUIRE(out.good(), "write to '" + path + "' failed");
-}
-
-Trace loadTextFile(const std::string& path) {
-  std::ifstream in(path);
-  PERFVAR_REQUIRE(in.good(), "cannot open '" + path + "' for reading");
-  return readText(in);
 }
 
 }  // namespace perfvar::trace

@@ -37,8 +37,6 @@ Trace readText(std::istream& in);
 /// Convenience string/file wrappers.
 std::string toText(const Trace& trace);
 Trace fromText(const std::string& text);
-void saveTextFile(const Trace& trace, const std::string& path);
-Trace loadTextFile(const std::string& path);
 
 }  // namespace perfvar::trace
 

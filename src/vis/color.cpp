@@ -40,7 +40,7 @@ ColorMap::ColorMap(std::vector<Rgb> anchors) : anchors_(std::move(anchors)) {
 
 Rgb ColorMap::at(double t) const {
   if (std::isnan(t)) {
-    return missing_;
+    return Rgb{220, 220, 220};
   }
   t = std::clamp(t, 0.0, 1.0);
   const double pos = t * static_cast<double>(anchors_.size() - 1);
@@ -56,20 +56,6 @@ ColorMap ColorMap::coldHot() {
                    Rgb{255, 222, 23},   // yellow
                    Rgb{243, 112, 33},   // orange
                    Rgb{215, 25, 28}});  // red (hot)
-}
-
-ColorMap ColorMap::viridis() {
-  return ColorMap({Rgb{68, 1, 84}, Rgb{71, 44, 122}, Rgb{59, 81, 139},
-                   Rgb{44, 113, 142}, Rgb{33, 144, 141}, Rgb{39, 173, 129},
-                   Rgb{92, 200, 99}, Rgb{170, 220, 50}, Rgb{253, 231, 37}});
-}
-
-ColorMap ColorMap::grayscale() {
-  return ColorMap({Rgb{255, 255, 255}, Rgb{0, 0, 0}});
-}
-
-ColorMap ColorMap::monochrome(Rgb tone) {
-  return ColorMap({Rgb{255, 255, 255}, tone});
 }
 
 ValueScale ValueScale::linear(double lo, double hi) {

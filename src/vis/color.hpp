@@ -6,8 +6,8 @@
 ///
 /// The paper encodes SOS-times "with a color-coded scale. Blue - cold -
 /// colors indicate short durations, whereas red - hot - colors indicate
-/// long durations" (Section VI). ColorMap::coldHot reproduces that scale;
-/// additional maps are provided for counter overlays and timelines.
+/// long durations" (Section VI). ColorMap::coldHot reproduces that scale
+/// and is the only map the renderers use.
 
 #include <cstdint>
 #include <string>
@@ -39,31 +39,19 @@ class ColorMap {
 public:
   explicit ColorMap(std::vector<Rgb> anchors);
 
-  /// Color at t; t is clamped to [0,1]. NaN maps to `missing()`.
+  /// Color at t; t is clamped to [0,1]. NaN maps to light gray (#dcdcdc).
   Rgb at(double t) const;
-
-  /// Color used for missing values (NaN); light gray by default.
-  Rgb missing() const { return missing_; }
-  void setMissing(Rgb c) { missing_ = c; }
 
   /// The paper's cold/hot scale: blue -> cyan -> green -> yellow -> red.
   static ColorMap coldHot();
 
-  /// Perceptually ordered map (viridis approximation).
-  static ColorMap viridis();
-
-  /// White-to-black ramp.
-  static ColorMap grayscale();
-
-  /// Single-hue ramp (white -> saturated `tone`), for counter overlays.
-  static ColorMap monochrome(Rgb tone);
-
-  const std::vector<Rgb>& anchors() const { return anchors_; }
-
 private:
   std::vector<Rgb> anchors_;
-  Rgb missing_{220, 220, 220};
 };
+
+/// Color of the explicit "no data" bands (quarantined ranks of a
+/// salvaged trace) in the heatmap and timeline renderers.
+inline constexpr Rgb kNoDataColor{210, 210, 214};
 
 /// Maps raw values to [0,1] for a ColorMap: linear or robust-quantile
 /// normalization (the latter keeps one extreme outlier from flattening

@@ -73,6 +73,20 @@ std::size_t labelStride(std::size_t rows, std::size_t requested,
   return stride;
 }
 
+Matrix rankGrid(const std::vector<double>& valuePerRank, std::size_t gridX,
+                std::size_t gridY) {
+  PERFVAR_REQUIRE(gridX >= 1 && gridY >= 1, "topology grid must be non-empty");
+  PERFVAR_REQUIRE(valuePerRank.size() == gridX * gridY,
+                  "value count must equal gridX * gridY");
+  Matrix m(gridY, std::vector<double>(gridX, 0.0));
+  for (std::size_t y = 0; y < gridY; ++y) {
+    for (std::size_t x = 0; x < gridX; ++x) {
+      m[y][x] = valuePerRank[y * gridX + x];
+    }
+  }
+  return m;
+}
+
 }  // namespace
 
 ValueScale heatmapScale(const Matrix& values, const HeatmapOptions& options) {
@@ -84,86 +98,13 @@ ValueScale heatmapScale(const Matrix& values, const HeatmapOptions& options) {
                              : ValueScale::fromData(flat);
 }
 
-Image renderHeatmapImage(const Matrix& values, const HeatmapOptions& options) {
-  PERFVAR_REQUIRE(!values.empty(), "heatmap needs at least one row");
-  const std::size_t rows = values.size();
-  const std::size_t cols = std::max<std::size_t>(1, maxColumnsOf(values));
-  const ValueScale scale = heatmapScale(values, options);
-
-  const std::size_t labelWidth =
-      options.rowLabels.empty()
-          ? 0
-          : 2 + Image::textWidth(*std::max_element(
-                    options.rowLabels.begin(), options.rowLabels.end(),
-                    [](const std::string& a, const std::string& b) {
-                      return a.size() < b.size();
-                    }));
-  const std::size_t titleHeight = options.title.empty() ? 0 : 14;
-  const std::size_t legendHeight = options.legend ? 24 : 0;
-  const std::size_t plotW = cols * options.cellWidth;
-  const std::size_t plotH = rows * options.cellHeight;
-  Image img(labelWidth + plotW + 2, titleHeight + plotH + legendHeight + 2);
-
-  if (!options.title.empty()) {
-    img.text(2, 2, options.title, Rgb{0, 0, 0});
-  }
-
-  const std::size_t x0 = labelWidth + 1;
-  const std::size_t y0 = titleHeight + 1;
-  for (std::size_t r = 0; r < rows; ++r) {
-    if (isNoDataRow(options, r)) {
-      img.fillRect(x0, y0 + r * options.cellHeight, cols * options.cellWidth,
-                   options.cellHeight, options.noDataColor);
-      continue;
-    }
-    for (std::size_t c = 0; c < cols; ++c) {
-      const double v = c < values[r].size()
-                           ? values[r][c]
-                           : std::numeric_limits<double>::quiet_NaN();
-      const Rgb color = options.colorMap.at(scale.normalize(v));
-      img.fillRect(x0 + c * options.cellWidth, y0 + r * options.cellHeight,
-                   options.cellWidth, options.cellHeight, color);
-    }
-  }
-
-  if (!options.rowLabels.empty()) {
-    const std::size_t stride = labelStride(
-        rows, options.rowLabelStride,
-        std::max<std::size_t>(1, plotH / (Image::textHeight() + 2)));
-    for (std::size_t r = 0; r < rows; r += stride) {
-      if (r < options.rowLabels.size()) {
-        const std::size_t cy = y0 + r * options.cellHeight;
-        if (options.cellHeight >= Image::textHeight() ||
-            r % std::max<std::size_t>(stride, 1) == 0) {
-          img.text(2, cy, options.rowLabels[r], Rgb{0, 0, 0});
-        }
-      }
-    }
-  }
-
-  if (options.legend) {
-    const std::size_t ly = y0 + plotH + 6;
-    const std::size_t barW = std::min<std::size_t>(plotW, 256);
-    for (std::size_t i = 0; i < barW; ++i) {
-      const double t =
-          static_cast<double>(i) / static_cast<double>(barW - 1);
-      img.fillRect(x0 + i, ly, 1, 10, options.colorMap.at(t));
-    }
-    img.rectOutline(x0, ly, barW, 10, Rgb{0, 0, 0});
-    img.text(x0, ly + 12, fmt::fixed(scale.low(), 3), Rgb{0, 0, 0});
-    const std::string hiLabel = fmt::fixed(scale.high(), 3);
-    const std::size_t hw = Image::textWidth(hiLabel);
-    img.text(x0 + barW - std::min(barW, hw), ly + 12, hiLabel, Rgb{0, 0, 0});
-  }
-  return img;
-}
-
 SvgDocument renderHeatmapSvg(const Matrix& values,
                              const HeatmapOptions& options) {
   PERFVAR_REQUIRE(!values.empty(), "heatmap needs at least one row");
   const std::size_t rows = values.size();
   const std::size_t cols = std::max<std::size_t>(1, maxColumnsOf(values));
   const ValueScale scale = heatmapScale(values, options);
+  const ColorMap colors = ColorMap::coldHot();
 
   const double cellW = std::max<double>(2.0, 900.0 / static_cast<double>(cols));
   const double cellH = std::max<double>(2.0, 500.0 / static_cast<double>(rows));
@@ -183,7 +124,7 @@ SvgDocument renderHeatmapSvg(const Matrix& values,
     if (isNoDataRow(options, r)) {
       svg.rect(x0, y0 + cellH * static_cast<double>(r),
                cellW * static_cast<double>(cols) + 0.3, cellH + 0.3,
-               options.noDataColor);
+               kNoDataColor);
       continue;
     }
     for (std::size_t c = 0; c < cols; ++c) {
@@ -192,7 +133,7 @@ SvgDocument renderHeatmapSvg(const Matrix& values,
                            : std::numeric_limits<double>::quiet_NaN();
       svg.rect(x0 + cellW * static_cast<double>(c),
                y0 + cellH * static_cast<double>(r), cellW + 0.3, cellH + 0.3,
-               options.colorMap.at(scale.normalize(v)));
+               colors.at(scale.normalize(v)));
     }
   }
   if (!options.rowLabels.empty()) {
@@ -212,8 +153,7 @@ SvgDocument renderHeatmapSvg(const Matrix& values,
     const int steps = 64;
     for (int i = 0; i < steps; ++i) {
       const double t = static_cast<double>(i) / (steps - 1);
-      svg.rect(x0 + barW * t, ly, barW / steps + 0.5, 12,
-               options.colorMap.at(t));
+      svg.rect(x0 + barW * t, ly, barW / steps + 0.5, 12, colors.at(t));
     }
     svg.rectOutline(x0, ly, barW, 12, Rgb{0, 0, 0});
     svg.text(x0, ly + 24, fmt::fixed(scale.low(), 3), Rgb{0, 0, 0}, 10.0);
@@ -223,10 +163,38 @@ SvgDocument renderHeatmapSvg(const Matrix& values,
   return svg;
 }
 
-namespace {
+SvgDocument renderTopologySvg(const std::vector<double>& valuePerRank,
+                              std::size_t gridX, std::size_t gridY,
+                              const HeatmapOptions& options) {
+  const Matrix grid = rankGrid(valuePerRank, gridX, gridY);
+  HeatmapOptions topo = options;
+  topo.rowLabels.clear();
+  SvgDocument svg = renderHeatmapSvg(grid, topo);
+  if (gridX <= 16 && gridY <= 16) {
+    // Overlay rank numbers; geometry mirrors renderHeatmapSvg's layout.
+    const ValueScale scale = heatmapScale(grid, topo);
+    const ColorMap colors = ColorMap::coldHot();
+    const double cellW = std::max(2.0, 900.0 / static_cast<double>(gridX));
+    const double cellH = std::max(2.0, 500.0 / static_cast<double>(gridY));
+    const double titleH = topo.title.empty() ? 0.0 : 24.0;
+    for (std::size_t y = 0; y < gridY; ++y) {
+      for (std::size_t x = 0; x < gridX; ++x) {
+        const Rgb bg = colors.at(scale.normalize(grid[y][x]));
+        const Rgb fg = bg.luminance() > 0.55 ? Rgb{0, 0, 0}
+                                             : Rgb{255, 255, 255};
+        svg.text(4.0 + cellW * (static_cast<double>(x) + 0.5),
+                 titleH + 4.0 + cellH * (static_cast<double>(y) + 0.6),
+                 std::to_string(y * gridX + x), fg,
+                 std::min(cellH * 0.35, 12.0), "middle");
+      }
+    }
+  }
+  return svg;
+}
 
-std::string renderTerminal(const Matrix& values, const HeatmapOptions& options,
-                           std::size_t maxColumns, bool ansi) {
+std::string renderHeatmapAscii(const Matrix& values,
+                               const HeatmapOptions& options,
+                               std::size_t maxColumns) {
   PERFVAR_REQUIRE(!values.empty(), "heatmap needs at least one row");
   const std::size_t fullWidth = maxColumnsOf(values);
   const std::size_t cols = std::min(maxColumns, std::max<std::size_t>(
@@ -243,26 +211,13 @@ std::string renderTerminal(const Matrix& values, const HeatmapOptions& options,
       os << fmt::pad(options.rowLabels[r], -12) << ' ';
     }
     if (isNoDataRow(options, r)) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        if (ansi) {
-          const Rgb b = options.noDataColor;
-          os << "\x1b[48;2;" << int{b.r} << ';' << int{b.g} << ';' << int{b.b}
-             << "m \x1b[0m";
-        } else {
-          os << 'x';
-        }
-      }
-      os << '\n';
+      os << std::string(cols, 'x') << '\n';
       continue;
     }
     const auto row = resampleRow(values[r], cols, fullWidth);
     for (const double v : row) {
       const double t = scale.normalize(v);
-      if (ansi) {
-        const Rgb c = options.colorMap.at(t);
-        os << "\x1b[48;2;" << int{c.r} << ';' << int{c.g} << ';' << int{c.b}
-           << "m \x1b[0m";
-      } else if (std::isnan(t)) {
+      if (std::isnan(t)) {
         os << ' ';
       } else {
         const int idx = std::clamp(static_cast<int>(t * 9.999), 0, 9);
@@ -276,77 +231,6 @@ std::string renderTerminal(const Matrix& values, const HeatmapOptions& options,
        << fmt::fixed(scale.high(), 4) << " (hot)\n";
   }
   return os.str();
-}
-
-}  // namespace
-
-namespace {
-
-Matrix rankGrid(const std::vector<double>& valuePerRank, std::size_t gridX,
-                std::size_t gridY) {
-  PERFVAR_REQUIRE(gridX >= 1 && gridY >= 1, "topology grid must be non-empty");
-  PERFVAR_REQUIRE(valuePerRank.size() == gridX * gridY,
-                  "value count must equal gridX * gridY");
-  Matrix m(gridY, std::vector<double>(gridX, 0.0));
-  for (std::size_t y = 0; y < gridY; ++y) {
-    for (std::size_t x = 0; x < gridX; ++x) {
-      m[y][x] = valuePerRank[y * gridX + x];
-    }
-  }
-  return m;
-}
-
-}  // namespace
-
-Image renderTopologyImage(const std::vector<double>& valuePerRank,
-                          std::size_t gridX, std::size_t gridY,
-                          const HeatmapOptions& options) {
-  HeatmapOptions topo = options;
-  topo.rowLabels.clear();
-  // Square-ish cells sized for visibility.
-  topo.cellWidth = std::max<std::size_t>(topo.cellWidth, 12);
-  topo.cellHeight = std::max<std::size_t>(topo.cellHeight, 12);
-  return renderHeatmapImage(rankGrid(valuePerRank, gridX, gridY), topo);
-}
-
-SvgDocument renderTopologySvg(const std::vector<double>& valuePerRank,
-                              std::size_t gridX, std::size_t gridY,
-                              const HeatmapOptions& options) {
-  const Matrix grid = rankGrid(valuePerRank, gridX, gridY);
-  HeatmapOptions topo = options;
-  topo.rowLabels.clear();
-  SvgDocument svg = renderHeatmapSvg(grid, topo);
-  if (gridX <= 16 && gridY <= 16) {
-    // Overlay rank numbers; geometry mirrors renderHeatmapSvg's layout.
-    const ValueScale scale = heatmapScale(grid, topo);
-    const double cellW = std::max(2.0, 900.0 / static_cast<double>(gridX));
-    const double cellH = std::max(2.0, 500.0 / static_cast<double>(gridY));
-    const double titleH = topo.title.empty() ? 0.0 : 24.0;
-    for (std::size_t y = 0; y < gridY; ++y) {
-      for (std::size_t x = 0; x < gridX; ++x) {
-        const Rgb bg = topo.colorMap.at(scale.normalize(grid[y][x]));
-        const Rgb fg = bg.luminance() > 0.55 ? Rgb{0, 0, 0}
-                                             : Rgb{255, 255, 255};
-        svg.text(4.0 + cellW * (static_cast<double>(x) + 0.5),
-                 titleH + 4.0 + cellH * (static_cast<double>(y) + 0.6),
-                 std::to_string(y * gridX + x), fg,
-                 std::min(cellH * 0.35, 12.0), "middle");
-      }
-    }
-  }
-  return svg;
-}
-
-std::string renderHeatmapAnsi(const Matrix& values,
-                              const HeatmapOptions& options,
-                              std::size_t maxColumns) {
-  return renderTerminal(values, options, maxColumns, true);
-}
-
-std::string renderHeatmapAscii(const Matrix& values,
-                               const HeatmapOptions& options,
-                               std::size_t maxColumns) {
-  return renderTerminal(values, options, maxColumns, false);
 }
 
 }  // namespace perfvar::vis

@@ -13,55 +13,40 @@
 #include <vector>
 
 #include "vis/color.hpp"
-#include "vis/image.hpp"
 #include "vis/svg.hpp"
 
 namespace perfvar::vis {
 
-/// Options of the heatmap renderers.
+/// Options of the heatmap renderers. Cells use ColorMap::coldHot.
 struct HeatmapOptions {
   std::string title;
   std::vector<std::string> rowLabels;  ///< optional, one per row
-  ColorMap colorMap = ColorMap::coldHot();
   /// Use robust (quantile) normalization instead of min/max.
   bool robustScale = true;
   /// Explicit scale overriding the data-derived one (if lo < hi).
   double scaleLow = 0.0;
   double scaleHigh = 0.0;
-  /// Cell geometry for the raster renderer (pixels).
-  std::size_t cellWidth = 4;
-  std::size_t cellHeight = 6;
   /// Draw a color legend bar.
   bool legend = true;
   /// Label every k-th row (0 = automatic).
   std::size_t rowLabelStride = 0;
-  /// Row indices rendered as explicit "no data" bands (quarantined ranks
-  /// of a salvaged trace); their cell values are ignored.
+  /// Row indices rendered as explicit "no data" bands (kNoDataColor;
+  /// quarantined ranks of a salvaged trace); their cell values are ignored.
   std::vector<std::size_t> noDataRows;
-  /// Color of the no-data bands.
-  Rgb noDataColor{210, 210, 214};
 };
 
 /// A value matrix: rows = processes, columns = iterations / time bins.
 /// Rows may have different lengths; missing cells render in the map's
-/// missing color. NaN cells likewise.
+/// NaN color. NaN cells likewise.
 using Matrix = std::vector<std::vector<double>>;
-
-/// Render the heatmap into a raster image.
-Image renderHeatmapImage(const Matrix& values, const HeatmapOptions& options);
 
 /// Render the heatmap as an SVG document.
 SvgDocument renderHeatmapSvg(const Matrix& values,
                              const HeatmapOptions& options);
 
-/// Render the heatmap as ANSI-colored terminal text (24-bit color
-/// backgrounds, one character cell per matrix cell, `maxColumns` wide -
-/// wider matrices are downsampled by averaging).
-std::string renderHeatmapAnsi(const Matrix& values,
-                              const HeatmapOptions& options,
-                              std::size_t maxColumns = 100);
-
-/// ASCII fallback: shade characters instead of colors.
+/// Render the heatmap as terminal text: one shade character per matrix
+/// cell (' ' for NaN, 'x' for no-data rows), `maxColumns` wide - wider
+/// matrices are downsampled by averaging.
 std::string renderHeatmapAscii(const Matrix& values,
                                const HeatmapOptions& options,
                                std::size_t maxColumns = 100);
@@ -71,15 +56,10 @@ std::string renderHeatmapAscii(const Matrix& values,
 ValueScale heatmapScale(const Matrix& values, const HeatmapOptions& options);
 
 /// Topology view: lay one value per rank out on the application's 2-D
-/// process grid (rank = y * gridX + x) and render it as a heatmap image.
+/// process grid (rank = y * gridX + x) and render it as an SVG heatmap,
+/// with per-cell rank labels when the grid is small enough (<= 16x16).
 /// This shows the *spatial* shape of a hotspot (e.g. the cloud footprint
 /// of the COSMO-SPECS case study). Requires values.size() == gridX*gridY.
-Image renderTopologyImage(const std::vector<double>& valuePerRank,
-                          std::size_t gridX, std::size_t gridY,
-                          const HeatmapOptions& options);
-
-/// SVG variant of the topology view, with per-cell rank labels when the
-/// grid is small enough (<= 16x16).
 SvgDocument renderTopologySvg(const std::vector<double>& valuePerRank,
                               std::size_t gridX, std::size_t gridY,
                               const HeatmapOptions& options);

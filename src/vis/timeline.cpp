@@ -1,15 +1,17 @@
 #include "vis/timeline.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
-#include <sstream>
 
+#include "trace/replay.hpp"
 #include "util/error.hpp"
 
 namespace perfvar::vis {
 
 namespace {
+
+/// Color of idle bins (no function on the stack).
+constexpr Rgb kIdleColor{245, 245, 245};
 
 /// Categorical palette for application function groups.
 const std::vector<Rgb>& categoricalPalette() {
@@ -29,9 +31,11 @@ const std::vector<Rgb>& categoricalPalette() {
 }
 
 /// Invoke `cb(function, t0, t1)` for every maximal interval during which
-/// `function` is on top of the call stack of the stream.
+/// `function` is on top of the call stack of process `p`'s stream; throws
+/// MalformedEvent on a ref outside the `nFuncs` defined functions.
 template <typename Callback>
-void forEachTopInterval(trace::EventSpan events, Callback&& cb) {
+void forEachTopInterval(trace::EventSpan events, std::size_t nFuncs,
+                        trace::ProcessId p, Callback&& cb) {
   std::vector<trace::FunctionId> stack;
   trace::Timestamp prev = 0;
   bool first = true;
@@ -44,6 +48,7 @@ void forEachTopInterval(trace::EventSpan events, Callback&& cb) {
       cb(stack.back(), prev, e.time);
     }
     if (e.kind == trace::EventKind::Enter) {
+      trace::requireDefinedRef(e.ref, nFuncs, "function", p);
       stack.push_back(e.ref);
     } else {
       PERFVAR_REQUIRE(!stack.empty() && stack.back() == e.ref,
@@ -186,7 +191,7 @@ std::vector<std::vector<trace::FunctionId>> timelineBins(
     }
     const trace::RankPin pin = tr.rank(p);
     forEachTopInterval(
-        pin.events(),
+        pin.events(), nFuncs, p,
         [&](trace::FunctionId f, trace::Timestamp t0, trace::Timestamp t1) {
           const trace::Timestamp a = std::max(t0, window.start);
           const trace::Timestamp b = std::min(t1, window.end);
@@ -227,48 +232,6 @@ std::vector<std::vector<trace::FunctionId>> timelineBins(
   return result;
 }
 
-Image renderTimelineImage(const trace::TraceView& tr,
-                          const FunctionColors& colors,
-                          const TimelineOptions& options) {
-  const auto bins = timelineBins(tr, options);
-  const std::size_t rows = bins.size();
-  const std::size_t cols = options.bins;
-  const std::size_t titleHeight = options.title.empty() ? 0 : 14;
-  const std::size_t legendHeight =
-      options.legend ? 12 * ((colors.legend().size() + 3) / 4) + 6 : 0;
-  Image img(cols + 2, titleHeight + rows * options.rowHeight + legendHeight + 2);
-  if (!options.title.empty()) {
-    img.text(2, 2, options.title, Rgb{0, 0, 0});
-  }
-  const std::size_t y0 = titleHeight + 1;
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      const trace::FunctionId f = bins[r][c];
-      const Rgb color = f == trace::kInvalidFunction ? options.idleColor
-                        : f == kTimelineNoData       ? options.noDataColor
-                                                     : colors.color(f);
-      img.fillRect(1 + c, y0 + r * options.rowHeight, 1, options.rowHeight,
-                   color);
-    }
-  }
-  if (options.legend) {
-    const auto entries = colors.legend();
-    std::size_t x = 2;
-    std::size_t y = y0 + rows * options.rowHeight + 4;
-    for (const auto& [label, color] : entries) {
-      const std::size_t w = 12 + Image::textWidth(label) + 10;
-      if (x + w >= img.width() && x > 2) {
-        x = 2;
-        y += 12;
-      }
-      img.fillRect(x, y, 8, 8, color);
-      img.text(x + 11, y, label, Rgb{0, 0, 0});
-      x += w;
-    }
-  }
-  return img;
-}
-
 SvgDocument renderTimelineSvg(const trace::TraceView& tr,
                               const FunctionColors& colors,
                               const TimelineOptions& options) {
@@ -297,8 +260,8 @@ SvgDocument renderTimelineSvg(const trace::TraceView& tr,
         ++c1;
       }
       const trace::FunctionId f = bins[r][c];
-      const Rgb color = f == trace::kInvalidFunction ? options.idleColor
-                        : f == kTimelineNoData       ? options.noDataColor
+      const Rgb color = f == trace::kInvalidFunction ? kIdleColor
+                        : f == kTimelineNoData       ? kNoDataColor
                                                      : colors.color(f);
       svg.rect(x0 + cellW * static_cast<double>(c),
                y0 + rowH * static_cast<double>(r),
@@ -391,57 +354,6 @@ SvgDocument renderTimelineSvg(const trace::TraceView& tr,
   return svg;
 }
 
-std::string renderTimelineAscii(const trace::TraceView& tr,
-                                const TimelineOptions& options) {
-  const auto bins = timelineBins(tr, options);
-  // Assign letters per function group (MPI gets '#').
-  std::map<std::string, char> groupChar;
-  std::vector<char> funcChar(tr.functions().size(), '?');
-  char next = 'a';
-  for (std::size_t f = 0; f < tr.functions().size(); ++f) {
-    const auto& def = tr.functions().at(static_cast<trace::FunctionId>(f));
-    if (def.paradigm == trace::Paradigm::MPI) {
-      funcChar[f] = '#';
-      continue;
-    }
-    const std::string key = def.group.empty() ? def.name : def.group;
-    const auto it = groupChar.find(key);
-    if (it != groupChar.end()) {
-      funcChar[f] = it->second;
-    } else {
-      funcChar[f] = next;
-      groupChar.emplace(key, next);
-      if (next < 'z') {
-        ++next;
-      }
-    }
-  }
-
-  std::ostringstream os;
-  if (!options.title.empty()) {
-    os << options.title << '\n';
-  }
-  for (std::size_t p = 0; p < bins.size(); ++p) {
-    for (const trace::FunctionId f : bins[p]) {
-      os << (f == trace::kInvalidFunction ? ' '
-             : f == kTimelineNoData       ? 'x'
-                                          : funcChar[f]);
-    }
-    os << '\n';
-  }
-  if (options.legend) {
-    os << "legend: # = MPI";
-    for (const auto& [label, c] : groupChar) {
-      os << ", " << c << " = " << label;
-    }
-    if (!tr.quarantined().empty()) {
-      os << ", x = no data (quarantined)";
-    }
-    os << '\n';
-  }
-  return os.str();
-}
-
 std::vector<std::vector<double>> paradigmShareOverTime(
     const trace::TraceView& tr, std::size_t bins) {
   PERFVAR_REQUIRE(bins > 0, "needs at least one bin");
@@ -459,7 +371,7 @@ std::vector<std::vector<double>> paradigmShareOverTime(
   for (trace::ProcessId p = 0; p < tr.processCount(); ++p) {
     const trace::RankPin pin = tr.rank(p);
     forEachTopInterval(
-        pin.events(),
+        pin.events(), tr.functions().size(), p,
         [&](trace::FunctionId f, trace::Timestamp t0, trace::Timestamp t1) {
           const auto paradigm = static_cast<std::size_t>(
               tr.functions().at(f).paradigm);

@@ -17,7 +17,6 @@
 #include "trace/trace.hpp"
 #include "trace/view.hpp"
 #include "vis/color.hpp"
-#include "vis/image.hpp"
 #include "vis/svg.hpp"
 
 namespace perfvar::vis {
@@ -44,22 +43,16 @@ private:
   std::vector<std::pair<std::string, Rgb>> legend_;
 };
 
-/// Options of the timeline renderers.
+/// Options of the timeline renderer. Idle bins (no function on the stack)
+/// render in #f5f5f5, quarantined rank rows in kNoDataColor.
 struct TimelineOptions {
   std::string title;
   /// Horizontal resolution (number of time bins).
   std::size_t bins = 900;
-  /// Row height in pixels for the raster renderer.
-  std::size_t rowHeight = 5;
-  /// Draw message (send->recv) lines in the SVG renderer.
+  /// Draw message (send->recv) lines.
   bool messageLines = true;
   /// Maximum number of message lines drawn (largest-bytes first).
   std::size_t maxMessageLines = 2000;
-  /// Idle (no function on the stack) color.
-  Rgb idleColor{245, 245, 245};
-  /// Color of quarantined (salvage-dropped) rank rows, rendered as
-  /// explicit "no data" bands distinct from idle.
-  Rgb noDataColor{210, 210, 214};
   /// Render the function-group legend.
   bool legend = true;
   /// Restrict rendering to [start, end) ticks; 0/0 = full trace.
@@ -67,9 +60,9 @@ struct TimelineOptions {
   trace::Timestamp windowEnd = 0;
 };
 
-/// Sentinel bin value marking a quarantined rank's row: the renderers
-/// paint it in TimelineOptions::noDataColor ('x' in ASCII) instead of
-/// looking up a function color.
+/// Sentinel bin value marking a quarantined rank's row: the renderer
+/// paints it in kNoDataColor, distinct from idle, instead of looking up a
+/// function color.
 inline constexpr trace::FunctionId kTimelineNoData =
     trace::kInvalidFunction - 1;
 
@@ -78,25 +71,14 @@ inline constexpr trace::FunctionId kTimelineNoData =
 /// share of that bin on top of the stack, or trace::kInvalidFunction for
 /// idle. Rows of quarantined ranks are filled with kTimelineNoData —
 /// salvaged partial data is deliberately not drawn as if it were sound.
-/// Exposed for tests and ASCII rendering.
+/// Exposed for tests. Throws MalformedEvent on an undefined function ref.
 std::vector<std::vector<trace::FunctionId>> timelineBins(
     const trace::TraceView& trace, const TimelineOptions& options);
-
-/// Raster timeline.
-Image renderTimelineImage(const trace::TraceView& trace,
-                          const FunctionColors& colors,
-                          const TimelineOptions& options);
 
 /// SVG timeline (with optional message lines).
 SvgDocument renderTimelineSvg(const trace::TraceView& trace,
                               const FunctionColors& colors,
                               const TimelineOptions& options);
-
-/// ASCII timeline for terminals: one character per (process, bin); each
-/// function group gets a letter (its legend is appended), MPI renders as
-/// '#', idle as ' '. Useful for quick looks at traces over SSH.
-std::string renderTimelineAscii(const trace::TraceView& trace,
-                                const TimelineOptions& options);
 
 /// Fraction of total stack-top time per paradigm over `bins` time bins,
 /// aggregated across processes: series[paradigm][bin] in [0,1]. This

@@ -9,7 +9,6 @@
 #include "sim/program.hpp"
 #include "sim/simulator.hpp"
 #include "trace/builder.hpp"
-#include "vis/timeline.hpp"
 
 namespace perfvar::analysis {
 namespace {
@@ -216,21 +215,6 @@ TEST(Export, PerFormatWritersMatchExportReport) {
   exportReport(tr, result, ExportFormat::Json, dispatched);
 
   EXPECT_EQ(direct.str(), dispatched.str());
-}
-
-// --- ASCII timeline ------------------------------------------------------------------
-
-TEST(AsciiTimeline, RendersRowsAndLegend) {
-  const trace::Trace tr = apps::buildFigure3Trace();
-  vis::TimelineOptions opts;
-  opts.bins = 14;
-  opts.title = "fig3";
-  const std::string text = vis::renderTimelineAscii(tr, opts);
-  EXPECT_NE(text.find("fig3"), std::string::npos);
-  EXPECT_NE(text.find("legend: # = MPI"), std::string::npos);
-  EXPECT_NE(text.find('#'), std::string::npos);  // MPI wait is visible
-  // 1 title + 3 process rows + 1 legend.
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 5);
 }
 
 }  // namespace

@@ -103,14 +103,20 @@ TEST(Topology, ImageLaysRanksOutOnTheGrid) {
   vis::HeatmapOptions opts;
   opts.legend = false;
   opts.robustScale = false;
-  opts.cellWidth = 12;
-  opts.cellHeight = 12;
-  const vis::Image img = vis::renderTopologyImage(values, 4, 3, opts);
-  // Hot cell center is red; a cold corner cell is blue.
-  const vis::Rgb hot = img.at(1 + 2 * 12 + 6, 1 + 1 * 12 + 6);
-  const vis::Rgb cold = img.at(1 + 6, 1 + 6);
-  EXPECT_GT(hot.r, hot.b);
-  EXPECT_GT(cold.b, cold.r);
+  const std::string doc = vis::renderTopologySvg(values, 4, 3, opts).finalize();
+  // 225 x 166.67 cells from (4, 4), drawn with 0.3 px overlap. The hot
+  // cell (x=2, y=1) is the scale's red end; the corner cell (0, 0) is its
+  // blue end; no other cell is red.
+  const std::string hot = vis::ColorMap::coldHot().at(1.0).hex();
+  const std::string cold = vis::ColorMap::coldHot().at(0.0).hex();
+  EXPECT_NE(doc.find("<rect x=\"454.00\" y=\"170.67\" width=\"225.30\" "
+                     "height=\"166.97\" fill=\"" + hot + "\"/>"),
+            std::string::npos);
+  EXPECT_NE(doc.find("<rect x=\"4.00\" y=\"4.00\" width=\"225.30\" "
+                     "height=\"166.97\" fill=\"" + cold + "\"/>"),
+            std::string::npos);
+  EXPECT_EQ(doc.find("fill=\"" + hot + "\""),
+            doc.rfind("fill=\"" + hot + "\""));
 }
 
 TEST(Topology, SvgLabelsRanksOnSmallGrids) {
@@ -125,7 +131,7 @@ TEST(Topology, SvgLabelsRanksOnSmallGrids) {
 
 TEST(Topology, RejectsMismatchedSizes) {
   const std::vector<double> values(10, 0.0);
-  EXPECT_THROW(vis::renderTopologyImage(values, 4, 3, {}), Error);
+  EXPECT_THROW(vis::renderTopologySvg(values, 4, 3, {}), Error);
 }
 
 }  // namespace

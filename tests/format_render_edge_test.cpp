@@ -1,54 +1,14 @@
-/// Parameterized edge sweeps of the serialization and rendering layers:
-/// BMP row padding across widths, PPM size law, text-format fuzz lines,
-/// and referenceZ fallback behaviour.
+/// Parameterized edge sweeps: text-format fuzz lines and referenceZ
+/// fallback behaviour.
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "trace/text_io.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
-#include "vis/image.hpp"
 
 namespace perfvar {
 namespace {
-
-// --- BMP padding law across widths ------------------------------------------
-
-class BmpWidthSweep : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(BmpWidthSweep, FileSizeMatchesPaddingLaw) {
-  const std::size_t width = GetParam();
-  vis::Image img(width, 3, vis::Rgb{1, 2, 3});
-  std::ostringstream os;
-  img.writeBmp(os);
-  const std::size_t rowBytes = (width * 3 + 3) & ~std::size_t{3};
-  EXPECT_EQ(os.str().size(), 54u + rowBytes * 3u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Widths, BmpWidthSweep,
-                         ::testing::Values(1, 2, 3, 4, 5, 7, 8, 127, 128));
-
-// --- PPM size law --------------------------------------------------------------
-
-class PpmSizeSweep
-    : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
-
-TEST_P(PpmSizeSweep, SizeIsHeaderPlusPixels) {
-  const auto [w, h] = GetParam();
-  vis::Image img(w, h);
-  std::ostringstream os;
-  img.writePpm(os);
-  const std::string header =
-      "P6\n" + std::to_string(w) + ' ' + std::to_string(h) + "\n255\n";
-  EXPECT_EQ(os.str().size(), header.size() + w * h * 3);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sizes, PpmSizeSweep,
-    ::testing::Values(std::make_pair(1ul, 1ul), std::make_pair(10ul, 1ul),
-                      std::make_pair(1ul, 10ul), std::make_pair(33ul, 17ul)));
 
 // --- PVTX parser rejects malformed records --------------------------------------
 

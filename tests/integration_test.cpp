@@ -15,6 +15,7 @@
 #include "vis/timeline.hpp"
 #include "lint/lint.hpp"
 
+#include <cstdio>
 #include <sstream>
 
 namespace perfvar {
@@ -198,8 +199,18 @@ TEST(Integration, TimelineRendersForAllCaseStudies) {
   const auto colors = vis::FunctionColors::standard(tr);
   vis::TimelineOptions opts;
   opts.bins = 200;
-  const vis::Image img = vis::renderTimelineImage(tr, colors, opts);
-  EXPECT_GT(img.width(), 200u);
+  const std::string doc = vis::renderTimelineSvg(tr, colors, opts).finalize();
+  // One row per rank, each starting at the plot's left edge (x = 4, rows
+  // 500/P px tall from y = 4), and MPI in the legend.
+  const double rowHeight = 500.0 / static_cast<double>(tr.processCount());
+  for (trace::ProcessId p = 0; p < tr.processCount(); ++p) {
+    char row[48];
+    std::snprintf(row, sizeof row, "<rect x=\"4.00\" y=\"%.2f\" ",
+                  4.0 + rowHeight * static_cast<double>(p));
+    EXPECT_NE(doc.find(row), std::string::npos) << "rank " << p;
+  }
+  EXPECT_NE(doc.find(">MPI</text>"), std::string::npos);
+  EXPECT_EQ(doc.substr(doc.size() - 7), "</svg>\n");
   const auto shares = vis::paradigmShareOverTime(tr, 50);
   // Somewhere in the run MPI occupies a visible share.
   const auto& mpi = shares[static_cast<std::size_t>(trace::Paradigm::MPI)];

@@ -25,6 +25,7 @@
 #include "trace/view.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "vis/timeline.hpp"
 
 namespace perfvar::trace {
 namespace {
@@ -321,6 +322,16 @@ TEST(DanglingRefs, UndefinedFunctionRefThrowsFromEveryStage) {
     expectMalformedRef(view, "undefined function ref 5000000");
     expectMalformedRefFrom(
         "patterns", [&] { (void)analysis::findWaitStates(view); },
+        "undefined function ref 5000000");
+    expectMalformedRefFrom(
+        "timeline",
+        [&] {
+          (void)vis::renderTimelineSvg(view, vis::FunctionColors::standard(view),
+                                       vis::TimelineOptions{});
+        },
+        "undefined function ref 5000000");
+    expectMalformedRefFrom(
+        "paradigm share", [&] { (void)vis::paradigmShareOverTime(view, 4); },
         "undefined function ref 5000000");
   }
 }

@@ -1,16 +1,19 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
-#include <fstream>
+#include <cstdio>
 #include <limits>
 #include <sstream>
 
+#include "analysis/overlay.hpp"
+#include "analysis/pipeline.hpp"
 #include "apps/paper_examples.hpp"
+#include "trace/binary_io.hpp"
 #include "trace/builder.hpp"
+#include "trace/fault_injection.hpp"
 #include "util/error.hpp"
 #include "vis/color.hpp"
 #include "vis/heatmap.hpp"
-#include "vis/image.hpp"
 #include "vis/svg.hpp"
 #include "vis/timeline.hpp"
 
@@ -18,6 +21,63 @@ namespace perfvar::vis {
 namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// One filled `<rect>` of an SVG document.
+struct SvgRect {
+  double x = 0.0;
+  double y = 0.0;
+  double width = 0.0;
+  double height = 0.0;
+  std::string fill;  ///< "#rrggbb"
+};
+
+/// The filled rects of `doc` in drawing order (outlines are skipped).
+std::vector<SvgRect> filledRects(const std::string& doc) {
+  std::vector<SvgRect> rects;
+  std::istringstream lines(doc);
+  std::string line;
+  while (std::getline(lines, line)) {
+    SvgRect r;
+    char hex[7] = {};
+    if (std::sscanf(line.c_str(),
+                    "<rect x=\"%lf\" y=\"%lf\" width=\"%lf\" height=\"%lf\" "
+                    "fill=\"#%6[0-9a-f]\"",
+                    &r.x, &r.y, &r.width, &r.height, hex) == 5) {
+      r.fill = std::string("#") + hex;
+      rects.push_back(r);
+    }
+  }
+  return rects;
+}
+
+/// Fill of the rect whose top-left corner is (x, y), as printed (two
+/// decimals); a failure and black if there is none.
+Rgb rectFillAt(const std::string& doc, double x, double y) {
+  for (const SvgRect& r : filledRects(doc)) {
+    if (std::abs(r.x - x) < 0.006 && std::abs(r.y - y) < 0.006) {
+      const auto channel = [&](std::size_t i) {
+        return static_cast<std::uint8_t>(
+            std::stoi(r.fill.substr(1 + 2 * i, 2), nullptr, 16));
+      };
+      return Rgb{channel(0), channel(1), channel(2)};
+    }
+  }
+  ADD_FAILURE() << "no rect at (" << x << ", " << y << ")";
+  return Rgb{};
+}
+
+/// The rects of plot row `row` (top edge y0 + row * rowHeight).
+std::vector<SvgRect> rowRects(const std::vector<SvgRect>& rects, double y0,
+                              double rowHeight, std::size_t row) {
+  std::vector<SvgRect> out;
+  const double y = y0 + rowHeight * static_cast<double>(row);
+  for (const SvgRect& r : rects) {
+    if (std::abs(r.y - y) < 0.006) {
+      out.push_back(r);
+    }
+  }
+  return out;
+}
 
 // --- color -----------------------------------------------------------------
 
@@ -49,7 +109,7 @@ TEST(Color, MapClampsAndHandlesNaN) {
   const ColorMap map = ColorMap::coldHot();
   EXPECT_EQ(map.at(-5.0), map.at(0.0));
   EXPECT_EQ(map.at(5.0), map.at(1.0));
-  EXPECT_EQ(map.at(kNaN), map.missing());
+  EXPECT_EQ(map.at(kNaN).hex(), "#dcdcdc");
 }
 
 TEST(Color, ValueScaleLinear) {
@@ -84,63 +144,6 @@ TEST(Color, FromDataSkipsNaN) {
   const ValueScale s = ValueScale::fromData(values);
   EXPECT_DOUBLE_EQ(s.low(), 2.0);
   EXPECT_DOUBLE_EQ(s.high(), 8.0);
-}
-
-// --- image -------------------------------------------------------------------
-
-TEST(Image, PixelAccessAndClipping) {
-  Image img(10, 5);
-  img.set(2, 3, Rgb{9, 8, 7});
-  EXPECT_EQ(img.at(2, 3), (Rgb{9, 8, 7}));
-  img.set(100, 100, Rgb{1, 1, 1});  // silently clipped
-  EXPECT_THROW(img.at(100, 100), Error);
-}
-
-TEST(Image, FillRectClipsToBounds) {
-  Image img(4, 4, Rgb{0, 0, 0});
-  img.fillRect(2, 2, 10, 10, Rgb{255, 0, 0});
-  EXPECT_EQ(img.at(3, 3), (Rgb{255, 0, 0}));
-  EXPECT_EQ(img.at(1, 1), (Rgb{0, 0, 0}));
-}
-
-TEST(Image, PpmHeaderAndSize) {
-  Image img(3, 2, Rgb{1, 2, 3});
-  std::ostringstream os;
-  img.writePpm(os);
-  const std::string data = os.str();
-  EXPECT_EQ(data.rfind("P6\n3 2\n255\n", 0), 0u);
-  EXPECT_EQ(data.size(), 11u + 3u * 2u * 3u);
-  EXPECT_EQ(static_cast<unsigned char>(data[11]), 1);
-}
-
-TEST(Image, BmpSizeMatchesHeader) {
-  Image img(5, 3);  // row stride 15 -> padded to 16
-  std::ostringstream os;
-  img.writeBmp(os);
-  const std::string data = os.str();
-  EXPECT_EQ(data.size(), 54u + 16u * 3u);
-  EXPECT_EQ(data[0], 'B');
-  EXPECT_EQ(data[1], 'M');
-}
-
-TEST(Image, TextRendersSomething) {
-  Image img(100, 12, Rgb{255, 255, 255});
-  img.text(0, 0, "ABC 123", Rgb{0, 0, 0});
-  std::size_t darkPixels = 0;
-  for (std::size_t y = 0; y < img.height(); ++y) {
-    for (std::size_t x = 0; x < img.width(); ++x) {
-      if (img.at(x, y) == (Rgb{0, 0, 0})) {
-        ++darkPixels;
-      }
-    }
-  }
-  EXPECT_GT(darkPixels, 20u);
-  EXPECT_EQ(Image::textWidth("ABC"), 18u);
-  EXPECT_EQ(Image::textHeight(2), 14u);
-}
-
-TEST(Image, RejectsZeroDimensions) {
-  EXPECT_THROW(Image(0, 5), Error);
 }
 
 // --- svg ----------------------------------------------------------------------
@@ -204,27 +207,15 @@ TEST(Svg, EscapeCoversSpecials) {
 
 // --- heatmap --------------------------------------------------------------------
 
-TEST(Heatmap, ImageDimensionsFollowMatrix) {
-  const Matrix m = {{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
-  HeatmapOptions opts;
-  opts.legend = false;
-  opts.cellWidth = 10;
-  opts.cellHeight = 8;
-  const Image img = renderHeatmapImage(m, opts);
-  EXPECT_EQ(img.width(), 3u * 10u + 2u);
-  EXPECT_EQ(img.height(), 2u * 8u + 2u);
-}
-
 TEST(Heatmap, HotCellIsRedderThanColdCell) {
   const Matrix m = {{0.0, 1.0}};
   HeatmapOptions opts;
   opts.legend = false;
   opts.robustScale = false;
-  opts.cellWidth = 4;
-  opts.cellHeight = 4;
-  const Image img = renderHeatmapImage(m, opts);
-  const Rgb cold = img.at(2, 2);
-  const Rgb hot = img.at(6, 2);
+  const std::string doc = renderHeatmapSvg(m, opts).finalize();
+  // Two 450-wide cells from (4, 4): cold left, hot right.
+  const Rgb cold = rectFillAt(doc, 4.0, 4.0);
+  const Rgb hot = rectFillAt(doc, 454.0, 4.0);
   EXPECT_GT(cold.b, cold.r);
   EXPECT_GT(hot.r, hot.b);
 }
@@ -250,14 +241,6 @@ TEST(Heatmap, AsciiRenderHasRowsAndScale) {
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 4);
 }
 
-TEST(Heatmap, AnsiRenderContainsEscapes) {
-  const Matrix m = {{0.0, 1.0}};
-  HeatmapOptions opts;
-  opts.legend = false;
-  const std::string text = renderHeatmapAnsi(m, opts, 10);
-  EXPECT_NE(text.find("\x1b[48;2;"), std::string::npos);
-}
-
 TEST(Heatmap, SvgRenderHandlesNaNAndRagged) {
   const Matrix m = {{1.0, kNaN, 3.0}, {2.0}};
   HeatmapOptions opts;
@@ -268,7 +251,7 @@ TEST(Heatmap, SvgRenderHandlesNaNAndRagged) {
 }
 
 TEST(Heatmap, EmptyMatrixRejected) {
-  EXPECT_THROW(renderHeatmapImage({}, HeatmapOptions{}), Error);
+  EXPECT_THROW(renderHeatmapSvg({}, HeatmapOptions{}), Error);
 }
 
 // --- timeline ---------------------------------------------------------------------
@@ -319,10 +302,16 @@ TEST(Timeline, ImageAndSvgRender) {
   TimelineOptions opts;
   opts.bins = 50;
   opts.title = "fig3";
-  const Image img = renderTimelineImage(tr, colors, opts);
-  EXPECT_GT(img.width(), 50u);
   const std::string doc = renderTimelineSvg(tr, colors, opts).finalize();
-  EXPECT_NE(doc.find("<svg"), std::string::npos);
+  EXPECT_EQ(doc.rfind("<?xml", 0), 0u);
+  EXPECT_NE(doc.find(">fig3</text>"), std::string::npos);
+  // 50 bins over 900 px from x = 4: every row starts with a rect at the
+  // left edge, and the first one (process 0 computing) is calc's color.
+  EXPECT_EQ(rectFillAt(doc, 4.0, 28.0),
+            colors.color(*tr.functions.find("calc")));
+  EXPECT_NE(doc.find(colors.color(*tr.functions.find("MPI")).hex()),
+            std::string::npos);
+  EXPECT_EQ(doc.substr(doc.size() - 7), "</svg>\n");
 }
 
 TEST(Timeline, ParadigmShareSumsToOneWhereBusy) {
@@ -357,6 +346,73 @@ TEST(Timeline, MessageLinesAppearInSvg) {
   const std::string doc =
       renderTimelineSvg(tr, FunctionColors::standard(tr), opts).finalize();
   EXPECT_NE(doc.find("<line"), std::string::npos);
+}
+
+// --- no-data bands ------------------------------------------------------------------
+
+/// Figure 3's trace salvage-loaded from a v2 image whose rank 1 block
+/// table entry is zeroed: rank 1 is quarantined, ranks 0 and 2 survive.
+trace::TraceView salvagedFigure3() {
+  namespace ft = perfvar::testing;
+  const ft::Image image = ft::FaultInjector::zeroTableEntry(
+      ft::encodeImage(apps::buildFigure3Trace(), trace::kBinaryFormatV2), 1);
+  trace::BinaryReadOptions options;
+  options.recovery = trace::RecoveryMode::Salvage;
+  trace::Trace tr = trace::readBinaryBuffer(image.data(), image.size(), options);
+  return trace::TraceView::owned(std::move(tr));
+}
+
+/// Row 1 of the plot is one kNoDataColor rect `width` wide at `x0`, and no
+/// other rect of the document has that color.
+void expectRowOneIsTheOnlyNoDataBand(const std::string& doc, double x0,
+                                     double y0, double rowHeight,
+                                     double width) {
+  const std::string noData = kNoDataColor.hex();
+  ASSERT_EQ(noData, "#d2d2d6");
+  const std::vector<SvgRect> rects = filledRects(doc);
+  const std::vector<SvgRect> band = rowRects(rects, y0, rowHeight, 1);
+  ASSERT_EQ(band.size(), 1u);
+  EXPECT_EQ(band[0].fill, noData);
+  EXPECT_NEAR(band[0].x, x0, 0.006);
+  EXPECT_NEAR(band[0].width, width, 0.006);
+  std::size_t noDataRects = 0;
+  for (const SvgRect& r : rects) {
+    noDataRects += r.fill == noData ? 1 : 0;
+  }
+  EXPECT_EQ(noDataRects, 1u);
+  for (const std::size_t healthy : {std::size_t{0}, std::size_t{2}}) {
+    EXPECT_FALSE(rowRects(rects, y0, rowHeight, healthy).empty()) << healthy;
+  }
+}
+
+TEST(NoDataBands, QuarantinedRankIsOneGrayBandInTimelineAndHeatmap) {
+  const trace::TraceView view = salvagedFigure3();
+  ASSERT_EQ(view.processCount(), 3u);
+  ASSERT_EQ(analysis::quarantinedRowIndices(view),
+            (std::vector<std::size_t>{1}));
+
+  // Timeline: 900 one-pixel bins from (4, 4), three 500/3-px rows; the
+  // band is the merged run of kTimelineNoData bins (+0.2 overlap).
+  TimelineOptions tl;
+  const auto bins = timelineBins(view, tl);
+  EXPECT_EQ(bins[1], std::vector<trace::FunctionId>(tl.bins, kTimelineNoData));
+  const std::string timeline =
+      renderTimelineSvg(view, FunctionColors::standard(view), tl).finalize();
+  expectRowOneIsTheOnlyNoDataBand(timeline, 4.0, 4.0, 500.0 / 3.0, 900.2);
+
+  // Heatmap: SOS matrix of the healthy ranks spread back onto all three.
+  const analysis::AnalysisResult result = analysis::analyzeTrace(view);
+  const Matrix matrix =
+      analysis::expandQuarantinedRows(result.sos->sosMatrixSeconds(), view);
+  ASSERT_EQ(matrix.size(), 3u);
+  EXPECT_TRUE(matrix[1].empty());
+  HeatmapOptions heat;
+  heat.noDataRows = analysis::quarantinedRowIndices(view);
+  const std::string heatmap = renderHeatmapSvg(matrix, heat).finalize();
+  const double cols = static_cast<double>(matrix[0].size());
+  const double cellW = std::max(2.0, 900.0 / cols);
+  expectRowOneIsTheOnlyNoDataBand(heatmap, 4.0, 4.0, 500.0 / 3.0,
+                                  cellW * cols + 0.3);
 }
 
 }  // namespace
