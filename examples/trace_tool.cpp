@@ -222,7 +222,8 @@ void printUsage(std::ostream& out) {
       "                counters (per-worker tasks/chunks/steals) after\n"
       "                the report; with --threads 1 notes the serial run\n"
       "  --shard-budget-mb N    --lazy only: decoded-shard LRU budget\n"
-      "                         (MiB, default 256)\n"
+      "                         (MiB, default 256); new shards enter\n"
+      "                         cold, so rank sweeps keep what fit\n"
       "  --budget-mb N          serve only: global memory budget over all\n"
       "                         resident traces (MiB, LRU eviction);\n"
       "                         0 = unlimited (default)\n"

@@ -81,7 +81,22 @@ void Sink::reportProcess(Severity severity, trace::ProcessId process,
                          -1, std::move(message)});
 }
 
-void Rule::checkProcess(const RuleContext&, trace::ProcessId, Sink&) const {}
+trace::EventSpan RankEvents::events() const {
+  if (error_) {
+    std::rethrow_exception(error_);
+  }
+  if (!pin_) {
+    try {
+      pin_ = trace_.rank(process_);
+    } catch (...) {
+      error_ = std::current_exception();
+      throw;
+    }
+  }
+  return pin_->events();
+}
+
+void Rule::checkProcess(const RuleContext&, const RankEvents&, Sink&) const {}
 
 void Rule::checkTrace(const RuleContext&, Sink&) const {}
 
@@ -287,6 +302,7 @@ LintReport lintTrace(const trace::TraceView& trace, const LintOptions& options,
   // merged result is independent of the thread count.
   std::vector<std::vector<Finding>> perRank(processCount);
   const auto checkRank = [&](std::size_t p) {
+    const RankEvents rank(trace, static_cast<trace::ProcessId>(p));
     std::vector<Finding>& out = perRank[p];
     std::vector<std::size_t> findingRule;  // parallel to `out`
     for (std::size_t r = 0; r < enabled.size(); ++r) {
@@ -294,7 +310,7 @@ LintReport lintTrace(const trace::TraceView& trace, const LintOptions& options,
       Sink sink(std::string(rule->id()), static_cast<std::int64_t>(p),
                 options.minSeverity, out);
       try {
-        rule->checkProcess(context, static_cast<trace::ProcessId>(p), sink);
+        rule->checkProcess(context, rank, sink);
       } catch (const std::exception& e) {
         // Robustness contract: a throwing rule becomes a finding, never a
         // crash of the lint run itself.

@@ -36,6 +36,7 @@
 /// historical single-pass implementation produced.
 
 #include <cstdint>
+#include <exception>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -169,6 +170,28 @@ private:
   std::vector<Finding>& out_;
 };
 
+/// One rank's events in the per-rank phase. The first events() call pins
+/// the rank; every rule of the phase reads that one pin, so the phase pins
+/// each rank once. A pin that throws rethrows its error on every
+/// events() call, so each rule that reads the events aborts as if it had
+/// pinned itself, and a rule that never reads them is unaffected. Used by
+/// one thread at a time.
+class RankEvents {
+public:
+  RankEvents(const trace::TraceView& trace, trace::ProcessId p)
+      : trace_(trace), process_(p) {}
+
+  trace::ProcessId process() const { return process_; }
+  /// The rank's time-sorted events; throws what TraceView::rank() threw.
+  trace::EventSpan events() const;
+
+private:
+  const trace::TraceView& trace_;
+  trace::ProcessId process_;
+  mutable std::optional<trace::RankPin> pin_;
+  mutable std::exception_ptr error_;
+};
+
 /// One diagnostic rule. Implementations must be stateless const objects:
 /// checkProcess() is called concurrently for distinct ranks.
 class Rule {
@@ -180,10 +203,11 @@ public:
   /// One-line description (the docs/LINT.md reference table).
   virtual std::string_view description() const = 0;
 
-  /// Per-rank check over one process stream. Called concurrently for
-  /// different ranks; must not touch shared mutable state and must not
-  /// use the RuleContext's stages (dominantOrNull etc.).
-  virtual void checkProcess(const RuleContext& context, trace::ProcessId p,
+  /// Per-rank check over one process stream, read through `rank` (rules
+  /// do not pin the rank themselves). Called concurrently for different
+  /// ranks; must not touch shared mutable state and must not use the
+  /// RuleContext's stages (dominantOrNull etc.).
+  virtual void checkProcess(const RuleContext& context, const RankEvents& rank,
                             Sink& sink) const;
   /// Whole-trace check; runs serially after the per-rank phase and may
   /// use every RuleContext helper.

@@ -37,10 +37,9 @@ public:
   std::string_view description() const override {
     return "timestamps must be non-decreasing within each process stream";
   }
-  void checkProcess(const RuleContext& context, ProcessId p,
+  void checkProcess(const RuleContext&, const RankEvents& rank,
                     Sink& sink) const override {
-    const trace::RankPin pin = context.trace().rank(p);
-    const trace::EventSpan events = pin.events();
+    const trace::EventSpan events = rank.events();
     trace::Timestamp last = 0;
     for (std::size_t i = 0; i < events.size(); ++i) {
       if (i > 0 && events[i].time < last) {
@@ -61,11 +60,10 @@ public:
   std::string_view description() const override {
     return "enter/leave events must nest properly and close every frame";
   }
-  void checkProcess(const RuleContext& context, ProcessId p,
+  void checkProcess(const RuleContext& context, const RankEvents& rank,
                     Sink& sink) const override {
     const TraceView& tr = context.trace();
-    const trace::RankPin pin = tr.rank(p);
-    const trace::EventSpan events = pin.events();
+    const trace::EventSpan events = rank.events();
     std::vector<FunctionId> stack;
     for (std::size_t i = 0; i < events.size(); ++i) {
       const Event& e = events[i];
@@ -105,11 +103,10 @@ public:
   std::string_view description() const override {
     return "enter/leave events must reference a defined function";
   }
-  void checkProcess(const RuleContext& context, ProcessId p,
+  void checkProcess(const RuleContext& context, const RankEvents& rank,
                     Sink& sink) const override {
     const TraceView& tr = context.trace();
-    const trace::RankPin pin = tr.rank(p);
-    const trace::EventSpan events = pin.events();
+    const trace::EventSpan events = rank.events();
     for (std::size_t i = 0; i < events.size(); ++i) {
       const Event& e = events[i];
       if (e.ref >= tr.functions().size()) {
@@ -132,11 +129,10 @@ public:
   std::string_view description() const override {
     return "metric samples must reference a defined metric";
   }
-  void checkProcess(const RuleContext& context, ProcessId p,
+  void checkProcess(const RuleContext& context, const RankEvents& rank,
                     Sink& sink) const override {
     const TraceView& tr = context.trace();
-    const trace::RankPin pin = tr.rank(p);
-    const trace::EventSpan events = pin.events();
+    const trace::EventSpan events = rank.events();
     for (std::size_t i = 0; i < events.size(); ++i) {
       if (events[i].kind == EventKind::Metric &&
           events[i].ref >= tr.metrics().size()) {
@@ -154,11 +150,10 @@ public:
   std::string_view description() const override {
     return "message events must name an existing peer process (not self)";
   }
-  void checkProcess(const RuleContext& context, ProcessId p,
+  void checkProcess(const RuleContext& context, const RankEvents& rank,
                     Sink& sink) const override {
     const TraceView& tr = context.trace();
-    const trace::RankPin pin = tr.rank(p);
-    const trace::EventSpan events = pin.events();
+    const trace::EventSpan events = rank.events();
     for (std::size_t i = 0; i < events.size(); ++i) {
       const Event& e = events[i];
       if (e.kind != EventKind::MpiSend && e.kind != EventKind::MpiRecv) {
@@ -167,7 +162,7 @@ public:
       if (e.ref >= tr.processCount()) {
         sink.reportAt(Severity::Error, i,
                       "message references undefined peer process");
-      } else if (e.ref == p) {
+      } else if (e.ref == rank.process()) {
         sink.reportAt(Severity::Error, i, "message to/from self");
       }
     }
@@ -391,11 +386,10 @@ public:
   std::string_view description() const override {
     return "function invocations should have a non-zero duration";
   }
-  void checkProcess(const RuleContext& context, ProcessId p,
+  void checkProcess(const RuleContext& context, const RankEvents& rank,
                     Sink& sink) const override {
     const TraceView& tr = context.trace();
-    const trace::RankPin pin = tr.rank(p);
-    const trace::EventSpan events = pin.events();
+    const trace::EventSpan events = rank.events();
     // Tolerant replay: ignore refs the structural rules already flag and
     // only pair a leave with a matching innermost enter.
     std::vector<std::pair<FunctionId, std::pair<trace::Timestamp, bool>>>

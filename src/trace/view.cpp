@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <list>
 #include <mutex>
 #include <unordered_map>
@@ -250,18 +251,21 @@ public:
       shard = it->second.shard;
     } else {
       ++stats_.shardDecodes;
-      lru_.push_front(p);
+      // LRU insertion (see view.hpp): enter at the cold end; only a hit
+      // promotes.
+      const auto inserted = lru_.insert(lru_.end(), p);
       const std::size_t bytes = shard->size() * sizeof(Event);
-      cache_.emplace(p, CacheEntry{shard, lru_.begin(), bytes});
+      cache_.emplace(p, CacheEntry{shard, inserted, bytes});
       stats_.residentBytes += bytes;
       stats_.peakResidentBytes =
           std::max(stats_.peakResidentBytes, stats_.residentBytes);
-      // Evict least-recently-used shards down to the budget; the shard
-      // just inserted is never evicted (the cache may overshoot by one
-      // shard so the requested rank always fits).
+      // Evict from the cold end down to the budget, skipping the shard
+      // just inserted (the cache may overshoot by one shard so the
+      // requested rank always fits).
       while (stats_.residentBytes > budget_ && cache_.size() > 1) {
-        const ProcessId victim = lru_.back();
-        lru_.pop_back();
+        const auto coldest = std::prev(inserted);
+        const ProcessId victim = *coldest;
+        lru_.erase(coldest);
         const auto vit = cache_.find(victim);
         stats_.residentBytes -= vit->second.bytes;
         ++stats_.shardEvictions;
@@ -297,7 +301,7 @@ private:
   std::vector<std::shared_ptr<const std::vector<Event>>> salvaged_;
 
   mutable std::mutex mutex_;
-  mutable std::list<ProcessId> lru_;  ///< front = most recently used
+  mutable std::list<ProcessId> lru_;  ///< front = hot, back = cold
   mutable std::unordered_map<ProcessId, CacheEntry> cache_;
   mutable TraceViewStats stats_;
 };

@@ -16,6 +16,15 @@
 ///     eager load (both paths run the same block codec), so every analysis
 ///     report is byte-identical between the two.
 ///
+/// Every analysis stage is a sweep over the ranks, and a cyclic sweep
+/// larger than a plain LRU evicts exactly the shards the next sweep needs
+/// first. The cache therefore uses LRU insertion: a newly decoded shard
+/// enters at the cold end and only a hit promotes it. The shards that
+/// filled the budget stay resident across sweeps, each newcomer replaces
+/// only the previous one, and a later sweep decodes only the ranks that
+/// did not fit. A pass should pin each rank once; a second pin is a hit
+/// and promotes the rank.
+///
 /// A TraceView is a cheap value type (one shared_ptr); copies share the
 /// backend and its shard cache. Borrowed views (the implicit conversion
 /// from `const Trace&`) have exactly the lifetime semantics the historical
@@ -94,7 +103,9 @@ struct TraceViewStats {
 struct TraceViewOptions {
   /// Decoded-shard LRU budget in bytes (0 = keep only the shard being
   /// pinned). The cache may overshoot by at most one shard so the shard
-  /// currently requested always fits.
+  /// currently requested always fits. New shards enter at the cold end
+  /// (see the file comment), so repeated rank sweeps keep the shards that
+  /// first filled the budget and re-decode only the rest.
   std::size_t shardBudgetBytes = 256ull << 20;
   /// Strict (default): header/table/defs verify at open, block checksums
   /// verify at first access — a corrupt block throws from rank().

@@ -4,8 +4,11 @@
 /// forwarder equivalence, and the engine's lint-on-load gate.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -13,8 +16,11 @@
 #include "engine/engine.hpp"
 #include "lint/lint.hpp"
 #include "sim/simulator.hpp"
+#include "trace/binary_io.hpp"
 #include "trace/builder.hpp"
+#include "trace/fault_injection.hpp"
 #include "trace/trace.hpp"
+#include "trace/view.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -479,7 +485,7 @@ TEST(LintRegistry, ThrowingRuleBecomesAFindingNotACrash) {
   public:
     std::string_view id() const override { return "throwing-rule"; }
     std::string_view description() const override { return "always throws"; }
-    void checkProcess(const RuleContext&, trace::ProcessId,
+    void checkProcess(const RuleContext&, const RankEvents&,
                       Sink&) const override {
       throw std::runtime_error("per-rank boom");
     }
@@ -625,6 +631,50 @@ TEST(EngineLint, ParallelEngineLintMatchesSerial) {
   parallelOptions.threads = 4;
   engine::AnalysisEngine parallel{Trace(tr), parallelOptions};
   EXPECT_EQ(serial.lintReport()->findings, parallel.lintReport()->findings);
+}
+
+// ---- a rank that fails to decode ------------------------------------------
+
+/// A strict lazy view whose rank 1 declares an impossible event count:
+/// every pin of rank 1 throws. Each per-rank rule reports one aborted
+/// finding on rank 1, and every global sweep over the ranks aborts too.
+/// The bytes are pinned, so a change to how rules reach a rank's events
+/// cannot change what lint says about an unreadable one.
+TEST(LintCorruptBlock, UndecodableRankAbortsEveryRuleThatReadsIt) {
+  const testing::Image image = testing::FaultInjector::oversizeCount(
+      testing::encodeImage(cleanTrace(), trace::kBinaryFormatV2), 1);
+  const std::string path =
+      "lint_corrupt_block_" + std::to_string(getpid()) + ".pvt";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(image.data()),
+              static_cast<std::streamsize>(image.size()));
+  }
+  const trace::TraceView view = trace::TraceView::openFile(path);
+  // The decode error names its source location, so read it off the pin.
+  std::string what;
+  try {
+    (void)view.rank(1);
+  } catch (const Error& e) {
+    what = e.what();
+  }
+  ASSERT_NE(what.find("event count exceeds block size"), std::string::npos);
+  const std::string aborted = ": rule aborted: " + what + "\n";
+  const std::string expected =
+      "lint: 15 rule(s), 4 process(es)\n"
+      "warning [clock-monotonicity] process 1" + aborted +
+      "warning [stack-balance] process 1" + aborted +
+      "warning [undefined-function-ref] process 1" + aborted +
+      "warning [undefined-metric-ref] process 1" + aborted +
+      "warning [message-endpoints] process 1" + aborted +
+      "warning [zero-duration] process 1" + aborted +
+      "warning [message-pairing] trace" + aborted +
+      "warning [definition-integrity] trace" + aborted +
+      "0 error(s), 8 warning(s), 0 info\n";
+  EXPECT_EQ(formatLintReport(lintTrace(view)), expected);
+  engine::AnalysisEngine eng{trace::TraceView::openFile(path)};
+  EXPECT_EQ(formatLintReport(*eng.lintReport()), expected);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,21 +1,27 @@
 /// Differential tests of the block-based PVTF v2 codec: serial and
 /// threaded encode/decode must reproduce the original trace bit-exactly,
-/// v1 files written by the legacy writer must keep loading, and v2 files
-/// must not be larger than their v1 counterparts.
+/// v1 files written by the legacy writer must keep loading, v2 files
+/// must not be larger than their v1 counterparts, and a lazy view's shard
+/// cache must hand every thread the right events.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/paper_examples.hpp"
 #include "trace/binary_format.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/builder.hpp"
+#include "trace/view.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -285,6 +291,60 @@ TEST(BinaryV2, WriteRejectsUnknownVersion) {
   options.version = 7;
   std::ostringstream os;
   EXPECT_THROW(writeBinary(syntheticTrace(1, 2), os, options), Error);
+}
+
+// ---- lazy shard cache under concurrent sweeps -----------------------------
+
+/// Four threads sweep a lazy view's ranks repeatedly, each from its own
+/// starting rank, over a shard budget of about half the decoded trace:
+/// concurrent misses, same-rank decode races, hits and evictions all
+/// interleave. Every pin must read the original events, and the cache
+/// must stay within budget plus the shard being brought in.
+TEST(LazyViewSweeps, FourThreadsRepeatedlySweepingReadTheOriginalEvents) {
+  const Trace original = syntheticTrace(32, 40);
+  const std::string path =
+      "binary_v2_lazy_sweeps_" + std::to_string(getpid()) + ".pvt";
+  saveBinaryFile(original, path);
+  std::size_t totalBytes = 0;
+  std::size_t maxShardBytes = 0;
+  for (const ProcessTrace& proc : original.processes) {
+    const std::size_t bytes = proc.events.size() * sizeof(Event);
+    totalBytes += bytes;
+    maxShardBytes = std::max(maxShardBytes, bytes);
+  }
+  TraceViewOptions options;
+  options.shardBudgetBytes = totalBytes / 2;
+  const TraceView view = TraceView::openFile(path, options);
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kSweeps = 6;
+  const std::size_t ranks = original.processes.size();
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (std::size_t sweep = 0; sweep < kSweeps; ++sweep) {
+        for (std::size_t i = 0; i < ranks; ++i) {
+          const auto p = static_cast<ProcessId>((i + 8 * t) % ranks);
+          const RankPin pin = view.rank(p);
+          const std::vector<Event>& expected = original.processes[p].events;
+          if (!std::equal(pin.events().begin(), pin.events().end(),
+                          expected.begin(), expected.end())) {
+            ++mismatches;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+  EXPECT_EQ(mismatches.load(), 0u);
+  const TraceViewStats stats = view.stats();
+  EXPECT_EQ(stats.shardDecodes + stats.shardHits, kThreads * kSweeps * ranks);
+  EXPECT_GT(stats.shardEvictions, 0u);
+  EXPECT_LE(stats.peakResidentBytes, options.shardBudgetBytes + maxShardBytes);
+  std::remove(path.c_str());
 }
 
 // ---- varint decoder properties --------------------------------------------

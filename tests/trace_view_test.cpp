@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -213,6 +214,84 @@ TEST(TraceViewLru, EvictionStaysWithinBudgetAndPinsSurvive) {
   EXPECT_EQ(lazy.stats().shardDecodes, decodesBefore);
   EXPECT_GT(lazy.stats().shardHits, 0u);
   (void)again;
+}
+
+/// A 32-rank file of equal-size ranks, lazily opened with a shard budget
+/// of 16 shards: about half the decoded trace.
+struct HalfBudgetView {
+  HalfBudgetView() : file(uniquePath("view_policy")) {
+    apps::ScaleConfig cfg = smallConfig();
+    cfg.ranks = 32;
+    apps::writeScaleTrace(file.path, cfg);
+    eager = apps::buildScaleTrace(cfg);
+    shardBytes = eager.processes[0].events.size() * sizeof(trace::Event);
+    for (const trace::ProcessTrace& proc : eager.processes) {
+      EXPECT_EQ(proc.events.size() * sizeof(trace::Event), shardBytes);
+    }
+    trace::TraceViewOptions opts;
+    opts.shardBudgetBytes = 16 * shardBytes;
+    view = trace::TraceView::openFile(file.path, opts);
+  }
+
+  /// Pin every rank in order, checking each pin against the eager events;
+  /// returns the number of shards decoded.
+  std::uint64_t sweep() const {
+    const std::uint64_t before = view.stats().shardDecodes;
+    for (trace::ProcessId p = 0; p < view.processCount(); ++p) {
+      const trace::RankPin pin = view.rank(p);
+      EXPECT_TRUE(std::equal(pin.events().begin(), pin.events().end(),
+                             eager.processes[p].events.begin(),
+                             eager.processes[p].events.end()));
+    }
+    return view.stats().shardDecodes - before;
+  }
+
+  FileGuard file;
+  trace::Trace eager;
+  std::size_t shardBytes = 0;
+  trace::TraceView view;
+};
+
+TEST(TraceViewLru, LaterSweepsDecodeOnlyTheRanksThatDidNotFit) {
+  const HalfBudgetView h;
+  // New shards enter the cold end. Of the 16 shards the budget holds,
+  // ranks 0..14 stay resident and the last slot cycles through the
+  // newcomers, each replacing the previous one. So every sweep after the
+  // first decodes ranks 15..31 and hits ranks 0..14.
+  EXPECT_EQ(h.sweep(), 32u);
+  for (int pass = 2; pass <= 3; ++pass) {
+    SCOPED_TRACE(pass);
+    const std::uint64_t hitsBefore = h.view.stats().shardHits;
+    for (trace::ProcessId p = 0; p < 32; ++p) {
+      const std::uint64_t before = h.view.stats().shardDecodes;
+      (void)h.view.rank(p);
+      EXPECT_EQ(h.view.stats().shardDecodes - before, p < 15 ? 0u : 1u)
+          << "rank " << p;
+    }
+    EXPECT_EQ(h.view.stats().shardHits - hitsBefore, 15u);
+  }
+  EXPECT_EQ(h.sweep(), 17u);
+  EXPECT_LE(h.view.stats().peakResidentBytes, 17 * h.shardBytes);
+}
+
+TEST(TraceViewLru, AHitPromotesARankPastTheNextSweep) {
+  const HalfBudgetView h;
+  for (trace::ProcessId p = 0; p < 32; ++p) {
+    (void)h.view.rank(p);
+    if (p == 20) {
+      (void)h.view.rank(p);  // a hit: rank 20 moves to the hot end
+    }
+  }
+  // Rank 20 outlives the newcomers that followed it, and the next sweep
+  // finds it resident.
+  for (trace::ProcessId p = 0; p < 20; ++p) {
+    (void)h.view.rank(p);
+  }
+  const std::uint64_t before = h.view.stats().shardDecodes;
+  (void)h.view.rank(20);
+  EXPECT_EQ(h.view.stats().shardDecodes, before);
+  EXPECT_EQ(h.sweep(), 17u);
+  EXPECT_LE(h.view.stats().peakResidentBytes, 17 * h.shardBytes);
 }
 
 TEST(TraceViewSalvage, CorruptBlocksQuarantineIdenticallyToEagerSalvage) {
