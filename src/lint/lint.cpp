@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "lint/census.hpp"
 #include "profile/profile.hpp"
 #include "util/error.hpp"
 #include "util/json_writer.hpp"
@@ -60,7 +61,7 @@ void Sink::reportAt(Severity severity, std::size_t eventIndex,
   if (severity < minSeverity_) {
     return;
   }
-  out_.push_back(Finding{ruleId_, severity, process_,
+  out_.push_back(Finding{std::string(ruleId_), severity, process_,
                          static_cast<std::int64_t>(eventIndex),
                          std::move(message)});
 }
@@ -69,7 +70,8 @@ void Sink::report(Severity severity, std::string message) {
   if (severity < minSeverity_) {
     return;
   }
-  out_.push_back(Finding{ruleId_, severity, process_, -1, std::move(message)});
+  out_.push_back(Finding{std::string(ruleId_), severity, process_, -1,
+                         std::move(message)});
 }
 
 void Sink::reportProcess(Severity severity, trace::ProcessId process,
@@ -77,8 +79,9 @@ void Sink::reportProcess(Severity severity, trace::ProcessId process,
   if (severity < minSeverity_) {
     return;
   }
-  out_.push_back(Finding{ruleId_, severity, static_cast<std::int64_t>(process),
-                         -1, std::move(message)});
+  out_.push_back(Finding{std::string(ruleId_), severity,
+                         static_cast<std::int64_t>(process), -1,
+                         std::move(message)});
 }
 
 trace::EventSpan RankEvents::events() const {
@@ -101,8 +104,16 @@ void Rule::checkProcess(const RuleContext&, const RankEvents&, Sink&) const {}
 void Rule::checkTrace(const RuleContext&, Sink&) const {}
 
 RuleContext::RuleContext(const trace::TraceView& trace,
-                         const LintOptions& options, StageSource& stages)
-    : view_(trace), options_(options), stages_(stages) {}
+                         const LintOptions& options, StageSource& stages,
+                         const TraceCensus* census)
+    : view_(trace), options_(options), stages_(stages), census_(census) {}
+
+const TraceCensus& RuleContext::census() const {
+  PERFVAR_REQUIRE(census_ != nullptr,
+                  "lint census not taken: no enabled rule declares "
+                  "Rule::readsCensus()");
+  return *census_;
+}
 
 namespace {
 
@@ -287,9 +298,17 @@ LintReport lintTrace(const trace::TraceView& trace, const LintOptions& options,
   util::ThreadPool* pool =
       util::resolvePool(options.pool, options.threads, owned);
   std::optional<RunStages> runStages;
+  // The census is taken only when an enabled rule reads it.
+  TraceCensus census;
+  std::optional<CensusBuilder> censusBuilder;
+  if (std::any_of(enabled.begin(), enabled.end(),
+                  [](const Rule* rule) { return rule->readsCensus(); })) {
+    censusBuilder.emplace(trace, census);
+  }
   RuleContext context(trace, options,
                       stages != nullptr ? *stages
-                                        : runStages.emplace(trace, pool));
+                                        : runStages.emplace(trace, pool),
+                      censusBuilder ? &census : nullptr);
   const std::size_t processCount = trace.processCount();
 
   // Registry position of each enabled rule, for deterministic tie-breaks.
@@ -299,15 +318,16 @@ LintReport lintTrace(const trace::TraceView& trace, const LintOptions& options,
   }
 
   // Per-rank phase: every task writes only its own rank's slot, so the
-  // merged result is independent of the thread count.
+  // merged result is independent of the thread count. The census reads
+  // the same pin as the rules.
   std::vector<std::vector<Finding>> perRank(processCount);
-  const auto checkRank = [&](std::size_t p) {
-    const RankEvents rank(trace, static_cast<trace::ProcessId>(p));
+  const auto checkRank = [&](const RankEvents& rank) {
+    const std::size_t p = rank.process();
     std::vector<Finding>& out = perRank[p];
     std::vector<std::size_t> findingRule;  // parallel to `out`
     for (std::size_t r = 0; r < enabled.size(); ++r) {
       const Rule* rule = enabled[r];
-      Sink sink(std::string(rule->id()), static_cast<std::int64_t>(p),
+      Sink sink(rule->id(), static_cast<std::int64_t>(p),
                 options.minSeverity, out);
       try {
         rule->checkProcess(context, rank, sink);
@@ -323,12 +343,20 @@ LintReport lintTrace(const trace::TraceView& trace, const LintOptions& options,
     sortRankFindings(out, ruleOrder, findingRule);
   };
 
-  util::parallelChunks(pool, processCount,
-                       [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t p = begin; p < end; ++p) {
-                           checkRank(p);
-                         }
-                       });
+  util::parallelChunks(
+      pool, processCount, [&](std::size_t begin, std::size_t end) {
+        std::optional<CensusBuilder::Tally> tally;
+        if (censusBuilder) {
+          tally.emplace(*censusBuilder);
+        }
+        for (std::size_t p = begin; p < end; ++p) {
+          const RankEvents rank(trace, static_cast<trace::ProcessId>(p));
+          checkRank(rank);
+          if (tally) {
+            tally->add(rank);
+          }
+        }
+      });
 
   for (std::size_t p = 0; p < processCount; ++p) {
     for (Finding& f : perRank[p]) {
@@ -338,8 +366,7 @@ LintReport lintTrace(const trace::TraceView& trace, const LintOptions& options,
 
   // Global phase: serial, registry order, appended after rank findings.
   for (const Rule* rule : enabled) {
-    Sink sink(std::string(rule->id()), -1, options.minSeverity,
-              report.findings);
+    Sink sink(rule->id(), -1, options.minSeverity, report.findings);
     try {
       rule->checkTrace(context, sink);
     } catch (const std::exception& e) {

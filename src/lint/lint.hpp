@@ -16,12 +16,13 @@
 /// Rules come in two flavors. Per-rank checks (Rule::checkProcess) run
 /// over each process stream and are sharded across a util::ThreadPool
 /// when LintOptions::threads != 1; whole-trace checks (Rule::checkTrace)
-/// run serially on the calling thread afterwards. Findings are merged
-/// deterministically — per-rank findings in ascending rank order, each
-/// rank's findings sorted by event index (ties in registry order), global
-/// findings appended in registry order — so the report is byte-identical
-/// for every thread count (the same discipline as analyzeTrace, see
-/// analysis/pipeline.hpp).
+/// run serially on the calling thread afterwards; the built-in ones read
+/// the ranks' events only through the TraceCensus that the per-rank phase
+/// takes from the same pins. Findings are merged deterministically —
+/// per-rank findings in ascending rank order, each rank's findings sorted
+/// by event index (ties in registry order), global findings appended in
+/// registry order — so the report is byte-identical for every thread count
+/// (the same discipline as analyzeTrace, see analysis/pipeline.hpp).
 ///
 /// Global rules read the analysis stages from a StageSource:
 /// AnalysisEngine::lintReport() passes the engine, so lint and a report
@@ -40,6 +41,7 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -142,12 +144,14 @@ class RuleContext;
 
 /// Destination for a rule's findings. The engine constructs one sink per
 /// (rule, process) in the per-rank phase and one per rule in the global
-/// phase; the sink applies LintOptions::minSeverity filtering.
+/// phase; the sink applies LintOptions::minSeverity filtering. It views
+/// the rule id (which must outlive the sink) and copies it only into a
+/// reported finding.
 class Sink {
 public:
-  Sink(std::string ruleId, std::int64_t process, Severity minSeverity,
+  Sink(std::string_view ruleId, std::int64_t process, Severity minSeverity,
        std::vector<Finding>& out)
-      : ruleId_(std::move(ruleId)),
+      : ruleId_(ruleId),
         process_(process),
         minSeverity_(minSeverity),
         out_(out) {}
@@ -164,7 +168,7 @@ public:
                      std::string message);
 
 private:
-  std::string ruleId_;
+  std::string_view ruleId_;
   std::int64_t process_;
   Severity minSeverity_;
   std::vector<Finding>& out_;
@@ -192,6 +196,64 @@ private:
   mutable std::exception_ptr error_;
 };
 
+/// Per-rank tallies of the trace's events for the whole-trace rules that
+/// declare Rule::readsCensus(). lintTrace() takes them in the parallel
+/// per-rank phase from the RankEvents pin the per-rank rules share, so
+/// such a rule reduces the census instead of pinning every rank again.
+/// Records are stored flat, one contiguous slice per rank, and only for
+/// what a rank touches. A rank whose pin threw keeps the error instead of
+/// records.
+class TraceCensus {
+public:
+  /// Valid messages between a rank and one peer (peer < processCount()
+  /// and peer != rank; message-endpoints reports the others).
+  struct Channel {
+    trace::ProcessId peer = 0;
+    std::uint64_t sends = 0;  ///< MpiSend events of the rank to `peer`
+    std::uint64_t recvs = 0;  ///< MpiRecv events of the rank from `peer`
+  };
+  /// One defined function that an Enter or Leave of the rank references.
+  struct Invocations {
+    trace::FunctionId function = 0;
+    /// Completed outermost invocations under trace::replayEventsWith's
+    /// pairing: the size of the rank's analysis::extractSegments row.
+    std::uint64_t outermost = 0;
+  };
+
+  std::size_t processCount() const { return ranks_.size(); }
+
+  /// Rank p's channels by ascending peer; rethrows p's pin error.
+  std::span<const Channel> channels(trace::ProcessId p) const;
+  /// Rank p's referenced functions by ascending id; rethrows p's pin
+  /// error.
+  std::span<const Invocations> functions(trace::ProcessId p) const;
+  /// Completed outermost invocations of `f` on rank p (0 when the rank
+  /// completes none); rethrows p's pin error or, when the rank's stream
+  /// does not replay (unbalanced stack), the replay's error.
+  std::uint64_t outermostInvocations(trace::ProcessId p,
+                                     trace::FunctionId f) const;
+
+private:
+  friend class CensusBuilder;
+
+  /// Where a rank's records sit in channels_ and functions_, or why the
+  /// rank has none.
+  struct Rank {
+    std::size_t channelBegin = 0;
+    std::size_t functionBegin = 0;
+    std::uint32_t channelCount = 0;
+    std::uint32_t functionCount = 0;
+    std::exception_ptr error;  ///< the pin's or else the replay's error
+    bool pinFailed = false;
+  };
+  /// Rank p; rethrows p's pin error.
+  const Rank& pinned(trace::ProcessId p) const;
+
+  std::vector<Channel> channels_;
+  std::vector<Invocations> functions_;
+  std::vector<Rank> ranks_;
+};
+
 /// One diagnostic rule. Implementations must be stateless const objects:
 /// checkProcess() is called concurrently for distinct ranks.
 class Rule {
@@ -212,6 +274,9 @@ public:
   /// Whole-trace check; runs serially after the per-rank phase and may
   /// use every RuleContext helper.
   virtual void checkTrace(const RuleContext& context, Sink& sink) const;
+  /// True when checkTrace() reads RuleContext::census(). lintTrace()
+  /// takes the census only when an enabled rule returns true.
+  virtual bool readsCensus() const { return false; }
 };
 
 /// Where a lint run's global rules get the analysis stages. A stage that
@@ -234,11 +299,13 @@ protected:
 
 /// Shared state handed to rules. The stages come from the run's
 /// StageSource, each asked for at most once per run (a throw reads as
-/// null), and are for the serial global phase only.
+/// null), and are for the serial global phase only, like the census.
 class RuleContext {
 public:
+  /// `census` is filled by the per-rank phase before the global phase
+  /// reads it; null when no enabled rule reads it.
   RuleContext(const trace::TraceView& trace, const LintOptions& options,
-              StageSource& stages);
+              StageSource& stages, const TraceCensus* census);
 
   RuleContext(const RuleContext&) = delete;
   RuleContext& operator=(const RuleContext&) = delete;
@@ -257,11 +324,15 @@ public:
   /// idle waves) of analysisTrace() under options(), shared by the three
   /// dependency rules. Null when there is no analyzable trace.
   const analysis::DepAnalysis* depAnalysisOrNull() const;
+  /// The per-rank census of trace(). Global phase only; throws
+  /// perfvar::Error when no enabled rule declares Rule::readsCensus().
+  const TraceCensus& census() const;
 
 private:
   trace::TraceView view_;
   const LintOptions& options_;
   StageSource& stages_;
+  const TraceCensus* census_;
   mutable std::optional<std::shared_ptr<const analysis::DominantSelection>>
       dominant_;
   mutable std::optional<std::shared_ptr<const analysis::DepAnalysis>>

@@ -6,7 +6,9 @@
 /// validate() forwarder reproduces the historical single-pass issue order
 /// (the old loop checked the timestamp before the event kind).
 
+#include <algorithm>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -14,7 +16,6 @@
 #include <vector>
 
 #include "analysis/depgraph.hpp"
-#include "analysis/segments.hpp"
 #include "lint/lint.hpp"
 #include "util/error.hpp"
 
@@ -181,32 +182,46 @@ public:
   std::string_view description() const override {
     return "send and receive counts must match per directed rank pair";
   }
+  bool readsCensus() const override { return true; }
   void checkTrace(const RuleContext& context, Sink& sink) const override {
-    const TraceView& tr = context.trace();
-    // (sender, receiver) -> {sends recorded at sender, recvs at receiver};
-    // std::map for deterministic iteration order.
-    std::map<std::pair<ProcessId, ProcessId>,
-             std::pair<std::uint64_t, std::uint64_t>>
-        pairs;
-    for (ProcessId p = 0; p < tr.processCount(); ++p) {
-      const trace::RankPin pin = tr.rank(p);
-      for (const Event& e : pin.events()) {
-        if (e.ref >= tr.processCount() || e.ref == p) {
-          continue;  // message-endpoints reports these
+    const TraceCensus& census = context.census();
+    // One entry per nonzero side of a (sender, receiver) pair: the sends
+    // come from the sender's channels, the receives from the receiver's.
+    // The first rank whose pin threw aborts the rule, as a sweep would.
+    struct Pair {
+      ProcessId sender;
+      ProcessId receiver;
+      std::uint64_t sends;
+      std::uint64_t recvs;
+    };
+    std::vector<Pair> sides;
+    for (ProcessId p = 0; p < census.processCount(); ++p) {
+      for (const TraceCensus::Channel& c : census.channels(p)) {
+        if (c.sends != 0) {
+          sides.push_back(Pair{p, c.peer, c.sends, 0});
         }
-        if (e.kind == EventKind::MpiSend) {
-          ++pairs[{p, static_cast<ProcessId>(e.ref)}].first;
-        } else if (e.kind == EventKind::MpiRecv) {
-          ++pairs[{static_cast<ProcessId>(e.ref), p}].second;
+        if (c.recvs != 0) {
+          sides.push_back(Pair{c.peer, p, 0, c.recvs});
         }
       }
     }
-    for (const auto& [pair, counts] : pairs) {
-      if (counts.first != counts.second) {
+    const auto key = [](const Pair& x) {
+      return std::pair(x.sender, x.receiver);
+    };
+    std::sort(sides.begin(), sides.end(), [&](const Pair& a, const Pair& b) {
+      return key(a) < key(b);
+    });
+    for (std::size_t i = 0; i < sides.size();) {
+      Pair pair = sides[i];
+      for (++i; i < sides.size() && key(sides[i]) == key(pair); ++i) {
+        pair.sends += sides[i].sends;
+        pair.recvs += sides[i].recvs;
+      }
+      if (pair.sends != pair.recvs) {
         std::ostringstream os;
-        os << "rank " << pair.first << " sent " << counts.first
-           << " message(s) to rank " << pair.second << ", which received "
-           << counts.second;
+        os << "rank " << pair.sender << " sent " << pair.sends
+           << " message(s) to rank " << pair.receiver << ", which received "
+           << pair.recvs;
         sink.report(Severity::Warning, os.str());
       }
     }
@@ -225,18 +240,16 @@ public:
     return "definition tables must be duplicate-free; every function "
            "definition must be referenced";
   }
+  bool readsCensus() const override { return true; }
   void checkTrace(const RuleContext& context, Sink& sink) const override {
     const TraceView& tr = context.trace();
     reportDuplicates(tr, sink);
 
+    const TraceCensus& census = context.census();
     std::vector<bool> functionUsed(tr.functions().size(), false);
-    for (ProcessId p = 0; p < tr.processCount(); ++p) {
-      const trace::RankPin pin = tr.rank(p);
-      for (const Event& e : pin.events()) {
-        if ((e.kind == EventKind::Enter || e.kind == EventKind::Leave) &&
-            e.ref < functionUsed.size()) {
-          functionUsed[e.ref] = true;
-        }
+    for (ProcessId p = 0; p < census.processCount(); ++p) {
+      for (const TraceCensus::Invocations& f : census.functions(p)) {
+        functionUsed[f.function] = true;
       }
     }
     for (std::size_t f = 0; f < functionUsed.size(); ++f) {
@@ -356,21 +369,31 @@ public:
   std::string_view description() const override {
     return "segment counts of the dominant function should match across ranks";
   }
+  bool readsCensus() const override { return true; }
   void checkTrace(const RuleContext& context, Sink& sink) const override {
     const TraceView* tr = context.analysisTrace();
     const analysis::DominantSelection* sel = context.dominantOrNull();
     if (tr == nullptr || sel == nullptr || !sel->hasDominant()) {
       return;  // dominant-eligibility reports the missing candidate
     }
+    // The census covers trace(); its unquarantined ranks are exactly the
+    // ranks of the analysis trace, and a dominant function means there is
+    // at least one.
     const FunctionId f = sel->dominant().function;
-    const auto segments = analysis::extractSegments(*tr, f);
-    const analysis::SegmentationInfo info =
-        analysis::describeSegmentation(segments);
-    if (!info.uniform) {
+    const TraceCensus& census = context.census();
+    std::uint64_t minCount = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t maxCount = 0;
+    for (ProcessId p = 0; p < census.processCount(); ++p) {
+      if (!context.trace().isQuarantined(p)) {
+        const std::uint64_t n = census.outermostInvocations(p, f);
+        minCount = std::min(minCount, n);
+        maxCount = std::max(maxCount, n);
+      }
+    }
+    if (minCount != maxCount) {
       std::ostringstream os;
       os << "segment counts of dominant function '" << tr->functions().name(f)
-         << "' differ across ranks (min " << info.minPerProcess << ", max "
-         << info.maxPerProcess
+         << "' differ across ranks (min " << minCount << ", max " << maxCount
          << "); per-iteration statistics will misalign";
       sink.report(Severity::Warning, os.str());
     }

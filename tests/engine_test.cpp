@@ -344,16 +344,17 @@ TEST(Engine, ShardDecodesPerStageArePinned) {
   (void)eng.analyze();
   EXPECT_EQ(decodesSince(), 26u);  // profile, SOS
   (void)eng.lintReport();
-  // Per-rank rules, message-pairing, definition-integrity, segment-skew
-  // and the dependency graph; the profile and dominant ranking are hits.
-  EXPECT_EQ(decodesSince(), 50u);
+  // The per-rank phase and the dependency graph; the profile and dominant
+  // ranking are hits.
+  EXPECT_EQ(decodesSince(), 20u);
   (void)eng.formatDepReport();
   EXPECT_EQ(decodesSince(), 0u);  // lint's dep entry
 
-  // Standalone lint: the same five passes plus its own profile.
+  // Standalone lint: the per-rank phase and the dependency graph plus its
+  // own profile.
   const trace::TraceView fresh = trace::TraceView::openFile(path, vopts);
   (void)lint::lintTrace(fresh);
-  EXPECT_EQ(fresh.stats().shardDecodes, 66u);
+  EXPECT_EQ(fresh.stats().shardDecodes, 36u);
   std::remove(path.c_str());
 }
 

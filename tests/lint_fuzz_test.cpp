@@ -5,18 +5,27 @@
 /// lintTrace() (its documented robustness contract). Each salvaged or
 /// mutated trace is linted with the full registry and once per rule in
 /// isolation, serially and on 4 threads, and every report must render in
-/// all three export formats.
+/// all three export formats. The same hostile traces also check the
+/// census-backed whole-trace rules against their serial sweeps.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstddef>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "analysis/segments.hpp"
 #include "lint/lint.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/builder.hpp"
 #include "trace/fault_injection.hpp"
+#include "trace/view.hpp"
 #include "util/error.hpp"
 
 namespace perfvar::lint {
@@ -311,6 +320,326 @@ TEST(LintFuzz, ScrambledReportsAreDeterministic) {
         << "scramble seed " << seed;
     EXPECT_EQ(exportLintReportString(report, analysis::ExportFormat::Json),
               exportLintReportString(reference, analysis::ExportFormat::Json));
+  }
+}
+
+// ---- census-backed rules against the serial sweeps ------------------------
+//
+// message-pairing, definition-integrity and segment-skew reduce the census
+// that lintTrace() takes in the per-rank phase. The oracles below are the
+// serial sweeps they replaced: each pins every rank again on the calling
+// thread. Registered under the same ids, they must produce byte-equal
+// reports on every hostile input.
+
+class SerialMessagePairing final : public Rule {
+public:
+  std::string_view id() const override { return "message-pairing"; }
+  std::string_view description() const override { return "oracle"; }
+  void checkTrace(const RuleContext& context, Sink& sink) const override {
+    const trace::TraceView& tr = context.trace();
+    std::map<std::pair<trace::ProcessId, trace::ProcessId>,
+             std::pair<std::uint64_t, std::uint64_t>>
+        pairs;
+    for (trace::ProcessId p = 0; p < tr.processCount(); ++p) {
+      const trace::RankPin pin = tr.rank(p);
+      for (const trace::Event& e : pin.events()) {
+        if (e.ref >= tr.processCount() || e.ref == p) {
+          continue;
+        }
+        if (e.kind == trace::EventKind::MpiSend) {
+          ++pairs[{p, static_cast<trace::ProcessId>(e.ref)}].first;
+        } else if (e.kind == trace::EventKind::MpiRecv) {
+          ++pairs[{static_cast<trace::ProcessId>(e.ref), p}].second;
+        }
+      }
+    }
+    for (const auto& [pair, counts] : pairs) {
+      if (counts.first != counts.second) {
+        std::ostringstream os;
+        os << "rank " << pair.first << " sent " << counts.first
+           << " message(s) to rank " << pair.second << ", which received "
+           << counts.second;
+        sink.report(Severity::Warning, os.str());
+      }
+    }
+  }
+};
+
+class SerialDefinitionIntegrity final : public Rule {
+public:
+  std::string_view id() const override { return "definition-integrity"; }
+  std::string_view description() const override { return "oracle"; }
+  void checkTrace(const RuleContext& context, Sink& sink) const override {
+    const trace::TraceView& tr = context.trace();
+    const auto duplicates = [&](const auto& defs, const char* kind) {
+      std::map<std::string, std::uint64_t> names;
+      for (const auto& def : defs) {
+        ++names[def.name];
+      }
+      for (const auto& [name, n] : names) {
+        if (n > 1) {
+          std::ostringstream os;
+          os << kind << " name '" << name << "' defined " << n << " times";
+          sink.report(Severity::Warning, os.str());
+        }
+      }
+    };
+    duplicates(tr.functions().all(), "function");
+    duplicates(tr.metrics().all(), "metric");
+    std::vector<bool> used(tr.functions().size(), false);
+    for (trace::ProcessId p = 0; p < tr.processCount(); ++p) {
+      const trace::RankPin pin = tr.rank(p);
+      for (const trace::Event& e : pin.events()) {
+        if ((e.kind == trace::EventKind::Enter ||
+             e.kind == trace::EventKind::Leave) &&
+            e.ref < used.size()) {
+          used[e.ref] = true;
+        }
+      }
+    }
+    for (std::size_t f = 0; f < used.size(); ++f) {
+      if (!used[f]) {
+        sink.report(Severity::Info,
+                    "function '" +
+                        tr.functions().name(static_cast<trace::FunctionId>(f)) +
+                        "' is defined but never referenced by any event");
+      }
+    }
+  }
+};
+
+class SerialSegmentSkew final : public Rule {
+public:
+  std::string_view id() const override { return "segment-skew"; }
+  std::string_view description() const override { return "oracle"; }
+  void checkTrace(const RuleContext& context, Sink& sink) const override {
+    const trace::TraceView* tr = context.analysisTrace();
+    const analysis::DominantSelection* sel = context.dominantOrNull();
+    if (tr == nullptr || sel == nullptr || !sel->hasDominant()) {
+      return;
+    }
+    const trace::FunctionId f = sel->dominant().function;
+    const analysis::SegmentationInfo info =
+        analysis::describeSegmentation(analysis::extractSegments(*tr, f));
+    if (!info.uniform) {
+      std::ostringstream os;
+      os << "segment counts of dominant function '" << tr->functions().name(f)
+         << "' differ across ranks (min " << info.minPerProcess << ", max "
+         << info.maxPerProcess
+         << "); per-iteration statistics will misalign";
+      sink.report(Severity::Warning, os.str());
+    }
+  }
+};
+
+/// The built-in registry with the three census rules swapped for their
+/// serial oracles, in the same registry order.
+const RuleRegistry& serialRegistry() {
+  static const RuleRegistry registry = [] {
+    RuleRegistry r;
+    for (const auto& rule : RuleRegistry::builtin().rules()) {
+      if (rule->id() == "message-pairing") {
+        r.add(std::make_shared<SerialMessagePairing>());
+      } else if (rule->id() == "definition-integrity") {
+        r.add(std::make_shared<SerialDefinitionIntegrity>());
+      } else if (rule->id() == "segment-skew") {
+        r.add(std::make_shared<SerialSegmentSkew>());
+      } else {
+        r.add(rule);
+      }
+    }
+    return r;
+  }();
+  return registry;
+}
+
+/// Lint `view` with the built-in and the serial registry, in full and with
+/// only the three census rules, at 1 and 4 threads; every pair of reports
+/// must be byte-equal. Returns the full serial report.
+std::string expectCensusMatchesSerial(const trace::TraceView& view,
+                                      const std::string& what) {
+  SCOPED_TRACE(what);
+  std::string full;
+  for (const std::size_t threads : {1ul, 4ul}) {
+    for (const bool alone : {false, true}) {
+      LintOptions options;
+      options.threads = threads;
+      if (alone) {
+        options.onlyRules = {"message-pairing", "definition-integrity",
+                             "segment-skew"};
+      }
+      const std::string expected =
+          formatLintReport(lintTrace(view, options, serialRegistry()));
+      EXPECT_EQ(formatLintReport(lintTrace(view, options)), expected)
+          << threads << " thread(s)" << (alone ? ", census rules alone" : "");
+      if (!alone) {
+        full = expected;
+      }
+    }
+  }
+  return full;
+}
+
+/// Write `image` to a file named after `tag` and open it lazily.
+trace::TraceView openLazy(const Image& image, const std::string& tag,
+                          trace::RecoveryMode recovery) {
+  const std::string path = "lint_census_" + tag + "_" +
+                           std::to_string(getpid()) + ".pvt";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(image.data()),
+              static_cast<std::streamsize>(image.size()));
+  }
+  trace::TraceViewOptions options;
+  options.recovery = recovery;
+  trace::TraceView view = trace::TraceView::openFile(path, options);
+  std::remove(path.c_str());  // the view keeps its mapping
+  return view;
+}
+
+/// Check `tr` eagerly and as a strict lazy view of its v2 image.
+void expectOnBothViews(const Trace& tr, const std::string& what) {
+  expectCensusMatchesSerial(tr, what + " (eager)");
+  expectCensusMatchesSerial(
+      openLazy(ft::encodeImage(tr, trace::kBinaryFormatV2), "view",
+               trace::RecoveryMode::Strict),
+      what + " (lazy)");
+}
+
+/// Iterative trace whose dominant function `step` recurses: every third
+/// step of rank p nests p % 3 inner steps. Rank `skewed` runs one step
+/// fewer (so segment-skew and message-pairing fire) unless it is out of
+/// range. `step` is defined last but entered first, and every rank sends
+/// before it receives, so no rank touches its functions or peers in
+/// ascending order.
+Trace recursiveStepTrace(std::size_t ranks, std::size_t steps,
+                         std::size_t skewed) {
+  trace::TraceBuilder b(ranks);
+  b.defineFunction("unused", "APP");
+  const auto work = b.defineFunction("work", "APP");
+  const auto send =
+      b.defineFunction("MPI_Sendrecv", "MPI", trace::Paradigm::MPI);
+  const auto step = b.defineFunction("step", "APP");
+  for (trace::ProcessId p = 0; p < ranks; ++p) {
+    trace::Timestamp t = 5 * (p + 1);
+    const std::size_t n = steps - (p == skewed ? 1 : 0);
+    for (std::size_t it = 0; it < n; ++it) {
+      const std::size_t depth = it % 3 == 0 ? p % 3 : 0;
+      for (std::size_t d = 0; d <= depth; ++d) {
+        b.enter(p, t++, step);
+      }
+      b.enter(p, t, work);
+      t += 10 + (p * 7 + it) % 13;
+      b.leave(p, t, work);
+      b.enter(p, t, send);
+      b.mpiSend(p, t + 1, static_cast<trace::ProcessId>((p + 1) % ranks),
+                static_cast<std::uint32_t>(it), 64);
+      b.mpiRecv(p, t + 2,
+                static_cast<trace::ProcessId>((p + ranks - 1) % ranks),
+                static_cast<std::uint32_t>(it), 64);
+      t += 4;
+      b.leave(p, t, send);
+      for (std::size_t d = 0; d <= depth; ++d) {
+        b.leave(p, ++t, step);
+      }
+      ++t;
+    }
+  }
+  return b.finish();
+}
+
+/// Copy of `tr` with one Leave of every rank p with p % 3 != 0 removed
+/// (an unclosed frame) or duplicated (a leave without its enter).
+Trace unbalance(const Trace& tr) {
+  Trace out = tr;
+  for (std::size_t p = 0; p < out.processes.size(); ++p) {
+    auto& events = out.processes[p].events;
+    for (std::size_t i = events.size() / 2; i < events.size(); ++i) {
+      if (events[i].kind == trace::EventKind::Leave && p % 3 != 0) {
+        if (p % 3 == 1) {
+          events.erase(events.begin() + static_cast<std::ptrdiff_t>(i));
+        } else {
+          events.insert(events.begin() + static_cast<std::ptrdiff_t>(i),
+                        events[i]);
+        }
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+/// Copy of `tr` whose messages of rank 0 name rank 0 itself and of rank 1
+/// an out-of-range peer.
+Trace badPeers(const Trace& tr) {
+  Trace out = tr;
+  for (std::size_t p = 0; p < 2 && p < out.processes.size(); ++p) {
+    for (trace::Event& e : out.processes[p].events) {
+      if (e.kind == trace::EventKind::MpiSend ||
+          e.kind == trace::EventKind::MpiRecv) {
+        e.ref = p == 0 ? 0u : 100000u;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(LintCensus, MatchesTheSerialSweeps) {
+  // Clean, recursive and skewed shapes; scrambled fields; self and
+  // out-of-range peers; unbalanced stacks. Eager and lazy.
+  const Trace uniform = recursiveStepTrace(6, 12, 6);
+  const Trace skewed = recursiveStepTrace(6, 12, 4);
+  EXPECT_NE(expectCensusMatchesSerial(skewed, "skewed")
+                .find("[segment-skew]"),
+            std::string::npos);
+  EXPECT_EQ(expectCensusMatchesSerial(uniform, "uniform")
+                .find("[segment-skew]"),
+            std::string::npos);
+  const Trace synthetic = syntheticTrace(4, 16);
+  for (const Trace* base : {&uniform, &skewed, &synthetic}) {
+    const std::string name = base == &uniform   ? "uniform"
+                             : base == &skewed  ? "skewed"
+                                                : "synthetic";
+    expectOnBothViews(*base, name);
+    expectOnBothViews(badPeers(*base), name + " bad peers");
+    expectOnBothViews(unbalance(*base), name + " unbalanced");
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+      expectOnBothViews(scramble(*base, seed, 1 + seed % 12),
+                        name + " scramble seed " + std::to_string(seed));
+    }
+  }
+
+  // Salvage-quarantined ranks, eager and lazy: the analysis trace drops
+  // them, and segment-skew must skip their census rows.
+  const Image clean = ft::encodeImage(skewed, trace::kBinaryFormatV2);
+  std::size_t quarantining = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    FaultInjector inj(seed);
+    const Image bad = inj.bitFlip(clean, clean.size() / 3, clean.size(),
+                                  1 + seed % 3);
+    const std::string what = "salvaged bit-flip seed " + std::to_string(seed);
+    Trace tr;
+    if (salvage(bad, tr)) {
+      quarantining += tr.quarantined.empty() ? 0 : 1;
+      expectCensusMatchesSerial(tr, what + " (eager)");
+    }
+    try {
+      expectCensusMatchesSerial(
+          openLazy(bad, "salvage", trace::RecoveryMode::Salvage),
+          what + " (lazy)");
+    } catch (const Error&) {
+      // global damage: the open itself fails, nothing to lint
+    }
+  }
+  EXPECT_GT(quarantining, 0u);
+
+  // An undecodable block on a strict lazy view: every pin of that rank
+  // throws, and the census rules abort with the pin's error.
+  for (std::size_t rank = 0; rank < 6; rank += 2) {
+    expectCensusMatchesSerial(
+        openLazy(FaultInjector::oversizeCount(clean, rank), "oversize",
+                 trace::RecoveryMode::Strict),
+        "oversized block of rank " + std::to_string(rank));
   }
 }
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -503,6 +504,77 @@ TEST(LintRegistry, ThrowingRuleBecomesAFindingNotACrash) {
   EXPECT_EQ(report.findings[4].message, "rule aborted: global boom");
 }
 
+/// Reports each rank's census as one finding; declares that it reads the
+/// census only when `optIn`.
+class CensusDumpRule final : public Rule {
+public:
+  explicit CensusDumpRule(bool optIn) : optIn_(optIn) {}
+  std::string_view id() const override {
+    return optIn_ ? "census-dump" : "census-dump-undeclared";
+  }
+  std::string_view description() const override { return "dumps the census"; }
+  bool readsCensus() const override { return optIn_; }
+  void checkTrace(const RuleContext& context, Sink& sink) const override {
+    const TraceCensus& census = context.census();
+    for (trace::ProcessId p = 0; p < census.processCount(); ++p) {
+      std::ostringstream os;
+      os << "peers";
+      for (const TraceCensus::Channel& c : census.channels(p)) {
+        os << ' ' << c.peer << ':' << c.sends << '/' << c.recvs;
+      }
+      os << "; functions";
+      for (const TraceCensus::Invocations& f : census.functions(p)) {
+        os << ' ' << f.function << 'x' << f.outermost;
+      }
+      os << "; function 0 " << census.outermostInvocations(p, 0);
+      sink.reportProcess(Severity::Info, p, os.str());
+    }
+  }
+
+private:
+  bool optIn_;
+};
+
+TEST(LintRegistry, CustomRuleReadsTheCensusWhenItOptsIn) {
+  RuleRegistry registry;
+  registry.add(std::make_shared<CensusDumpRule>(true));
+  registry.add(std::make_shared<CensusDumpRule>(false));
+  const Trace clean = cleanTrace();
+  // Rank p sends to p + 1 before it receives from p - 1; the census
+  // lists peers and functions in ascending order.
+  const std::string dump =
+      "info [census-dump] process 0: peers 1:8/0 3:0/8; "
+      "functions 0x8 1x8; function 0 8\n"
+      "info [census-dump] process 1: peers 0:0/8 2:8/0; "
+      "functions 0x8 1x8; function 0 8\n"
+      "info [census-dump] process 2: peers 1:0/8 3:8/0; "
+      "functions 0x8 1x8; function 0 8\n"
+      "info [census-dump] process 3: peers 0:8/0 2:0/8; "
+      "functions 0x8 1x8; function 0 8\n";
+  for (const std::size_t threads : {1ul, 4ul}) {
+    LintOptions options = only("census-dump");
+    options.threads = threads;
+    EXPECT_EQ(formatLintReport(lintTrace(clean, options, registry)),
+              "lint: 1 rule(s), 4 process(es)\n" + dump +
+                  "0 error(s), 0 warning(s), 4 info\n");
+  }
+  // A stream that does not replay has no outermost counts.
+  const Trace dirty = dirtyTrace(2);
+  const LintReport unbalanced =
+      lintTrace(dirty, only("census-dump"), registry);
+  ASSERT_EQ(unbalanced.findings.size(), 1u);
+  EXPECT_NE(unbalanced.findings[0].message.find(
+                "rule aborted: perfvar: replay: unbalanced enter/leave"),
+            std::string::npos);
+  // Without a rule that declares it, no census is taken.
+  const LintReport undeclared =
+      lintTrace(clean, only("census-dump-undeclared"), registry);
+  ASSERT_EQ(undeclared.findings.size(), 1u);
+  EXPECT_NE(undeclared.findings[0].message.find(
+                "rule aborted: perfvar: lint census not taken"),
+            std::string::npos);
+}
+
 // ---- renderers -------------------------------------------------------------
 
 TEST(LintExport, TextJsonCsvRender) {
@@ -631,6 +703,32 @@ TEST(EngineLint, ParallelEngineLintMatchesSerial) {
   parallelOptions.threads = 4;
   engine::AnalysisEngine parallel{Trace(tr), parallelOptions};
   EXPECT_EQ(serial.lintReport()->findings, parallel.lintReport()->findings);
+}
+
+// ---- what lint decodes on the lazy path ------------------------------------
+
+/// cleanTrace() saved as a v2 file and opened lazily with the default
+/// shard budget, which holds every rank.
+trace::TraceView openLazyClean(const std::string& tag) {
+  const std::string path =
+      "lint_lazy_" + tag + "_" + std::to_string(getpid()) + ".pvt";
+  trace::saveBinaryFile(cleanTrace(), path);
+  trace::TraceView view = trace::TraceView::openFile(path);
+  std::remove(path.c_str());  // the view keeps its mapping
+  return view;
+}
+
+TEST(LintLazy, RulesThatReadNoEventsPinNothing) {
+  const trace::TraceView view = openLazyClean("defs");
+  const LintReport report = lintTrace(view, only("sync-coverage"));
+  EXPECT_EQ(report.rulesRun, std::vector<std::string>{"sync-coverage"});
+  EXPECT_EQ(view.stats().shardDecodes, 0u);
+}
+
+TEST(LintLazy, ValidateStructureDecodesEachRankOnce) {
+  const trace::TraceView view = openLazyClean("validate");
+  EXPECT_TRUE(validateStructure(view).empty());
+  EXPECT_EQ(view.stats().shardDecodes, view.processCount());
 }
 
 // ---- a rank that fails to decode ------------------------------------------
