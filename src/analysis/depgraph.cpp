@@ -6,7 +6,7 @@
 #include "analysis/depgraph.hpp"
 
 #include <algorithm>
-#include <compare>
+#include <bit>
 #include <cstdio>
 #include <limits>
 #include <map>
@@ -30,10 +30,11 @@ struct Frame {
   bool sync = false;
 };
 
-/// Nodes and attribution of one rank, before the serial merge. A pure
-/// function of (rank stream, sync mask), so the per-rank phase shards
-/// freely without affecting the result.
-struct RankShard {
+/// Nodes and attribution of one contiguous rank range, in rank order.
+/// DepNode::attrBegin indexes the range's own `attribution`. Each rank's
+/// nodes are a pure function of (rank stream, sync mask), so where the
+/// range boundaries fall never changes the graph.
+struct RangeBuffer {
   std::vector<DepNode> nodes;
   std::vector<FunctionTicks> attribution;
 };
@@ -55,30 +56,41 @@ void addAttribution(std::vector<FunctionTicks>& pending,
   pending.push_back(FunctionTicks{function, ticks});
 }
 
-/// Extract the nodes of one rank: tolerant enter/leave replay (hostile
-/// streams never throw — unmatched leaves and dangling refs degrade to
-/// "outside any function"), per-function attribution between consecutive
-/// nodes, and the waitStart of receives from the innermost enclosing
-/// sync-classified region.
-RankShard extractRank(const trace::TraceView& view, trace::ProcessId rank,
-                      std::size_t functionCount,
-                      const std::vector<bool>& syncMask) {
-  RankShard shard;
+/// Append the nodes of one rank to `out` and return how many: tolerant
+/// enter/leave replay (hostile streams never throw — unmatched leaves and
+/// dangling refs degrade to "outside any function"), per-function
+/// attribution between consecutive nodes, and the waitStart of receives
+/// from the innermost enclosing sync-classified region. `stack` and
+/// `pending` are scratch, reused across the ranks of a range.
+std::size_t extractRank(const trace::TraceView& view, trace::ProcessId rank,
+                        std::size_t functionCount,
+                        const std::vector<bool>& syncMask,
+                        std::vector<Frame>& stack,
+                        std::vector<FunctionTicks>& pending,
+                        RangeBuffer& out) {
   const trace::RankPin pin = view.rank(rank);
   const trace::EventSpan events = pin.events();
+  const std::size_t firstNode = out.nodes.size();
 
-  std::vector<Frame> stack;
-  std::vector<FunctionTicks> pending;
+  stack.clear();
+  pending.clear();
   const trace::Timestamp first = events.size() > 0 ? events[0].time : 0;
 
   const auto flushNode = [&](DepNode node) {
     node.process = rank;
-    node.attrBegin = static_cast<std::uint32_t>(shard.attribution.size());
-    node.attrCount = static_cast<std::uint32_t>(pending.size());
-    shard.attribution.insert(shard.attribution.end(), pending.begin(),
-                             pending.end());
+    // The slice must stay addressable through a uint32 offset; a pool
+    // beyond that (a >4G-entry trace) drops further attribution rather
+    // than failing — the robustness contract over precision.
+    const std::size_t attrBegin = out.attribution.size();
+    if (attrBegin + pending.size() <=
+        std::numeric_limits<std::uint32_t>::max()) {
+      node.attrBegin = static_cast<std::uint32_t>(attrBegin);
+      node.attrCount = static_cast<std::uint32_t>(pending.size());
+    }
+    out.attribution.insert(out.attribution.end(), pending.begin(),
+                           pending.end());
     pending.clear();
-    shard.nodes.push_back(node);
+    out.nodes.push_back(node);
   };
 
   DepNode start;
@@ -144,7 +156,26 @@ RankShard extractRank(const trace::TraceView& view, trace::ProcessId rank,
   end.kind = DepNodeKind::RankEnd;
   end.time = end.waitStart = cursor;
   flushNode(end);
-  return shard;
+  return out.nodes.size() - firstNode;
+}
+
+/// Most elements a range reserves from its first rank: 64 MiB of nodes.
+/// It bounds what an unrepresentative first rank (the master of a
+/// master-worker trace) can over-reserve; past it the buffers double as
+/// usual.
+constexpr std::size_t kMaxRangeReserve = std::size_t{1} << 20;
+
+/// Reserve a range's buffers once, after its first rank: the ranks of an
+/// SPMD trace look alike, so the first rank times the range length comes
+/// close to the final size, and one allocation replaces about twenty
+/// doublings. Those doublings left enough freed heap behind that the
+/// allocator handed it back to the OS after every build and the next
+/// build faulted it in again. An estimate that falls short grows as usual.
+void reserveRange(std::size_t ranks, RangeBuffer& range) {
+  range.nodes.reserve(
+      std::min(range.nodes.size() * ranks, kMaxRangeReserve));
+  range.attribution.reserve(
+      std::min(range.attribution.size() * ranks, kMaxRangeReserve));
 }
 
 /// One message node in its sender's bucket: `channel` is
@@ -152,21 +183,31 @@ RankShard extractRank(const trace::TraceView& view, trace::ProcessId rank,
 struct MessageRecord {
   std::uint64_t channel;
   std::uint64_t node;
-
-  auto operator<=>(const MessageRecord&) const = default;
 };
 
 constexpr std::uint64_t kRecvBit = std::uint64_t{1} << 63;
+
+/// splitmix64's finalizer: spreads the (receiver, tag) bits over the
+/// open-addressing table.
+std::uint64_t mixChannel(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 /// Matching phase (serial, deterministic): FIFO per directed (sender,
 /// receiver, tag) channel — the MPI non-overtaking guarantee. A channel's
 /// sends all lie on the sender's rank and its receives on the receiver's,
 /// each in stream order = node order, so the k-th send pairs with the
 /// k-th receive. Valid message nodes are count-sorted by sender (stable in
-/// node order) into one flat array; sorting a sender's bucket by (channel,
-/// node) puts each channel's sends, in node order, ahead of its receives,
-/// in node order, and each run of equal channel is paired. A run never
-/// crosses a bucket, so two senders sharing (receiver, tag) stay apart.
+/// node order) into one flat array. Inside a sender's bucket each record
+/// gets its channel's slot from an open-addressing table, and a stable
+/// counting sort by (slot, isRecv) puts every channel's sends, in node
+/// order, just ahead of its receives, in node order. A bucket never holds
+/// another sender's records, so two senders sharing (receiver, tag) stay
+/// apart; the slot numbering changes no match and no counter.
 void matchMessages(DepGraph& graph) {
   const std::size_t ranks = graph.processCount;
   const auto senderOf = [&](const DepNode& node) -> std::size_t {
@@ -182,22 +223,25 @@ void matchMessages(DepGraph& graph) {
   // bucketBegin[s + 1] counts sender s's messages, then prefix-sums to the
   // start offsets.
   std::vector<std::size_t> bucketBegin(ranks + 1, 0);
+  std::uint64_t validSends = 0;
   for (const DepNode& node : graph.nodes) {
     if (node.kind != DepNodeKind::Send && node.kind != DepNodeKind::Recv) {
       continue;
     }
-    (node.kind == DepNodeKind::Send ? graph.stats.sendEvents
-                                    : graph.stats.recvEvents) += 1;
+    const bool isSend = node.kind == DepNodeKind::Send;
+    (isSend ? graph.stats.sendEvents : graph.stats.recvEvents) += 1;
     const std::size_t sender = senderOf(node);
     if (sender == ranks) {
       graph.stats.invalidEndpoints += 1;
     } else {
       bucketBegin[sender + 1] += 1;
+      validSends += isSend ? 1 : 0;
     }
   }
   for (std::size_t s = 0; s < ranks; ++s) {
     bucketBegin[s + 1] += bucketBegin[s];
   }
+  const std::uint64_t validRecvs = bucketBegin[ranks] - validSends;
 
   std::vector<MessageRecord> records(bucketBegin[ranks]);
   std::vector<std::size_t> cursor(bucketBegin.begin(), bucketBegin.end() - 1);
@@ -214,34 +258,72 @@ void matchMessages(DepGraph& graph) {
                       (isRecv ? kRecvBit : 0) | static_cast<std::uint64_t>(i)};
   }
 
+  // Per-bucket scratch, reused: the channel table (slot + 1, 0 = empty),
+  // each record's slot, the group offsets and the grouped node indices.
+  std::vector<std::uint64_t> tableChannel;
+  std::vector<std::size_t> tableSlot;
+  std::vector<std::size_t> slotOf;
+  std::vector<std::size_t> groupEnd;
+  std::vector<std::size_t> grouped;
   for (std::size_t s = 0; s < ranks; ++s) {
-    const auto first = records.begin() + bucketBegin[s];
-    const auto last = records.begin() + bucketBegin[s + 1];
-    std::sort(first, last);
-    for (auto run = first; run != last;) {
-      const std::uint64_t channel = run->channel;
-      const auto runEnd = std::find_if(run, last, [&](const MessageRecord& r) {
-        return r.channel != channel;
-      });
-      const auto recvBegin =
-          std::partition_point(run, runEnd, [](const MessageRecord& r) {
-            return (r.node & kRecvBit) == 0;
-          });
-      const auto sends = static_cast<std::size_t>(recvBegin - run);
-      const auto recvs = static_cast<std::size_t>(runEnd - recvBegin);
-      const std::size_t paired = std::min(sends, recvs);
+    const MessageRecord* bucket = records.data() + bucketBegin[s];
+    const std::size_t n = bucketBegin[s + 1] - bucketBegin[s];
+    if (n < 2) {
+      continue;  // nothing to pair
+    }
+    const std::size_t capacity = std::bit_ceil(2 * n);
+    const std::size_t mask = capacity - 1;
+    tableChannel.resize(capacity);
+    tableSlot.assign(capacity, 0);
+    slotOf.resize(n);
+    std::size_t slots = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t channel = bucket[i].channel;
+      std::size_t at = mixChannel(channel) & mask;
+      while (tableSlot[at] != 0 && tableChannel[at] != channel) {
+        at = (at + 1) & mask;
+      }
+      if (tableSlot[at] == 0) {
+        tableChannel[at] = channel;
+        tableSlot[at] = ++slots;
+      }
+      slotOf[i] = tableSlot[at] - 1;
+    }
+
+    // Stable counting sort by key 2 * slot + isRecv. After the placement
+    // pass groupEnd[k] is the end of group k, and the start of group k + 1.
+    const auto keyOf = [&](std::size_t i) {
+      return 2 * slotOf[i] + ((bucket[i].node & kRecvBit) != 0 ? 1 : 0);
+    };
+    groupEnd.assign(2 * slots, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      groupEnd[keyOf(i)] += 1;
+    }
+    std::size_t offset = 0;
+    for (std::size_t& count : groupEnd) {
+      offset += std::exchange(count, offset);
+    }
+    grouped.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      grouped[groupEnd[keyOf(i)]++] = bucket[i].node & ~kRecvBit;
+    }
+
+    for (std::size_t c = 0; c < slots; ++c) {
+      const std::size_t sendBegin = c == 0 ? 0 : groupEnd[2 * c - 1];
+      const std::size_t recvBegin = groupEnd[2 * c];
+      const std::size_t paired =
+          std::min(recvBegin - sendBegin, groupEnd[2 * c + 1] - recvBegin);
       for (std::size_t k = 0; k < paired; ++k) {
-        const std::uint64_t send = run[k].node;
-        const std::uint64_t recv = recvBegin[k].node & ~kRecvBit;
+        const std::size_t send = grouped[sendBegin + k];
+        const std::size_t recv = grouped[recvBegin + k];
         graph.nodes[send].match = static_cast<std::int64_t>(recv);
         graph.nodes[recv].match = static_cast<std::int64_t>(send);
       }
       graph.stats.matchedPairs += paired;
-      graph.stats.unmatchedSends += sends - paired;
-      graph.stats.unmatchedRecvs += recvs - paired;
-      run = runEnd;
     }
   }
+  graph.stats.unmatchedSends = validSends - graph.stats.matchedPairs;
+  graph.stats.unmatchedRecvs = validRecvs - graph.stats.matchedPairs;
 }
 
 }  // namespace
@@ -268,56 +350,83 @@ DepGraph buildDepGraph(const trace::TraceView& trace,
 
   const std::vector<bool> syncMask = options.sync.mask(trace);
 
-  // Per-rank phase: every rank writes its own shard, so the result is
-  // independent of scheduling (shards merge in rank order below).
-  std::vector<RankShard> shards(graph.processCount);
+  // Per-range phase: each parallelChunks range extracts its ranks into one
+  // buffer, stored at the slot of its first rank (disjoint per range), and
+  // each rank writes only its own node count.
+  graph.rankNodes.resize(graph.processCount);
+  std::vector<RangeBuffer> ranges(graph.processCount);
   std::unique_ptr<util::ThreadPool> owned;
   util::ThreadPool* pool =
       util::resolvePool(options.pool, options.threads, owned);
-  util::parallelChunks(pool, graph.processCount,
-                       [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t p = begin; p < end; ++p) {
-                           shards[p] = extractRank(
-                               trace, static_cast<trace::ProcessId>(p),
-                               graph.functionCount, syncMask);
-                         }
-                       });
+  util::parallelChunks(
+      pool, graph.processCount, [&](std::size_t begin, std::size_t end) {
+        RangeBuffer& range = ranges[begin];
+        std::vector<Frame> stack;
+        std::vector<FunctionTicks> pending;
+        for (std::size_t p = begin; p < end; ++p) {
+          graph.rankNodes[p].second =
+              extractRank(trace, static_cast<trace::ProcessId>(p),
+                          graph.functionCount, syncMask, stack, pending,
+                          range);
+          if (p == begin) {
+            reserveRange(end - begin, range);
+          }
+        }
+      });
 
-  // Serial merge in rank order: global node indices, prev links, and the
-  // shared attribution pool.
+  // Every rank has at least its two sentinels, so a non-empty buffer marks
+  // the first rank of a range.
+  struct RangeSlice {
+    std::size_t rank = 0;
+    std::size_t attrBase = 0;
+  };
+  std::vector<RangeSlice> slices;
   std::size_t totalNodes = 0;
   std::size_t totalAttr = 0;
-  for (const RankShard& shard : shards) {
-    totalNodes += shard.nodes.size();
-    totalAttr += shard.attribution.size();
-  }
-  graph.nodes.reserve(totalNodes);
-  graph.attribution.reserve(totalAttr);
-  graph.rankNodes.reserve(graph.processCount);
-  for (RankShard& shard : shards) {
-    const std::size_t base = graph.nodes.size();
-    const std::size_t attrBase = graph.attribution.size();
-    graph.rankNodes.emplace_back(base, base + shard.nodes.size());
-    for (std::size_t j = 0; j < shard.nodes.size(); ++j) {
-      DepNode node = shard.nodes[j];
-      node.prev = j == 0 ? -1 : static_cast<std::int64_t>(base + j - 1);
-      // The per-node slice must stay addressable through a uint32 offset;
-      // a pool beyond that (a >4G-entry trace) drops further attribution
-      // rather than failing — the robustness contract over precision.
-      const std::size_t attrBegin = attrBase + node.attrBegin;
-      if (attrBegin + node.attrCount <=
-          std::numeric_limits<std::uint32_t>::max()) {
-        node.attrBegin = static_cast<std::uint32_t>(attrBegin);
-      } else {
-        node.attrBegin = 0;
-        node.attrCount = 0;
-      }
-      graph.nodes.push_back(node);
+  for (std::size_t p = 0; p < graph.processCount; ++p) {
+    if (!ranges[p].nodes.empty()) {
+      slices.push_back(RangeSlice{p, totalAttr});
+      totalAttr += ranges[p].attribution.size();
     }
-    graph.attribution.insert(graph.attribution.end(),
-                             shard.attribution.begin(),
-                             shard.attribution.end());
-    shard = RankShard{};  // release as we go; shards can be large
+    const std::size_t count = graph.rankNodes[p].second;
+    graph.rankNodes[p] = {totalNodes, totalNodes + count};
+    totalNodes += count;
+  }
+
+  if (slices.size() == 1) {
+    // One range covered every rank: its buffer already is the graph.
+    graph.nodes = std::move(ranges[0].nodes);
+    graph.attribution = std::move(ranges[0].attribution);
+  } else if (!slices.empty()) {
+    // Copy each range into its disjoint slice of the exact-size arrays,
+    // rebasing the attribution offsets under the same uint32 rule as the
+    // extraction.
+    graph.nodes.resize(totalNodes);
+    graph.attribution.resize(totalAttr);
+    util::parallelChunks(
+        pool, slices.size(), [&](std::size_t begin, std::size_t end) {
+          for (std::size_t r = begin; r < end; ++r) {
+            const RangeSlice slice = slices[r];
+            RangeBuffer& range = ranges[slice.rank];
+            DepNode* out =
+                graph.nodes.data() + graph.rankNodes[slice.rank].first;
+            for (DepNode node : range.nodes) {
+              const std::size_t attrBegin = slice.attrBase + node.attrBegin;
+              if (attrBegin + node.attrCount <=
+                  std::numeric_limits<std::uint32_t>::max()) {
+                node.attrBegin = static_cast<std::uint32_t>(attrBegin);
+              } else {
+                node.attrBegin = 0;
+                node.attrCount = 0;
+              }
+              *out++ = node;
+            }
+            std::copy(range.attribution.begin(), range.attribution.end(),
+                      graph.attribution.begin() +
+                          static_cast<std::ptrdiff_t>(slice.attrBase));
+            range = RangeBuffer{};  // release as we go; ranges can be large
+          }
+        });
   }
 
   // Trace extent from the sentinels (ranks with no events contribute the
@@ -406,7 +515,9 @@ CriticalPathResult extractCriticalPath(const DepGraph& graph) {
     const DepNode& v = graph.nodes[cur];
 
     bool remote = false;
-    std::int64_t pred = v.prev;
+    // Nodes are grouped by rank, so the local predecessor is the previous
+    // node unless this one opens its rank.
+    std::int64_t pred = v.kind == DepNodeKind::RankStart ? -1 : cur - 1;
     if (v.kind == DepNodeKind::Recv && v.match >= 0 &&
         graph.nodes[v.match].time > v.waitStart) {
       // The message departed after the receiver was ready: the sender was
@@ -973,14 +1084,6 @@ void exportDepAnalysis(const trace::TraceView& trace,
   }
   throw Error(
       "dependency analysis supports the text, json and csv export formats");
-}
-
-std::string exportDepAnalysisString(const trace::TraceView& trace,
-                                    const DepAnalysis& analysis,
-                                    ExportFormat format) {
-  std::ostringstream os;
-  exportDepAnalysis(trace, analysis, format, os);
-  return os.str();
 }
 
 }  // namespace perfvar::analysis

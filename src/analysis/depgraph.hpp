@@ -29,10 +29,11 @@
 ///     chain names the origin rank of the wave.
 ///
 /// Determinism discipline (same contract as analyzeTrace): node
-/// extraction is sharded per rank — each rank's nodes are a pure function
-/// of its own event stream — and every cross-rank phase (matching, path
-/// walk, detectors) is serial with total tie-break orders, so all results
-/// and exports are byte-identical at every thread count.
+/// extraction is sharded per contiguous range of ranks — each rank's nodes
+/// are a pure function of its own event stream, so where the ranges split
+/// changes nothing — and every cross-rank phase (matching, path walk,
+/// detectors) is serial with total tie-break orders, so all results and
+/// exports are byte-identical at every thread count.
 ///
 /// Robustness contract (shared with lint): buildDepGraph() and the
 /// detectors never throw on hostile trace content. Unmatched or invalid
@@ -77,16 +78,22 @@ struct FunctionTicks {
   std::uint64_t ticks = 0;
 };
 
-/// One node of the happens-before graph.
+/// One node of the happens-before graph: 64 bytes, one cache line. It
+/// stores no program-order link: nodes are grouped by rank, so the
+/// previous node on the same rank is the one before it in
+/// DepGraph::nodes, and a RankStart has none.
 struct DepNode {
+  /// Event timestamp; for a sentinel, the rank's first event time
+  /// (RankStart) or latest event time (RankEnd), 0 for a rank without
+  /// events.
   trace::Timestamp time = 0;
   /// Recv only: when the rank began waiting — the Enter timestamp of the
   /// innermost enclosing synchronization region, or `time` when the
   /// receive sits outside any sync region. A matched send departing after
-  /// `waitStart` means the receiver idled for the difference.
+  /// `waitStart` means the receiver idled for the difference. Other kinds
+  /// repeat `time`.
   trace::Timestamp waitStart = 0;
   std::int64_t match = -1;  ///< matched counterpart node index, -1 = none
-  std::int64_t prev = -1;   ///< previous node on the same rank, -1 = none
   std::int64_t eventIndex = -1;  ///< index in the rank's stream, -1 = sentinel
   /// Slice [attrBegin, attrBegin+attrCount) of DepGraph::attribution:
   /// per-function exclusive time since the previous node of this rank.
@@ -100,6 +107,7 @@ struct DepNode {
   /// and events outside any function).
   trace::FunctionId function = trace::kInvalidFunction;
 };
+static_assert(sizeof(DepNode) == 64, "DepNode is one cache line");
 
 /// Counters of graph construction (exported for observability and pinned
 /// by the robustness tests).
@@ -122,7 +130,7 @@ struct DepGraphOptions {
   /// Classifier deciding which regions count as synchronization (the
   /// waitStart attribution of receives).
   SyncClassifier sync{};
-  /// Worker threads of the per-rank extraction: 1 = inline, 0 = hardware.
+  /// Worker threads of the node extraction: 1 = inline, 0 = hardware.
   std::size_t threads = 1;
   /// Optional external pool; overrides `threads` when set.
   util::ThreadPool* pool = nullptr;
@@ -144,7 +152,8 @@ struct DepGraph {
 };
 
 /// Build the happens-before graph. Never throws on trace content; the
-/// per-rank extraction is sharded (byte-identical at every thread count).
+/// node extraction is sharded over contiguous rank ranges (byte-identical
+/// at every thread count).
 DepGraph buildDepGraph(const trace::TraceView& trace,
                        const DepGraphOptions& options = {});
 
@@ -334,11 +343,6 @@ std::string formatDepAnalysis(const trace::TraceView& trace,
 void exportDepAnalysis(const trace::TraceView& trace,
                        const DepAnalysis& analysis, ExportFormat format,
                        std::ostream& out);
-
-/// Convenience string wrapper.
-std::string exportDepAnalysisString(const trace::TraceView& trace,
-                                    const DepAnalysis& analysis,
-                                    ExportFormat format);
 
 }  // namespace perfvar::analysis
 

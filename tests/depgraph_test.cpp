@@ -5,26 +5,36 @@
 /// engine's dep stage cache (warm re-query is a hit returning the same
 /// instance), the three lint rules, the never-throws robustness contract
 /// on hostile inputs (cyclic timestamps, unmatched sends, invalid
-/// endpoints), and a differential test of the message matcher against a
-/// map-per-channel FIFO oracle on seeded random hostile streams.
+/// endpoints), a differential test of the message matcher against a
+/// map-per-channel FIFO oracle on seeded random hostile streams, a
+/// field-by-field differential of the whole graph against a per-rank
+/// reference builder at several thread counts on eager and lazy views, and
+/// a guard that the derived program-order predecessor never crosses a
+/// rank boundary.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "analysis/depgraph.hpp"
+#include "apps/cosmo_specs.hpp"
 #include "apps/desync_stencil.hpp"
 #include "apps/pipeline_chain.hpp"
 #include "engine/engine.hpp"
 #include "lint/lint.hpp"
+#include "sim/simulator.hpp"
+#include "trace/binary_io.hpp"
 #include "trace/builder.hpp"
 #include "trace/trace.hpp"
 #include "util/error.hpp"
@@ -52,6 +62,14 @@ Trace twoRankMessage() {
   b.mpiRecv(1, 150, 0, 7, 64);
   b.leave(1, 150, recv);
   return b.finish();
+}
+
+/// One export rendered to a string.
+std::string exportString(const trace::TraceView& trace,
+                         const DepAnalysis& analysis, ExportFormat format) {
+  std::ostringstream out;
+  exportDepAnalysis(trace, analysis, format, out);
+  return out.str();
 }
 
 // ---- graph construction ----------------------------------------------------
@@ -233,8 +251,8 @@ TEST(DepGraphDeterminism, ExportsAreByteIdenticalAcrossThreadCounts) {
       const DepAnalysis a = analyzeDependencies(*tr, opts);
       for (const auto format :
            {ExportFormat::Text, ExportFormat::Json, ExportFormat::Csv}) {
-        EXPECT_EQ(exportDepAnalysisString(*tr, a, format),
-                  exportDepAnalysisString(*tr, reference, format))
+        EXPECT_EQ(exportString(*tr, a, format),
+                  exportString(*tr, reference, format))
             << "threads=" << threads;
       }
     }
@@ -246,16 +264,16 @@ TEST(DepGraphDeterminism, ExportsAreByteIdenticalAcrossThreadCounts) {
 TEST(DepGraphExport, AnalysisSpecificCsvVariantsThrow) {
   const Trace tr = twoRankMessage();
   const DepAnalysis a = analyzeDependencies(tr);
-  EXPECT_THROW(exportDepAnalysisString(tr, a, ExportFormat::CsvIterations),
+  EXPECT_THROW(exportString(tr, a, ExportFormat::CsvIterations),
                Error);
-  EXPECT_THROW(exportDepAnalysisString(tr, a, ExportFormat::CsvHotspots),
+  EXPECT_THROW(exportString(tr, a, ExportFormat::CsvHotspots),
                Error);
 }
 
 TEST(DepGraphExport, CsvHasOneRowPerStep) {
   const Trace tr = apps::buildPipelineTrace({});
   const DepAnalysis a = analyzeDependencies(tr);
-  const std::string csv = exportDepAnalysisString(tr, a, ExportFormat::Csv);
+  const std::string csv = exportString(tr, a, ExportFormat::Csv);
   std::size_t lines = 0;
   for (const char c : csv) {
     lines += c == '\n';
@@ -367,9 +385,9 @@ TEST(DepGraphRobustness, CyclicTimestampsTerminateViaTheVisitedGuard) {
   }
   DepAnalysis a;
   ASSERT_NO_THROW(a = analyzeDependencies(tr));
-  EXPECT_NO_THROW(exportDepAnalysisString(tr, a, ExportFormat::Text));
-  EXPECT_NO_THROW(exportDepAnalysisString(tr, a, ExportFormat::Json));
-  EXPECT_NO_THROW(exportDepAnalysisString(tr, a, ExportFormat::Csv));
+  EXPECT_NO_THROW(exportString(tr, a, ExportFormat::Text));
+  EXPECT_NO_THROW(exportString(tr, a, ExportFormat::Json));
+  EXPECT_NO_THROW(exportString(tr, a, ExportFormat::Csv));
 }
 
 TEST(DepGraphRobustness, HostileShapesNeverThrow) {
@@ -568,6 +586,491 @@ TEST(DepGraphMatching, AgreesWithTheChannelMapOracleOnRandomHostileStreams) {
   EXPECT_TRUE(matchedTags.count(0) == 1);
   EXPECT_TRUE(matchedTags.count(std::numeric_limits<std::uint32_t>::max()) ==
               1);
+}
+
+// ---- construction differential ---------------------------------------------
+
+/// Reference builder: one shard of nodes and attribution per rank, a
+/// serial merge into the global arrays in rank order, and a matcher that
+/// std::sorts each sender bucket by (channel, isRecv, node). Serial; it
+/// pins each rank once, as the production builder does.
+namespace reference {
+
+struct Frame {
+  trace::FunctionId function = trace::kInvalidFunction;
+  trace::Timestamp enter = 0;
+  bool sync = false;
+};
+
+struct RankShard {
+  std::vector<DepNode> nodes;
+  std::vector<FunctionTicks> attribution;
+};
+
+void addAttribution(std::vector<FunctionTicks>& pending,
+                    trace::FunctionId function, std::uint64_t ticks) {
+  if (ticks == 0) {
+    return;
+  }
+  for (FunctionTicks& entry : pending) {
+    if (entry.function == function) {
+      entry.ticks += ticks;
+      return;
+    }
+  }
+  pending.push_back(FunctionTicks{function, ticks});
+}
+
+RankShard extractRank(const trace::TraceView& view, trace::ProcessId rank,
+                      std::size_t functionCount,
+                      const std::vector<bool>& syncMask) {
+  RankShard shard;
+  const trace::RankPin pin = view.rank(rank);
+  const trace::EventSpan events = pin.events();
+  std::vector<Frame> stack;
+  std::vector<FunctionTicks> pending;
+  const trace::Timestamp first = events.size() > 0 ? events[0].time : 0;
+
+  const auto flushNode = [&](DepNode node) {
+    node.process = rank;
+    node.attrBegin = static_cast<std::uint32_t>(shard.attribution.size());
+    node.attrCount = static_cast<std::uint32_t>(pending.size());
+    shard.attribution.insert(shard.attribution.end(), pending.begin(),
+                             pending.end());
+    pending.clear();
+    shard.nodes.push_back(node);
+  };
+
+  DepNode start;
+  start.kind = DepNodeKind::RankStart;
+  start.time = start.waitStart = first;
+  flushNode(start);
+
+  trace::Timestamp cursor = first;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const trace::Event& e = events[i];
+    const trace::Timestamp t = e.time;
+    if (t > cursor) {
+      addAttribution(pending,
+                     stack.empty() ? trace::kInvalidFunction
+                                   : stack.back().function,
+                     t - cursor);
+      cursor = t;
+    }
+    switch (e.kind) {
+      case trace::EventKind::Enter: {
+        Frame frame;
+        frame.function = e.ref < functionCount ? e.ref
+                                               : trace::kInvalidFunction;
+        frame.enter = t;
+        frame.sync = frame.function != trace::kInvalidFunction &&
+                     syncMask[frame.function];
+        stack.push_back(frame);
+        break;
+      }
+      case trace::EventKind::Leave:
+        if (!stack.empty()) {
+          stack.pop_back();
+        }
+        break;
+      case trace::EventKind::MpiSend:
+      case trace::EventKind::MpiRecv: {
+        DepNode node;
+        node.kind = e.kind == trace::EventKind::MpiSend ? DepNodeKind::Send
+                                                        : DepNodeKind::Recv;
+        node.time = t;
+        node.eventIndex = static_cast<std::int64_t>(i);
+        node.peer = e.ref;
+        node.tag = e.aux;
+        node.function =
+            stack.empty() ? trace::kInvalidFunction : stack.back().function;
+        node.waitStart = t;
+        if (node.kind == DepNodeKind::Recv) {
+          for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
+            if (it->sync) {
+              node.waitStart = std::min(it->enter, t);
+              break;
+            }
+          }
+        }
+        flushNode(node);
+        break;
+      }
+      case trace::EventKind::Metric:
+        break;
+    }
+  }
+
+  DepNode end;
+  end.kind = DepNodeKind::RankEnd;
+  end.time = end.waitStart = cursor;
+  flushNode(end);
+  return shard;
+}
+
+struct MessageRecord {
+  std::uint64_t channel;
+  std::uint64_t node;
+
+  auto operator<=>(const MessageRecord&) const = default;
+};
+
+constexpr std::uint64_t kRecvBit = std::uint64_t{1} << 63;
+
+void matchMessages(DepGraph& graph) {
+  const std::size_t ranks = graph.processCount;
+  const auto senderOf = [&](const DepNode& node) -> std::size_t {
+    if (node.kind != DepNodeKind::Send && node.kind != DepNodeKind::Recv) {
+      return ranks;
+    }
+    if (node.peer >= ranks || node.peer == node.process) {
+      return ranks;
+    }
+    return node.kind == DepNodeKind::Send ? node.process : node.peer;
+  };
+
+  std::vector<std::size_t> bucketBegin(ranks + 1, 0);
+  for (const DepNode& node : graph.nodes) {
+    if (node.kind != DepNodeKind::Send && node.kind != DepNodeKind::Recv) {
+      continue;
+    }
+    (node.kind == DepNodeKind::Send ? graph.stats.sendEvents
+                                    : graph.stats.recvEvents) += 1;
+    const std::size_t sender = senderOf(node);
+    if (sender == ranks) {
+      graph.stats.invalidEndpoints += 1;
+    } else {
+      bucketBegin[sender + 1] += 1;
+    }
+  }
+  for (std::size_t s = 0; s < ranks; ++s) {
+    bucketBegin[s + 1] += bucketBegin[s];
+  }
+
+  std::vector<MessageRecord> records(bucketBegin[ranks]);
+  std::vector<std::size_t> cursor(bucketBegin.begin(), bucketBegin.end() - 1);
+  for (std::size_t i = 0; i < graph.nodes.size(); ++i) {
+    const DepNode& node = graph.nodes[i];
+    const std::size_t sender = senderOf(node);
+    if (sender == ranks) {
+      continue;
+    }
+    const bool isRecv = node.kind == DepNodeKind::Recv;
+    const std::uint64_t receiver = isRecv ? node.process : node.peer;
+    records[cursor[sender]++] =
+        MessageRecord{receiver << 32 | node.tag,
+                      (isRecv ? kRecvBit : 0) | static_cast<std::uint64_t>(i)};
+  }
+
+  for (std::size_t s = 0; s < ranks; ++s) {
+    const auto first = records.begin() + bucketBegin[s];
+    const auto last = records.begin() + bucketBegin[s + 1];
+    std::sort(first, last);
+    for (auto run = first; run != last;) {
+      const std::uint64_t channel = run->channel;
+      const auto runEnd = std::find_if(run, last, [&](const MessageRecord& r) {
+        return r.channel != channel;
+      });
+      const auto recvBegin =
+          std::partition_point(run, runEnd, [](const MessageRecord& r) {
+            return (r.node & kRecvBit) == 0;
+          });
+      const auto sends = static_cast<std::size_t>(recvBegin - run);
+      const auto recvs = static_cast<std::size_t>(runEnd - recvBegin);
+      const std::size_t paired = std::min(sends, recvs);
+      for (std::size_t k = 0; k < paired; ++k) {
+        const std::uint64_t send = run[k].node;
+        const std::uint64_t recv = recvBegin[k].node & ~kRecvBit;
+        graph.nodes[send].match = static_cast<std::int64_t>(recv);
+        graph.nodes[recv].match = static_cast<std::int64_t>(send);
+      }
+      graph.stats.matchedPairs += paired;
+      graph.stats.unmatchedSends += sends - paired;
+      graph.stats.unmatchedRecvs += recvs - paired;
+      run = runEnd;
+    }
+  }
+}
+
+DepGraph buildDepGraph(const trace::TraceView& trace) {
+  DepGraph graph;
+  graph.processCount = trace.processCount();
+  graph.functionCount = trace.functions().size();
+  const std::vector<bool> syncMask = SyncClassifier{}.mask(trace);
+
+  for (std::size_t p = 0; p < graph.processCount; ++p) {
+    const RankShard shard =
+        extractRank(trace, static_cast<trace::ProcessId>(p),
+                    graph.functionCount, syncMask);
+    const std::size_t base = graph.nodes.size();
+    const std::size_t attrBase = graph.attribution.size();
+    graph.rankNodes.emplace_back(base, base + shard.nodes.size());
+    for (DepNode node : shard.nodes) {
+      const std::size_t attrBegin = attrBase + node.attrBegin;
+      if (attrBegin + node.attrCount <=
+          std::numeric_limits<std::uint32_t>::max()) {
+        node.attrBegin = static_cast<std::uint32_t>(attrBegin);
+      } else {
+        node.attrBegin = 0;
+        node.attrCount = 0;
+      }
+      graph.nodes.push_back(node);
+    }
+    graph.attribution.insert(graph.attribution.end(),
+                             shard.attribution.begin(),
+                             shard.attribution.end());
+  }
+
+  bool haveExtent = false;
+  for (std::size_t p = 0; p < graph.processCount; ++p) {
+    const auto [begin, end] = graph.rankNodes[p];
+    if (end - begin <= 2 &&
+        graph.nodes[begin].time == graph.nodes[end - 1].time &&
+        graph.nodes[begin].time == 0) {
+      continue;
+    }
+    const trace::Timestamp s = graph.nodes[begin].time;
+    const trace::Timestamp e = graph.nodes[end - 1].time;
+    if (!haveExtent) {
+      graph.startTime = s;
+      graph.endTime = e;
+      haveExtent = true;
+    } else {
+      graph.startTime = std::min(graph.startTime, s);
+      graph.endTime = std::max(graph.endTime, e);
+    }
+  }
+
+  matchMessages(graph);
+  return graph;
+}
+
+}  // namespace reference
+
+/// Every field of one node, for a field-by-field comparison.
+auto nodeFields(const DepNode& n) {
+  return std::make_tuple(n.time, n.waitStart, n.match, n.eventIndex,
+                         n.attrBegin, n.attrCount, n.process, n.peer, n.tag,
+                         static_cast<int>(n.kind), n.function);
+}
+
+void expectSameGraph(const DepGraph& actual, const DepGraph& expected,
+                     const std::string& what) {
+  ASSERT_EQ(actual.nodes.size(), expected.nodes.size()) << what;
+  for (std::size_t i = 0; i < actual.nodes.size(); ++i) {
+    ASSERT_EQ(nodeFields(actual.nodes[i]), nodeFields(expected.nodes[i]))
+        << what << ", node " << i;
+  }
+  ASSERT_EQ(actual.attribution.size(), expected.attribution.size()) << what;
+  for (std::size_t i = 0; i < actual.attribution.size(); ++i) {
+    ASSERT_EQ(actual.attribution[i].function,
+              expected.attribution[i].function)
+        << what << ", attribution " << i;
+    ASSERT_EQ(actual.attribution[i].ticks, expected.attribution[i].ticks)
+        << what << ", attribution " << i;
+  }
+  EXPECT_EQ(actual.rankNodes, expected.rankNodes) << what;
+  EXPECT_EQ(actual.stats, expected.stats) << what;
+  EXPECT_EQ(actual.processCount, expected.processCount) << what;
+  EXPECT_EQ(actual.functionCount, expected.functionCount) << what;
+  EXPECT_EQ(actual.startTime, expected.startTime) << what;
+  EXPECT_EQ(actual.endTime, expected.endTime) << what;
+}
+
+/// Random nesting over sync-classified (MPI) and compute functions, with
+/// messages inside and outside sync regions, enters naming undefined
+/// functions, leaves on an empty stack, metric events and ranks without
+/// events. Clocks are monotone, so the trace also round-trips through a
+/// v2 file.
+Trace randomNestingTrace(Rng& rng) {
+  Trace tr;
+  tr.functions.intern("work", "APP");
+  tr.functions.intern("MPI_Recv", "MPI", trace::Paradigm::MPI);
+  tr.functions.intern("inner", "APP");
+  tr.functions.intern("MPI_Wait", "MPI", trace::Paradigm::MPI);
+  tr.metrics.intern("cycles");
+  const auto processes = static_cast<std::uint32_t>(rng.uniformInt(2, 12));
+  for (std::uint32_t p = 0; p < processes; ++p) {
+    trace::ProcessTrace proc;
+    proc.name = "p" + std::to_string(p);
+    const std::int64_t events =
+        rng.uniformInt(0, 4) == 0 ? 0 : rng.uniformInt(1, 80);
+    trace::Timestamp t = 0;
+    std::vector<trace::FunctionId> stack;
+    for (std::int64_t e = 0; e < events; ++e) {
+      t += static_cast<trace::Timestamp>(rng.uniformInt(0, 5));
+      const std::int64_t kind = rng.uniformInt(0, 9);
+      if (kind < 3) {
+        // Function 5 is undefined: a dangling ref.
+        const auto fn = static_cast<trace::FunctionId>(rng.uniformInt(0, 5));
+        proc.events.push_back(Event::enter(t, fn));
+        stack.push_back(fn);
+      } else if (kind < 5) {
+        const trace::FunctionId fn = stack.empty() ? 0 : stack.back();
+        if (!stack.empty()) {
+          stack.pop_back();
+        }
+        proc.events.push_back(Event::leave(t, fn));
+      } else if (kind == 5) {
+        proc.events.push_back(Event::metric(t, 0, 7));
+      } else {
+        const auto peer = static_cast<trace::ProcessId>(
+            rng.uniformInt(0, processes - 1));
+        const auto tag = static_cast<std::uint32_t>(rng.uniformInt(0, 2));
+        proc.events.push_back(kind < 8 ? Event::mpiSend(t, peer, tag, 8)
+                                       : Event::mpiRecv(t, peer, tag, 8));
+      }
+    }
+    tr.processes.push_back(std::move(proc));
+  }
+  return tr;
+}
+
+/// A lazy v2 view of `tr` whose shard budget holds about a quarter of the
+/// decoded trace, so a sweep over the ranks evicts.
+trace::TraceView lazyView(const Trace& tr, const std::string& tag) {
+  const std::string path = "depgraph_oracle_" + tag + ".pvt";
+  trace::saveBinaryFile(tr, path);
+  trace::TraceViewOptions options;
+  options.shardBudgetBytes = tr.eventCount() * sizeof(Event) / 4;
+  trace::TraceView view = trace::TraceView::openFile(path, options);
+  std::remove(path.c_str());  // the view keeps its mapping
+  return view;
+}
+
+/// The production graph of `view` at 1, 2, 3 and 8 threads against the
+/// reference builder.
+void expectMatchesReference(const trace::TraceView& view,
+                            const std::string& what) {
+  const DepGraph expected = reference::buildDepGraph(view);
+  for (const std::size_t threads : {1ul, 2ul, 3ul, 8ul}) {
+    DepGraphOptions options;
+    options.threads = threads;
+    expectSameGraph(buildDepGraph(view, options), expected,
+                    what + ", " + std::to_string(threads) + " thread(s)");
+  }
+}
+
+Trace smallCosmo() {
+  apps::CosmoSpecsConfig cfg;
+  cfg.gridX = 4;
+  cfg.gridY = 4;
+  cfg.timesteps = 12;
+  const auto scenario = apps::buildCosmoSpecs(cfg);
+  return sim::simulate(scenario.program, scenario.simOptions);
+}
+
+TEST(DepGraphBuild, EqualsThePerRankOracle) {
+  Rng rng(20161018);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::string what = "trial " + std::to_string(trial);
+    const Trace messages = randomMessageTrace(rng);
+    expectMatchesReference(messages, what + " (messages)");
+    const Trace nested = randomNestingTrace(rng);
+    expectMatchesReference(nested, what + " (nesting, eager)");
+    expectMatchesReference(lazyView(nested, "nesting"),
+                           what + " (nesting, lazy)");
+  }
+
+  // Dangling function refs: every enter names an undefined function.
+  Trace dangling;
+  dangling.functions.intern("f", "APP");
+  for (trace::ProcessId p = 0; p < 3; ++p) {
+    trace::ProcessTrace proc;
+    proc.name = "p" + std::to_string(p);
+    proc.events.push_back(Event::enter(1, 40 + p));
+    proc.events.push_back(Event::mpiSend(4, (p + 1) % 3, 0, 8));
+    proc.events.push_back(Event::mpiRecv(9, (p + 2) % 3, 0, 8));
+    proc.events.push_back(Event::leave(12, 40 + p));
+    dangling.processes.push_back(std::move(proc));
+  }
+  expectMatchesReference(dangling, "dangling refs");
+
+  const Trace pipeline = apps::buildPipelineTrace({});
+  const Trace stencil = apps::buildStencilTrace({});
+  const Trace cosmo = smallCosmo();
+  for (const auto& [name, tr] :
+       {std::pair<std::string, const Trace*>{"pipeline", &pipeline},
+        {"stencil", &stencil},
+        {"cosmo", &cosmo}}) {
+    expectMatchesReference(*tr, name + " (eager)");
+    const trace::TraceView lazy = lazyView(*tr, name);
+    expectMatchesReference(lazy, name + " (lazy)");
+    EXPECT_GT(lazy.stats().shardEvictions, 0u) << name;
+  }
+}
+
+// ---- derived predecessor ---------------------------------------------------
+
+TEST(DepGraphRobustness, PathNeverStepsAcrossARankBoundary) {
+  std::vector<Trace> traces;
+  traces.emplace_back();  // empty
+
+  // The shape of HostileShapesNeverThrow: undefined functions,
+  // non-monotone clocks, unmatched traffic in both directions.
+  {
+    Trace tr;
+    trace::ProcessTrace proc;
+    proc.name = "p0";
+    proc.events.push_back(Event::enter(50, 99));
+    proc.events.push_back(Event::mpiSend(10, 1, 0, 8));
+    proc.events.push_back(Event::leave(5, 99));
+    proc.events.push_back(Event::mpiRecv(2, 7, 3, 8));
+    tr.processes.push_back(std::move(proc));
+    traces.push_back(std::move(tr));
+  }
+
+  // Zero-event ranks around ranks whose first event is a receive, with the
+  // latest rank end on each rank in turn, so the backward walk reaches the
+  // RankStart of a rank that follows another rank's nodes.
+  for (trace::ProcessId latest = 0; latest < 5; ++latest) {
+    Trace tr;
+    tr.functions.intern("work", "APP");
+    tr.functions.intern("MPI_Recv", "MPI", trace::Paradigm::MPI);
+    for (trace::ProcessId p = 0; p < 5; ++p) {
+      trace::ProcessTrace proc;
+      proc.name = "p" + std::to_string(p);
+      if (p % 2 == 1) {
+        // First event a receive (matched from the even rank before it),
+        // then local work.
+        proc.events.push_back(Event::mpiRecv(30, p - 1, 0, 8));
+        proc.events.push_back(Event::enter(30, 0));
+        proc.events.push_back(Event::leave(p == latest ? 500 : 60, 0));
+      } else if (p != 4) {
+        proc.events.push_back(Event::enter(5, 0));
+        proc.events.push_back(Event::mpiSend(25, p + 1, 0, 8));
+        proc.events.push_back(Event::leave(p == latest ? 500 : 40, 0));
+      }
+      // Rank 4 stays empty.
+      tr.processes.push_back(std::move(proc));
+    }
+    traces.push_back(std::move(tr));
+  }
+
+  Rng rng(2016);
+  for (int trial = 0; trial < 100; ++trial) {
+    traces.push_back(randomMessageTrace(rng));
+  }
+
+  std::size_t crossedRankStarts = 0;
+  for (std::size_t t = 0; t < traces.size(); ++t) {
+    const DepGraph graph = buildDepGraph(traces[t]);
+    CriticalPathResult path;
+    ASSERT_NO_THROW(path = extractCriticalPath(graph)) << "trace " << t;
+    for (const CriticalPathStep& step : path.steps) {
+      if (step.remote) {
+        continue;
+      }
+      ASSERT_EQ(step.fromProcess, step.process) << "trace " << t;
+      const auto node = static_cast<std::size_t>(step.node);
+      ASSERT_GT(node, graph.rankNodes[step.process].first) << "trace " << t;
+      EXPECT_EQ(step.fromTime, graph.nodes[node - 1].time) << "trace " << t;
+    }
+    // The walk ended on the RankStart of a rank with nodes before it.
+    crossedRankStarts +=
+        !path.steps.empty() && path.steps.front().fromProcess > 0;
+  }
+  EXPECT_GT(crossedRankStarts, 0u);
 }
 
 }  // namespace

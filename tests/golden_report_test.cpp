@@ -119,10 +119,10 @@ TEST(GoldenReport, StencilCritpathReport) {
 // on a trace where every message channel is used.
 TEST(GoldenReport, SmallCosmoDependencyJson) {
   const trace::Trace tr = smallCosmo();
-  checkGolden("cosmo_4x4_deps.json",
-              analysis::exportDepAnalysisString(
-                  tr, analysis::analyzeDependencies(tr),
-                  analysis::ExportFormat::Json));
+  std::ostringstream json;
+  analysis::exportDepAnalysis(tr, analysis::analyzeDependencies(tr),
+                              analysis::ExportFormat::Json, json);
+  checkGolden("cosmo_4x4_deps.json", json.str());
 }
 
 // SVG bytes: the paper's SOS heatmap of the small COSMO-SPECS trace, and
