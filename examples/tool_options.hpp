@@ -33,7 +33,7 @@ namespace perfvar::tool {
 struct ToolOptions {
   /// --threads N: analysis/decode worker threads (0 = hardware, 1 = serial).
   std::size_t threads = 1;
-  /// --format v1|v2: binary layout written by generate/slice/archive.
+  /// --format v1|v2: binary layout written by generate/slice/salvage.
   std::uint32_t format = trace::kBinaryFormatVersion;
   /// --salvage: load damaged inputs in recovery mode.
   bool salvage = false;

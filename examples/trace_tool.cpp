@@ -24,8 +24,6 @@
 ///   trace_tool slice <in.pvt> <out.pvt> <startSec> <endSec>
 ///   trace_tool export-json <in.pvt>            analysis as JSON to stdout
 ///   trace_tool export-csv <in.pvt>             SOS matrix CSV to stdout
-///   trace_tool archive <in.pvt> <dir>          write a PVTA archive
-///   trace_tool unarchive <dir> <out.pvt>       assemble an archive
 ///   trace_tool query <in.pvt>                  load once, answer many
 ///                                              queries read from stdin
 ///   trace_tool serve <socket>                  long-lived analysis daemon
@@ -38,7 +36,7 @@
 /// --threads N runs the analysis commands — and the v2 trace decode — on
 /// N worker threads (0 = all hardware threads; output is bit-identical
 /// to serial); --format v1|v2 selects the binary layout written by
-/// generate/slice/archive/unarchive (default v2); --salvage loads
+/// generate/slice/salvage (default v2); --salvage loads
 /// damaged inputs in recovery mode (quarantined ranks are excluded from
 /// analysis and reported); --lazy opens analysis inputs out-of-core
 /// (mmap + per-rank lazy decode, --shard-budget-mb N caps the decoded
@@ -86,7 +84,6 @@
 #include "server/client.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
-#include "trace/archive.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/filter.hpp"
 #include "trace/stats.hpp"
@@ -177,8 +174,6 @@ void printUsage(std::ostream& out) {
       "  slice <in.pvt> <out.pvt> <startSec> <endSec>\n"
       "  export-json <in.pvt>           analysis as JSON\n"
       "  export-csv <in.pvt>            SOS matrix as CSV\n"
-      "  archive <in.pvt> <dir>         write a PVTA archive\n"
-      "  unarchive <dir> <out.pvt>      assemble an archive\n"
       "  query <in.pvt>                 load the trace once, then answer\n"
       "                                 queries from stdin (one per line):\n"
       "                                   analyze [candidate K]\n"
@@ -210,8 +205,8 @@ void printUsage(std::ostream& out) {
       "  --threads N   run the analysis and the v2 trace decode on N\n"
       "                worker threads (0 = all hardware threads); results\n"
       "                are identical to serial\n"
-      "  --format V    binary layout written by generate/slice/archive/\n"
-      "                unarchive: v1 (legacy) or v2 (default)\n"
+      "  --format V    binary layout written by generate/slice/salvage:\n"
+      "                v1 (legacy) or v2 (default)\n"
       "  --salvage     load inputs in recovery mode: damaged ranks are\n"
       "                quarantined (and excluded from analysis) instead\n"
       "                of failing the whole load\n"
@@ -596,28 +591,6 @@ int main(int argc, char** argv) {
       trace::saveBinaryFile(sliced, args[2], writeOptions);
       std::cout << "wrote " << args[2] << " (" << sliced.eventCount()
                 << " of " << tr.eventCount() << " events)\n";
-      return kExitOk;
-    }
-    if (cmd == "archive") {
-      if (args.size() != 3) {
-        return usageError("'archive' expects <in.pvt> <dir>");
-      }
-      const trace::Trace tr = trace::loadBinaryFile(args[1], readOptions);
-      trace::saveArchive(tr, args[2], writeOptions);
-      std::cout << "wrote PVTA archive " << args[2] << " ("
-                << tr.processCount() << " rank files)\n";
-      return kExitOk;
-    }
-    if (cmd == "unarchive") {
-      if (args.size() != 3) {
-        return usageError("'unarchive' expects <dir> <out.pvt>");
-      }
-      trace::ArchiveReadOptions archiveOptions;
-      archiveOptions.threads = threads;
-      const trace::Trace tr = trace::loadArchive(args[1], archiveOptions);
-      trace::saveBinaryFile(tr, args[2], writeOptions);
-      std::cout << "wrote " << args[2] << " (" << tr.eventCount()
-                << " events)\n";
       return kExitOk;
     }
     if (cmd == "salvage") {

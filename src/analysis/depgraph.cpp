@@ -328,20 +328,6 @@ void matchMessages(DepGraph& graph) {
 
 }  // namespace
 
-const char* depNodeKindName(DepNodeKind k) {
-  switch (k) {
-    case DepNodeKind::RankStart:
-      return "start";
-    case DepNodeKind::Send:
-      return "send";
-    case DepNodeKind::Recv:
-      return "recv";
-    case DepNodeKind::RankEnd:
-      return "end";
-  }
-  return "?";
-}
-
 DepGraph buildDepGraph(const trace::TraceView& trace,
                        const DepGraphOptions& options) {
   DepGraph graph;

@@ -67,9 +67,6 @@ enum class DepNodeKind : std::uint8_t {
   RankEnd,    ///< sentinel after a rank's last event
 };
 
-/// Human-readable node kind ("start", "send", "recv", "end").
-const char* depNodeKindName(DepNodeKind k);
-
 /// Exclusive time spent in one function between two consecutive nodes of
 /// a rank (the unit of critical-path attribution). `function` may be
 /// trace::kInvalidFunction for time outside any (known) function.
@@ -190,10 +187,6 @@ struct CriticalPathResult {
   /// The backward walk hit its safety guard (cyclic timestamps on hostile
   /// input); the path is a prefix, every invariant above still holds.
   bool truncated = false;
-
-  std::uint64_t untrackedTicks() const {
-    return functionTicks.empty() ? 0 : functionTicks.back();
-  }
 };
 
 /// Extract the critical path of `graph`. Deterministic (total tie-break:

@@ -34,17 +34,6 @@ std::size_t SosResult::maxSegmentsPerProcess() const {
   return n;
 }
 
-std::size_t SosResult::minSegmentsPerProcess() const {
-  if (perProcess_.empty()) {
-    return 0;
-  }
-  std::size_t n = perProcess_.front().size();
-  for (const auto& per : perProcess_) {
-    n = std::min(n, per.size());
-  }
-  return n;
-}
-
 double SosResult::sosSeconds(trace::ProcessId p, std::size_t i) const {
   const auto& per = process(p);
   PERFVAR_REQUIRE(i < per.size(), "invalid segment index");
@@ -157,12 +146,6 @@ std::vector<double> SosResult::meanDurationPerIteration() const {
                           [](const SegmentAnalysis& a) {
                             return a.segment.inclusive();
                           });
-}
-
-std::vector<double> SosResult::meanSosPerIteration() const {
-  return perIterationMean(perProcess_, maxSegmentsPerProcess(),
-                          static_cast<double>(view_.resolution()),
-                          [](const SegmentAnalysis& a) { return a.sosTime; });
 }
 
 std::vector<double> SosResult::totalSosPerProcess() const {

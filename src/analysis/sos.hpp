@@ -64,9 +64,8 @@ public:
     return perProcess_;
   }
 
-  /// Maximum / minimum number of segments over all processes.
+  /// Maximum number of segments over all processes.
   std::size_t maxSegmentsPerProcess() const;
-  std::size_t minSegmentsPerProcess() const;
 
   /// SOS-time in seconds of segment `i` on process `p`.
   double sosSeconds(trace::ProcessId p, std::size_t i) const;
@@ -94,9 +93,6 @@ public:
 
   /// Mean segment duration in seconds per iteration index.
   std::vector<double> meanDurationPerIteration() const;
-
-  /// Mean SOS-time in seconds per iteration index.
-  std::vector<double> meanSosPerIteration() const;
 
   /// Per-process totals in seconds: sum of SOS-times over all segments.
   std::vector<double> totalSosPerProcess() const;

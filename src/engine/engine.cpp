@@ -409,17 +409,6 @@ CacheStats AnalysisEngine::cacheStats() const {
   return stats;
 }
 
-void AnalysisEngine::clearCache() {
-  std::lock_guard<std::mutex> lock(impl_->cacheMutex);
-  impl_->profile.clear();
-  impl_->lint.clear();
-  impl_->dominant.clear();
-  impl_->sos.clear();
-  impl_->variation.clear();
-  impl_->dep.clear();
-  impl_->bytes = 0;
-}
-
 std::string formatCacheStats(const CacheStats& stats) {
   std::ostringstream os;
   os << "cache: hits=" << stats.hits << " misses=" << stats.misses

@@ -196,11 +196,6 @@ public:
   /// Current cache counters (hits/misses/evictions cumulative).
   CacheStats cacheStats() const;
 
-  /// Drop every cached result, including the profile. Counters keep
-  /// accumulating; bytes drops to zero. Outstanding EngineResults stay
-  /// valid (they share ownership).
-  void clearCache();
-
 private:
   /// lint::StageSource: the view the stages compute on (never null).
   const trace::TraceView* analysisTrace() override;

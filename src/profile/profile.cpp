@@ -147,10 +147,6 @@ std::vector<FunctionStats> FlatProfile::byInclusiveTime() const {
   return sortedBy(aggregated_, &FunctionStats::inclusive);
 }
 
-std::vector<FunctionStats> FlatProfile::byExclusiveTime() const {
-  return sortedBy(aggregated_, &FunctionStats::exclusive);
-}
-
 std::vector<trace::Timestamp> FlatProfile::exclusiveTimePerProcess(
     const std::vector<bool>& keep) const {
   PERFVAR_REQUIRE(keep.size() == aggregated_.size(),

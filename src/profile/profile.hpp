@@ -75,10 +75,6 @@ public:
   /// descending aggregated inclusive time.
   std::vector<FunctionStats> byInclusiveTime() const;
 
-  /// All aggregated stats with at least one invocation, sorted by
-  /// descending aggregated exclusive time.
-  std::vector<FunctionStats> byExclusiveTime() const;
-
   /// Per-process total exclusive time of functions accepted by `keep`
   /// (e.g. non-MPI functions): the classic profile view of computational
   /// load per rank.

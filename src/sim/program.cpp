@@ -6,14 +6,6 @@
 
 namespace perfvar::sim {
 
-std::size_t Program::totalOps() const {
-  std::size_t n = 0;
-  for (const auto& per : ops) {
-    n += per.size();
-  }
-  return n;
-}
-
 ProgramBuilder::ProgramBuilder(std::size_t ranks) {
   PERFVAR_REQUIRE(ranks >= 1, "program needs at least one rank");
   program_.ranks = ranks;
@@ -203,21 +195,6 @@ void ProgramBuilder::wait(std::uint32_t rank, std::uint32_t request) {
   op.request = request;
   rankOps(rank).push_back(op);
   open.erase(it);
-}
-
-void ProgramBuilder::waitAll(std::uint32_t rank) {
-  PERFVAR_REQUIRE(rank < program_.ranks, "invalid rank");
-  // wait() mutates openRequests_; iterate over a copy in posting order.
-  const std::vector<std::uint32_t> open = openRequests_[rank];
-  for (const std::uint32_t request : open) {
-    wait(rank, request);
-  }
-}
-
-void ProgramBuilder::barrierAll() {
-  for (std::uint32_t r = 0; r < program_.ranks; ++r) {
-    barrier(r);
-  }
 }
 
 Program ProgramBuilder::finish() {

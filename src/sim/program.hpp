@@ -71,8 +71,6 @@ struct Program {
   trace::FunctionId fnIsend = trace::kInvalidFunction;
   trace::FunctionId fnIrecv = trace::kInvalidFunction;
   trace::FunctionId fnWait = trace::kInvalidFunction;
-
-  std::size_t totalOps() const;
 };
 
 /// Convenience builder with per-op validation.
@@ -108,11 +106,6 @@ public:
   std::uint32_t irecv(std::uint32_t rank, std::uint32_t peer,
                       std::uint32_t tag);
   void wait(std::uint32_t rank, std::uint32_t request);
-  /// Wait for every outstanding request of the rank, in posting order.
-  void waitAll(std::uint32_t rank);
-
-  /// All ranks at once (SPMD helper).
-  void barrierAll();
 
   Program finish();
 

@@ -2,12 +2,12 @@
 #define PERFVAR_TRACE_TEXT_IO_HPP
 
 /// \file text_io.hpp
-/// Line-oriented human-readable trace format ("PVTX") and dumping helpers.
+/// Line-oriented human-readable trace dump ("PVTX"), the output of
+/// `trace_tool dump`.
 ///
-/// The text format round-trips losslessly with the in-memory model and is
-/// meant for debugging, diffing and small golden files. The resolution
-/// record is mandatory and must precede the first process record (a
-/// missing resolution would silently change timestamp semantics):
+/// One record per line, definitions before events; names are
+/// double-quoted with backslash escapes. perfvar writes PVTX but does not
+/// read it back (PVTF is the only input format):
 ///
 ///   PVTX 1
 ///   resolution 1000000000
@@ -30,13 +30,8 @@ namespace perfvar::trace {
 /// Write the PVTX representation of a trace.
 void writeText(const Trace& trace, std::ostream& out);
 
-/// Parse a PVTX stream; throws perfvar::Error with a line number on
-/// malformed input.
-Trace readText(std::istream& in);
-
-/// Convenience string/file wrappers.
+/// writeText() into a string.
 std::string toText(const Trace& trace);
-Trace fromText(const std::string& text);
 
 }  // namespace perfvar::trace
 

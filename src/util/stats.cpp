@@ -462,17 +462,6 @@ double imbalanceFactor(std::span<const double> xs) {
   return mx / m - 1.0;
 }
 
-double imbalanceLoss(std::span<const double> xs) {
-  if (xs.empty()) {
-    return 0.0;
-  }
-  const double mx = *std::max_element(xs.begin(), xs.end());
-  if (mx <= 0.0) {
-    return 0.0;
-  }
-  return (mx - mean(xs)) / mx;
-}
-
 std::vector<std::size_t> histogram(std::span<const double> xs, std::size_t bins) {
   PERFVAR_REQUIRE(bins > 0, "histogram: bins must be positive");
   std::vector<std::size_t> counts(bins, 0);

@@ -102,9 +102,6 @@ double spearman(std::span<const double> xs, std::span<const double> ys);
 /// mean. lambda = 0 means perfectly balanced.
 double imbalanceFactor(std::span<const double> xs);
 
-/// Percentage of time lost to imbalance: (max - mean) / max; in [0,1).
-double imbalanceLoss(std::span<const double> xs);
-
 /// Fractional ranks (0-based, ties averaged) of the sample.
 std::vector<double> ranks(std::span<const double> xs);
 

@@ -50,7 +50,7 @@ private:
 };
 
 /// Color of the explicit "no data" bands (quarantined ranks of a
-/// salvaged trace) in the heatmap and timeline renderers.
+/// salvaged trace) in the timeline renderer.
 inline constexpr Rgb kNoDataColor{210, 210, 214};
 
 /// Maps raw values to [0,1] for a ColorMap: linear or robust-quantile

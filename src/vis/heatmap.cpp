@@ -56,11 +56,6 @@ std::vector<double> resampleRow(const std::vector<double>& row,
   return out;
 }
 
-bool isNoDataRow(const HeatmapOptions& options, std::size_t row) {
-  return std::find(options.noDataRows.begin(), options.noDataRows.end(),
-                   row) != options.noDataRows.end();
-}
-
 std::size_t labelStride(std::size_t rows, std::size_t requested,
                         std::size_t maxLabels) {
   if (requested > 0) {
@@ -121,12 +116,6 @@ SvgDocument renderHeatmapSvg(const Matrix& values,
   const double x0 = labelW + 4;
   const double y0 = titleH + 4;
   for (std::size_t r = 0; r < rows; ++r) {
-    if (isNoDataRow(options, r)) {
-      svg.rect(x0, y0 + cellH * static_cast<double>(r),
-               cellW * static_cast<double>(cols) + 0.3, cellH + 0.3,
-               kNoDataColor);
-      continue;
-    }
     for (std::size_t c = 0; c < cols; ++c) {
       const double v = c < values[r].size()
                            ? values[r][c]
@@ -209,10 +198,6 @@ std::string renderHeatmapAscii(const Matrix& values,
   for (std::size_t r = 0; r < values.size(); ++r) {
     if (r < options.rowLabels.size()) {
       os << fmt::pad(options.rowLabels[r], -12) << ' ';
-    }
-    if (isNoDataRow(options, r)) {
-      os << std::string(cols, 'x') << '\n';
-      continue;
     }
     const auto row = resampleRow(values[r], cols, fullWidth);
     for (const double v : row) {

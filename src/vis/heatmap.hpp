@@ -30,9 +30,6 @@ struct HeatmapOptions {
   bool legend = true;
   /// Label every k-th row (0 = automatic).
   std::size_t rowLabelStride = 0;
-  /// Row indices rendered as explicit "no data" bands (kNoDataColor;
-  /// quarantined ranks of a salvaged trace); their cell values are ignored.
-  std::vector<std::size_t> noDataRows;
 };
 
 /// A value matrix: rows = processes, columns = iterations / time bins.
@@ -45,7 +42,7 @@ SvgDocument renderHeatmapSvg(const Matrix& values,
                              const HeatmapOptions& options);
 
 /// Render the heatmap as terminal text: one shade character per matrix
-/// cell (' ' for NaN, 'x' for no-data rows), `maxColumns` wide - wider
+/// cell (' ' for NaN), `maxColumns` wide - wider
 /// matrices are downsampled by averaging.
 std::string renderHeatmapAscii(const Matrix& values,
                                const HeatmapOptions& options,

@@ -77,7 +77,6 @@ TimeWindow resolveWindow(const trace::TraceView& tr,
 
 FunctionColors FunctionColors::standard(const trace::TraceView& tr) {
   FunctionColors fc;
-  fc.view_ = tr;
   fc.byFunction_.resize(tr.functions().size());
   std::map<std::string, Rgb> groupColor;
   std::size_t nextPaletteSlot = 0;
@@ -138,21 +137,6 @@ FunctionColors FunctionColors::standard(const trace::TraceView& tr) {
 Rgb FunctionColors::color(trace::FunctionId f) const {
   PERFVAR_REQUIRE(f < byFunction_.size(), "invalid function id");
   return byFunction_[f];
-}
-
-void FunctionColors::setGroupColor(const std::string& group, Rgb c) {
-  PERFVAR_REQUIRE(view_.valid(), "uninitialized FunctionColors");
-  for (std::size_t f = 0; f < view_.functions().size(); ++f) {
-    if (view_.functions().at(static_cast<trace::FunctionId>(f)).group ==
-        group) {
-      byFunction_[f] = c;
-    }
-  }
-  for (auto& [label, color] : legend_) {
-    if (label == group) {
-      color = c;
-    }
-  }
 }
 
 std::vector<std::pair<std::string, Rgb>> FunctionColors::legend() const {

@@ -30,15 +30,11 @@ public:
 
   Rgb color(trace::FunctionId f) const;
 
-  /// Override the color of one group.
-  void setGroupColor(const std::string& group, Rgb c);
-
   /// Legend entries: (label, color), deduplicated by group.
   std::vector<std::pair<std::string, Rgb>> legend() const;
 
 private:
   FunctionColors() = default;
-  trace::TraceView view_;  ///< shares the backend; keeps registries alive
   std::vector<Rgb> byFunction_;
   std::vector<std::pair<std::string, Rgb>> legend_;
 };

@@ -3,7 +3,6 @@
 
 #include "analysis/baselines.hpp"
 #include "analysis/correlate.hpp"
-#include "analysis/overlay.hpp"
 #include "analysis/sync.hpp"
 #include "apps/paper_examples.hpp"
 #include "trace/builder.hpp"
@@ -59,46 +58,6 @@ TEST(SyncClassifier, MaskMatchesPerFunctionDecision) {
   ASSERT_EQ(mask.size(), tr.functions.size());
   EXPECT_TRUE(mask[*tr.functions.find("MPI")]);
   EXPECT_FALSE(mask[*tr.functions.find("calc")]);
-}
-
-// --- MetricOverlay --------------------------------------------------------------
-
-TEST(Overlay, StepValuesMatchSegments) {
-  const trace::Trace tr = apps::buildFigure3Trace();
-  const auto fA = *tr.functions.find("a");
-  const SosResult sos = analyzeSos(tr, fA);
-  const MetricOverlay overlay = MetricOverlay::build(sos);
-  // Iteration 0 spans [0,6): SOS of process 0 is 5.
-  EXPECT_DOUBLE_EQ(overlay.at(0, 3), 5.0);
-  EXPECT_DOUBLE_EQ(overlay.at(2, 3), 1.0);
-  // Iteration 1 spans [6,9).
-  EXPECT_DOUBLE_EQ(overlay.at(1, 7), 2.0);
-  // After the last segment: NaN.
-  EXPECT_TRUE(std::isnan(overlay.at(0, 999)));
-}
-
-TEST(Overlay, DurationAndSyncVariants) {
-  const trace::Trace tr = apps::buildFigure3Trace();
-  const auto fA = *tr.functions.find("a");
-  const SosResult sos = analyzeSos(tr, fA);
-  const auto duration =
-      MetricOverlay::build(sos, MetricOverlay::Value::DurationSeconds);
-  const auto sync =
-      MetricOverlay::build(sos, MetricOverlay::Value::SyncSeconds);
-  EXPECT_DOUBLE_EQ(duration.at(0, 3), 6.0);
-  EXPECT_DOUBLE_EQ(sync.at(2, 3), 5.0);  // process 2 waits 5 of 6
-}
-
-TEST(Overlay, SampleGridShapesAndValues) {
-  const trace::Trace tr = apps::buildFigure3Trace();
-  const auto fA = *tr.functions.find("a");
-  const SosResult sos = analyzeSos(tr, fA);
-  const MetricOverlay overlay = MetricOverlay::build(sos);
-  const auto grid = overlay.sampleGrid(14);
-  ASSERT_EQ(grid.size(), 3u);
-  ASSERT_EQ(grid[0].size(), 14u);
-  EXPECT_DOUBLE_EQ(grid[0][0], 5.0);   // early bins in iteration 0
-  EXPECT_DOUBLE_EQ(grid[0][13], 1.0);  // last bin in iteration 2
 }
 
 // --- correlation -----------------------------------------------------------------

@@ -123,7 +123,6 @@ TEST(Sos, MatrixAndSeriesAccessors) {
   const auto fA = *tr.functions.find("a");
   const SosResult sos = analyzeSos(tr, fA);
   EXPECT_EQ(sos.maxSegmentsPerProcess(), 3u);
-  EXPECT_EQ(sos.minSegmentsPerProcess(), 3u);
   const auto matrix = sos.sosMatrixSeconds();
   ASSERT_EQ(matrix.size(), 3u);
   EXPECT_DOUBLE_EQ(matrix[0][0], 5.0);  // resolution 1 -> seconds == ticks
@@ -134,9 +133,6 @@ TEST(Sos, MatrixAndSeriesAccessors) {
   ASSERT_EQ(meanDur.size(), 3u);
   EXPECT_DOUBLE_EQ(meanDur[0], 6.0);
   EXPECT_DOUBLE_EQ(meanDur[1], 3.0);
-
-  const auto meanSos = sos.meanSosPerIteration();
-  EXPECT_DOUBLE_EQ(meanSos[0], 3.0);  // (5+3+1)/3
 
   const auto syncFrac = sos.syncFractionPerIteration();
   EXPECT_DOUBLE_EQ(syncFrac[0], 0.5);       // 9 of 18 ticks waiting
@@ -162,7 +158,6 @@ TEST(Sos, RaggedProcessesYieldNaNCells) {
   const trace::Trace tr = b.finish();
   const SosResult sos = analyzeSos(tr, f);
   EXPECT_EQ(sos.maxSegmentsPerProcess(), 2u);
-  EXPECT_EQ(sos.minSegmentsPerProcess(), 1u);
   const auto matrix = sos.sosMatrixSeconds();
   EXPECT_FALSE(std::isnan(matrix[0][1]));
   EXPECT_TRUE(std::isnan(matrix[1][1]));

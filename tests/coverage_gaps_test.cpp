@@ -18,24 +18,6 @@
 namespace perfvar {
 namespace {
 
-TEST(ProfileGaps, ByExclusiveTimeOrdersDifferentlyThanInclusive) {
-  // wrapper has huge inclusive but tiny exclusive time; leaf the reverse.
-  trace::TraceBuilder b(1);
-  const auto wrapper = b.defineFunction("wrapper");
-  const auto leaf = b.defineFunction("leaf");
-  for (int i = 0; i < 3; ++i) {
-    const auto t0 = static_cast<trace::Timestamp>(i) * 100;
-    b.enter(0, t0, wrapper);
-    b.enter(0, t0 + 1, leaf);
-    b.leave(0, t0 + 99, leaf);
-    b.leave(0, t0 + 100, wrapper);
-  }
-  const trace::Trace tr = b.finish();
-  const auto profile = profile::FlatProfile::build(tr);
-  EXPECT_EQ(profile.byInclusiveTime().front().function, wrapper);
-  EXPECT_EQ(profile.byExclusiveTime().front().function, leaf);
-}
-
 TEST(ProfileGaps, ExclusiveMaskSizeValidated) {
   const trace::Trace tr = apps::buildFigure1Trace();
   const auto profile = profile::FlatProfile::build(tr);
@@ -76,24 +58,6 @@ TEST(TraceGaps, BuilderAccessorsValidate) {
   EXPECT_THROW(b.eventCount(5), Error);
   EXPECT_THROW(b.setProcessName(5, "x"), Error);
   b.leave(0, 1, f);
-}
-
-TEST(VisGaps, SetGroupColorOverridesPaletteAndLegend) {
-  trace::TraceBuilder b(1);
-  const auto f = b.defineFunction("specs", "SPECS");
-  b.enter(0, 0, f);
-  b.leave(0, 10, f);
-  const trace::Trace tr = b.finish();
-  auto colors = vis::FunctionColors::standard(tr);
-  colors.setGroupColor("SPECS", vis::Rgb{1, 2, 3});
-  EXPECT_EQ(colors.color(f), (vis::Rgb{1, 2, 3}));
-  bool legendUpdated = false;
-  for (const auto& [label, color] : colors.legend()) {
-    if (label == "SPECS") {
-      legendUpdated = color == vis::Rgb{1, 2, 3};
-    }
-  }
-  EXPECT_TRUE(legendUpdated);
 }
 
 TEST(AnalysisGaps, TopSeparationDegenerate) {

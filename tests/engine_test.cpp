@@ -220,17 +220,6 @@ TEST(Engine, LruEvictionKeepsResultsCorrectAndOwned) {
   EXPECT_EQ(eng.formatReport(), firstReport);
 }
 
-TEST(Engine, ClearCacheDropsBytesButKeepsAnswersIdentical) {
-  trace::Trace tr = apps::buildFigure3Trace();
-  const std::string expected = reference(tr);
-  engine::AnalysisEngine eng{std::move(tr)};
-  EXPECT_EQ(eng.formatReport(), expected);
-  EXPECT_GT(eng.cacheStats().bytes, 0u);
-  eng.clearCache();
-  EXPECT_EQ(eng.cacheStats().bytes, 0u);
-  EXPECT_EQ(eng.formatReport(), expected);
-}
-
 TEST(Engine, ResultOutlivesTheEngine) {
   engine::EngineResult result;
   std::string expected;

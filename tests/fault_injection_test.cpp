@@ -18,9 +18,9 @@
 #include "analysis/pipeline.hpp"
 #include "apps/cosmo_specs.hpp"
 #include "sim/simulator.hpp"
+#include "support/fault_injection.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/builder.hpp"
-#include "trace/fault_injection.hpp"
 #include "trace/filter.hpp"
 #include "util/error.hpp"
 #include "lint/lint.hpp"

@@ -1,39 +1,11 @@
-/// Parameterized edge sweeps: text-format fuzz lines and referenceZ
-/// fallback behaviour.
+/// Edge sweeps of the referenceZ fallback behaviour.
 
 #include <gtest/gtest.h>
 
-#include "trace/text_io.hpp"
-#include "util/error.hpp"
 #include "util/stats.hpp"
 
 namespace perfvar {
 namespace {
-
-// --- PVTX parser rejects malformed records --------------------------------------
-
-class PvtxFuzzSweep : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(PvtxFuzzSweep, MalformedInputThrows) {
-  const std::string prefix =
-      "PVTX 1\nresolution 1000\nfunction 0 \"f\" \"\" COMPUTE\n"
-      "process 0 \"Rank 0\"\n";
-  EXPECT_THROW(trace::fromText(prefix + GetParam() + "\n"), Error);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Lines, PvtxFuzzSweep,
-    ::testing::Values("E",                    // missing fields
-                      "E ten 0",              // non-numeric time
-                      "E 0 0 trailing",       // trailing tokens
-                      "M 0 0",                // metric without value
-                      "function 5 \"g\" \"\" COMPUTE",  // id mismatch
-                      "function 1 \"g\" \"\" NOPE",     // bad paradigm
-                      "metric 0 \"m\" \"\" SOMETIMES",  // bad mode
-                      "process 5 \"Rank 5\"",           // id gap
-                      "S 0 1 2",               // send missing bytes
-                      "E 0 \"quoted\"",        // quoted where int expected
-                      "resolution 0"));        // zero resolution
 
 // --- referenceZ fallback chain ------------------------------------------------------
 

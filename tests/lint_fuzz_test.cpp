@@ -22,9 +22,9 @@
 
 #include "analysis/segments.hpp"
 #include "lint/lint.hpp"
+#include "support/fault_injection.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/builder.hpp"
-#include "trace/fault_injection.hpp"
 #include "trace/view.hpp"
 #include "util/error.hpp"
 

@@ -17,9 +17,9 @@
 #include "engine/engine.hpp"
 #include "lint/lint.hpp"
 #include "sim/simulator.hpp"
+#include "support/fault_injection.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/builder.hpp"
-#include "trace/fault_injection.hpp"
 #include "trace/trace.hpp"
 #include "trace/view.hpp"
 #include "util/error.hpp"

@@ -1,5 +1,5 @@
 /// Additional edge-case coverage across modules: varint boundaries,
-/// degenerate charts, greedy partitioning, overlay variants, custom
+/// degenerate charts, greedy partitioning, custom
 /// classifiers in the dominant selection, and renderer geometry.
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "analysis/dominant.hpp"
-#include "analysis/overlay.hpp"
 #include "analysis/pipeline.hpp"
 #include "apps/paper_examples.hpp"
 #include "balance/partition.hpp"
@@ -164,15 +163,6 @@ TEST(SosEdge, MetricMatrixMatchesDeltas) {
   EXPECT_DOUBLE_EQ(matrix[0][0], 10.0);
   EXPECT_DOUBLE_EQ(matrix[1][2], 20.0);
   EXPECT_THROW(sos.metricMatrix(99), Error);
-}
-
-// --- overlay out-of-range process ---------------------------------------------------
-
-TEST(OverlayEdge, InvalidProcessRejected) {
-  const trace::Trace tr = apps::buildFigure3Trace();
-  const auto sos = analysis::analyzeSos(tr, *tr.functions.find("a"));
-  const auto overlay = analysis::MetricOverlay::build(sos);
-  EXPECT_THROW(overlay.at(99, 0), Error);
 }
 
 // --- heatmap row label stride -------------------------------------------------------

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
-#include "analysis/overlay.hpp"
 #include "analysis/pipeline.hpp"
 #include "profile/profile.hpp"
 #include "sim/program.hpp"
@@ -196,23 +195,6 @@ TEST_P(PipelineSweep, SerializationPreservesTheAnalysis) {
   const auto a = analysis::analyzeSos(run.tr, run.stepFunction);
   const auto b = analysis::analyzeSos(loaded, run.stepFunction);
   EXPECT_EQ(a.allSosSeconds(), b.allSosSeconds());
-}
-
-TEST_P(PipelineSweep, OverlayAgreesWithSegments) {
-  const GeneratedRun run = generate(GetParam());
-  const auto sos = analysis::analyzeSos(run.tr, run.stepFunction);
-  const auto overlay = analysis::MetricOverlay::build(sos);
-  for (std::size_t p = 0; p < sos.processCount(); ++p) {
-    for (const auto& seg : sos.process(static_cast<trace::ProcessId>(p))) {
-      if (seg.segment.inclusive() == 0) {
-        continue;
-      }
-      const trace::Timestamp mid =
-          seg.segment.enter + seg.segment.inclusive() / 2;
-      const double value = overlay.at(static_cast<trace::ProcessId>(p), mid);
-      EXPECT_NEAR(value, run.tr.toSeconds(seg.sosTime), 1e-12);
-    }
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineSweep,

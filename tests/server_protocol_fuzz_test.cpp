@@ -21,9 +21,9 @@
 #include "lint/lint.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
+#include "support/fault_injection.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/builder.hpp"
-#include "trace/fault_injection.hpp"
 #include "trace/filter.hpp"
 #include "util/framing.hpp"
 #include "util/rng.hpp"

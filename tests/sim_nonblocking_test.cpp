@@ -105,9 +105,10 @@ TEST(Nonblocking, OverlapHidesCommunicationTime) {
 
 TEST(Nonblocking, WaitAllCompletesInPostingOrder) {
   ProgramBuilder b(3);
-  b.irecv(0, 1, 0);
-  b.irecv(0, 2, 0);
-  b.waitAll(0);
+  const auto first = b.irecv(0, 1, 0);
+  const auto second = b.irecv(0, 2, 0);
+  b.wait(0, first);
+  b.wait(0, second);
   b.send(1, 0, 0, 64);
   b.send(2, 0, 0, 64);
   SimReport report;

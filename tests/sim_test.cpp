@@ -57,12 +57,15 @@ TEST(Program, BuilderValidatesArguments) {
 
 TEST(Program, AutoDefinesMpiFunctions) {
   ProgramBuilder b(2);
-  b.barrierAll();
+  b.barrier(0);
+  b.barrier(1);
   const Program p = b.finish();
   ASSERT_NE(p.fnBarrier, trace::kInvalidFunction);
   EXPECT_EQ(p.functions.at(p.fnBarrier).name, "MPI_Barrier");
   EXPECT_EQ(p.functions.at(p.fnBarrier).paradigm, trace::Paradigm::MPI);
-  EXPECT_EQ(p.totalOps(), 2u);
+  ASSERT_EQ(p.ops.size(), 2u);
+  EXPECT_EQ(p.ops[0].size(), 1u);
+  EXPECT_EQ(p.ops[1].size(), 1u);
 }
 
 // --- compute & counters -----------------------------------------------------------
@@ -155,7 +158,9 @@ TEST(Simulate, BarrierReleasesAllAtLastArrival) {
   b.compute(0, f, 0.10);
   b.compute(1, f, 0.30);
   b.compute(2, f, 0.20);
-  b.barrierAll();
+  for (std::uint32_t r = 0; r < 3; ++r) {
+    b.barrier(r);
+  }
   const trace::Trace tr = simulate(b.finish(), quietOptions());
   const auto fBarrier = *tr.functions.find("MPI_Barrier");
   std::vector<trace::Timestamp> leaves;

@@ -1,4 +1,4 @@
-#include "trace/fault_injection.hpp"
+#include "support/fault_injection.hpp"
 
 #include <algorithm>
 #include <sstream>

@@ -1,5 +1,5 @@
-#ifndef PERFVAR_TRACE_FAULT_INJECTION_HPP
-#define PERFVAR_TRACE_FAULT_INJECTION_HPP
+#ifndef PERFVAR_TESTS_SUPPORT_FAULT_INJECTION_HPP
+#define PERFVAR_TESTS_SUPPORT_FAULT_INJECTION_HPP
 
 /// \file fault_injection.hpp
 /// Deterministic corruption of PVTF images for robustness testing.
@@ -12,8 +12,9 @@
 /// seeded perfvar::Rng, so every corrupted image is reproducible from
 /// (trace, version, seed).
 ///
-/// This lives in perfvar::testing: it is a test harness shipped with the
-/// library (like the simulator), not part of the I/O API.
+/// This is test tooling, not part of the I/O API: it lives in
+/// perfvar::testing and builds into the perfvar_test_support library,
+/// which only the test binaries link.
 
 #include <cstdint>
 #include <vector>
@@ -68,4 +69,4 @@ private:
 
 }  // namespace perfvar::testing
 
-#endif  // PERFVAR_TRACE_FAULT_INJECTION_HPP
+#endif  // PERFVAR_TESTS_SUPPORT_FAULT_INJECTION_HPP

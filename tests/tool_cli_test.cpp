@@ -8,17 +8,22 @@
 #include <cstdio>
 #include <unistd.h>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include <sys/wait.h>
 
 #include "apps/cosmo_specs.hpp"
+#include "apps/paper_examples.hpp"
 #include "sim/simulator.hpp"
+#include "support/fault_injection.hpp"
 #include "trace/binary_io.hpp"
-#include "trace/fault_injection.hpp"
 
 #ifndef PERFVAR_TRACE_TOOL_BIN
 #error "PERFVAR_TRACE_TOOL_BIN must point at the trace_tool executable"
+#endif
+#ifndef PERFVAR_GOLDEN_DIR
+#error "PERFVAR_GOLDEN_DIR must point at tests/golden"
 #endif
 
 namespace perfvar {
@@ -117,6 +122,16 @@ TEST(ToolCli, UnknownOptionIsAUsageError) {
 TEST(ToolCli, UnknownCommandIsAUsageError) {
   const RunResult r = run(tool() + " frobnicate 2>/dev/null");
   EXPECT_EQ(r.exitCode, 2);
+}
+
+TEST(ToolCli, ArchiveAndUnarchiveAreUnknownCommands) {
+  // PVTF v2 reads any rank on its own; there is no multi-file archive.
+  for (const std::string cmd : {"archive in.pvt dir", "unarchive dir out.pvt"}) {
+    const RunResult r = run(tool() + " " + cmd + " 2>&1 1>/dev/null");
+    EXPECT_EQ(r.exitCode, 2) << cmd;
+    EXPECT_NE(r.out.find("unknown command"), std::string::npos)
+        << cmd << " stderr: " << r.out;
+  }
 }
 
 TEST(ToolCli, MissingArgumentsAreAUsageError) {
@@ -304,6 +319,24 @@ TEST(ToolCli, NonFiniteSliceBoundsAreAUsageError) {
                 " 0 inf 2>/dev/null").exitCode,
             2);
   std::remove(out.c_str());
+}
+
+// ---- dump ----------------------------------------------------------------
+
+TEST(ToolCli, DumpReproducesTheFigure2GoldenOnEagerAndLazyLoads) {
+  const std::string path = uniqueName("tool_cli_test_figure2");
+  trace::saveBinaryFile(apps::buildFigure2Trace(), path);
+  std::ifstream in(std::string(PERFVAR_GOLDEN_DIR) + "/figure2_dump.pvtx",
+                   std::ios::binary);
+  ASSERT_TRUE(in) << "missing tests/golden/figure2_dump.pvtx";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  for (const std::string mode : {"", " --lazy"}) {
+    const RunResult r = run(tool() + mode + " dump " + path);
+    EXPECT_EQ(r.exitCode, 0) << mode;
+    EXPECT_EQ(r.out, golden.str()) << mode;
+  }
+  std::remove(path.c_str());
 }
 
 // ---- lint ----------------------------------------------------------------
@@ -597,7 +630,8 @@ TEST(ToolCli, ServeAndConnectExpectExactlyOneSocket) {
 }
 
 TEST(ToolCli, ConnectToAMissingSocketIsARuntimeError) {
-  const RunResult r = run(tool() + " connect definitely_missing.sock"
+  // One attempt: the default --retry 50 backs off for about 90 s.
+  const RunResult r = run(tool() + " --retry 1 connect definitely_missing.sock"
                           " </dev/null 2>/dev/null");
   EXPECT_EQ(r.exitCode, 1);
 }

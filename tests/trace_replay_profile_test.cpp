@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "apps/paper_examples.hpp"
-#include "profile/calltree.hpp"
 #include "profile/profile.hpp"
 #include "trace/builder.hpp"
 #include "trace/replay.hpp"
@@ -171,46 +170,6 @@ TEST(Profile, FormatTopFunctionsContainsNames) {
   const std::string text = profile::formatTopFunctions(tr, profile, 3);
   EXPECT_NE(text.find("main"), std::string::npos);
   EXPECT_NE(text.find("invocations"), std::string::npos);
-}
-
-// --- call trees -------------------------------------------------------------
-
-TEST(CallTree, BuildsPathsWithStats) {
-  const trace::Trace tr = nestedTrace();
-  const auto tree = profile::CallTree::build(tr.processes[0]);
-  const auto a = *tr.functions.find("a");
-  const auto c = *tr.functions.find("c");
-  const auto d = *tr.functions.find("d");
-  EXPECT_EQ(tree.nodeCount(), 3u);  // a, a/c, a/c/d
-  const auto* nodeC = tree.findPath({a, c});
-  ASSERT_NE(nodeC, nullptr);
-  EXPECT_EQ(nodeC->invocations, 2u);
-  EXPECT_EQ(nodeC->inclusive, 60u);
-  EXPECT_EQ(nodeC->exclusive, 50u);
-  const auto* nodeD = tree.findPath({a, c, d});
-  ASSERT_NE(nodeD, nullptr);
-  EXPECT_EQ(nodeD->invocations, 1u);
-  EXPECT_EQ(tree.findPath({c}), nullptr);
-}
-
-TEST(CallTree, MergeAcrossProcesses) {
-  const trace::Trace tr = apps::buildFigure2Trace();
-  const auto merged = profile::CallTree::buildMerged(tr);
-  const auto fMain = *tr.functions.find("main");
-  const auto fA = *tr.functions.find("a");
-  const auto* node = merged.findPath({fMain, fA});
-  ASSERT_NE(node, nullptr);
-  EXPECT_EQ(node->invocations, 9u);
-  EXPECT_EQ(node->inclusive, 36u);
-  EXPECT_EQ(merged.root().maxDepth(), 4u);  // root -> main -> a -> b/c
-}
-
-TEST(CallTree, FormatShowsHierarchy) {
-  const trace::Trace tr = nestedTrace();
-  const auto tree = profile::CallTree::build(tr.processes[0]);
-  const std::string text = profile::formatCallTree(tr, tree, 10);
-  EXPECT_NE(text.find("a  [calls 1"), std::string::npos);
-  EXPECT_NE(text.find("  c  [calls 2"), std::string::npos);
 }
 
 }  // namespace

@@ -19,8 +19,8 @@
 #include "analysis/pipeline.hpp"
 #include "apps/scale_synthetic.hpp"
 #include "lint/lint.hpp"
+#include "support/fault_injection.hpp"
 #include "trace/binary_io.hpp"
-#include "trace/fault_injection.hpp"
 #include "trace/filter.hpp"
 #include "trace/stats.hpp"
 #include "trace/view.hpp"

@@ -156,14 +156,6 @@ TEST(Stats, ImbalanceFactorSkewed) {
   EXPECT_DOUBLE_EQ(imbalanceFactor(xs), 1.0);  // max 4 / mean 2 - 1
 }
 
-TEST(Stats, ImbalanceLossBounds) {
-  const std::vector<double> xs = {1.0, 1.0, 4.0};
-  const double loss = imbalanceLoss(xs);
-  EXPECT_GT(loss, 0.0);
-  EXPECT_LT(loss, 1.0);
-  EXPECT_DOUBLE_EQ(loss, (4.0 - 2.0) / 4.0);
-}
-
 TEST(Stats, HistogramCountsSumToInput) {
   const std::vector<double> xs = {0.0, 0.1, 0.5, 0.9, 1.0};
   const auto h = histogram(xs, 4);

@@ -5,12 +5,10 @@
 #include <limits>
 #include <sstream>
 
-#include "analysis/overlay.hpp"
-#include "analysis/pipeline.hpp"
 #include "apps/paper_examples.hpp"
+#include "support/fault_injection.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/builder.hpp"
-#include "trace/fault_injection.hpp"
 #include "util/error.hpp"
 #include "vis/color.hpp"
 #include "vis/heatmap.hpp"
@@ -362,19 +360,30 @@ trace::TraceView salvagedFigure3() {
   return trace::TraceView::owned(std::move(tr));
 }
 
-/// Row 1 of the plot is one kNoDataColor rect `width` wide at `x0`, and no
-/// other rect of the document has that color.
-void expectRowOneIsTheOnlyNoDataBand(const std::string& doc, double x0,
-                                     double y0, double rowHeight,
-                                     double width) {
+TEST(NoDataBands, QuarantinedRankIsOneGrayBandInTheTimeline) {
+  const trace::TraceView view = salvagedFigure3();
+  ASSERT_EQ(view.processCount(), 3u);
+  ASSERT_EQ(view.quarantined().size(), 1u);
+  ASSERT_TRUE(view.isQuarantined(1));
+
+  // 900 one-pixel bins from (4, 4), three 500/3-px rows; the band is the
+  // merged run of kTimelineNoData bins (+0.2 overlap), and no other rect
+  // of the document has its color.
+  TimelineOptions tl;
+  const auto bins = timelineBins(view, tl);
+  EXPECT_EQ(bins[1], std::vector<trace::FunctionId>(tl.bins, kTimelineNoData));
+  const std::string timeline =
+      renderTimelineSvg(view, FunctionColors::standard(view), tl).finalize();
   const std::string noData = kNoDataColor.hex();
   ASSERT_EQ(noData, "#d2d2d6");
-  const std::vector<SvgRect> rects = filledRects(doc);
+  const double y0 = 4.0;
+  const double rowHeight = 500.0 / 3.0;
+  const std::vector<SvgRect> rects = filledRects(timeline);
   const std::vector<SvgRect> band = rowRects(rects, y0, rowHeight, 1);
   ASSERT_EQ(band.size(), 1u);
   EXPECT_EQ(band[0].fill, noData);
-  EXPECT_NEAR(band[0].x, x0, 0.006);
-  EXPECT_NEAR(band[0].width, width, 0.006);
+  EXPECT_NEAR(band[0].x, 4.0, 0.006);
+  EXPECT_NEAR(band[0].width, 900.2, 0.006);
   std::size_t noDataRects = 0;
   for (const SvgRect& r : rects) {
     noDataRects += r.fill == noData ? 1 : 0;
@@ -383,36 +392,6 @@ void expectRowOneIsTheOnlyNoDataBand(const std::string& doc, double x0,
   for (const std::size_t healthy : {std::size_t{0}, std::size_t{2}}) {
     EXPECT_FALSE(rowRects(rects, y0, rowHeight, healthy).empty()) << healthy;
   }
-}
-
-TEST(NoDataBands, QuarantinedRankIsOneGrayBandInTimelineAndHeatmap) {
-  const trace::TraceView view = salvagedFigure3();
-  ASSERT_EQ(view.processCount(), 3u);
-  ASSERT_EQ(analysis::quarantinedRowIndices(view),
-            (std::vector<std::size_t>{1}));
-
-  // Timeline: 900 one-pixel bins from (4, 4), three 500/3-px rows; the
-  // band is the merged run of kTimelineNoData bins (+0.2 overlap).
-  TimelineOptions tl;
-  const auto bins = timelineBins(view, tl);
-  EXPECT_EQ(bins[1], std::vector<trace::FunctionId>(tl.bins, kTimelineNoData));
-  const std::string timeline =
-      renderTimelineSvg(view, FunctionColors::standard(view), tl).finalize();
-  expectRowOneIsTheOnlyNoDataBand(timeline, 4.0, 4.0, 500.0 / 3.0, 900.2);
-
-  // Heatmap: SOS matrix of the healthy ranks spread back onto all three.
-  const analysis::AnalysisResult result = analysis::analyzeTrace(view);
-  const Matrix matrix =
-      analysis::expandQuarantinedRows(result.sos->sosMatrixSeconds(), view);
-  ASSERT_EQ(matrix.size(), 3u);
-  EXPECT_TRUE(matrix[1].empty());
-  HeatmapOptions heat;
-  heat.noDataRows = analysis::quarantinedRowIndices(view);
-  const std::string heatmap = renderHeatmapSvg(matrix, heat).finalize();
-  const double cols = static_cast<double>(matrix[0].size());
-  const double cellW = std::max(2.0, 900.0 / cols);
-  expectRowOneIsTheOnlyNoDataBand(heatmap, 4.0, 4.0, 500.0 / 3.0,
-                                  cellW * cols + 0.3);
 }
 
 }  // namespace
