@@ -26,6 +26,9 @@
 ///   trace_tool export-csv <in.pvt>             SOS matrix CSV to stdout
 ///   trace_tool query <in.pvt>                  load once, answer many
 ///                                              queries read from stdin
+///                                              (stats, profile, analyze,
+///                                              critpath and export-* are
+///                                              each one such query)
 ///   trace_tool serve <socket>                  long-lived analysis daemon
 ///                                              on a Unix socket
 ///   trace_tool connect <socket>                scripted client session:
@@ -63,6 +66,7 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -182,6 +186,7 @@ void printUsage(std::ostream& out) {
       "                                     csv-iterations|csv-hotspots>\n"
       "                                     [candidate K] [threshold Z]\n"
       "                                     [max-hotspots N]\n"
+      "                                   critpath [text|json|csv]\n"
       "                                   profile | stats | cache |\n"
       "                                   help | quit\n"
       "  serve <socket>                 long-lived analysis daemon on a\n"
@@ -271,7 +276,8 @@ void printQueryHelp(std::ostream& out) {
          "  export <text|json|csv|csv-iterations|csv-hotspots>"
          " [candidate K] [threshold Z] [max-hotspots N]\n"
          "  profile   top functions by inclusive time\n"
-         "  critpath  cross-rank dependency analysis (critical path,\n"
+         "  critpath [text|json|csv]\n"
+         "            cross-rank dependency analysis (critical path,\n"
          "            serialization bottlenecks, idle waves)\n"
          "  stats     trace statistics\n"
          "  cache     cache hit/miss/eviction/bytes counters\n"
@@ -279,65 +285,127 @@ void printQueryHelp(std::ostream& out) {
          "  quit      end the session\n";
 }
 
-/// The `query` session: one engine, many analyses. Commands come from
-/// `in` one per line; '#'-prefixed lines are comments. Repeated queries
-/// with overlapping options are served from the engine's stage cache.
-int runQuerySession(engine::AnalysisEngine& eng, std::istream& in,
-                    std::ostream& out) {
-  std::string line;
-  while (std::getline(in, line)) {
+/// The line reader of both sessions: one whitespace-separated command
+/// per line, blank and '#'-prefixed lines skipped. False at EOF and on
+/// `quit` or `exit`.
+bool readCommand(std::istream& in, std::vector<std::string>& tokens) {
+  for (std::string line; std::getline(in, line);) {
     std::istringstream split(line);
-    std::vector<std::string> tokens;
-    for (std::string t; split >> t;) {
-      tokens.push_back(t);
-    }
-    if (tokens.empty() || tokens[0][0] == '#') {
-      continue;
-    }
-    const std::string& cmd = tokens[0];
-    if (cmd == "quit" || cmd == "exit") {
-      break;
-    }
-    if (cmd == "help") {
-      printQueryHelp(out);
-    } else if (cmd == "cache") {
-      out << engine::formatCacheStats(eng.cacheStats()) << '\n';
-    } else if (cmd == "stats") {
-      out << trace::formatStats(trace::computeStats(eng.trace()));
-    } else if (cmd == "profile") {
-      out << profile::formatTopFunctions(eng.trace(), *eng.profile(), 20);
-    } else if (cmd == "critpath") {
-      out << eng.formatDepReport();
-    } else if (cmd == "analyze" || cmd == "export") {
-      const bool exporting = cmd == "export";
-      if (exporting && tokens.size() < 2) {
-        std::cerr << "trace_tool: export needs a format (text | json | "
-                     "csv | csv-iterations | csv-hotspots)\n";
-        return kExitUsage;
-      }
-      analysis::ExportFormat format = analysis::ExportFormat::Text;
-      analysis::PipelineOptions opts;
-      try {
-        if (exporting) {
-          format = server::parseExportFormat(tokens[1]);
-        }
-        opts = server::parsePipelineOptions(tokens, exporting ? 2 : 1);
-      } catch (const Error& e) {
-        std::cerr << "trace_tool: " << e.what() << '\n';
-        return kExitUsage;
-      }
-      if (exporting) {
-        eng.exportReport(format, out, opts);
-      } else {
-        out << eng.formatReport(opts);
-      }
-    } else {
-      std::cerr << "trace_tool: unknown query command '" << cmd
-                << "' (try 'help')\n";
-      return kExitUsage;
+    tokens.assign(std::istream_iterator<std::string>(split),
+                  std::istream_iterator<std::string>());
+    if (!tokens.empty() && tokens[0][0] != '#') {
+      return tokens[0] != "quit" && tokens[0] != "exit";
     }
   }
+  return false;
+}
+
+/// One command of the query language. One-shot verbs are such commands
+/// too (`export-json in.pvt` is `export json`).
+struct QueryCommand {
+  enum class Verb { Analyze, Export, Critpath, Profile, Stats, Cache, Help };
+  Verb verb = Verb::Help;
+  analysis::ExportFormat format = analysis::ExportFormat::Text;
+  analysis::PipelineOptions options;
+};
+
+/// Parse one tokenized command without touching a trace; throws
+/// perfvar::Error, a usage error, for an unknown verb, format or option.
+QueryCommand parseQuery(const std::vector<std::string>& tokens) {
+  using Verb = QueryCommand::Verb;
+  const std::string& cmd = tokens[0];
+  QueryCommand command;
+  if (cmd == "analyze" || cmd == "export") {
+    const bool exporting = cmd == "export";
+    if (exporting && tokens.size() < 2) {
+      throw Error("export needs a format (text | json | csv | "
+                  "csv-iterations | csv-hotspots)");
+    }
+    command.verb = exporting ? Verb::Export : Verb::Analyze;
+    if (exporting) {
+      command.format = server::parseExportFormat(tokens[1]);
+    }
+    command.options = server::parsePipelineOptions(tokens, exporting ? 2 : 1);
+  } else if (cmd == "critpath") {
+    command.verb = Verb::Critpath;
+    if (tokens.size() == 2) {
+      command.format = server::parseExportFormat(tokens[1]);
+    }
+    if (tokens.size() > 2 ||
+        command.format == analysis::ExportFormat::CsvIterations ||
+        command.format == analysis::ExportFormat::CsvHotspots) {
+      throw Error("'critpath' takes one optional format: text, json or csv");
+    }
+  } else if (cmd == "profile") {
+    command.verb = Verb::Profile;
+  } else if (cmd == "stats") {
+    command.verb = Verb::Stats;
+  } else if (cmd == "cache") {
+    command.verb = Verb::Cache;
+  } else if (cmd != "help") {
+    throw Error("unknown query command '" + cmd + "' (try 'help')");
+  }
+  return command;
+}
+
+/// Answer one command from the engine's stage cache. Analysis failures
+/// (no dominant function, ...) throw perfvar::Error.
+void runQuery(engine::AnalysisEngine& eng, const QueryCommand& command,
+              std::ostream& out) {
+  switch (command.verb) {
+    case QueryCommand::Verb::Analyze:
+      out << eng.formatReport(command.options);
+      break;
+    case QueryCommand::Verb::Export:
+      eng.exportReport(command.format, out, command.options);
+      break;
+    case QueryCommand::Verb::Critpath:
+      eng.exportDepReport(command.format, out);
+      break;
+    case QueryCommand::Verb::Profile:
+      out << profile::formatTopFunctions(eng.trace(), *eng.profile(), 20);
+      break;
+    case QueryCommand::Verb::Stats:
+      out << trace::formatStats(trace::computeStats(eng.trace()));
+      break;
+    case QueryCommand::Verb::Cache:
+      out << engine::formatCacheStats(eng.cacheStats()) << '\n';
+      break;
+    case QueryCommand::Verb::Help:
+      printQueryHelp(out);
+      break;
+  }
+}
+
+/// The `query` session: one engine, many analyses, one command per line
+/// of `in`. Repeated queries with overlapping options are served from the
+/// engine's stage cache.
+int runQuerySession(engine::AnalysisEngine& eng, std::istream& in,
+                    std::ostream& out) {
+  for (std::vector<std::string> tokens; readCommand(in, tokens);) {
+    QueryCommand command;
+    try {
+      command = parseQuery(tokens);
+    } catch (const Error& e) {
+      std::cerr << "trace_tool: " << e.what() << '\n';
+      return kExitUsage;
+    }
+    runQuery(eng, command, out);
+  }
   return kExitOk;
+}
+
+/// The query a one-shot analysis verb stands for, without the operands
+/// after its trace path; empty for every other verb.
+std::vector<std::string> oneShotQuery(const std::string& verb) {
+  if (verb == "export-json" || verb == "export-csv") {
+    return {"export", verb == "export-json" ? "json" : "csv"};
+  }
+  if (verb == "analyze" || verb == "profile" || verb == "stats" ||
+      verb == "critpath") {
+    return {verb};
+  }
+  return {};
 }
 
 void printConnectHelp(std::ostream& out) {
@@ -397,20 +465,10 @@ int runConnectSession(server::Client& client, std::istream& in,
     }
   };
 
-  std::string line;
-  while (std::getline(in, line)) {
-    std::istringstream split(line);
-    std::vector<std::string> tokens;
-    for (std::string t; split >> t;) {
-      tokens.push_back(t);
-    }
-    if (tokens.empty() || tokens[0][0] == '#') {
-      continue;
-    }
+  for (std::vector<std::string> tokens; readCommand(in, tokens);) {
     const std::string& cmd = tokens[0];
-    if (cmd == "quit" || cmd == "exit" || cmd == "close") {
-      client.close();
-      return failed ? kExitRuntime : kExitOk;
+    if (cmd == "close") {
+      break;
     }
     if (cmd == "shutdown") {
       client.shutdownServer();
@@ -469,7 +527,7 @@ int runConnectSession(server::Client& client, std::istream& in,
       return kExitUsage;
     }
   }
-  client.close();  // EOF without quit: still say goodbye
+  client.close();  // quit, exit, close or EOF: say goodbye
   return failed ? kExitRuntime : kExitOk;
 }
 
@@ -490,9 +548,7 @@ int main(int argc, char** argv) {
     }
     const std::size_t threads = options.threads;
     const bool salvage = options.salvage;
-    const std::vector<std::string>& args = options.positional;
-    analysis::PipelineOptions pipelineOptions;
-    pipelineOptions.threads = threads;
+    std::vector<std::string> args = options.positional;
     trace::BinaryWriteOptions writeOptions;
     writeOptions.version = options.format;
     writeOptions.threads = threads;
@@ -516,8 +572,10 @@ int main(int argc, char** argv) {
       }
       return trace::TraceView::owned(trace::loadBinaryFile(path, readOptions));
     };
-    if (args.empty()) {
-      // Demo mode: exercise the full round trip on a small scenario.
+    const bool demo = args.empty();
+    if (demo) {
+      // Demo mode: exercise the full round trip on a small scenario; the
+      // report is the one-shot `analyze` of the written file below.
       std::cout << "(no arguments: running the self-contained demo)\n\n";
       apps::CosmoSpecsConfig cfg;
       cfg.gridX = 4;
@@ -530,11 +588,7 @@ int main(int argc, char** argv) {
       trace::saveBinaryFile(tr, path);
       const trace::Trace loaded = trace::loadBinaryFile(path);
       std::cout << trace::formatStats(trace::computeStats(loaded)) << '\n';
-      const auto result = analysis::analyzeTrace(loaded, pipelineOptions);
-      std::cout << analysis::formatAnalysis(loaded, result);
-      std::cout << "\nwrote " << path << "; try: trace_tool analyze " << path
-                << '\n';
-      return kExitOk;
+      args = {"analyze", path};
     }
 
     const std::string& cmd = args[0];
@@ -609,40 +663,51 @@ int main(int argc, char** argv) {
                 << report.ranks.size() << " ranks quarantined)\n";
       return kExitOk;
     }
-    if (cmd == "critpath") {
-      // critpath <in.pvt> [text|json|csv] — engine-based so --lazy and
-      // --threads apply; a warm re-query would hit the dep stage cache.
-      if (args.size() < 2 || args.size() > 3) {
-        return usageError("'critpath' expects <in.pvt> [text|json|csv]");
+    // Every one-trace analysis verb is a one-line query, parsed before
+    // the trace is opened (a bad argument is a usage error without a
+    // load) and answered by the tool's one engine; `query` reads its
+    // lines from stdin instead.
+    std::vector<std::string> query = oneShotQuery(cmd);
+    if (cmd == "query" || !query.empty()) {
+      const std::size_t maxArgs = cmd == "critpath" ? 3 : 2;
+      if (args.size() < 2 || args.size() > maxArgs) {
+        return usageError(cmd == "critpath"
+                              ? "'critpath' expects <in.pvt> [text|json|csv]"
+                              : "'" + cmd + "' expects exactly one <in.pvt>");
       }
-      analysis::ExportFormat format = analysis::ExportFormat::Text;
-      if (args.size() == 3) {
+      QueryCommand command;
+      if (!query.empty()) {
+        query.insert(query.end(), args.begin() + 2, args.end());
         try {
-          format = server::parseExportFormat(args[2]);
+          command = parseQuery(query);
         } catch (const Error& e) {
           return usageError(e.what());
-        }
-        if (format != analysis::ExportFormat::Text &&
-            format != analysis::ExportFormat::Json &&
-            format != analysis::ExportFormat::Csv) {
-          return usageError("'critpath' expects a format of text, json or "
-                            "csv, got '" + args[2] + "'");
         }
       }
       engine::EngineOptions engineOptions;
       engineOptions.threads = threads;
-      auto eng = options.lazy
-                     ? engine::AnalysisEngine::fromFileLazy(
-                           args[1], engineOptions, viewOptions)
-                     : engine::AnalysisEngine::fromFile(args[1],
-                                                        engineOptions);
-      eng.exportDepReport(format, std::cout);
+      engine::AnalysisEngine eng(loadView(args[1]), engineOptions);
+      if (query.empty()) {
+        return runQuerySession(eng, std::cin, std::cout);
+      }
+      runQuery(eng, command, std::cout);
+      if (options.verbose && command.verb == QueryCommand::Verb::Analyze) {
+        // The pool's scheduling counters after the unchanged report.
+        const util::ThreadPoolStats poolStats = eng.poolStats();
+        if (poolStats.workers.empty()) {
+          std::cout << "\nthread pool: serial run (no workers)\n";
+        } else {
+          std::cout << '\n' << util::formatThreadPoolStats(poolStats);
+        }
+      }
+      if (demo) {
+        std::cout << "\nwrote " << args[1] << "; try: trace_tool analyze "
+                  << args[1] << '\n';
+      }
       return kExitOk;
     }
     if (args.size() != 2) {
-      if (cmd == "stats" || cmd == "validate" || cmd == "lint" ||
-          cmd == "profile" || cmd == "analyze" || cmd == "dump" ||
-          cmd == "export-json" || cmd == "export-csv" || cmd == "query" ||
+      if (cmd == "validate" || cmd == "lint" || cmd == "dump" ||
           cmd == "info") {
         return usageError("'" + cmd + "' expects exactly one <in.pvt>");
       }
@@ -742,16 +807,6 @@ int main(int argc, char** argv) {
       }
       return kExitOk;
     }
-    if (cmd == "query") {
-      engine::EngineOptions engineOptions;
-      engineOptions.threads = threads;
-      auto eng = options.lazy
-                     ? engine::AnalysisEngine::fromFileLazy(
-                           args[1], engineOptions, viewOptions)
-                     : engine::AnalysisEngine::fromFile(args[1],
-                                                        engineOptions);
-      return runQuerySession(eng, std::cin, std::cout);
-    }
     if (cmd == "lint") {
       // --only/--exclude are validated strictly against the built-in
       // registry: a typo'd rule id is a usage error (exit 2), not a
@@ -797,10 +852,11 @@ int main(int argc, char** argv) {
       return report.hasAtLeast(options.lintFailOn) ? kExitLintFindings
                                                    : kExitOk;
     }
+    if (cmd != "validate" && cmd != "dump") {
+      return usageError("unknown command '" + cmd + "'");
+    }
     const trace::TraceView tr = loadView(args[1]);
-    if (cmd == "stats") {
-      std::cout << trace::formatStats(trace::computeStats(tr));
-    } else if (cmd == "validate") {
+    if (cmd == "validate") {
       const auto issues = lint::validateStructure(tr);
       if (issues.empty()) {
         std::cout << "trace is structurally valid\n";
@@ -811,27 +867,7 @@ int main(int argc, char** argv) {
         }
         return kExitRuntime;
       }
-    } else if (cmd == "profile") {
-      const auto profile = profile::FlatProfile::build(tr);
-      std::cout << profile::formatTopFunctions(tr, profile, 20);
-    } else if (cmd == "analyze") {
-      // --verbose: collect the thread pool's scheduling counters for this
-      // run and append them after the report (stdout, so scripted runs
-      // capture both; the report itself is unchanged).
-      util::ThreadPoolStats poolStats;
-      if (options.verbose) {
-        pipelineOptions.poolStats = &poolStats;
-      }
-      const auto result = analysis::analyzeTrace(tr, pipelineOptions);
-      std::cout << analysis::formatAnalysis(tr, result);
-      if (options.verbose) {
-        if (poolStats.workers.empty()) {
-          std::cout << "\nthread pool: serial run (no workers)\n";
-        } else {
-          std::cout << '\n' << util::formatThreadPoolStats(poolStats);
-        }
-      }
-    } else if (cmd == "dump") {
+    } else {
       // PVTX dumps the whole trace anyway; a lazy view materializes here.
       if (const trace::Trace* eager = tr.eagerOrNull()) {
         trace::writeText(*eager, std::cout);
@@ -839,16 +875,6 @@ int main(int argc, char** argv) {
         const trace::Trace materialized = tr.materialize();
         trace::writeText(materialized, std::cout);
       }
-    } else if (cmd == "export-json") {
-      const auto result = analysis::analyzeTrace(tr, pipelineOptions);
-      analysis::exportReport(tr, result, analysis::ExportFormat::Json,
-                             std::cout);
-    } else if (cmd == "export-csv") {
-      const auto result = analysis::analyzeTrace(tr, pipelineOptions);
-      analysis::exportReport(tr, result, analysis::ExportFormat::Csv,
-                             std::cout);
-    } else {
-      return usageError("unknown command '" + cmd + "'");
     }
     return kExitOk;
   } catch (const Error& e) {

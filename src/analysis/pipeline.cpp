@@ -30,9 +30,6 @@ AnalysisResult analyzeTrace(const trace::TraceView& tr,
   result.sos = std::make_unique<SosResult>(
       analyzeSos(tr, result.segmentFunction, options.sync, pool));
   result.variation = analyzeVariation(*result.sos, options.variation, pool);
-  if (pool != nullptr && options.poolStats != nullptr) {
-    *options.poolStats = pool->stats();
-  }
   return result;
 }
 

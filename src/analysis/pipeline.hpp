@@ -38,10 +38,6 @@ struct PipelineOptions {
   /// other value spawns a pool of that many workers for the call. The
   /// result is bit-identical regardless of this value (see analyzeTrace).
   std::size_t threads = 1;
-  /// When non-null and threads != 1, receives the per-worker scheduler
-  /// counters of the run's pool (chunks run/stolen, idle wakeups) — the
-  /// tail-rank idling visibility behind `trace_tool --verbose`.
-  util::ThreadPoolStats* poolStats = nullptr;
 };
 
 /// Complete result of one pipeline run.

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "trace/binary_io.hpp"
+#include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/thread_pool.hpp"
 
@@ -70,6 +71,14 @@ std::uint64_t fingerprintDep(const analysis::DepAnalysisOptions& o) {
       .f64(o.idleWave.minWaitShare)
       .u64(o.idleWave.minRanks)
       .digest();
+}
+
+/// A stage's input view; throws when every rank of the engine's trace is
+/// quarantined, leaving nothing to analyze.
+const trace::TraceView& analyzable(const trace::TraceView& view) {
+  PERFVAR_REQUIRE(view.valid(),
+                  "every rank is quarantined: nothing to analyze");
+  return view;
 }
 
 // Approximate resident sizes of cached stage results (capacity-based where
@@ -275,9 +284,12 @@ AnalysisEngine::AnalysisEngine(trace::TraceView view, EngineOptions options)
       impl_(std::make_unique<Impl>()) {
   // Degraded input: build the filtered analysis view once; every stage
   // (and every cache entry) is then relative to it, exactly like
-  // analyzeTrace() on the same trace.
-  analysisView_ =
-      view_.quarantined().empty() ? view_ : view_.dropQuarantined();
+  // analyzeTrace() on the same trace. With every rank quarantined the
+  // view stays invalid: the stages throw, trace() and lint still work.
+  if (view_.quarantined().empty() ||
+      view_.quarantined().size() < view_.processCount()) {
+    analysisView_ = view_.dropQuarantined();
+  }
   if (options_.threads != 1) {
     impl_->pool = std::make_unique<util::ThreadPool>(options_.threads);
   }
@@ -295,16 +307,10 @@ AnalysisEngine AnalysisEngine::fromFile(const std::string& path,
   return AnalysisEngine(trace::loadBinaryFile(path, readOptions), options);
 }
 
-AnalysisEngine AnalysisEngine::fromFileLazy(const std::string& path,
-                                            EngineOptions options,
-                                            trace::TraceViewOptions viewOptions) {
-  return AnalysisEngine(trace::TraceView::openFile(path, viewOptions),
-                        options);
-}
-
 std::shared_ptr<const profile::FlatProfile> AnalysisEngine::profile() {
   return impl_->getOrCompute(impl_->profile, 0, /*maxEntries=*/0, [&] {
-    return profile::FlatProfile::build(analysisView_, impl_->pool.get());
+    return profile::FlatProfile::build(analyzable(analysisView_),
+                                       impl_->pool.get());
   });
 }
 
@@ -322,7 +328,7 @@ std::shared_ptr<const lint::LintReport> AnalysisEngine::lintReport() {
 }
 
 const trace::TraceView* AnalysisEngine::analysisTrace() {
-  return &analysisView_;
+  return analysisView_.valid() ? &analysisView_ : nullptr;
 }
 
 std::shared_ptr<const analysis::DominantSelection> AnalysisEngine::dominant(
@@ -338,7 +344,8 @@ std::shared_ptr<const analysis::DepAnalysis> AnalysisEngine::depAnalysis(
         analysis::DepAnalysisOptions effective = options;
         effective.threads = 1;  // the engine's pool, or inline
         effective.pool = impl_->pool.get();
-        return analysis::analyzeDependencies(analysisView_, effective);
+        return analysis::analyzeDependencies(analyzable(analysisView_),
+                                             effective);
       });
 }
 
@@ -407,6 +414,11 @@ CacheStats AnalysisEngine::cacheStats() const {
   std::lock_guard<std::mutex> lock(impl_->cacheMutex);
   stats.bytes = impl_->bytes;
   return stats;
+}
+
+util::ThreadPoolStats AnalysisEngine::poolStats() const {
+  return impl_->pool != nullptr ? impl_->pool->stats()
+                                : util::ThreadPoolStats{};
 }
 
 std::string formatCacheStats(const CacheStats& stats) {

@@ -62,10 +62,7 @@
 #include "profile/profile.hpp"
 #include "trace/trace.hpp"
 #include "trace/view.hpp"
-
-namespace perfvar::util {
-class ThreadPool;
-}
+#include "util/thread_pool.hpp"
 
 namespace perfvar::engine {
 
@@ -116,7 +113,8 @@ public:
   /// owned TraceView that keeps it alive for cached results). A trace
   /// with quarantined ranks (a Salvage-mode load) is accepted: every
   /// stage then runs on the dropQuarantined sub-view, exactly like
-  /// analyzeTrace().
+  /// analyzeTrace(). If no rank survives, every stage throws while
+  /// trace() and lintReport() still serve the raw trace.
   explicit AnalysisEngine(trace::Trace trace, EngineOptions options = {});
 
   /// Session over an existing view — the span-based entry point. Accepts
@@ -136,14 +134,6 @@ public:
   /// every thread count.
   static AnalysisEngine fromFile(const std::string& path,
                                  EngineOptions options = {});
-
-  /// Open a session over a PVTF v2 file out-of-core: per-rank blocks are
-  /// decoded on demand into the view's bounded shard cache instead of
-  /// materializing the whole trace. Every query result is byte-identical
-  /// to a fromFile() session on the same file.
-  static AnalysisEngine fromFileLazy(const std::string& path,
-                                     EngineOptions options = {},
-                                     trace::TraceViewOptions viewOptions = {});
 
   const trace::TraceView& trace() const { return view_; }
   const EngineOptions& options() const { return options_; }
@@ -181,8 +171,8 @@ public:
   /// Full pipeline query: every stage is served from cache when its
   /// options fingerprint matches a previous query. Throws perfvar::Error
   /// exactly like analyzeTrace() (no dominant candidate, candidateIndex
-  /// out of range). PipelineOptions::threads and poolStats are ignored:
-  /// execution is governed by EngineOptions.
+  /// out of range). PipelineOptions::threads is ignored: execution is
+  /// governed by EngineOptions.
   EngineResult analyze(const analysis::PipelineOptions& options = {});
 
   /// formatAnalysis() of a (cached) query: byte-identical to
@@ -196,14 +186,21 @@ public:
   /// Current cache counters (hits/misses/evictions cumulative).
   CacheStats cacheStats() const;
 
+  /// Scheduling counters of the engine's worker pool (per-worker
+  /// tasks/chunks/steals, cumulative since construction). No workers for
+  /// an engine with threads == 1, which runs every stage inline.
+  util::ThreadPoolStats poolStats() const;
+
 private:
-  /// lint::StageSource: the view the stages compute on (never null).
+  /// lint::StageSource: the view the stages compute on (null when every
+  /// rank is quarantined).
   const trace::TraceView* analysisTrace() override;
 
   struct Impl;
   trace::TraceView view_;
   /// What the stages compute on: view_ itself for a clean trace, the
-  /// dropQuarantined sub-view for a degraded one (built at construction).
+  /// dropQuarantined sub-view for a degraded one (built at construction),
+  /// invalid when no rank survives.
   trace::TraceView analysisView_;
   EngineOptions options_;
   std::unique_ptr<Impl> impl_;

@@ -24,9 +24,6 @@ enum class EventKind : std::uint8_t {
   Metric,   ///< metric sample:    ref = MetricId, value = sample value
 };
 
-/// Human-readable name of an event kind.
-const char* eventKindName(EventKind k);
-
 /// One timestamped event of a process event stream.
 struct Event {
   Timestamp time = 0;

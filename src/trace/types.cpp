@@ -24,17 +24,6 @@ const char* paradigmName(Paradigm p) {
   return "OTHER";
 }
 
-Paradigm paradigmFromName(const std::string& name) {
-  if (name == "COMPUTE") return Paradigm::Compute;
-  if (name == "MPI") return Paradigm::MPI;
-  if (name == "OPENMP") return Paradigm::OpenMP;
-  if (name == "IO") return Paradigm::IO;
-  if (name == "MEMORY") return Paradigm::Memory;
-  if (name == "OTHER") return Paradigm::Other;
-  PERFVAR_REQUIRE(false, "unknown paradigm name: " + name);
-  return Paradigm::Other;
-}
-
 Timestamp secondsToTicks(double s, std::uint64_t resolution) {
   PERFVAR_REQUIRE(s >= 0.0, "secondsToTicks: negative time");
   return static_cast<Timestamp>(

@@ -46,10 +46,6 @@ enum class Paradigm : std::uint8_t {
 /// Human-readable paradigm name ("COMPUTE", "MPI", ...).
 const char* paradigmName(Paradigm p);
 
-/// Parse a paradigm name produced by paradigmName(); throws perfvar::Error
-/// for unknown names.
-Paradigm paradigmFromName(const std::string& name);
-
 /// How a metric's samples are to be interpreted.
 enum class MetricMode : std::uint8_t {
   Accumulated,  ///< monotonically accumulated counter (e.g. PAPI_TOT_CYC)

@@ -21,6 +21,7 @@
 #include "analysis/pipeline.hpp"
 #include "analysis/sos.hpp"
 #include "apps/scale_synthetic.hpp"
+#include "engine/engine.hpp"
 #include "profile/profile.hpp"
 #include "trace/replay.hpp"
 #include "util/error.hpp"
@@ -449,13 +450,11 @@ TEST(ChunkScheduler, StatsCountChunks) {
 }
 
 TEST(ChunkScheduler, PipelineExportsPoolStats) {
-  analysis::PipelineOptions opts;
-  opts.threads = 4;
-  util::ThreadPoolStats stats;
-  opts.poolStats = &stats;
-  const analysis::AnalysisResult result =
-      analysis::analyzeTrace(skewedTrace(), opts);
-  EXPECT_FALSE(result.variation.processes.empty());
+  engine::EngineOptions options;
+  options.threads = 4;
+  engine::AnalysisEngine eng(trace::TraceView(skewedTrace()), options);
+  EXPECT_FALSE(eng.analyze().variation->processes.empty());
+  const util::ThreadPoolStats stats = eng.poolStats();
   ASSERT_EQ(stats.workers.size(), 4u);
   EXPECT_GT(stats.totalChunks(), 0u);
 }

@@ -80,28 +80,33 @@ const std::string& tracePath() {
   return path;
 }
 
+/// A copy of the trace at `cleanPath` with a bit flipped in its last
+/// rank's v2 block, written under a per-process name built from `stem`.
+std::string damageLastRank(const std::string& cleanPath,
+                           const std::string& stem) {
+  const trace::Trace tr = trace::loadBinaryFile(cleanPath);
+  const perfvar::testing::Image clean =
+      perfvar::testing::encodeImage(tr, trace::kBinaryFormatV2);
+  const trace::BinaryFileInfo info =
+      trace::inspectBinaryBuffer(clean.data(), clean.size());
+  const trace::BinaryBlockInfo& block = info.blocks.back();
+  perfvar::testing::FaultInjector injector(11);
+  const perfvar::testing::Image bad = injector.bitFlip(
+      clean, static_cast<std::size_t>(block.offset),
+      static_cast<std::size_t>(block.offset) +
+          static_cast<std::size_t>(block.bytes));
+  const std::string p = uniqueName(stem);
+  std::ofstream out(p, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bad.data()),
+            static_cast<std::streamsize>(bad.size()));
+  return p;
+}
+
 /// A copy of the fixture trace with one rank's v2 block corrupted
 /// (written once per test binary).
 const std::string& corruptTracePath() {
-  static const std::string path = [] {
-    tracePath();  // ensure the clean fixture exists
-    const trace::Trace tr = trace::loadBinaryFile(tracePath());
-    const perfvar::testing::Image clean =
-        perfvar::testing::encodeImage(tr, trace::kBinaryFormatV2);
-    const trace::BinaryFileInfo info =
-        trace::inspectBinaryBuffer(clean.data(), clean.size());
-    const trace::BinaryBlockInfo& block = info.blocks.back();
-    perfvar::testing::FaultInjector injector(11);
-    const perfvar::testing::Image bad = injector.bitFlip(
-        clean, static_cast<std::size_t>(block.offset),
-        static_cast<std::size_t>(block.offset) +
-            static_cast<std::size_t>(block.bytes));
-    const std::string p = uniqueName("tool_cli_test_corrupt");
-    std::ofstream out(p, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bad.data()),
-              static_cast<std::streamsize>(bad.size()));
-    return p;
-  }();
+  static const std::string path =
+      damageLastRank(tracePath(), "tool_cli_test_corrupt");
   return path;
 }
 
@@ -619,6 +624,92 @@ TEST(ToolCli, QueryArgumentCountIsValidated) {
   EXPECT_EQ(run(tool() + " query definitely_missing.pvt </dev/null"
                 " 2>/dev/null").exitCode,
             1);
+}
+
+// ---- one analysis route: every one-shot verb is a one-line query -------
+
+/// The pipeline fixture with its last rank's block corrupted (written
+/// once per test binary).
+const std::string& corruptPipelinePath() {
+  static const std::string path =
+      damageLastRank(pipelinePath(), "tool_cli_pipeline_corrupt");
+  return path;
+}
+
+TEST(ToolCli, SalvageCritpathLoadsEagerlyAsLazily) {
+  const RunResult eager =
+      run(tool() + " --salvage critpath " + corruptPipelinePath());
+  ASSERT_EQ(eager.exitCode, 0);
+  EXPECT_NE(eager.out.find("dependency analysis:"), std::string::npos)
+      << eager.out;
+  const RunResult lazy =
+      run(tool() + " --salvage --lazy critpath " + corruptPipelinePath());
+  ASSERT_EQ(lazy.exitCode, 0);
+  EXPECT_EQ(eager.out, lazy.out);
+}
+
+TEST(ToolCli, SalvageQueryAnswersLikeTheOneShotAnalyze) {
+  const RunResult oneShot =
+      run(tool() + " --salvage analyze " + corruptTracePath());
+  ASSERT_EQ(oneShot.exitCode, 0);
+  const RunResult session = run("printf 'analyze\\n' | " + tool() +
+                                " --salvage query " + corruptTracePath());
+  ASSERT_EQ(session.exitCode, 0);
+  EXPECT_EQ(session.out, oneShot.out);
+}
+
+TEST(ToolCli, SalvageProfileExcludesTheQuarantinedRankLikeQuery) {
+  const RunResult oneShot =
+      run(tool() + " --salvage profile " + corruptPipelinePath());
+  ASSERT_EQ(oneShot.exitCode, 0);
+  const RunResult session = run("printf 'profile' | " + tool() +
+                                " --salvage query " + corruptPipelinePath());
+  ASSERT_EQ(session.exitCode, 0);
+  EXPECT_EQ(oneShot.out, session.out);
+}
+
+TEST(ToolCli, SalvageStatsServesATraceWithEveryRankQuarantined) {
+  const std::string clean = uniqueName("tool_cli_one_rank");
+  ASSERT_EQ(run(tool() + " generate scale " + clean + " 1 3").exitCode, 0);
+  const std::string damaged = damageLastRank(clean, "tool_cli_one_rank_bad");
+  // Nothing is left to analyze, but the raw trace still has statistics.
+  const RunResult stats = run(tool() + " --salvage stats " + damaged);
+  EXPECT_EQ(stats.exitCode, 0);
+  EXPECT_NE(stats.out.find("processes:"), std::string::npos) << stats.out;
+  EXPECT_EQ(run(tool() + " --salvage analyze " + damaged +
+                " 2>/dev/null").exitCode,
+            1);
+  std::remove(clean.c_str());
+  std::remove(damaged.c_str());
+}
+
+TEST(ToolCli, QueryCritpathTakesTheOneShotFormats) {
+  for (const std::string format : {"text", "json", "csv"}) {
+    const RunResult oneShot =
+        run(tool() + " critpath " + pipelinePath() + " " + format);
+    ASSERT_EQ(oneShot.exitCode, 0) << format;
+    const RunResult session = run("printf 'critpath " + format + "\\n' | " +
+                                  tool() + " query " + pipelinePath());
+    ASSERT_EQ(session.exitCode, 0) << format;
+    EXPECT_EQ(session.out, oneShot.out) << format;
+  }
+  EXPECT_EQ(run("printf 'critpath csv-iterations\\n' | " + tool() +
+                " query " + pipelinePath() + " 2>/dev/null").exitCode,
+            2);
+}
+
+TEST(ToolCli, UnknownCommandIsRejectedBeforeTheLoad) {
+  const RunResult r =
+      run(tool() + " frobnicate definitely_missing.pvt 2>&1 1>/dev/null");
+  EXPECT_EQ(r.exitCode, 2);
+  EXPECT_NE(r.out.find("unknown command"), std::string::npos)
+      << "stderr: " << r.out;
+}
+
+TEST(ToolCli, OneShotArgumentsAreParsedBeforeTheLoad) {
+  EXPECT_EQ(run(tool() + " critpath definitely_missing.pvt csv-iterations"
+                " 2>/dev/null").exitCode,
+            2);
 }
 
 // ---- the serve daemon and the connect client -----------------------------

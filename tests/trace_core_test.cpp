@@ -47,14 +47,6 @@ TEST(MetricRegistry, InternAndModeConflict) {
   EXPECT_THROW(reg.intern("PAPI_TOT_CYC", "", MetricMode::Absolute), Error);
 }
 
-TEST(Paradigm, NamesRoundTrip) {
-  for (const auto p : {Paradigm::Compute, Paradigm::MPI, Paradigm::OpenMP,
-                       Paradigm::IO, Paradigm::Memory, Paradigm::Other}) {
-    EXPECT_EQ(paradigmFromName(paradigmName(p)), p);
-  }
-  EXPECT_THROW(paradigmFromName("NOPE"), Error);
-}
-
 TEST(Types, SecondsTicksRoundTrip) {
   EXPECT_EQ(secondsToTicks(1.5, 1'000'000'000ULL), 1'500'000'000ULL);
   EXPECT_EQ(secondsToTicks(0.0, 1000), 0ULL);
@@ -229,11 +221,6 @@ TEST(Stats, CountsEverything) {
   EXPECT_EQ(s.eventsByKind[static_cast<std::size_t>(EventKind::Metric)], 1u);
   const std::string text = formatStats(s);
   EXPECT_NE(text.find("processes:   2"), std::string::npos);
-}
-
-TEST(EventKindNames, AreStable) {
-  EXPECT_STREQ(eventKindName(EventKind::Enter), "ENTER");
-  EXPECT_STREQ(eventKindName(EventKind::MpiRecv), "MPI_RECV");
 }
 
 }  // namespace
