@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <limits>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -159,9 +161,13 @@ struct AnalysisEngine::Impl {
   template <typename T>
   using Map = std::unordered_map<std::uint64_t, Entry<T>>;
 
-  /// Guards every cache container, useClock and bytes. Held only for map
-  /// lookups/inserts, never while a stage computes.
+  /// Guards every cache container, computing, useClock and bytes. Held
+  /// only for map lookups/inserts, never while a stage computes.
   std::mutex cacheMutex;
+  /// The (map, key) pairs a caller is computing; another caller that
+  /// misses on one waits on `computed` instead of computing it again.
+  std::set<std::pair<const void*, std::uint64_t>> computing;
+  std::condition_variable computed;
   std::uint64_t useClock = 0;
   std::uint64_t bytes = 0;
 
@@ -229,36 +235,52 @@ struct AnalysisEngine::Impl {
     }
   }
 
-  /// The cache protocol of every stage: lookup under the lock,
-  /// compute outside it on a miss, insert (first writer wins — a racing
-  /// thread that lost simply adopts the winner's instance so all callers
-  /// observe one object per key).
+  /// The cache protocol of every stage: lookup under the lock, compute
+  /// outside it on a miss, insert. A key is computed by one caller at a
+  /// time: a caller that misses while another computes the same key
+  /// waits for that insert and counts a hit, so concurrent queries never
+  /// hold two copies of one stage's working memory. A failed compute
+  /// leaves the key missing; the next waiter computes it (and fails) in
+  /// turn. Stages only wait on stages they read, so no cycle can form.
   template <typename T, typename Compute>
   std::shared_ptr<const T> getOrCompute(Map<T>& map, std::uint64_t key,
                                         std::size_t maxEntries,
                                         Compute&& compute) {
-    {
-      std::lock_guard<std::mutex> lock(cacheMutex);
+    const std::pair<const void*, std::uint64_t> slot{&map, key};
+    std::unique_lock<std::mutex> lock(cacheMutex);
+    while (true) {
       const auto it = map.find(key);
       if (it != map.end()) {
         it->second.lastUse = ++useClock;
         hits.fetch_add(1, std::memory_order_relaxed);
         return it->second.value;
       }
+      if (computing.insert(slot).second) {
+        break;
+      }
+      computed.wait(lock);
     }
+    lock.unlock();
     misses.fetch_add(1, std::memory_order_relaxed);
-    auto computed = std::make_shared<const T>(compute());
-    std::lock_guard<std::mutex> lock(cacheMutex);
-    const auto [it, inserted] = map.try_emplace(key);
-    it->second.lastUse = ++useClock;
-    if (!inserted) {
-      return it->second.value;  // lost a compute race; adopt the winner
+    std::shared_ptr<const T> value;
+    try {
+      value = std::make_shared<const T>(compute());
+    } catch (...) {
+      lock.lock();
+      computing.erase(slot);
+      computed.notify_all();
+      throw;
     }
-    it->second.value = computed;
-    it->second.bytes = approxBytes(*computed);
-    bytes += it->second.bytes;
+    lock.lock();
+    computing.erase(slot);
+    computed.notify_all();
+    Entry<T>& entry = map[key];
+    entry.value = value;
+    entry.lastUse = ++useClock;
+    entry.bytes = approxBytes(*value);
+    bytes += entry.bytes;
     evictIfNeeded(maxEntries);
-    return computed;
+    return value;
   }
 
   /// Stage 2 over an already-fetched profile, shared by dominant() and

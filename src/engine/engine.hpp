@@ -35,9 +35,10 @@
 ///
 /// Thread safety: all public member functions may be called concurrently.
 /// Cache lookups and inserts synchronize on an internal mutex held only
-/// for map operations; stage computation runs outside the lock (two
-/// threads racing on the same missing key may both compute it; the first
-/// insert wins and both observe the same instance afterwards). Heavy
+/// for map operations; stage computation runs outside the lock. A missing
+/// key is computed once: a thread that asks for a key another thread is
+/// computing waits for that result (and counts a cache hit), so both
+/// observe the same instance. Heavy
 /// stages call the same pool-taking stage functions analyzeTrace() runs,
 /// on one engine-owned util::ThreadPool that concurrent queries share:
 /// each parallelChunks call waits only for its own ranges and rethrows

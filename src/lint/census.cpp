@@ -1,12 +1,13 @@
 /// \file census.cpp
-/// lint::TraceCensus and its CensusBuilder.
+/// lint::TraceCensus and the per-rank fold that takes it.
 
 #include "lint/census.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <string>
 #include <utility>
 
-#include "trace/replay.hpp"
 #include "util/error.hpp"
 
 namespace perfvar::lint {
@@ -49,24 +50,44 @@ std::uint64_t TraceCensus::outermostInvocations(ProcessId p,
   return it != records.end() && it->function == f ? it->outermost : 0;
 }
 
-/// One worker's lookup tables and the records of the rank it is
-/// tallying. Every slot is back to zero between ranks.
+namespace {
+
+/// A frame of the fold's call stack.
+struct OpenFrame {
+  FunctionId function;
+  std::uint32_t at;  ///< a defined function's index in functions and open
+  trace::Timestamp enterTime;
+  bool ordered;  ///< the enter's timestamp did not decrease
+};
+
+}  // namespace
+
+/// One worker's lookup tables, stack, and the records and findings of the
+/// rank it is folding. Every slot is back to zero between ranks.
 struct CensusBuilder::Scratch {
   std::vector<std::uint32_t> peerSlot;      ///< 1 + index in channels
   std::vector<std::uint32_t> functionSlot;  ///< 1 + index in functions
-  std::vector<std::uint32_t> open;          ///< open frames per function
   std::vector<TraceCensus::Channel> channels;
   std::vector<TraceCensus::Invocations> functions;
+  std::vector<std::uint32_t> open;  ///< strict frames, parallel to functions
+  std::vector<OpenFrame> stack;  ///< see fold()
+  std::vector<FoldFinding> findings;
 };
 
 CensusBuilder::CensusBuilder(const trace::TraceView& trace, TraceCensus& out)
-    : processCount_(trace.processCount()),
-      functionCount_(trace.functions().size()),
-      out_(out) {
-  out_.ranks_.resize(processCount_);
+    : trace_(trace), out_(out) {
+  out_.ranks_.resize(trace.processCount());
 }
 
 CensusBuilder::~CensusBuilder() = default;
+
+std::span<const FoldFinding> CensusBuilder::findings(const RankEvents& rank) {
+  PERFVAR_REQUIRE(rank.fold_ != nullptr,
+                  "lint census not taken: no enabled rule declares "
+                  "Rule::readsCensus()");
+  (void)rank.events();  // rethrows the pin's error
+  return *rank.fold_;
+}
 
 CensusBuilder::Tally::Tally(CensusBuilder& builder) : builder_(builder) {
   {
@@ -78,9 +99,8 @@ CensusBuilder::Tally::Tally(CensusBuilder& builder) : builder_(builder) {
     }
   }
   scratch_ = std::make_unique<Scratch>();
-  scratch_->peerSlot.assign(builder_.processCount_, 0);
-  scratch_->functionSlot.assign(builder_.functionCount_, 0);
-  scratch_->open.assign(builder_.functionCount_, 0);
+  scratch_->peerSlot.assign(builder_.trace_.processCount(), 0);
+  scratch_->functionSlot.assign(builder_.trace_.functions().size(), 0);
 }
 
 CensusBuilder::Tally::~Tally() {
@@ -97,88 +117,166 @@ TraceCensus::Channel& CensusBuilder::Tally::channel(ProcessId peer) {
   return scratch_->channels[slot - 1];
 }
 
-TraceCensus::Invocations& CensusBuilder::Tally::function(FunctionId f) {
+std::uint32_t CensusBuilder::Tally::function(FunctionId f) {
   std::uint32_t& slot = scratch_->functionSlot[f];
   if (slot == 0) {
     scratch_->functions.push_back(TraceCensus::Invocations{f, 0});
+    scratch_->open.push_back(0);
     slot = static_cast<std::uint32_t>(scratch_->functions.size());
   }
-  return scratch_->functions[slot - 1];
+  return slot - 1;
 }
 
-void CensusBuilder::Tally::message(bool isSend, const Event& e) {
-  if (e.ref >= builder_.processCount_ || e.ref == process_) {
-    return;  // message-endpoints reports these
-  }
-  TraceCensus::Channel& c = channel(static_cast<ProcessId>(e.ref));
-  ++(isSend ? c.sends : c.recvs);
+void CensusBuilder::Tally::record(FoldCheck check, std::size_t event,
+                                  std::string message) {
+  scratch_->findings.push_back(FoldFinding{check, event, std::move(message)});
 }
 
-void CensusBuilder::Tally::resetSlots() {
-  for (const TraceCensus::Channel& c : scratch_->channels) {
-    scratch_->peerSlot[c.peer] = 0;
-  }
-  for (const TraceCensus::Invocations& f : scratch_->functions) {
-    scratch_->functionSlot[f.function] = 0;
-    scratch_->open[f.function] = 0;
-  }
-}
-
-/// The census' replay visitor: trace::replayEventsWith pairs the leaves,
-/// so a function's open-frame count returning to zero completes one
-/// outermost invocation, exactly as analysis::extractSegments counts.
-struct CensusBuilder::Tally::Replay {
-  Tally& tally;
-  std::size_t functionCount;
-
-  void onEnter(FunctionId f, trace::Timestamp, std::size_t) {
-    if (f < functionCount) {
-      tally.function(f);
-      ++tally.scratch_->open[f];
-    }
-  }
-  void onLeave(const trace::Frame& frame) {
-    if (frame.function < functionCount &&
-        --tally.scratch_->open[frame.function] == 0) {
-      ++tally.function(frame.function).outermost;
-    }
-  }
-  void onMessage(bool isSend, const Event& e) { tally.message(isSend, e); }
-  void onMetric(const Event&, std::size_t) {}
-};
-
-void CensusBuilder::Tally::add(const RankEvents& rank) {
+void CensusBuilder::Tally::add(RankEvents& rank) {
   process_ = rank.process();
-  std::exception_ptr error;
-  bool pinned = false;
+  scratch_->findings.clear();
+  rank.fold_ = &scratch_->findings;
   trace::EventSpan events;
   try {
     events = rank.events();
-    pinned = true;
-    trace::replayEventsWith(events, Replay{*this, builder_.functionCount_});
   } catch (...) {
-    error = std::current_exception();
+    publish(std::current_exception(), true);
+    return;
   }
-  if (error && pinned) {
-    // The stream does not replay: keep the error for the outermost
-    // counts and tally the references and messages without the pairing.
-    resetSlots();
-    scratch_->channels.clear();
-    scratch_->functions.clear();
-    for (const Event& e : events) {
-      if (e.kind == EventKind::Enter || e.kind == EventKind::Leave) {
-        if (e.ref < builder_.functionCount_) {
-          function(e.ref);
+  publish(fold(events), false);
+}
+
+/// The rank's one sweep. It pairs enters and leaves twice:
+/// - strictly, as trace::replayEventsWith does: undefined refs pair too,
+///   and the first leave that does not match the innermost enter, or a
+///   frame open at the end, stops the pairing with the replay's error. A
+///   function's open frames returning to zero completes one outermost
+///   invocation, exactly as analysis::extractSegments counts;
+/// - tolerantly, for stack-balance and zero-duration: undefined refs are
+///   skipped (undefined-function-ref reports them), and only a leave
+///   matching the innermost enter pops.
+/// One stack serves both: while the strict pairing holds, the tolerant
+/// stack is its defined frames; when it stops, the undefined frames are
+/// dropped and the stack goes on as the tolerant one.
+std::exception_ptr CensusBuilder::Tally::fold(trace::EventSpan events) {
+  Scratch& s = *scratch_;
+  const trace::FunctionRegistry& names = builder_.trace_.functions();
+  const std::size_t functionCount = names.size();
+  const std::size_t processCount = builder_.trace_.processCount();
+  const std::size_t metricCount = builder_.trace_.metrics().size();
+  std::vector<OpenFrame>& stack = s.stack;
+  stack.clear();
+  std::exception_ptr unpaired;
+  const auto stopPairing = [&](const char* why) {
+    // What trace::replayEventsWith throws for the stream.
+    unpaired = std::make_exception_ptr(
+        Error(std::string("perfvar: replay: ") + why));
+    std::erase_if(stack, [&](const OpenFrame& frame) {
+      return frame.function >= functionCount;
+    });
+  };
+  trace::Timestamp last = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Event& e = events[i];
+    const bool ordered = i == 0 || e.time >= last;
+    last = e.time;
+    if (!ordered) {
+      record(FoldCheck::ClockMonotonicity, i, "timestamp decreases");
+    }
+    switch (e.kind) {
+      case EventKind::Enter:
+      case EventKind::Leave: {
+        const bool enter = e.kind == EventKind::Enter;
+        const bool defined = e.ref < functionCount;
+        if (!defined) {
+          record(FoldCheck::UndefinedFunctionRef, i,
+                 enter ? "enter references undefined function"
+                       : "leave references undefined function");
         }
-      } else if (e.kind == EventKind::MpiSend ||
-                 e.kind == EventKind::MpiRecv) {
-        message(e.kind == EventKind::MpiSend, e);
+        if (enter) {
+          if (defined) {
+            const std::uint32_t at = function(e.ref);
+            ++s.open[at];
+            stack.push_back(OpenFrame{e.ref, at, e.time, ordered});
+          } else if (!unpaired) {
+            stack.push_back(OpenFrame{e.ref, 0, e.time, ordered});
+          }
+          break;
+        }
+        if (!unpaired && (stack.empty() || stack.back().function != e.ref)) {
+          stopPairing("unbalanced enter/leave");
+        }
+        if (!defined) {
+          if (!unpaired) {
+            stack.pop_back();
+          }
+          break;
+        }
+        if (stack.empty()) {
+          function(e.ref);
+          record(FoldCheck::StackBalance, i, "leave without matching enter");
+        } else if (stack.back().function != e.ref) {
+          function(e.ref);
+          record(FoldCheck::StackBalance, i,
+                 "leave of '" + names.name(e.ref) +
+                     "' does not match innermost enter '" +
+                     names.name(stack.back().function) + "'");
+        } else {
+          // Only exact zero on a clean (ordered) pair: a backwards clock
+          // is clock-monotonicity's finding, not zero-duration's.
+          const OpenFrame& open = stack.back();
+          if (ordered && open.ordered && e.time == open.enterTime) {
+            record(FoldCheck::ZeroDuration, i,
+                   "zero-duration invocation of '" + names.name(e.ref) + "'");
+          }
+          if (--s.open[open.at] == 0) {
+            ++s.functions[open.at].outermost;
+          }
+          stack.pop_back();
+        }
+        break;
       }
+      case EventKind::MpiSend:
+      case EventKind::MpiRecv:
+        if (e.ref >= processCount) {
+          record(FoldCheck::MessageEndpoints, i,
+                 "message references undefined peer process");
+        } else if (e.ref == process_) {
+          record(FoldCheck::MessageEndpoints, i, "message to/from self");
+        } else {
+          TraceCensus::Channel& c = channel(static_cast<ProcessId>(e.ref));
+          ++(e.kind == EventKind::MpiSend ? c.sends : c.recvs);
+        }
+        break;
+      case EventKind::Metric:
+        if (e.ref >= metricCount) {
+          record(FoldCheck::UndefinedMetricRef, i,
+                 "metric sample references undefined metric");
+        }
+        break;
     }
   }
-  resetSlots();
+  if (!unpaired && !stack.empty()) {
+    stopPairing("unclosed frames at stream end");
+  }
+  if (!stack.empty()) {
+    record(FoldCheck::StackBalance, events.size(),
+           std::to_string(stack.size()) +
+               " unclosed enter frame(s), innermost '" +
+               names.name(stack.back().function) + "'");
+  }
+  return unpaired;
+}
+
+void CensusBuilder::Tally::publish(std::exception_ptr error, bool pinFailed) {
   std::vector<TraceCensus::Channel>& channels = scratch_->channels;
   std::vector<TraceCensus::Invocations>& functions = scratch_->functions;
+  for (const TraceCensus::Channel& c : channels) {
+    scratch_->peerSlot[c.peer] = 0;
+  }
+  for (const TraceCensus::Invocations& f : functions) {
+    scratch_->functionSlot[f.function] = 0;
+  }
   std::sort(channels.begin(), channels.end(),
             [](const TraceCensus::Channel& a, const TraceCensus::Channel& b) {
               return a.peer < b.peer;
@@ -194,7 +292,8 @@ void CensusBuilder::Tally::add(const RankEvents& rank) {
     out.ranks_[process_] = TraceCensus::Rank{
         out.channels_.size(), out.functions_.size(),
         static_cast<std::uint32_t>(channels.size()),
-        static_cast<std::uint32_t>(functions.size()), error, !pinned};
+        static_cast<std::uint32_t>(functions.size()), std::move(error),
+        pinFailed};
     out.channels_.insert(out.channels_.end(), channels.begin(),
                          channels.end());
     out.functions_.insert(out.functions_.end(), functions.begin(),
@@ -202,6 +301,7 @@ void CensusBuilder::Tally::add(const RankEvents& rank) {
   }
   channels.clear();
   functions.clear();
+  scratch_->open.clear();
 }
 
 }  // namespace perfvar::lint

@@ -2,23 +2,45 @@
 #define PERFVAR_LINT_CENSUS_HPP
 
 /// \file census.hpp
-/// Taking a lint::TraceCensus in lintTrace()'s per-rank phase (internal
-/// to the lint library).
+/// The census fold of lintTrace()'s per-rank phase (internal to the lint
+/// library): one sweep over each rank's pin takes its TraceCensus records
+/// and checks the six per-rank structural rules.
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "lint/lint.hpp"
 
 namespace perfvar::lint {
 
-/// Fills a TraceCensus from the ranks of the per-rank phase. Each worker
-/// tallies its ranks through its own Tally and appends each rank's
-/// records as one slice, so what the census says about a rank does not
-/// depend on which worker took it.
+/// The per-rank rules the fold checks, named after their rule ids.
+enum class FoldCheck : std::uint8_t {
+  ClockMonotonicity,
+  StackBalance,
+  UndefinedFunctionRef,
+  UndefinedMetricRef,
+  MessageEndpoints,
+  ZeroDuration,
+};
+
+/// One finding of a per-rank structural rule, at event `event` of the
+/// rank (events.size() for the end of the stream).
+struct FoldFinding {
+  FoldCheck check;
+  std::size_t event;
+  std::string message;
+};
+
+/// Folds the ranks of the per-rank phase into a TraceCensus. Each worker
+/// folds its ranks through its own Tally and appends each rank's records
+/// as one slice, so what the census says about a rank does not depend on
+/// which worker took it. A rank's findings stay with the Tally.
 class CensusBuilder {
   struct Scratch;
 
@@ -30,7 +52,11 @@ public:
   CensusBuilder(const CensusBuilder&) = delete;
   CensusBuilder& operator=(const CensusBuilder&) = delete;
 
-  /// Tallies ranks on one thread with scratch tables borrowed from the
+  /// The findings of the fold of `rank`, in event order; rethrows the
+  /// rank's pin error, and throws when the rank was not folded.
+  static std::span<const FoldFinding> findings(const RankEvents& rank);
+
+  /// Folds ranks on one thread with scratch tables borrowed from the
   /// builder until destruction.
   class Tally {
   public:
@@ -40,17 +66,19 @@ public:
     Tally(const Tally&) = delete;
     Tally& operator=(const Tally&) = delete;
 
-    /// Tally one rank from its shared pin.
-    void add(const RankEvents& rank);
+    /// Fold one rank from its shared pin; findings(rank) holds until the
+    /// next add().
+    void add(RankEvents& rank);
 
   private:
-    struct Replay;
-
+    /// Returns the error of a stream that does not replay.
+    std::exception_ptr fold(trace::EventSpan events);
+    void record(FoldCheck check, std::size_t event, std::string message);
     TraceCensus::Channel& channel(trace::ProcessId peer);
-    TraceCensus::Invocations& function(trace::FunctionId f);
-    void message(bool isSend, const trace::Event& e);
-    /// Clear the lookup entries of the current rank's records.
-    void resetSlots();
+    /// Index of f's record in the rank's functions, added on first use.
+    std::uint32_t function(trace::FunctionId f);
+    /// Append the rank's records to the census; clear the lookups.
+    void publish(std::exception_ptr error, bool pinFailed);
 
     CensusBuilder& builder_;
     std::unique_ptr<Scratch> scratch_;
@@ -58,8 +86,7 @@ public:
   };
 
 private:
-  std::size_t processCount_;
-  std::size_t functionCount_;
+  const trace::TraceView& trace_;
   std::mutex mutex_;  ///< guards idle_ and out_
   std::vector<std::unique_ptr<Scratch>> idle_;
   TraceCensus& out_;

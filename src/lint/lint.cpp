@@ -298,7 +298,7 @@ LintReport lintTrace(const trace::TraceView& trace, const LintOptions& options,
   util::ThreadPool* pool =
       util::resolvePool(options.pool, options.threads, owned);
   std::optional<RunStages> runStages;
-  // The census is taken only when an enabled rule reads it.
+  // The ranks are folded only when an enabled rule reads the fold.
   TraceCensus census;
   std::optional<CensusBuilder> censusBuilder;
   if (std::any_of(enabled.begin(), enabled.end(),
@@ -318,8 +318,8 @@ LintReport lintTrace(const trace::TraceView& trace, const LintOptions& options,
   }
 
   // Per-rank phase: every task writes only its own rank's slot, so the
-  // merged result is independent of the thread count. The census reads
-  // the same pin as the rules.
+  // merged result is independent of the thread count. The census fold
+  // reads the rank's pin before the rules do.
   std::vector<std::vector<Finding>> perRank(processCount);
   const auto checkRank = [&](const RankEvents& rank) {
     const std::size_t p = rank.process();
@@ -350,11 +350,11 @@ LintReport lintTrace(const trace::TraceView& trace, const LintOptions& options,
           tally.emplace(*censusBuilder);
         }
         for (std::size_t p = begin; p < end; ++p) {
-          const RankEvents rank(trace, static_cast<trace::ProcessId>(p));
-          checkRank(rank);
+          RankEvents rank(trace, static_cast<trace::ProcessId>(p));
           if (tally) {
             tally->add(rank);
           }
+          checkRank(rank);
         }
       });
 

@@ -16,9 +16,10 @@
 /// Rules come in two flavors. Per-rank checks (Rule::checkProcess) run
 /// over each process stream and are sharded across a util::ThreadPool
 /// when LintOptions::threads != 1; whole-trace checks (Rule::checkTrace)
-/// run serially on the calling thread afterwards; the built-in ones read
-/// the ranks' events only through the TraceCensus that the per-rank phase
-/// takes from the same pins. Findings are merged deterministically —
+/// run serially on the calling thread afterwards. The built-in rules read
+/// each rank once, in one fold that checks the six per-rank rules and
+/// takes the TraceCensus the whole-trace ones reduce; a custom per-rank
+/// rule reads the same pin. Findings are merged deterministically —
 /// per-rank findings in ascending rank order, each rank's findings sorted
 /// by event index (ties in registry order), global findings appended in
 /// registry order — so the report is byte-identical for every thread count
@@ -174,12 +175,14 @@ private:
   std::vector<Finding>& out_;
 };
 
+struct FoldFinding;
+
 /// One rank's events in the per-rank phase. The first events() call pins
-/// the rank; every rule of the phase reads that one pin, so the phase pins
-/// each rank once. A pin that throws rethrows its error on every
-/// events() call, so each rule that reads the events aborts as if it had
-/// pinned itself, and a rule that never reads them is unaffected. Used by
-/// one thread at a time.
+/// the rank; the census fold and every rule of the phase read that one
+/// pin, so the phase pins each rank once. A pin that throws rethrows its
+/// error on every events() call, so each rule that reads the events (or
+/// the fold's findings) aborts as if it had pinned itself, and a rule
+/// that never reads them is unaffected. Used by one thread at a time.
 class RankEvents {
 public:
   RankEvents(const trace::TraceView& trace, trace::ProcessId p)
@@ -190,19 +193,23 @@ public:
   trace::EventSpan events() const;
 
 private:
+  friend class CensusBuilder;
+
   const trace::TraceView& trace_;
   trace::ProcessId process_;
   mutable std::optional<trace::RankPin> pin_;
   mutable std::exception_ptr error_;
+  /// The census fold's findings on this rank (lint/census.hpp).
+  const std::vector<FoldFinding>* fold_ = nullptr;
 };
 
 /// Per-rank tallies of the trace's events for the whole-trace rules that
 /// declare Rule::readsCensus(). lintTrace() takes them in the parallel
-/// per-rank phase from the RankEvents pin the per-rank rules share, so
-/// such a rule reduces the census instead of pinning every rank again.
-/// Records are stored flat, one contiguous slice per rank, and only for
-/// what a rank touches. A rank whose pin threw keeps the error instead of
-/// records.
+/// per-rank phase, in the fold over each RankEvents pin that also checks
+/// the per-rank rules, so such a rule reduces the census instead of
+/// pinning every rank again. Records are stored flat, one contiguous
+/// slice per rank, and only for what a rank touches. A rank whose pin
+/// threw keeps the error instead of records.
 class TraceCensus {
 public:
   /// Valid messages between a rank and one peer (peer < processCount()
@@ -274,8 +281,9 @@ public:
   /// Whole-trace check; runs serially after the per-rank phase and may
   /// use every RuleContext helper.
   virtual void checkTrace(const RuleContext& context, Sink& sink) const;
-  /// True when checkTrace() reads RuleContext::census(). lintTrace()
-  /// takes the census only when an enabled rule returns true.
+  /// True when the rule reads the census fold (RuleContext::census(), or
+  /// the fold's findings for the built-in per-rank rules). lintTrace()
+  /// folds the ranks only when an enabled rule returns true.
   virtual bool readsCensus() const { return false; }
 };
 

@@ -16,158 +16,48 @@
 #include <vector>
 
 #include "analysis/depgraph.hpp"
+#include "lint/census.hpp"
 #include "lint/lint.hpp"
 #include "util/error.hpp"
 
 namespace perfvar::lint {
 namespace {
 
-using trace::Event;
-using trace::EventKind;
 using trace::FunctionId;
 using trace::ProcessId;
 using trace::TraceView;
 
 // ---------------------------------------------------------------------------
-// Per-rank structural rules (the validate() subset).
+// Per-rank structural rules: the validate() subset, plus zero-duration.
 
-/// Timestamps must be non-decreasing within each process stream.
-class ClockMonotonicityRule final : public Rule {
+/// One of the six per-rank structural rules. One census fold per rank
+/// checks all six (lint/census.cpp, which documents each check); the rule
+/// reports the findings the fold recorded for its check.
+class StructuralRule final : public Rule {
 public:
-  std::string_view id() const override { return "clock-monotonicity"; }
-  std::string_view description() const override {
-    return "timestamps must be non-decreasing within each process stream";
-  }
+  StructuralRule(std::string_view id, FoldCheck check, Severity severity,
+                 std::string_view description)
+      : id_(id),
+        check_(check),
+        severity_(severity),
+        description_(description) {}
+  std::string_view id() const override { return id_; }
+  std::string_view description() const override { return description_; }
+  bool readsCensus() const override { return true; }
   void checkProcess(const RuleContext&, const RankEvents& rank,
                     Sink& sink) const override {
-    const trace::EventSpan events = rank.events();
-    trace::Timestamp last = 0;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      if (i > 0 && events[i].time < last) {
-        sink.reportAt(Severity::Error, i, "timestamp decreases");
+    for (const FoldFinding& f : CensusBuilder::findings(rank)) {
+      if (f.check == check_) {
+        sink.reportAt(severity_, f.event, f.message);
       }
-      last = events[i].time;
     }
   }
-};
 
-/// Enter/Leave events must form a properly nested stack; every frame must
-/// be closed by the end of the stream. Events referencing undefined
-/// functions are skipped here (undefined-function-ref reports them), so
-/// one malformed id does not cascade into bogus stack findings.
-class StackBalanceRule final : public Rule {
-public:
-  std::string_view id() const override { return "stack-balance"; }
-  std::string_view description() const override {
-    return "enter/leave events must nest properly and close every frame";
-  }
-  void checkProcess(const RuleContext& context, const RankEvents& rank,
-                    Sink& sink) const override {
-    const TraceView& tr = context.trace();
-    const trace::EventSpan events = rank.events();
-    std::vector<FunctionId> stack;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      const Event& e = events[i];
-      if (e.ref >= tr.functions().size() &&
-          (e.kind == EventKind::Enter || e.kind == EventKind::Leave)) {
-        continue;
-      }
-      if (e.kind == EventKind::Enter) {
-        stack.push_back(e.ref);
-      } else if (e.kind == EventKind::Leave) {
-        if (stack.empty()) {
-          sink.reportAt(Severity::Error, i, "leave without matching enter");
-        } else if (stack.back() != e.ref) {
-          std::ostringstream os;
-          os << "leave of '" << tr.functions().name(e.ref)
-             << "' does not match innermost enter '"
-             << tr.functions().name(stack.back()) << "'";
-          sink.reportAt(Severity::Error, i, os.str());
-        } else {
-          stack.pop_back();
-        }
-      }
-    }
-    if (!stack.empty()) {
-      std::ostringstream os;
-      os << stack.size() << " unclosed enter frame(s), innermost '"
-         << tr.functions().name(stack.back()) << "'";
-      sink.reportAt(Severity::Error, events.size(), os.str());
-    }
-  }
-};
-
-/// Enter/Leave refs must name a defined function.
-class UndefinedFunctionRefRule final : public Rule {
-public:
-  std::string_view id() const override { return "undefined-function-ref"; }
-  std::string_view description() const override {
-    return "enter/leave events must reference a defined function";
-  }
-  void checkProcess(const RuleContext& context, const RankEvents& rank,
-                    Sink& sink) const override {
-    const TraceView& tr = context.trace();
-    const trace::EventSpan events = rank.events();
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      const Event& e = events[i];
-      if (e.ref >= tr.functions().size()) {
-        if (e.kind == EventKind::Enter) {
-          sink.reportAt(Severity::Error, i,
-                        "enter references undefined function");
-        } else if (e.kind == EventKind::Leave) {
-          sink.reportAt(Severity::Error, i,
-                        "leave references undefined function");
-        }
-      }
-    }
-  }
-};
-
-/// Metric samples must reference a defined metric.
-class UndefinedMetricRefRule final : public Rule {
-public:
-  std::string_view id() const override { return "undefined-metric-ref"; }
-  std::string_view description() const override {
-    return "metric samples must reference a defined metric";
-  }
-  void checkProcess(const RuleContext& context, const RankEvents& rank,
-                    Sink& sink) const override {
-    const TraceView& tr = context.trace();
-    const trace::EventSpan events = rank.events();
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      if (events[i].kind == EventKind::Metric &&
-          events[i].ref >= tr.metrics().size()) {
-        sink.reportAt(Severity::Error, i,
-                      "metric sample references undefined metric");
-      }
-    }
-  }
-};
-
-/// Message events must name an existing peer and never the sender itself.
-class MessageEndpointsRule final : public Rule {
-public:
-  std::string_view id() const override { return "message-endpoints"; }
-  std::string_view description() const override {
-    return "message events must name an existing peer process (not self)";
-  }
-  void checkProcess(const RuleContext& context, const RankEvents& rank,
-                    Sink& sink) const override {
-    const TraceView& tr = context.trace();
-    const trace::EventSpan events = rank.events();
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      const Event& e = events[i];
-      if (e.kind != EventKind::MpiSend && e.kind != EventKind::MpiRecv) {
-        continue;
-      }
-      if (e.ref >= tr.processCount()) {
-        sink.reportAt(Severity::Error, i,
-                      "message references undefined peer process");
-      } else if (e.ref == rank.process()) {
-        sink.reportAt(Severity::Error, i, "message to/from self");
-      }
-    }
-  }
+private:
+  std::string_view id_;
+  FoldCheck check_;
+  Severity severity_;
+  std::string_view description_;
 };
 
 // ---------------------------------------------------------------------------
@@ -400,49 +290,6 @@ public:
   }
 };
 
-/// Zero-duration invocations: enter and leave carry the same timestamp.
-/// Legal, but such regions vanish from every duration-based statistic and
-/// usually indicate too-coarse timer resolution.
-class ZeroDurationRule final : public Rule {
-public:
-  std::string_view id() const override { return "zero-duration"; }
-  std::string_view description() const override {
-    return "function invocations should have a non-zero duration";
-  }
-  void checkProcess(const RuleContext& context, const RankEvents& rank,
-                    Sink& sink) const override {
-    const TraceView& tr = context.trace();
-    const trace::EventSpan events = rank.events();
-    // Tolerant replay: ignore refs the structural rules already flag and
-    // only pair a leave with a matching innermost enter.
-    std::vector<std::pair<FunctionId, std::pair<trace::Timestamp, bool>>>
-        stack;  // (function, (enter time, enter time was ordered))
-    trace::Timestamp last = 0;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      const Event& e = events[i];
-      const bool ordered = i == 0 || e.time >= last;
-      last = e.time;
-      if (e.ref >= tr.functions().size() ||
-          (e.kind != EventKind::Enter && e.kind != EventKind::Leave)) {
-        continue;
-      }
-      if (e.kind == EventKind::Enter) {
-        stack.push_back({e.ref, {e.time, ordered}});
-      } else if (!stack.empty() && stack.back().first == e.ref) {
-        // Only flag exact zero on a clean (ordered) pair: a backwards
-        // clock is clock-monotonicity's finding, not this rule's.
-        if (ordered && stack.back().second.second &&
-            e.time == stack.back().second.first) {
-          sink.reportAt(Severity::Info, i,
-                        "zero-duration invocation of '" +
-                            tr.functions().name(e.ref) + "'");
-        }
-        stack.pop_back();
-      }
-    }
-  }
-};
-
 /// Quarantined ranks of a salvage load: analyses silently exclude them, so
 /// surface each one, and escalate when nothing analyzable is left.
 class QuarantineInteractionRule final : public Rule {
@@ -583,17 +430,32 @@ public:
 const RuleRegistry& RuleRegistry::builtin() {
   static const RuleRegistry registry = [] {
     RuleRegistry r;
-    r.add(std::make_shared<ClockMonotonicityRule>());
-    r.add(std::make_shared<StackBalanceRule>());
-    r.add(std::make_shared<UndefinedFunctionRefRule>());
-    r.add(std::make_shared<UndefinedMetricRefRule>());
-    r.add(std::make_shared<MessageEndpointsRule>());
+    r.add(std::make_shared<StructuralRule>(
+        "clock-monotonicity", FoldCheck::ClockMonotonicity, Severity::Error,
+        "timestamps must be non-decreasing within each process stream"));
+    r.add(std::make_shared<StructuralRule>(
+        "stack-balance", FoldCheck::StackBalance, Severity::Error,
+        "enter/leave events must nest properly and close every frame"));
+    r.add(std::make_shared<StructuralRule>(
+        "undefined-function-ref", FoldCheck::UndefinedFunctionRef,
+        Severity::Error,
+        "enter/leave events must reference a defined function"));
+    r.add(std::make_shared<StructuralRule>(
+        "undefined-metric-ref", FoldCheck::UndefinedMetricRef, Severity::Error,
+        "metric samples must reference a defined metric"));
+    r.add(std::make_shared<StructuralRule>(
+        "message-endpoints", FoldCheck::MessageEndpoints, Severity::Error,
+        "message events must name an existing peer process (not self)"));
     r.add(std::make_shared<MessagePairingRule>());
     r.add(std::make_shared<DefinitionIntegrityRule>());
     r.add(std::make_shared<SyncCoverageRule>());
     r.add(std::make_shared<DominantEligibilityRule>());
     r.add(std::make_shared<SegmentSkewRule>());
-    r.add(std::make_shared<ZeroDurationRule>());
+    // Legal, but such regions vanish from every duration-based statistic
+    // and usually indicate too-coarse timer resolution.
+    r.add(std::make_shared<StructuralRule>(
+        "zero-duration", FoldCheck::ZeroDuration, Severity::Info,
+        "function invocations should have a non-zero duration"));
     r.add(std::make_shared<QuarantineInteractionRule>());
     // The dependency-graph detectors append at the end: registry order is
     // part of the determinism contract, so new rules never reorder

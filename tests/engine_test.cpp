@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <latch>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -456,6 +457,73 @@ TEST(Engine, ConcurrentLintAnalyzeAndDepQueriesShareOneStageSet) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
   }
+}
+
+TEST(Engine, ConcurrentColdQueriesComputeEachStageOnce) {
+  const trace::Trace tr = smallCosmo();
+  const std::string report = reference(tr);
+  engine::EngineOptions eopts;
+  eopts.threads = 2;
+  engine::AnalysisEngine eng{trace::Trace(tr), eopts};
+
+  constexpr int kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<int> mismatches(kThreads, 0);
+  {
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        start.arrive_and_wait();
+        mismatches[static_cast<std::size_t>(t)] +=
+            eng.formatReport() != report ? 1 : 0;
+        (void)eng.formatDepReport();
+      });
+    }
+    for (auto& w : workers) {
+      w.join();
+    }
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
+  }
+  // Profile, dominant, SOS, variation and dep are computed once each
+  // however the threads interleave; every other lookup waits or hits.
+  const engine::CacheStats stats = eng.cacheStats();
+  EXPECT_EQ(stats.misses, 5u);
+  EXPECT_EQ(stats.hits, 5u * (kThreads - 1));
+}
+
+TEST(Engine, ConcurrentFailingStageThrowsForEveryCaller) {
+  engine::EngineOptions eopts;
+  eopts.threads = 2;
+  engine::AnalysisEngine eng{apps::buildFigure3Trace(), eopts};
+  analysis::PipelineOptions bad;
+  bad.candidateIndex = 10000;
+
+  constexpr int kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<int> thrown(kThreads, 0);
+  {
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        start.arrive_and_wait();
+        try {
+          (void)eng.analyze(bad);
+        } catch (const Error&) {
+          thrown[static_cast<std::size_t>(t)] = 1;
+        }
+      });
+    }
+    for (auto& w : workers) {
+      w.join();
+    }
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(thrown[static_cast<std::size_t>(t)], 1) << "thread " << t;
+  }
+  // The failed key stays missing; the engine still answers.
+  EXPECT_EQ(eng.formatReport(), reference(apps::buildFigure3Trace()));
 }
 
 }  // namespace

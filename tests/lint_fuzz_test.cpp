@@ -6,7 +6,8 @@
 /// mutated trace is linted with the full registry and once per rule in
 /// isolation, serially and on 4 threads, and every report must render in
 /// all three export formats. The same hostile traces also check the
-/// census-backed whole-trace rules against their serial sweeps.
+/// census-backed whole-trace rules against their serial sweeps, and the
+/// six per-rank rules of the census fold against their per-rule sweeps.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -25,6 +26,7 @@
 #include "support/fault_injection.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/builder.hpp"
+#include "trace/replay.hpp"
 #include "trace/view.hpp"
 #include "util/error.hpp"
 
@@ -640,6 +642,433 @@ TEST(LintCensus, MatchesTheSerialSweeps) {
         openLazy(FaultInjector::oversizeCount(clean, rank), "oversize",
                  trace::RecoveryMode::Strict),
         "oversized block of rank " + std::to_string(rank));
+  }
+}
+
+
+// ---- the census fold against the per-rule sweeps ---------------------------
+//
+// One fold per rank checks clock-monotonicity, stack-balance,
+// undefined-function-ref, undefined-metric-ref, message-endpoints and
+// zero-duration, and takes the census. The oracles below are the per-rule
+// sweeps it replaced: each walks the rank's events on its own. Registered
+// under the same ids, next to the census rules' serial sweeps, they must
+// produce byte-equal reports on every hostile input.
+
+class SweepClockMonotonicity final : public Rule {
+public:
+  std::string_view id() const override { return "clock-monotonicity"; }
+  std::string_view description() const override { return "oracle"; }
+  void checkProcess(const RuleContext&, const RankEvents& rank,
+                    Sink& sink) const override {
+    const trace::EventSpan events = rank.events();
+    trace::Timestamp last = 0;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (i > 0 && events[i].time < last) {
+        sink.reportAt(Severity::Error, i, "timestamp decreases");
+      }
+      last = events[i].time;
+    }
+  }
+};
+
+class SweepStackBalance final : public Rule {
+public:
+  std::string_view id() const override { return "stack-balance"; }
+  std::string_view description() const override { return "oracle"; }
+  void checkProcess(const RuleContext& context, const RankEvents& rank,
+                    Sink& sink) const override {
+    const trace::TraceView& tr = context.trace();
+    const trace::EventSpan events = rank.events();
+    std::vector<trace::FunctionId> stack;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const trace::Event& e = events[i];
+      if (e.ref >= tr.functions().size() &&
+          (e.kind == trace::EventKind::Enter ||
+           e.kind == trace::EventKind::Leave)) {
+        continue;
+      }
+      if (e.kind == trace::EventKind::Enter) {
+        stack.push_back(e.ref);
+      } else if (e.kind == trace::EventKind::Leave) {
+        if (stack.empty()) {
+          sink.reportAt(Severity::Error, i, "leave without matching enter");
+        } else if (stack.back() != e.ref) {
+          std::ostringstream os;
+          os << "leave of '" << tr.functions().name(e.ref)
+             << "' does not match innermost enter '"
+             << tr.functions().name(stack.back()) << "'";
+          sink.reportAt(Severity::Error, i, os.str());
+        } else {
+          stack.pop_back();
+        }
+      }
+    }
+    if (!stack.empty()) {
+      std::ostringstream os;
+      os << stack.size() << " unclosed enter frame(s), innermost '"
+         << tr.functions().name(stack.back()) << "'";
+      sink.reportAt(Severity::Error, events.size(), os.str());
+    }
+  }
+};
+
+class SweepUndefinedFunctionRef final : public Rule {
+public:
+  std::string_view id() const override { return "undefined-function-ref"; }
+  std::string_view description() const override { return "oracle"; }
+  void checkProcess(const RuleContext& context, const RankEvents& rank,
+                    Sink& sink) const override {
+    const trace::TraceView& tr = context.trace();
+    const trace::EventSpan events = rank.events();
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const trace::Event& e = events[i];
+      if (e.ref >= tr.functions().size()) {
+        if (e.kind == trace::EventKind::Enter) {
+          sink.reportAt(Severity::Error, i,
+                        "enter references undefined function");
+        } else if (e.kind == trace::EventKind::Leave) {
+          sink.reportAt(Severity::Error, i,
+                        "leave references undefined function");
+        }
+      }
+    }
+  }
+};
+
+class SweepUndefinedMetricRef final : public Rule {
+public:
+  std::string_view id() const override { return "undefined-metric-ref"; }
+  std::string_view description() const override { return "oracle"; }
+  void checkProcess(const RuleContext& context, const RankEvents& rank,
+                    Sink& sink) const override {
+    const trace::TraceView& tr = context.trace();
+    const trace::EventSpan events = rank.events();
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (events[i].kind == trace::EventKind::Metric &&
+          events[i].ref >= tr.metrics().size()) {
+        sink.reportAt(Severity::Error, i,
+                      "metric sample references undefined metric");
+      }
+    }
+  }
+};
+
+class SweepMessageEndpoints final : public Rule {
+public:
+  std::string_view id() const override { return "message-endpoints"; }
+  std::string_view description() const override { return "oracle"; }
+  void checkProcess(const RuleContext& context, const RankEvents& rank,
+                    Sink& sink) const override {
+    const trace::TraceView& tr = context.trace();
+    const trace::EventSpan events = rank.events();
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const trace::Event& e = events[i];
+      if (e.kind != trace::EventKind::MpiSend &&
+          e.kind != trace::EventKind::MpiRecv) {
+        continue;
+      }
+      if (e.ref >= tr.processCount()) {
+        sink.reportAt(Severity::Error, i,
+                      "message references undefined peer process");
+      } else if (e.ref == rank.process()) {
+        sink.reportAt(Severity::Error, i, "message to/from self");
+      }
+    }
+  }
+};
+
+class SweepZeroDuration final : public Rule {
+public:
+  std::string_view id() const override { return "zero-duration"; }
+  std::string_view description() const override { return "oracle"; }
+  void checkProcess(const RuleContext& context, const RankEvents& rank,
+                    Sink& sink) const override {
+    const trace::TraceView& tr = context.trace();
+    const trace::EventSpan events = rank.events();
+    std::vector<std::pair<trace::FunctionId,
+                          std::pair<trace::Timestamp, bool>>>
+        stack;  // (function, (enter time, enter time was ordered))
+    trace::Timestamp last = 0;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const trace::Event& e = events[i];
+      const bool ordered = i == 0 || e.time >= last;
+      last = e.time;
+      if (e.ref >= tr.functions().size() ||
+          (e.kind != trace::EventKind::Enter &&
+           e.kind != trace::EventKind::Leave)) {
+        continue;
+      }
+      if (e.kind == trace::EventKind::Enter) {
+        stack.push_back({e.ref, {e.time, ordered}});
+      } else if (!stack.empty() && stack.back().first == e.ref) {
+        if (ordered && stack.back().second.second &&
+            e.time == stack.back().second.first) {
+          sink.reportAt(Severity::Info, i,
+                        "zero-duration invocation of '" +
+                            tr.functions().name(e.ref) + "'");
+        }
+        stack.pop_back();
+      }
+    }
+  }
+};
+
+/// The six rules of the census fold, in registry order.
+const std::vector<std::string>& foldRuleIds() {
+  static const std::vector<std::string> ids = {
+      "clock-monotonicity",   "stack-balance",     "undefined-function-ref",
+      "undefined-metric-ref", "message-endpoints", "zero-duration"};
+  return ids;
+}
+
+/// The serial registry (census rules swapped for their serial sweeps)
+/// with the six fold rules swapped for their per-rule sweeps, in the same
+/// registry order: no rule of it reads the fold.
+const RuleRegistry& sweepRegistry() {
+  static const RuleRegistry registry = [] {
+    const std::map<std::string, std::shared_ptr<const Rule>> sweeps = {
+        {"clock-monotonicity", std::make_shared<SweepClockMonotonicity>()},
+        {"stack-balance", std::make_shared<SweepStackBalance>()},
+        {"undefined-function-ref",
+         std::make_shared<SweepUndefinedFunctionRef>()},
+        {"undefined-metric-ref", std::make_shared<SweepUndefinedMetricRef>()},
+        {"message-endpoints", std::make_shared<SweepMessageEndpoints>()},
+        {"zero-duration", std::make_shared<SweepZeroDuration>()}};
+    RuleRegistry r;
+    for (const auto& rule : serialRegistry().rules()) {
+      const auto sweep = sweeps.find(std::string(rule->id()));
+      r.add(sweep != sweeps.end() ? sweep->second : rule);
+    }
+    return r;
+  }();
+  return registry;
+}
+
+/// `what` up to the source location of a perfvar::Error.
+std::string withoutLocation(const std::string& what) {
+  return what.substr(0, what.find(" [failed: "));
+}
+
+/// Reports each rank's outermost invocations of every defined function as
+/// the census counts them, or the error the census keeps instead.
+class OutermostDump final : public Rule {
+public:
+  std::string_view id() const override { return "outermost-dump"; }
+  std::string_view description() const override { return "census probe"; }
+  bool readsCensus() const override { return true; }
+  void checkTrace(const RuleContext& context, Sink& sink) const override {
+    const TraceCensus& census = context.census();
+    for (trace::ProcessId p = 0; p < census.processCount(); ++p) {
+      std::ostringstream os;
+      try {
+        for (trace::FunctionId f = 0; f < context.trace().functions().size();
+             ++f) {
+          const std::uint64_t n = census.outermostInvocations(p, f);
+          os << ' ' << n;
+        }
+      } catch (const std::exception& e) {
+        os << " error " << withoutLocation(e.what());
+      }
+      sink.reportProcess(Severity::Info, p, os.str());
+    }
+  }
+};
+
+/// OutermostDump's report, from trace::replayEventsWith's pairing of each
+/// rank's events.
+std::string replayedOutermost(const trace::TraceView& view) {
+  LintReport report;
+  report.processCount = view.processCount();
+  report.rulesRun = {"outermost-dump"};
+  const std::size_t functions = view.functions().size();
+  for (trace::ProcessId p = 0; p < view.processCount(); ++p) {
+    std::vector<std::uint64_t> outermost(functions, 0);
+    std::vector<std::uint64_t> open(functions, 0);
+    struct Visitor {
+      std::vector<std::uint64_t>& outermost;
+      std::vector<std::uint64_t>& open;
+      void onEnter(trace::FunctionId f, trace::Timestamp, std::size_t) {
+        if (f < open.size()) {
+          ++open[f];
+        }
+      }
+      void onLeave(const trace::Frame& frame) {
+        if (frame.function < open.size() && --open[frame.function] == 0) {
+          ++outermost[frame.function];
+        }
+      }
+      void onMessage(bool, const trace::Event&) {}
+      void onMetric(const trace::Event&, std::size_t) {}
+    };
+    std::ostringstream os;
+    try {
+      const trace::RankPin pin = view.rank(p);
+      trace::replayEventsWith(pin.events(), Visitor{outermost, open});
+      for (const std::uint64_t n : outermost) {
+        os << ' ' << n;
+      }
+    } catch (const std::exception& e) {
+      os << " error " << withoutLocation(e.what());
+    }
+    report.findings.push_back(Finding{"outermost-dump", Severity::Info,
+                                      static_cast<std::int64_t>(p), -1,
+                                      os.str()});
+  }
+  return formatLintReport(report);
+}
+
+/// Lint `view` with the built-in and the sweep registry, in full and with
+/// each fold rule alone, at 1 and 4 threads: every pair of reports must be
+/// byte-equal. validateStructure() must return the sweeps' structural
+/// findings, and the census the replay's outermost invocations. Returns
+/// the full report.
+std::string expectFoldMatchesSweeps(const trace::TraceView& view,
+                                    const std::string& what) {
+  SCOPED_TRACE(what);
+  std::string full;
+  for (const std::size_t threads : {1ul, 4ul}) {
+    LintOptions options;
+    options.threads = threads;
+    full = formatLintReport(lintTrace(view, options, sweepRegistry()));
+    EXPECT_EQ(formatLintReport(lintTrace(view, options)), full)
+        << threads << " thread(s)";
+    for (const std::string& id : foldRuleIds()) {
+      options.onlyRules = {id};
+      EXPECT_EQ(formatLintReport(lintTrace(view, options)),
+                formatLintReport(lintTrace(view, options, sweepRegistry())))
+          << threads << " thread(s), " << id << " alone";
+    }
+  }
+  LintOptions structural;
+  structural.onlyRules.assign(foldRuleIds().begin(), foldRuleIds().end() - 1);
+  structural.maxFindingsPerRule = 0;
+  const LintReport sweeps = lintTrace(view, structural, sweepRegistry());
+  const std::vector<ValidationIssue> issues = validateStructure(view);
+  EXPECT_EQ(issues.size(), sweeps.findings.size());
+  for (std::size_t i = 0; i < issues.size() && i < sweeps.findings.size();
+       ++i) {
+    const Finding& f = sweeps.findings[i];
+    EXPECT_EQ(static_cast<std::int64_t>(issues[i].process), f.process);
+    EXPECT_EQ(static_cast<std::int64_t>(issues[i].eventIndex), f.eventIndex);
+    EXPECT_EQ(issues[i].message, f.message) << "issue " << i;
+  }
+  RuleRegistry dump;
+  dump.add(std::make_shared<OutermostDump>());
+  EXPECT_EQ(formatLintReport(lintTrace(view, {}, dump)),
+            replayedOutermost(view));
+  return full;
+}
+
+/// Check `tr` eagerly and as a strict lazy view of its v2 image.
+void expectFoldOnBothViews(const Trace& tr, const std::string& what) {
+  expectFoldMatchesSweeps(tr, what + " (eager)");
+  expectFoldMatchesSweeps(
+      openLazy(ft::encodeImage(tr, trace::kBinaryFormatV2), "fold",
+               trace::RecoveryMode::Strict),
+      what + " (lazy)");
+}
+
+/// Every branch of the fold, built by hand (TraceBuilder refuses these).
+/// Rank 0: zero-duration pairs at the stream start, nested, after a
+/// backwards clock, and two that are not findings, one with a backwards
+/// leave and one with a backwards enter. Rank 1: undefined function refs
+/// on enters and leaves between defined frames (the strict pairing fails,
+/// the tolerant one does not). Rank 2: an undefined frame that pairs
+/// strictly. Rank 3: a leave without enter and a mismatched leave, of
+/// functions no enter references, and unclosed frames. Rank 4: self and
+/// out-of-range peers, an undefined metric, an out-of-range event kind, a
+/// backwards first pair. Rank 5: an undefined frame left open, which only
+/// the strict pairing sees.
+Trace foldCornerTrace() {
+  using trace::Event;
+  Trace tr;
+  const trace::FunctionId f = tr.functions.intern("f", "APP");
+  const trace::FunctionId g = tr.functions.intern("g", "APP");
+  tr.functions.intern("never", "APP");
+  const trace::FunctionId h = tr.functions.intern("h", "APP");
+  const trace::FunctionId k = tr.functions.intern("k", "APP");
+  const trace::MetricId m = tr.metrics.intern("cycles", "count");
+  const std::uint32_t undefined = 77;
+  Event oddKind = Event::metric(7, m, 0);
+  oddKind.kind = static_cast<trace::EventKind>(6);
+  const std::vector<std::vector<Event>> ranks = {
+      {Event::enter(0, f), Event::leave(0, f), Event::enter(5, f),
+       Event::enter(5, g), Event::leave(5, g), Event::leave(5, f),
+       Event::metric(9, m, 1), Event::metric(3, m, 2), Event::enter(3, g),
+       Event::leave(3, g), Event::enter(8, f), Event::metric(12, m, 3),
+       Event::leave(8, f), Event::metric(20, m, 4), Event::enter(15, g),
+       Event::leave(15, g), Event::mpiSend(21, 4, 0, 8)},
+      {Event::enter(1, f), Event::enter(2, undefined), Event::leave(3, f),
+       Event::leave(4, undefined), Event::enter(5, undefined),
+       Event::leave(6, undefined), Event::enter(7, g),
+       Event::leave(8, undefined), Event::leave(9, g)},
+      {Event::enter(1, f), Event::enter(2, undefined),
+       Event::leave(3, undefined), Event::leave(4, f), Event::enter(4, f),
+       Event::leave(4, f)},
+      {Event::leave(1, h), Event::enter(2, f), Event::enter(3, g),
+       Event::leave(4, k), Event::leave(5, g), Event::leave(6, f),
+       Event::enter(7, g), Event::enter(8, f)},
+      {Event::enter(20, g), Event::leave(10, g), Event::mpiSend(11, 4, 0, 8),
+       Event::mpiRecv(12, 1000, 0, 8), Event::metric(13, 5, 1),
+       Event::mpiRecv(14, 0, 0, 8), oddKind},
+      {Event::enter(1, f), Event::leave(2, f), Event::enter(3, f),
+       Event::leave(4, f), Event::enter(5, undefined)}};
+  for (std::size_t p = 0; p < ranks.size(); ++p) {
+    tr.processes.push_back({"p" + std::to_string(p), ranks[p]});
+  }
+  return tr;
+}
+
+TEST(LintFold, MatchesThePerRuleSweeps) {
+  const Trace corners = foldCornerTrace();
+  const std::string report = expectFoldMatchesSweeps(corners, "fold corners");
+  for (const std::string& id : foldRuleIds()) {
+    EXPECT_NE(report.find("[" + id + "]"), std::string::npos) << id;
+  }
+  expectFoldOnBothViews(corners, "fold corners");
+
+  const Trace skewed = recursiveStepTrace(6, 12, 4);
+  const Trace synthetic = syntheticTrace(4, 16);
+  for (const Trace* base : {&skewed, &synthetic}) {
+    const std::string name = base == &skewed ? "skewed" : "synthetic";
+    expectFoldOnBothViews(*base, name);
+    expectFoldOnBothViews(badPeers(*base), name + " bad peers");
+    expectFoldOnBothViews(unbalance(*base), name + " unbalanced");
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      expectFoldOnBothViews(scramble(*base, seed, 1 + seed % 12),
+                            name + " scramble seed " + std::to_string(seed));
+    }
+  }
+
+  // Salvage damage, eager and lazy, and undecodable blocks on a strict
+  // lazy view: every fold rule aborts with the pin's error on that rank.
+  const Image clean = ft::encodeImage(skewed, trace::kBinaryFormatV2);
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    FaultInjector inj(seed);
+    const Image bad = inj.bitFlip(clean, clean.size() / 3, clean.size(),
+                                  1 + seed % 3);
+    const std::string what = "salvaged bit-flip seed " + std::to_string(seed);
+    Trace tr;
+    if (salvage(bad, tr)) {
+      expectFoldMatchesSweeps(tr, what + " (eager)");
+    }
+    try {
+      expectFoldMatchesSweeps(
+          openLazy(bad, "fold_salvage", trace::RecoveryMode::Salvage),
+          what + " (lazy)");
+    } catch (const Error&) {
+      // global damage: the open itself fails, nothing to lint
+    }
+  }
+  for (std::size_t rank = 1; rank < 6; rank += 2) {
+    const std::string aborted = expectFoldMatchesSweeps(
+        openLazy(FaultInjector::oversizeCount(clean, rank), "fold_oversize",
+                 trace::RecoveryMode::Strict),
+        "oversized block of rank " + std::to_string(rank));
+    EXPECT_NE(aborted.find("[zero-duration] process " + std::to_string(rank) +
+                          ": rule aborted"),
+              std::string::npos);
   }
 }
 

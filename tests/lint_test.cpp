@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -502,6 +504,106 @@ TEST(LintRegistry, ThrowingRuleBecomesAFindingNotACrash) {
   ASSERT_EQ(report.findings.size(), 5u);
   EXPECT_EQ(report.findings[0].message, "rule aborted: per-rank boom");
   EXPECT_EQ(report.findings[4].message, "rule aborted: global boom");
+}
+
+/// A custom per-rank rule on the fallback path: it reads the rank's events
+/// itself and fires where the clock goes back, on the same event as the
+/// fold's clock-monotonicity finding. With `boom`, it reports on event 0
+/// and then throws.
+class BackwardsClockRule final : public Rule {
+public:
+  explicit BackwardsClockRule(bool boom = false) : boom_(boom) {}
+  std::string_view id() const override { return "backwards-clock"; }
+  std::string_view description() const override {
+    return "custom rule with its own loop";
+  }
+  void checkProcess(const RuleContext&, const RankEvents& rank,
+                    Sink& sink) const override {
+    const trace::EventSpan events = rank.events();
+    if (boom_) {
+      sink.reportAt(Severity::Info, 0, "first event");
+      throw std::runtime_error("custom boom");
+    }
+    for (std::size_t i = 1; i < events.size(); ++i) {
+      if (events[i].time < events[i - 1].time) {
+        sink.reportAt(Severity::Warning, i, "clock went back");
+      }
+    }
+  }
+
+private:
+  bool boom_;
+};
+
+TEST(LintRegistry, CustomPerRankRuleInterleavesWithTheFold) {
+  const Trace dirty = dirtyTrace(3);
+  const LintReport builtin = lintTrace(dirty);
+  const auto rule = std::make_shared<BackwardsClockRule>();
+  RuleRegistry last = RuleRegistry::builtin();
+  last.add(rule);
+  RuleRegistry first;
+  first.add(rule);
+  for (const auto& r : RuleRegistry::builtin().rules()) {
+    first.add(r);
+  }
+  // The custom finding sits at clock-monotonicity's event; registry order
+  // breaks the tie.
+  for (const bool customFirst : {false, true}) {
+    LintReport expected = builtin;
+    expected.rulesRun.emplace_back("backwards-clock");
+    expected.findings.clear();
+    std::size_t ties = 0;
+    for (const Finding& f : builtin.findings) {
+      const Finding custom{"backwards-clock", Severity::Warning, f.process,
+                           f.eventIndex, "clock went back"};
+      const bool tie = f.rule == "clock-monotonicity";
+      ties += tie ? 1 : 0;
+      if (tie && customFirst) {
+        expected.findings.push_back(custom);
+      }
+      expected.findings.push_back(f);
+      if (tie && !customFirst) {
+        expected.findings.push_back(custom);
+      }
+    }
+    ASSERT_EQ(ties, 3u);
+    for (const std::size_t threads : {1ul, 4ul}) {
+      LintOptions options;
+      options.threads = threads;
+      EXPECT_EQ(formatLintReport(
+                    lintTrace(dirty, options, customFirst ? first : last)),
+                formatLintReport(expected))
+          << threads << " thread(s), custom rule "
+          << (customFirst ? "first" : "last");
+    }
+  }
+}
+
+TEST(LintRegistry, ThrowingCustomRuleAbortsOnlyItself) {
+  const Trace dirty = dirtyTrace(3);
+  const LintReport builtin = lintTrace(dirty);
+  RuleRegistry registry = RuleRegistry::builtin();
+  registry.add(std::make_shared<BackwardsClockRule>(true));
+  for (const std::size_t threads : {1ul, 4ul}) {
+    LintOptions options;
+    options.threads = threads;
+    const LintReport report = lintTrace(dirty, options, registry);
+    std::vector<Finding> others;
+    std::vector<Finding> custom;
+    for (const Finding& f : report.findings) {
+      (f.rule == "backwards-clock" ? custom : others).push_back(f);
+    }
+    EXPECT_EQ(others, builtin.findings);
+    ASSERT_EQ(custom.size(), 6u);
+    for (std::size_t p = 0; p < 3; ++p) {
+      const auto rank = static_cast<std::int64_t>(p);
+      EXPECT_EQ(custom[2 * p],
+                (Finding{"backwards-clock", Severity::Warning, rank, -1,
+                         "rule aborted: custom boom"}));
+      EXPECT_EQ(custom[2 * p + 1], (Finding{"backwards-clock", Severity::Info,
+                                            rank, 0, "first event"}));
+    }
+  }
 }
 
 /// Reports each rank's census as one finding; declares that it reads the
