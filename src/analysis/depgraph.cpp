@@ -23,11 +23,18 @@ namespace perfvar::analysis {
 
 namespace {
 
-/// One open frame of the tolerant stack replay.
+/// The sync-enter time of a frame with no sync-classified frame at or
+/// below it: min(kNoSync, t) is t, the waitStart outside any sync region.
+constexpr trace::Timestamp kNoSync =
+    std::numeric_limits<trace::Timestamp>::max();
+
+/// One open frame of the tolerant stack replay. `syncEnter` is the Enter
+/// time of the innermost sync-classified frame at or below this one,
+/// inherited at the push, so a receive reads its waitStart off the top
+/// frame alone.
 struct Frame {
   trace::FunctionId function = trace::kInvalidFunction;
-  trace::Timestamp enter = 0;
-  bool sync = false;
+  trace::Timestamp syncEnter = kNoSync;
 };
 
 /// Nodes and attribution of one contiguous rank range, in rank order.
@@ -39,112 +46,110 @@ struct RangeBuffer {
   std::vector<FunctionTicks> attribution;
 };
 
-/// Accumulate `ticks` of exclusive time in `function` into the pending
-/// attribution list (insertion order; intervals touch few functions, so
-/// the linear scan beats a map).
-void addAttribution(std::vector<FunctionTicks>& pending,
-                    trace::FunctionId function, std::uint64_t ticks) {
-  if (ticks == 0) {
-    return;
-  }
-  for (FunctionTicks& entry : pending) {
-    if (entry.function == function) {
-      entry.ticks += ticks;
-      return;
-    }
-  }
-  pending.push_back(FunctionTicks{function, ticks});
-}
-
 /// Append the nodes of one rank to `out` and return how many: tolerant
 /// enter/leave replay (hostile streams never throw — unmatched leaves and
 /// dangling refs degrade to "outside any function"), per-function
 /// attribution between consecutive nodes, and the waitStart of receives
-/// from the innermost enclosing sync-classified region. `stack` and
-/// `pending` are scratch, reused across the ranks of a range.
+/// from the innermost enclosing sync-classified region. `stack` is
+/// scratch, reused across the ranks of a range.
+///
+/// Attribution is run-length. While the top of the stack stays the same,
+/// ticks accumulate in `run`, which is folded into the open slice (the
+/// tail of `out.attribution` from `sliceBegin`) only at an enter, at a
+/// non-empty leave and when a node closes the slice. No other function
+/// gets ticks during a run, so the slice keeps first-tick order.
 std::size_t extractRank(const trace::TraceView& view, trace::ProcessId rank,
                         std::size_t functionCount,
                         const std::vector<bool>& syncMask,
-                        std::vector<Frame>& stack,
-                        std::vector<FunctionTicks>& pending,
-                        RangeBuffer& out) {
+                        std::vector<Frame>& stack, RangeBuffer& out) {
   const trace::RankPin pin = view.rank(rank);
   const trace::EventSpan events = pin.events();
   const std::size_t firstNode = out.nodes.size();
-
   stack.clear();
-  pending.clear();
-  const trace::Timestamp first = events.size() > 0 ? events[0].time : 0;
 
-  const auto flushNode = [&](DepNode node) {
-    node.process = rank;
-    // The slice must stay addressable through a uint32 offset; a pool
-    // beyond that (a >4G-entry trace) drops further attribution rather
-    // than failing — the robustness contract over precision.
-    const std::size_t attrBegin = out.attribution.size();
-    if (attrBegin + pending.size() <=
-        std::numeric_limits<std::uint32_t>::max()) {
-      node.attrBegin = static_cast<std::uint32_t>(attrBegin);
-      node.attrCount = static_cast<std::uint32_t>(pending.size());
+  trace::FunctionId top = trace::kInvalidFunction;
+  std::uint64_t run = 0;
+  std::size_t sliceBegin = out.attribution.size();
+  const auto foldRun = [&] {
+    if (run == 0) {
+      return;
     }
-    out.attribution.insert(out.attribution.end(), pending.begin(),
-                           pending.end());
-    pending.clear();
-    out.nodes.push_back(node);
+    const auto slice = out.attribution.begin() +
+                       static_cast<std::ptrdiff_t>(sliceBegin);
+    const auto entry = std::find_if(
+        slice, out.attribution.end(),
+        [&](const FunctionTicks& e) { return e.function == top; });
+    if (entry != out.attribution.end()) {
+      entry->ticks += run;
+    } else {
+      out.attribution.push_back(FunctionTicks{top, run});
+    }
+    run = 0;
+  };
+  // Close the open slice into a new node, built in place. The slice must
+  // stay addressable through a uint32 offset; a pool beyond that (a
+  // >4G-entry trace) drops further attribution rather than failing — the
+  // robustness contract over precision.
+  const auto emit = [&](DepNodeKind kind, trace::Timestamp time) -> DepNode& {
+    foldRun();
+    DepNode& node = out.nodes.emplace_back();
+    node.kind = kind;
+    node.time = node.waitStart = time;
+    node.process = rank;
+    const std::size_t sliceEnd = out.attribution.size();
+    if (sliceEnd <= std::numeric_limits<std::uint32_t>::max()) {
+      node.attrBegin = static_cast<std::uint32_t>(sliceBegin);
+      node.attrCount = static_cast<std::uint32_t>(sliceEnd - sliceBegin);
+    }
+    sliceBegin = sliceEnd;
+    return node;
   };
 
-  DepNode start;
-  start.kind = DepNodeKind::RankStart;
-  start.time = start.waitStart = first;
-  flushNode(start);
-
-  trace::Timestamp cursor = first;
+  trace::Timestamp cursor = events.size() > 0 ? events[0].time : 0;
+  emit(DepNodeKind::RankStart, cursor);
   for (std::size_t i = 0; i < events.size(); ++i) {
     const trace::Event& e = events[i];
     const trace::Timestamp t = e.time;
     if (t > cursor) {
-      const trace::FunctionId top =
-          stack.empty() ? trace::kInvalidFunction : stack.back().function;
-      addAttribution(pending, top, t - cursor);
+      run += t - cursor;
       cursor = t;
     }
     switch (e.kind) {
       case trace::EventKind::Enter: {
+        foldRun();
         Frame frame;
         frame.function = e.ref < functionCount ? e.ref
                                                : trace::kInvalidFunction;
-        frame.enter = t;
-        frame.sync = frame.function != trace::kInvalidFunction &&
-                     syncMask[frame.function];
+        if (frame.function != trace::kInvalidFunction &&
+            syncMask[frame.function]) {
+          frame.syncEnter = t;
+        } else if (!stack.empty()) {
+          frame.syncEnter = stack.back().syncEnter;
+        }
         stack.push_back(frame);
+        top = frame.function;
         break;
       }
       case trace::EventKind::Leave:
         if (!stack.empty()) {
+          foldRun();
           stack.pop_back();
+          top = stack.empty() ? trace::kInvalidFunction
+                              : stack.back().function;
         }
         break;
       case trace::EventKind::MpiSend:
       case trace::EventKind::MpiRecv: {
-        DepNode node;
-        node.kind = e.kind == trace::EventKind::MpiSend ? DepNodeKind::Send
-                                                        : DepNodeKind::Recv;
-        node.time = t;
+        const bool isRecv = e.kind == trace::EventKind::MpiRecv;
+        DepNode& node =
+            emit(isRecv ? DepNodeKind::Recv : DepNodeKind::Send, t);
         node.eventIndex = static_cast<std::int64_t>(i);
         node.peer = e.ref;
         node.tag = e.aux;
-        node.function =
-            stack.empty() ? trace::kInvalidFunction : stack.back().function;
-        node.waitStart = t;
-        if (node.kind == DepNodeKind::Recv) {
-          for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-            if (it->sync) {
-              node.waitStart = std::min(it->enter, t);
-              break;
-            }
-          }
+        node.function = top;
+        if (isRecv && !stack.empty()) {
+          node.waitStart = std::min(stack.back().syncEnter, t);
         }
-        flushNode(node);
         break;
       }
       case trace::EventKind::Metric:
@@ -152,10 +157,7 @@ std::size_t extractRank(const trace::TraceView& view, trace::ProcessId rank,
     }
   }
 
-  DepNode end;
-  end.kind = DepNodeKind::RankEnd;
-  end.time = end.waitStart = cursor;
-  flushNode(end);
+  emit(DepNodeKind::RankEnd, cursor);
   return out.nodes.size() - firstNode;
 }
 
@@ -202,12 +204,13 @@ std::uint64_t mixChannel(std::uint64_t x) {
 /// sends all lie on the sender's rank and its receives on the receiver's,
 /// each in stream order = node order, so the k-th send pairs with the
 /// k-th receive. Valid message nodes are count-sorted by sender (stable in
-/// node order) into one flat array. Inside a sender's bucket each record
-/// gets its channel's slot from an open-addressing table, and a stable
-/// counting sort by (slot, isRecv) puts every channel's sends, in node
-/// order, just ahead of its receives, in node order. A bucket never holds
+/// node order) into one flat array. Inside a sender's bucket, a backward
+/// pass threads each channel's sends, in node order, into a chain whose
+/// head sits in an open-addressing table keyed by (receiver, tag); a
+/// forward pass over the bucket's receives, in node order, pops each
+/// receive's partner off its channel's chain. A bucket never holds
 /// another sender's records, so two senders sharing (receiver, tag) stay
-/// apart; the slot numbering changes no match and no counter.
+/// apart; the table layout changes no match and no counter.
 void matchMessages(DepGraph& graph) {
   const std::size_t ranks = graph.processCount;
   const auto senderOf = [&](const DepNode& node) -> std::size_t {
@@ -258,13 +261,14 @@ void matchMessages(DepGraph& graph) {
                       (isRecv ? kRecvBit : 0) | static_cast<std::uint64_t>(i)};
   }
 
-  // Per-bucket scratch, reused: the channel table (slot + 1, 0 = empty),
-  // each record's slot, the group offsets and the grouped node indices.
+  // Per-bucket scratch, reused: the channel table (channel, first unmatched
+  // send of its chain; kEmpty marks a free entry, kDrained an entry whose
+  // sends are all taken) and each send's successor in its chain.
+  constexpr std::size_t kEmpty = std::numeric_limits<std::size_t>::max();
+  constexpr std::size_t kDrained = kEmpty - 1;
   std::vector<std::uint64_t> tableChannel;
-  std::vector<std::size_t> tableSlot;
-  std::vector<std::size_t> slotOf;
-  std::vector<std::size_t> groupEnd;
-  std::vector<std::size_t> grouped;
+  std::vector<std::size_t> tableHead;
+  std::vector<std::size_t> next;
   for (std::size_t s = 0; s < ranks; ++s) {
     const MessageRecord* bucket = records.data() + bucketBegin[s];
     const std::size_t n = bucketBegin[s + 1] - bucketBegin[s];
@@ -274,52 +278,39 @@ void matchMessages(DepGraph& graph) {
     const std::size_t capacity = std::bit_ceil(2 * n);
     const std::size_t mask = capacity - 1;
     tableChannel.resize(capacity);
-    tableSlot.assign(capacity, 0);
-    slotOf.resize(n);
-    std::size_t slots = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t channel = bucket[i].channel;
+    tableHead.assign(capacity, kEmpty);
+    next.resize(n);
+    const auto find = [&](std::uint64_t channel) {
       std::size_t at = mixChannel(channel) & mask;
-      while (tableSlot[at] != 0 && tableChannel[at] != channel) {
+      while (tableHead[at] != kEmpty && tableChannel[at] != channel) {
         at = (at + 1) & mask;
       }
-      if (tableSlot[at] == 0) {
-        tableChannel[at] = channel;
-        tableSlot[at] = ++slots;
-      }
-      slotOf[i] = tableSlot[at] - 1;
-    }
-
-    // Stable counting sort by key 2 * slot + isRecv. After the placement
-    // pass groupEnd[k] is the end of group k, and the start of group k + 1.
-    const auto keyOf = [&](std::size_t i) {
-      return 2 * slotOf[i] + ((bucket[i].node & kRecvBit) != 0 ? 1 : 0);
+      return at;
     };
-    groupEnd.assign(2 * slots, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      groupEnd[keyOf(i)] += 1;
-    }
-    std::size_t offset = 0;
-    for (std::size_t& count : groupEnd) {
-      offset += std::exchange(count, offset);
-    }
-    grouped.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      grouped[groupEnd[keyOf(i)]++] = bucket[i].node & ~kRecvBit;
-    }
-
-    for (std::size_t c = 0; c < slots; ++c) {
-      const std::size_t sendBegin = c == 0 ? 0 : groupEnd[2 * c - 1];
-      const std::size_t recvBegin = groupEnd[2 * c];
-      const std::size_t paired =
-          std::min(recvBegin - sendBegin, groupEnd[2 * c + 1] - recvBegin);
-      for (std::size_t k = 0; k < paired; ++k) {
-        const std::size_t send = grouped[sendBegin + k];
-        const std::size_t recv = grouped[recvBegin + k];
-        graph.nodes[send].match = static_cast<std::int64_t>(recv);
-        graph.nodes[recv].match = static_cast<std::int64_t>(send);
+    for (std::size_t i = n; i-- > 0;) {
+      if ((bucket[i].node & kRecvBit) != 0) {
+        continue;
       }
-      graph.stats.matchedPairs += paired;
+      const std::size_t at = find(bucket[i].channel);
+      tableChannel[at] = bucket[i].channel;
+      next[i] = tableHead[at] == kEmpty ? kDrained : tableHead[at];
+      tableHead[at] = i;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if ((bucket[i].node & kRecvBit) == 0) {
+        continue;
+      }
+      const std::size_t at = find(bucket[i].channel);
+      const std::size_t j = tableHead[at];
+      if (j >= kDrained) {
+        continue;
+      }
+      tableHead[at] = next[j];
+      const std::size_t send = bucket[j].node;
+      const std::size_t recv = bucket[i].node & ~kRecvBit;
+      graph.nodes[send].match = static_cast<std::int64_t>(recv);
+      graph.nodes[recv].match = static_cast<std::int64_t>(send);
+      graph.stats.matchedPairs += 1;
     }
   }
   graph.stats.unmatchedSends = validSends - graph.stats.matchedPairs;
@@ -348,12 +339,10 @@ DepGraph buildDepGraph(const trace::TraceView& trace,
       pool, graph.processCount, [&](std::size_t begin, std::size_t end) {
         RangeBuffer& range = ranges[begin];
         std::vector<Frame> stack;
-        std::vector<FunctionTicks> pending;
         for (std::size_t p = begin; p < end; ++p) {
           graph.rankNodes[p].second =
               extractRank(trace, static_cast<trace::ProcessId>(p),
-                          graph.functionCount, syncMask, stack, pending,
-                          range);
+                          graph.functionCount, syncMask, stack, range);
           if (p == begin) {
             reserveRange(end - begin, range);
           }

@@ -1,6 +1,8 @@
 #include "vis/svg.hpp"
 
+#include <bit>
 #include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <string_view>
 
@@ -14,14 +16,62 @@ void put(std::string& out, std::string_view s) { out += s; }
 
 void put(std::string& out, char c) { out += c; }
 
-/// Two fixed decimals via std::to_chars, which the standard specifies to
-/// print what printf("%.2f") prints (nan/inf spelled alike). The buffer
-/// holds the widest double: 309 integer digits, sign, point, 2 decimals.
+/// Two fixed decimals, as printf("%.2f") prints them: the exact binary
+/// value rounded to nearest, ties to even, with the sign of the value
+/// (so -0.0 prints "-0.00").
+///
+/// A finite v with |v| < 2^53 is m * 2^-s for an integer m < 2^53 and
+/// 0 <= s <= 1074, so 100 v is (100 m) / 2^s with 100 m < 2^60. One
+/// 64-bit shift gives its integer part, the shifted-out bits are the
+/// exact remainder, and comparing them with 2^(s-1) rounds half to even;
+/// for s >= 61 the remainder 100 m is below the half and 100 v rounds to
+/// 0. No step rounds, so the digits are exact. nan, inf and |v| >= 2^53
+/// take std::to_chars, which the standard specifies to print what printf
+/// prints (nan/inf spelled alike); its buffer holds the widest double:
+/// 309 integer digits, sign, point, 2 decimals.
 void put(std::string& out, double v) {
-  char buf[320];
-  const std::to_chars_result r =
-      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, 2);
-  out.append(buf, r.ptr);
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  const auto biased = static_cast<unsigned>(bits >> 52) & 0x7ffU;
+  if (biased >= 1023 + 53) {
+    char buf[320];
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, 2);
+    out.append(buf, r.ptr);
+    return;
+  }
+  constexpr std::uint64_t kHidden = std::uint64_t{1} << 52;
+  const std::uint64_t fraction = bits & (kHidden - 1);
+  // Subnormals (biased 0) have no hidden bit and the exponent of biased 1.
+  const std::uint64_t mantissa = biased == 0 ? fraction : fraction | kHidden;
+  const std::uint64_t scaled = mantissa * 100;
+  const unsigned shift = 1075 - (biased == 0 ? 1 : biased);
+  std::uint64_t cents = shift == 0 ? scaled : 0;
+  if (shift > 0 && shift < 64) {
+    cents = scaled >> shift;
+    const std::uint64_t rest = scaled & ((std::uint64_t{1} << shift) - 1);
+    const std::uint64_t half = std::uint64_t{1} << (shift - 1);
+    if (rest > half || (rest == half && (cents & 1) != 0)) {
+      ++cents;
+    }
+  }
+  // At most 16 integer digits (|v| < 2^53 < 10^16), the point, two
+  // decimals and the sign.
+  char buf[24];
+  char* const end = buf + sizeof buf;
+  char* p = end;
+  const auto decimals = static_cast<unsigned>(cents % 100);
+  *--p = static_cast<char>('0' + decimals % 10);
+  *--p = static_cast<char>('0' + decimals / 10);
+  *--p = '.';
+  std::uint64_t whole = cents / 100;
+  do {
+    *--p = static_cast<char>('0' + whole % 10);
+    whole /= 10;
+  } while (whole != 0);
+  if ((bits >> 63) != 0) {
+    *--p = '-';
+  }
+  out.append(p, end);
 }
 
 /// "#rrggbb" is seven characters, inside std::string's small buffer, so

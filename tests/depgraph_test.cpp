@@ -926,6 +926,105 @@ Trace randomNestingTrace(Rng& rng) {
   return tr;
 }
 
+/// Hostile streams for the run-length replay, eager only: the clocks step
+/// backwards mid-frame, so the trace does not round-trip through a v2
+/// file. Runs of zero-length intervals, receives under two sync regions
+/// with a compute frame between them (and under one sync region below a
+/// compute frame), undefined functions entered inside a sync region, and
+/// leaves on an empty stack between messages.
+Trace randomHostileReplayTrace(Rng& rng) {
+  Trace tr;
+  const trace::FunctionId work = tr.functions.intern("work", "APP");
+  const trace::FunctionId recvFn =
+      tr.functions.intern("MPI_Recv", "MPI", trace::Paradigm::MPI);
+  const trace::FunctionId inner = tr.functions.intern("inner", "APP");
+  const trace::FunctionId wait =
+      tr.functions.intern("MPI_Wait", "MPI", trace::Paradigm::MPI);
+  const auto processes = static_cast<std::uint32_t>(rng.uniformInt(2, 8));
+  for (std::uint32_t p = 0; p < processes; ++p) {
+    trace::ProcessTrace proc;
+    proc.name = "p" + std::to_string(p);
+    auto t = static_cast<trace::Timestamp>(rng.uniformInt(0, 40));
+    std::size_t depth = 0;
+    // Three in ten steps keep the clock (zero-length intervals), one in
+    // ten steps it backwards, the rest advance it.
+    const auto tick = [&] {
+      const std::int64_t r = rng.uniformInt(0, 9);
+      if (r == 9) {
+        t -= std::min<trace::Timestamp>(
+            t, static_cast<trace::Timestamp>(rng.uniformInt(1, 20)));
+      } else if (r >= 3) {
+        t += static_cast<trace::Timestamp>(rng.uniformInt(1, 6));
+      }
+      return t;
+    };
+    const auto enter = [&](trace::FunctionId fn) {
+      proc.events.push_back(Event::enter(tick(), fn));
+      ++depth;
+    };
+    const auto leave = [&] {
+      proc.events.push_back(Event::leave(tick(), work));
+      depth -= depth > 0 ? 1 : 0;
+    };
+    const auto message = [&](bool recv) {
+      const auto peer =
+          static_cast<trace::ProcessId>(rng.uniformInt(0, processes - 1));
+      const auto tag = static_cast<std::uint32_t>(rng.uniformInt(0, 1));
+      proc.events.push_back(recv ? Event::mpiRecv(tick(), peer, tag, 8)
+                                 : Event::mpiSend(tick(), peer, tag, 8));
+    };
+    const auto leaveSome = [&] {
+      for (std::int64_t n = rng.uniformInt(0, 3); n > 0; --n) {
+        leave();
+      }
+    };
+    const std::int64_t steps = rng.uniformInt(0, 30);
+    for (std::int64_t step = 0; step < steps; ++step) {
+      switch (rng.uniformInt(0, 6)) {
+        case 0:  // sync, compute, sync, then the receive
+          enter(wait);
+          enter(inner);
+          enter(recvFn);
+          message(true);
+          leaveSome();
+          break;
+        case 1:  // a receive under one sync region below a compute frame
+          enter(recvFn);
+          enter(work);
+          message(true);
+          leaveSome();
+          break;
+        case 2:  // an undefined function entered inside a sync region
+          enter(wait);
+          enter(static_cast<trace::FunctionId>(rng.uniformInt(4, 90)));
+          message(rng.uniformInt(0, 1) == 0);
+          leaveSome();
+          break;
+        case 3:  // leaves on an empty stack between messages
+          while (depth > 0) {
+            leave();
+          }
+          leave();
+          message(false);
+          leave();
+          message(true);
+          break;
+        case 4:
+          enter(static_cast<trace::FunctionId>(rng.uniformInt(0, 5)));
+          break;
+        case 5:
+          leave();
+          break;
+        default:
+          message(rng.uniformInt(0, 1) == 0);
+          break;
+      }
+    }
+    tr.processes.push_back(std::move(proc));
+  }
+  return tr;
+}
+
 /// A lazy v2 view of `tr` whose shard budget holds about a quarter of the
 /// decoded trace, so a sweep over the ranks evicts.
 trace::TraceView lazyView(const Trace& tr, const std::string& tag) {
@@ -970,6 +1069,13 @@ TEST(DepGraphBuild, EqualsThePerRankOracle) {
     expectMatchesReference(nested, what + " (nesting, eager)");
     expectMatchesReference(lazyView(nested, "nesting"),
                            what + " (nesting, lazy)");
+  }
+  // Its own seed, so the traces above stay what they were.
+  Rng hostileRng(20161019);
+  for (int trial = 0; trial < 200; ++trial) {
+    const Trace hostile = randomHostileReplayTrace(hostileRng);
+    expectMatchesReference(hostile,
+                           "hostile replay trial " + std::to_string(trial));
   }
 
   // Dangling function refs: every enter names an undefined function.

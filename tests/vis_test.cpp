@@ -1,15 +1,20 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "apps/paper_examples.hpp"
 #include "support/fault_injection.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/builder.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "vis/color.hpp"
 #include "vis/heatmap.hpp"
 #include "vis/svg.hpp"
@@ -19,6 +24,7 @@ namespace perfvar::vis {
 namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// One filled `<rect>` of an SVG document.
 struct SvgRect {
@@ -160,43 +166,147 @@ TEST(Svg, ProducesWellFormedDocument) {
   EXPECT_EQ(doc.find("<world>"), std::string::npos);
 }
 
+// The SVG of rects whose coordinates are `values`, four to a rect, as a
+// `fixed`/`precision(2)` stream prints it (printf "%.2f").
+std::string streamReferenceSvg(const std::vector<double>& values, Rgb fill) {
+  std::ostringstream expected;
+  expected.setf(std::ios::fixed);
+  expected.precision(2);
+  expected << "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
+           << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << 1.0
+           << "\" height=\"" << 1.0 << "\" viewBox=\"0 0 " << 1.0 << ' '
+           << 1.0 << "\">\n";
+  for (std::size_t i = 0; i < values.size(); i += 4) {
+    expected << "<rect x=\"" << values[i] << "\" y=\"" << values[i + 1]
+             << "\" width=\"" << values[i + 2] << "\" height=\""
+             << values[i + 3] << "\" fill=\"" << fill.hex() << "\"/>\n";
+  }
+  expected << "</svg>\n";
+  return expected.str();
+}
+
+// The same rects as SvgDocument prints them.
+std::string svgOf(const std::vector<double>& values, Rgb fill) {
+  SvgDocument svg(1, 1);
+  for (std::size_t i = 0; i < values.size(); i += 4) {
+    svg.rect(values[i], values[i + 1], values[i + 2], values[i + 3], fill);
+  }
+  return svg.finalize();
+}
+
+// Every number of `values` formats as the stream reference does, checked
+// in documents of a thousand rects (the last one padded with zeros); a
+// mismatching document is narrowed down to its first mismatching value.
+void expectStreamFormatting(std::vector<double> values,
+                            const std::string& what) {
+  const Rgb fill{18, 52, 171};
+  values.resize((values.size() + 3) / 4 * 4, 0.0);
+  constexpr std::size_t kBatch = 4096;
+  for (std::size_t begin = 0; begin < values.size(); begin += kBatch) {
+    const auto first = values.begin() + static_cast<std::ptrdiff_t>(begin);
+    const std::vector<double> batch(
+        first, first + static_cast<std::ptrdiff_t>(
+                           std::min(kBatch, values.size() - begin)));
+    if (svgOf(batch, fill) == streamReferenceSvg(batch, fill)) {
+      continue;
+    }
+    for (const double v : batch) {
+      const std::vector<double> one = {v, v, v, v};
+      ASSERT_EQ(svgOf(one, fill), streamReferenceSvg(one, fill))
+          << what << ": value " << std::hexfloat << v;
+    }
+  }
+}
+
 // Every number of an SVG element prints as a `fixed`/`precision(2)`
 // stream does (printf "%.2f"): round-half-even on the exact binary value,
 // signed zero, huge magnitudes in full, and nan/inf spelled as printf
-// spells them.
+// spells them. The exact integer path below 2^53 and the std::to_chars
+// path above it both meet the reference on each sweep.
 TEST(Svg, NumbersFormatLikeAFixedTwoDigitStream) {
-  const double values[] = {-0.0,
-                           0.0,
-                           0.005,
-                           0.015,
-                           0.125,
-                           2.675,
-                           -1234.565,
-                           1e15,
-                           1e300,
-                           -1e300,
-                           std::numeric_limits<double>::denorm_min(),
-                           -1e-310,
-                           kNaN,
-                           -kNaN,
-                           std::numeric_limits<double>::infinity(),
-                           -std::numeric_limits<double>::infinity()};
-  const Rgb fill{18, 52, 171};
-  for (const double v : values) {
-    SvgDocument svg(1, 1);
-    svg.rect(v, -v, v, v, fill);
-    std::ostringstream expected;
-    expected.setf(std::ios::fixed);
-    expected.precision(2);
-    expected << "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
-             << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << 1.0
-             << "\" height=\"" << 1.0 << "\" viewBox=\"0 0 " << 1.0 << ' '
-             << 1.0 << "\">\n"
-             << "<rect x=\"" << v << "\" y=\"" << -v << "\" width=\"" << v
-             << "\" height=\"" << v << "\" fill=\"" << fill.hex() << "\"/>\n"
-             << "</svg>\n";
-    EXPECT_EQ(svg.finalize(), expected.str()) << "value " << v;
+  std::vector<double> specials;
+  for (const double v : {0.0, 0.005, 0.015, 0.125, 2.675, 1234.565, 1e15,
+                         1e300, std::numeric_limits<double>::denorm_min(),
+                         1e-310, kNaN, kInf}) {
+    specials.push_back(v);
+    specials.push_back(-v);
   }
+  expectStreamFormatting(specials, "special values");
+
+  // Seeded random bit patterns: one in eight over every exponent, the rest
+  // with an exponent where two decimals still show digits below 2^53.
+  Rng rng(20160816);
+  std::vector<double> random;
+  for (int i = 0; i < 1'000'000; ++i) {
+    std::uint64_t bits = rng();
+    if (i % 8 != 0) {
+      const auto exponent = static_cast<std::uint64_t>(
+          rng.uniformInt(1023 - 12, 1023 + 53));
+      bits = (bits & ~(std::uint64_t{0x7ff} << 52)) | exponent << 52;
+    }
+    random.push_back(std::bit_cast<double>(bits));
+  }
+  expectStreamFormatting(random, "random bit patterns");
+
+  // Exact binary ties at the third decimal and their neighbours: k/8 and
+  // k * 2^-s, which the rounding must send to the even cent.
+  std::vector<double> ties;
+  for (int k = -4000; k <= 4000; ++k) {
+    ties.push_back(k / 8.0);
+    for (int s = 3; s <= 12; ++s) {
+      const double v = std::ldexp(static_cast<double>(k), -s);
+      ties.push_back(v);
+      ties.push_back(std::nextafter(v, -kInf));
+      ties.push_back(std::nextafter(v, kInf));
+    }
+  }
+  expectStreamFormatting(ties, "binary ties");
+
+  // Every double within 64 ulps of 2^53 on both sides, where the integer
+  // path hands over to std::to_chars.
+  std::vector<double> edge;
+  for (const double sign : {1.0, -1.0}) {
+    double below = sign * 0x1p53;
+    double above = below;
+    edge.push_back(below);
+    for (int step = 0; step < 64; ++step) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, sign * kInf);
+      edge.push_back(below);
+      edge.push_back(above);
+    }
+  }
+  expectStreamFormatting(edge, "2^53 boundary");
+
+  // Subnormals: the smallest, the largest, and a seeded spread between.
+  std::vector<double> subnormals = {
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::nextafter(std::numeric_limits<double>::min(), 0.0)};
+  for (int i = 0; i < 10'000; ++i) {
+    const std::uint64_t bits = rng() & ((std::uint64_t{1} << 52) - 1);
+    subnormals.push_back(std::bit_cast<double>(bits));
+    subnormals.push_back(-std::bit_cast<double>(bits));
+  }
+  expectStreamFormatting(subnormals, "subnormals");
+
+  // The heatmap's own grid, computed as renderHeatmapSvg computes it, for
+  // the benchmark's 160 x 100 cosmo matrix (cells 5.625 x 5) and for every
+  // other column count up to 900: cell origins 4 + w c, sizes w + 0.3, and
+  // the legend's steps.
+  std::vector<double> grid;
+  for (int cols = 1; cols <= 900; ++cols) {
+    const double cellW = std::max(2.0, 900.0 / cols);
+    grid.push_back(cellW + 0.3);
+    for (int c = 0; c < cols; c += cols < 200 ? 1 : 7) {
+      grid.push_back(4 + cellW * c);
+    }
+  }
+  for (int i = 0; i < 64; ++i) {
+    grid.push_back(4 + 300.0 * (i / 63.0));
+  }
+  grid.push_back(300.0 / 64 + 0.5);
+  expectStreamFormatting(grid, "heatmap grid");
 }
 
 TEST(Svg, EscapeCoversSpecials) {
