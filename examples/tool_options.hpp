@@ -19,12 +19,11 @@
 ///      caller maps ParseStatus::Error to this
 /// (`lint` overloads 1/2 with its own meaning; see trace_tool.cpp.)
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "lint/lint.hpp"
-#include "trace/binary_io.hpp"
 #include "util/format.hpp"
 
 namespace perfvar::tool {
@@ -33,8 +32,6 @@ namespace perfvar::tool {
 struct ToolOptions {
   /// --threads N: analysis/decode worker threads (0 = hardware, 1 = serial).
   std::size_t threads = 1;
-  /// --format v1|v2: binary layout written by generate/slice/salvage.
-  std::uint32_t format = trace::kBinaryFormatVersion;
   /// --salvage: load damaged inputs in recovery mode.
   bool salvage = false;
   /// --verify: info only — add a salvage dry run.
@@ -142,16 +139,6 @@ inline ParseStatus parseToolOptions(int argc, const char* const* argv,
       // 0 = all hardware threads; 1 = serial.
       if (!fmt::parseSize(value, options.threads)) {
         return badValue(arg, "a non-negative integer", value);
-      }
-    } else if (arg == "--format") {
-      if (!needsValue(arg, i)) return ParseStatus::Error;
-      const std::string value = argv[++i];
-      if (value == "v1") {
-        options.format = trace::kBinaryFormatV1;
-      } else if (value == "v2") {
-        options.format = trace::kBinaryFormatV2;
-      } else {
-        return badValue(arg, "v1 or v2", value);
       }
     } else if (arg == "--shard-budget-mb") {
       if (!needsValue(arg, i)) return ParseStatus::Error;

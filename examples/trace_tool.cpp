@@ -38,15 +38,14 @@
 /// Global options (see tool_options.hpp, the one shared parser):
 /// --threads N runs the analysis commands — and the v2 trace decode — on
 /// N worker threads (0 = all hardware threads; output is bit-identical
-/// to serial); --format v1|v2 selects the binary layout written by
-/// generate/slice/salvage (default v2); --salvage loads
-/// damaged inputs in recovery mode (quarantined ranks are excluded from
-/// analysis and reported); --lazy opens analysis inputs out-of-core
-/// (mmap + per-rank lazy decode, --shard-budget-mb N caps the decoded
-/// LRU) so six-figure-rank traces analyze in bounded memory with
-/// byte-identical output; --budget-mb N / --session-budget-mb N cap the
-/// serve daemon's resident-trace memory (LRU eviction); --help prints
-/// the usage text. Unknown options are rejected.
+/// to serial); --salvage loads damaged inputs in recovery mode
+/// (quarantined ranks are excluded from analysis and reported); --lazy
+/// opens analysis inputs out-of-core (mmap + per-rank lazy decode,
+/// --shard-budget-mb N caps the decoded LRU) so six-figure-rank traces
+/// analyze in bounded memory with byte-identical output; --budget-mb N /
+/// --session-budget-mb N cap the serve daemon's resident-trace memory
+/// (LRU eviction); --help prints the usage text. Unknown options are
+/// rejected.
 ///
 /// Exit codes: 0 = success, 1 = runtime/analysis error (unreadable trace,
 /// no dominant function, failed validation, ...), 2 = usage error
@@ -144,8 +143,8 @@ trace::Trace generateScenario(const std::string& name) {
 
 void printUsage(std::ostream& out) {
   out <<
-      "usage: trace_tool [--threads N] [--format v1|v2] [--salvage]\n"
-      "                  [--lazy] [--verbose] <command> [args]\n"
+      "usage: trace_tool [--threads N] [--salvage] [--lazy] [--verbose]\n"
+      "                  <command> [args]\n"
       "  generate <scenario> <out.pvt>  scenario: cosmo-specs |\n"
       "                                 cosmo-specs-fd4 | wrf | pipeline |\n"
       "                                 desync-stencil\n"
@@ -210,8 +209,6 @@ void printUsage(std::ostream& out) {
       "  --threads N   run the analysis and the v2 trace decode on N\n"
       "                worker threads (0 = all hardware threads); results\n"
       "                are identical to serial\n"
-      "  --format V    binary layout written by generate/slice/salvage:\n"
-      "                v1 (legacy) or v2 (default)\n"
       "  --salvage     load inputs in recovery mode: damaged ranks are\n"
       "                quarantined (and excluded from analysis) instead\n"
       "                of failing the whole load\n"
@@ -219,8 +216,9 @@ void printUsage(std::ostream& out) {
       "                mmap + per-rank lazy decode under an LRU budget;\n"
       "                output is byte-identical to an eager load\n"
       "  --verbose     analyze only: append the thread pool's scheduling\n"
-      "                counters (per-worker tasks/chunks/steals) after\n"
-      "                the report; with --threads 1 notes the serial run\n"
+      "                counters (per-worker tasks/chunks/idle wakeups)\n"
+      "                after the report; with --threads 1 notes the\n"
+      "                serial run\n"
       "  --shard-budget-mb N    --lazy only: decoded-shard LRU budget\n"
       "                         (MiB, default 256); new shards enter\n"
       "                         cold, so rank sweeps keep what fit\n"
@@ -550,7 +548,6 @@ int main(int argc, char** argv) {
     const bool salvage = options.salvage;
     std::vector<std::string> args = options.positional;
     trace::BinaryWriteOptions writeOptions;
-    writeOptions.version = options.format;
     writeOptions.threads = threads;
     trace::BinaryReadOptions readOptions;
     readOptions.threads = threads;
@@ -596,10 +593,6 @@ int main(int argc, char** argv) {
       if (args.size() < 3 || args.size() > 5) {
         return usageError(
             "'generate scale' expects <out.pvt> [ranks [iterations]]");
-      }
-      if (options.format != trace::kBinaryFormatV2) {
-        return usageError("'generate scale' streams PVTF v2; remove "
-                          "--format v1");
       }
       apps::ScaleConfig cfg;
       if (args.size() >= 4 && !fmt::parseSize(args[3], cfg.ranks)) {

@@ -67,7 +67,7 @@ struct ScaleConfig {
   /// compute enter/leave pairs per iteration, strictly inside the compute
   /// span. Timestamps and analysis results are unchanged — this skews the
   /// per-rank *event count* (and thus replay cost), which is what the
-  /// work-stealing scheduler and the throughput benchmark exercise.
+  /// chunk scheduler and the throughput benchmark exercise.
   /// 0 (the default) emits exactly the pre-skew streams, byte for byte.
   std::size_t skewTailPerMille = 0;
   std::size_t skewEventsFactor = 0;

@@ -188,8 +188,9 @@ public:
   CacheStats cacheStats() const;
 
   /// Scheduling counters of the engine's worker pool (per-worker
-  /// tasks/chunks/steals, cumulative since construction). No workers for
-  /// an engine with threads == 1, which runs every stage inline.
+  /// tasks/chunks/idle wakeups, cumulative since construction). No
+  /// workers for an engine with threads == 1, which runs every stage
+  /// inline.
   util::ThreadPoolStats poolStats() const;
 
 private:

@@ -3,7 +3,8 @@
 
 /// \file binary_format.hpp
 /// Internal interface between the PVTF dispatchers (binary_io.cpp) and
-/// the per-version codecs (v1 in binary_io.cpp, v2 in binary_v2.cpp).
+/// the per-version codecs (the v1 reader in binary_io.cpp, v2 in
+/// binary_v2.cpp).
 /// Not installed, not part of the public API — include binary_io.hpp.
 
 #include <cstdint>
@@ -31,10 +32,9 @@ std::uint64_t decodeVarintScalar(const unsigned char*& p,
 /// Size of the "magic + version" prologue both layouts share.
 inline constexpr std::size_t kBinaryPrologueSize = 8;
 
-/// Legacy v1 payload codec. The reader expects `in` positioned after the
-/// prologue; when `blocks` is non-null it records per-process stream
-/// extents (for inspectBinaryFile).
-void writeBinaryV1(const Trace& trace, std::ostream& out);
+/// Legacy v1 payload reader (v1 is read-only). Expects `in` positioned
+/// after the prologue; when `blocks` is non-null it records per-process
+/// stream extents (for inspectBinaryFile).
 Trace readBinaryV1(std::istream& in, std::vector<BinaryBlockInfo>* blocks);
 
 /// Block-based v2 codec over whole-file images. `image`/`size` span the

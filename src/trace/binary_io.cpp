@@ -24,60 +24,7 @@ constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 /// corrupted count must fail on decode, never on a pathological reserve.
 constexpr std::uint64_t kReserveCap = 1ULL << 20;
 
-/// Buffered payload writer that maintains an FNV-1a checksum.
-class PayloadWriter {
-public:
-  explicit PayloadWriter(std::ostream& out) : out_(out) {}
-
-  void bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      hash_ = (hash_ ^ p[i]) * kFnvPrime;
-    }
-    out_.write(static_cast<const char*>(data),
-               static_cast<std::streamsize>(n));
-  }
-
-  void u8(std::uint8_t v) { bytes(&v, 1); }
-
-  void varint(std::uint64_t v) {
-    unsigned char buf[10];
-    std::size_t n = 0;
-    do {
-      unsigned char b = static_cast<unsigned char>(v & 0x7F);
-      v >>= 7;
-      if (v != 0) {
-        b |= 0x80;
-      }
-      buf[n++] = b;
-    } while (v != 0);
-    bytes(buf, n);
-  }
-
-  void f64(double v) {
-    const auto bits = std::bit_cast<std::uint64_t>(v);
-    unsigned char buf[8];
-    for (int i = 0; i < 8; ++i) {
-      buf[i] = static_cast<unsigned char>((bits >> (8 * i)) & 0xFF);
-    }
-    bytes(buf, 8);
-  }
-
-  void string(const std::string& s) {
-    varint(s.size());
-    if (!s.empty()) {
-      bytes(s.data(), s.size());
-    }
-  }
-
-  std::uint64_t hash() const { return hash_; }
-
-private:
-  std::ostream& out_;
-  std::uint64_t hash_ = kFnvOffset;
-};
-
-/// Payload reader mirroring PayloadWriter.
+/// Buffered v1 payload reader that maintains an FNV-1a checksum.
 class PayloadReader {
 public:
   explicit PayloadReader(std::istream& in) : in_(in) {}
@@ -148,14 +95,6 @@ private:
   std::istream& in_;
   std::uint64_t hash_ = kFnvOffset;
 };
-
-void writeU32LE(std::ostream& out, std::uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) {
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-  out.write(buf, 4);
-}
 
 std::uint32_t readU32LE(std::istream& in) {
   unsigned char buf[4];
@@ -345,65 +284,6 @@ void fillStrictReport(LoadReport& report,
 }  // namespace
 
 namespace detail {
-
-void writeBinaryV1(const Trace& trace, std::ostream& out) {
-  out.write(kBinaryMagic, 4);
-  writeU32LE(out, kBinaryFormatV1);
-
-  PayloadWriter w(out);
-  w.varint(trace.resolution);
-
-  w.varint(trace.functions.size());
-  for (const FunctionDef& f : trace.functions.all()) {
-    w.string(f.name);
-    w.string(f.group);
-    w.u8(static_cast<std::uint8_t>(f.paradigm));
-  }
-
-  w.varint(trace.metrics.size());
-  for (const MetricDef& m : trace.metrics.all()) {
-    w.string(m.name);
-    w.string(m.unit);
-    w.u8(static_cast<std::uint8_t>(m.mode));
-  }
-
-  w.varint(trace.processes.size());
-  for (const ProcessTrace& p : trace.processes) {
-    w.string(p.name);
-    w.varint(p.events.size());
-    Timestamp last = 0;
-    for (const Event& e : p.events) {
-      w.u8(static_cast<std::uint8_t>(e.kind));
-      w.varint(e.time - last);
-      last = e.time;
-      switch (e.kind) {
-        case EventKind::Enter:
-        case EventKind::Leave:
-          w.varint(e.ref);
-          break;
-        case EventKind::MpiSend:
-        case EventKind::MpiRecv:
-          w.varint(e.ref);
-          w.varint(e.aux);
-          w.varint(e.size);
-          break;
-        case EventKind::Metric:
-          w.varint(e.ref);
-          w.f64(e.value);
-          break;
-      }
-    }
-  }
-
-  // Checksum trailer (not part of the checksummed payload).
-  const std::uint64_t h = w.hash();
-  char buf[8];
-  for (int i = 0; i < 8; ++i) {
-    buf[i] = static_cast<char>((h >> (8 * i)) & 0xFF);
-  }
-  out.write(buf, 8);
-  PERFVAR_REQUIRE(out.good(), "binary trace: write failed");
-}
 
 Trace readBinaryV1(std::istream& in, std::vector<BinaryBlockInfo>* blocks) {
   PayloadReader r(in);
@@ -611,17 +491,7 @@ std::string formatLoadReport(const LoadReport& report) {
 
 void writeBinary(const Trace& trace, std::ostream& out,
                  const BinaryWriteOptions& options) {
-  switch (options.version) {
-    case kBinaryFormatV1:
-      detail::writeBinaryV1(trace, out);
-      return;
-    case kBinaryFormatV2:
-      detail::writeBinaryV2(trace, out, options);
-      return;
-    default:
-      throw Error("binary trace: unsupported write version " +
-                  std::to_string(options.version));
-  }
+  detail::writeBinaryV2(trace, out, options);
 }
 
 Trace readBinary(std::istream& in, const BinaryReadOptions& options) {

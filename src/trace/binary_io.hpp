@@ -21,7 +21,7 @@
 /// per-byte stream virtual calls), so blocks can be decoded in parallel
 /// straight out of a memory-mapped file.
 ///
-/// writeBinary() defaults to v2; v1 files written by older versions keep
+/// writeBinary() writes v2 only; v1 files written by older versions keep
 /// loading through the legacy path. In the default Strict recovery mode
 /// readers validate magic, version and all checksums and throw
 /// perfvar::Error on any corruption; a Trace round-trips bit-exactly
@@ -41,18 +41,13 @@ namespace perfvar::trace {
 inline constexpr std::uint32_t kBinaryFormatV1 = 1;
 inline constexpr std::uint32_t kBinaryFormatV2 = 2;
 
-/// Default version written by writeBinary()/saveBinaryFile().
-inline constexpr std::uint32_t kBinaryFormatVersion = kBinaryFormatV2;
-
 /// Options of the binary writers.
 struct BinaryWriteOptions {
-  /// On-disk layout to emit: kBinaryFormatV1 or kBinaryFormatV2.
-  std::uint32_t version = kBinaryFormatVersion;
   /// Worker threads for the per-rank v2 block encode: 1 (default) encodes
   /// inline, 0 = hardware concurrency; other values run the encode on a
   /// pool the call owns for its duration. The bytes produced are
   /// identical for every thread count (blocks are encoded independently
-  /// and assembled in process order). Ignored for v1.
+  /// and assembled in process order).
   std::size_t threads = 1;
 };
 
@@ -110,7 +105,8 @@ struct BinaryReadOptions {
   LoadReport* report = nullptr;
 };
 
-/// Serialize a trace to a stream (v2 by default; options.version selects).
+/// Serialize a trace to a stream as PVTF v2 (v1 files are read, never
+/// written).
 void writeBinary(const Trace& trace, std::ostream& out,
                  const BinaryWriteOptions& options = {});
 

@@ -20,12 +20,6 @@ std::uint64_t ThreadPoolStats::totalChunks() const {
   return total;
 }
 
-std::uint64_t ThreadPoolStats::totalStolen() const {
-  std::uint64_t total = 0;
-  for (const Worker& w : workers) total += w.chunksStolen;
-  return total;
-}
-
 std::uint64_t ThreadPoolStats::totalIdleWakeups() const {
   std::uint64_t total = 0;
   for (const Worker& w : workers) total += w.idleWakeups;
@@ -36,13 +30,12 @@ std::string formatThreadPoolStats(const ThreadPoolStats& stats) {
   std::ostringstream os;
   os << "thread pool: " << stats.workers.size() << " workers, tasks="
      << stats.totalTasks() << " chunks=" << stats.totalChunks()
-     << " stolen=" << stats.totalStolen()
      << " idle-wakeups=" << stats.totalIdleWakeups() << '\n';
   for (std::size_t i = 0; i < stats.workers.size(); ++i) {
     const ThreadPoolStats::Worker& w = stats.workers[i];
     os << "  worker " << i << ": tasks=" << w.tasksRun
-       << " chunks=" << w.chunksRun << " stolen=" << w.chunksStolen
-       << " idle-wakeups=" << w.idleWakeups << '\n';
+       << " chunks=" << w.chunksRun << " idle-wakeups=" << w.idleWakeups
+       << '\n';
   }
   return os.str();
 }
@@ -79,21 +72,16 @@ ThreadPool::~ThreadPool() {
 /// last runner signals while holding `mutex`, so no runner touches the
 /// run after the caller can return.
 struct ThreadPool::ChunkRun {
-  /// One contiguous slice of the index space, owned by one runner.
-  /// Claims are a single fetch_add on `next`; a cursor past `end` just
-  /// means the shard is drained (overshoot is bounded by the batch size
-  /// times the number of failed claims, far from wrapping).
-  struct alignas(64) Shard {
-    std::atomic<std::size_t> next{0};
-    std::size_t end = 0;
-  };
+  /// Next unclaimed index. Claims are a single fetch_add; a cursor at or
+  /// past `n` means the index space is drained (overshoot is bounded by
+  /// the batch size times the number of failed claims, far from
+  /// wrapping). Cache-line aligned, so the line that claims bounce
+  /// between runners holds only this call's state.
+  alignas(64) std::atomic<std::size_t> next{0};
 
   const ChunkBody* body = nullptr;
+  std::size_t n = 0;
   std::size_t batch = 1;
-  std::size_t stealBatch = 1;
-  // Raw array: Shard holds an atomic, so vector growth is ill-formed.
-  std::unique_ptr<Shard[]> shards;
-  std::size_t shardCount = 0;
 
   // Completion latch and first error of this call only.
   std::mutex mutex;
@@ -105,7 +93,7 @@ struct ThreadPool::ChunkRun {
 void ThreadPool::workerLoop(std::size_t workerIndex) {
   WorkerCounters& counters = counters_[workerIndex];
   for (;;) {
-    Task task;
+    ChunkRun* run = nullptr;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       // Hand-rolled predicate loop so spurious/late wakeups (another
@@ -119,18 +107,22 @@ void ThreadPool::workerLoop(std::size_t workerIndex) {
       if (queue_.empty()) {
         return;  // stop_ set and queue drained
       }
-      task = queue_.front();
+      run = queue_.front();
       queue_.pop_front();
     }
     counters.tasksRun.fetch_add(1, std::memory_order_relaxed);
-    runnerLoop(*task.run, task.shard, counters);
+    runnerLoop(*run, counters);
   }
 }
 
-void ThreadPool::runnerLoop(ChunkRun& run, std::size_t shard,
-                            WorkerCounters& counters) {
-  const auto runRange = [&](std::size_t begin, std::size_t end,
-                            bool stolen) {
+void ThreadPool::runnerLoop(ChunkRun& run, WorkerCounters& counters) {
+  for (;;) {
+    const std::size_t begin =
+        run.next.fetch_add(run.batch, std::memory_order_relaxed);
+    if (begin >= run.n) {
+      break;
+    }
+    const std::size_t end = std::min(run.n, begin + run.batch);
     try {
       (*run.body)(begin, end);
     } catch (...) {
@@ -141,31 +133,6 @@ void ThreadPool::runnerLoop(ChunkRun& run, std::size_t shard,
       }
     }
     counters.chunksRun.fetch_add(end - begin, std::memory_order_relaxed);
-    if (stolen) {
-      counters.chunksStolen.fetch_add(end - begin,
-                                      std::memory_order_relaxed);
-    }
-  };
-
-  ChunkRun::Shard& own = run.shards[shard];
-  for (;;) {
-    const std::size_t begin =
-        own.next.fetch_add(run.batch, std::memory_order_relaxed);
-    if (begin >= own.end) {
-      break;
-    }
-    runRange(begin, std::min(own.end, begin + run.batch), false);
-  }
-  for (std::size_t k = 1; k < run.shardCount; ++k) {
-    ChunkRun::Shard& victim = run.shards[(shard + k) % run.shardCount];
-    for (;;) {
-      const std::size_t begin =
-          victim.next.fetch_add(run.stealBatch, std::memory_order_relaxed);
-      if (begin >= victim.end) {
-        break;
-      }
-      runRange(begin, std::min(victim.end, begin + run.stealBatch), true);
-    }
   }
 
   std::lock_guard<std::mutex> lock(run.mutex);
@@ -177,30 +144,14 @@ void ThreadPool::runnerLoop(ChunkRun& run, std::size_t shard,
 void ThreadPool::runChunks(std::size_t n, const ChunkBody& body) {
   ChunkRun run;
   run.body = &body;
+  run.n = n;
   const std::size_t runners = std::min(threadCount(), n);
   run.batch = std::clamp<std::size_t>(n / (runners * 16), 1, 32);
-  run.stealBatch = std::max<std::size_t>(1, run.batch / 4);
-
-  // Static contiguous partition of the index space: shard s owns
-  // [s*per + min(s, rem), ...), a function of n and the worker count.
-  run.shards = std::make_unique<ChunkRun::Shard[]>(runners);
-  run.shardCount = runners;
-  const std::size_t per = n / runners;
-  const std::size_t rem = n % runners;
-  std::size_t cursor = 0;
-  for (std::size_t s = 0; s < runners; ++s) {
-    const std::size_t len = per + (s < rem ? 1 : 0);
-    run.shards[s].next.store(cursor, std::memory_order_relaxed);
-    run.shards[s].end = cursor + len;
-    cursor += len;
-  }
   run.runnersLeft = runners;
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t s = 0; s < runners; ++s) {
-      queue_.push_back(Task{&run, s});
-    }
+    queue_.insert(queue_.end(), runners, &run);
   }
   for (std::size_t s = 0; s < runners; ++s) {
     taskReady_.notify_one();
@@ -220,8 +171,6 @@ ThreadPoolStats ThreadPool::stats() const {
     const WorkerCounters& c = counters_[i];
     out.workers[i].tasksRun = c.tasksRun.load(std::memory_order_relaxed);
     out.workers[i].chunksRun = c.chunksRun.load(std::memory_order_relaxed);
-    out.workers[i].chunksStolen =
-        c.chunksStolen.load(std::memory_order_relaxed);
     out.workers[i].idleWakeups =
         c.idleWakeups.load(std::memory_order_relaxed);
   }

@@ -6,11 +6,10 @@
 ///
 /// Work reaches a pool one way: parallelChunks(pool, n, body) runs
 /// body(begin, end) over contiguous ranges that together cover [0, n)
-/// exactly once. The index space is cut into one contiguous shard per
-/// runner; each runner claims batches from its own shard with a single
-/// atomic fetch_add and steals quarter-batches from the other shards once
-/// its own runs dry, so tail ranks of a skewed trace no longer leave the
-/// rest of the pool idle.
+/// exactly once. Each call keeps one atomic cursor; every runner claims
+/// the next batch of indices from it with a single fetch_add until the
+/// index space is drained, so a slow range (a skewed trace's event-dense
+/// tail rank) holds up only the runner that claimed it.
 ///
 /// Contract with the body: the output for index i depends only on i, and
 /// the body accepts any contiguous range (the range boundaries depend on
@@ -37,16 +36,14 @@ namespace perfvar::util {
 /// Per-worker scheduler counters, snapshot via ThreadPool::stats().
 struct ThreadPoolStats {
   struct Worker {
-    std::uint64_t tasksRun = 0;      ///< runner tasks executed
-    std::uint64_t chunksRun = 0;     ///< indices executed
-    std::uint64_t chunksStolen = 0;  ///< subset of chunksRun from other shards
-    std::uint64_t idleWakeups = 0;   ///< condvar wakeups with no work ready
+    std::uint64_t tasksRun = 0;     ///< runner tasks executed
+    std::uint64_t chunksRun = 0;    ///< indices executed
+    std::uint64_t idleWakeups = 0;  ///< condvar wakeups with no work ready
   };
   std::vector<Worker> workers;
 
   std::uint64_t totalTasks() const;
   std::uint64_t totalChunks() const;
-  std::uint64_t totalStolen() const;
   std::uint64_t totalIdleWakeups() const;
 };
 
@@ -96,17 +93,10 @@ private:
 
   struct ChunkRun;
 
-  /// One queued runner: shard `shard` of the call `run`.
-  struct Task {
-    ChunkRun* run = nullptr;
-    std::size_t shard = 0;
-  };
-
   /// One cache line per worker so counter updates never false-share.
   struct alignas(64) WorkerCounters {
     std::atomic<std::uint64_t> tasksRun{0};
     std::atomic<std::uint64_t> chunksRun{0};
-    std::atomic<std::uint64_t> chunksStolen{0};
     std::atomic<std::uint64_t> idleWakeups{0};
   };
 
@@ -114,12 +104,11 @@ private:
   /// runners finished.
   void runChunks(std::size_t n, const ChunkBody& body);
   void workerLoop(std::size_t workerIndex);
-  static void runnerLoop(ChunkRun& run, std::size_t shard,
-                         WorkerCounters& counters);
+  static void runnerLoop(ChunkRun& run, WorkerCounters& counters);
 
   std::vector<std::thread> workers_;
   std::unique_ptr<WorkerCounters[]> counters_;
-  std::deque<Task> queue_;
+  std::deque<ChunkRun*> queue_;  ///< one entry per runner of a call
   std::mutex mutex_;
   std::condition_variable taskReady_;
   bool stop_ = false;

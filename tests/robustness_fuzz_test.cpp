@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -20,6 +21,7 @@
 #include "engine/engine.hpp"
 #include "lint/lint.hpp"
 #include "profile/profile.hpp"
+#include "support/fault_injection.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/view.hpp"
 #include "util/error.hpp"
@@ -30,12 +32,10 @@ namespace perfvar::trace {
 namespace {
 
 std::string binaryImage(const Trace& tr,
-                        std::uint32_t version = kBinaryFormatVersion) {
-  std::ostringstream os;
-  BinaryWriteOptions options;
-  options.version = version;
-  writeBinary(tr, os, options);
-  return os.str();
+                        std::uint32_t version = kBinaryFormatV2) {
+  const perfvar::testing::Image image =
+      perfvar::testing::encodeImage(tr, version);
+  return std::string(image.begin(), image.end());
 }
 
 void expectDecodeThrows(const std::string& bytes, std::size_t threads = 1) {
@@ -270,9 +270,9 @@ std::vector<TraceView> roundTrips(const Trace& tr, const std::string& stem) {
   views.push_back(TraceView::owned(Trace(tr)));
   for (const std::uint32_t version : {kBinaryFormatV1, kBinaryFormatV2}) {
     const std::string path = stem + "_v" + std::to_string(version) + ".pvt";
-    BinaryWriteOptions options;
-    options.version = version;
-    saveBinaryFile(tr, path, options);
+    const std::string bytes = binaryImage(tr, version);
+    std::ofstream(path, std::ios::binary)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     views.push_back(TraceView::owned(loadBinaryFile(path)));
     if (version == kBinaryFormatV2) {
       views.push_back(TraceView::openFile(path));

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -477,9 +478,11 @@ TEST(ServerProtocolFuzz, ValidFileWithDanglingRefsNeverKillsTheServer) {
           trace::Event::leave(3, 5000000), trace::Event::leave(4, 0)}});
   }
   const std::string badPath = "server_fuzz_dangling_refs.pvt";
-  trace::BinaryWriteOptions v1;
-  v1.version = trace::kBinaryFormatV1;
-  trace::saveBinaryFile(bad, badPath, v1);
+  {
+    const std::string v1 = imageOf(bad, trace::kBinaryFormatV1);
+    std::ofstream(badPath, std::ios::binary)
+        .write(v1.data(), static_cast<std::streamsize>(v1.size()));
+  }
   const trace::Trace ok = syntheticTrace();
   const std::string okPath = "server_fuzz_dangling_refs_ok.pvt";
   trace::saveBinaryFile(ok, okPath);

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "support/binary_v1.hpp"
 #include "trace/binary_io.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
@@ -77,9 +78,11 @@ void fixHeaderHash(Image& image) {
 
 Image encodeImage(const trace::Trace& tr, std::uint32_t version) {
   std::ostringstream os;
-  trace::BinaryWriteOptions options;
-  options.version = version;
-  trace::writeBinary(tr, os, options);
+  if (version == trace::kBinaryFormatV1) {
+    writeBinaryV1(tr, os);
+  } else {
+    trace::writeBinary(tr, os);
+  }
   const std::string s = os.str();
   return Image(s.begin(), s.end());
 }

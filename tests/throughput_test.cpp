@@ -3,14 +3,17 @@
 /// assembled from the pre-optimization reference kernels on skewed,
 /// uniform and empty-rank traces. The reference row builders live here as
 /// test oracles: the std::function-visitor replays the inlined replay
-/// kernels replaced. Plus direct coverage of the work-stealing chunk
+/// kernels replaced. Plus direct coverage of the one-cursor chunk
 /// scheduler itself: full coverage, inline fallbacks, exception
-/// propagation, independent concurrent calls and the ThreadPoolStats
-/// counters. Runs under the TSan CI job (label: parallel).
+/// propagation, independent concurrent calls, a blocked range not
+/// stranding the rest and the ThreadPoolStats counters. Runs under the
+/// TSan CI job (label: parallel).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -197,8 +200,8 @@ const trace::Trace& uniformTrace() {
   return tr;
 }
 
-/// 10% of ranks carry 32 extra nested compute pairs per iteration — the
-/// shape work stealing exists for.
+/// 10% of ranks carry 32 extra nested compute pairs per iteration, so a
+/// few ranges cost far more than the rest.
 const trace::Trace& skewedTrace() {
   static const trace::Trace tr = [] {
     apps::ScaleConfig cfg = smallConfig();
@@ -435,13 +438,44 @@ TEST(ChunkScheduler, ConcurrentCallsOnOnePoolAreIndependent) {
   EXPECT_EQ(cleanBad, 0);
 }
 
+TEST(ChunkScheduler, BlockedRangeDoesNotStrandTheRest) {
+  // The range holding index 0 blocks its runner until every index outside
+  // it has run, so the other runners must drain the whole remainder while
+  // it waits; if they do not, the wait times out.
+  util::ThreadPool pool(4);
+  constexpr std::size_t kN = 256;
+  std::vector<std::atomic<int>> hits(kN);
+  std::mutex mutex;
+  std::condition_variable othersRan;
+  std::size_t othersRun = 0;
+  bool released = false;
+  util::parallelChunks(&pool, kN, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    }
+    std::unique_lock<std::mutex> lock(mutex);
+    if (begin == 0) {
+      released = othersRan.wait_for(lock, std::chrono::seconds(10), [&] {
+        return othersRun == kN - end;
+      });
+    } else {
+      othersRun += end - begin;
+      othersRan.notify_all();
+    }
+  });
+  EXPECT_TRUE(released) << "the other indices did not all run while the "
+                           "range holding index 0 was blocked";
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "i=" << i;
+  }
+}
+
 TEST(ChunkScheduler, StatsCountChunks) {
   util::ThreadPool pool(2);
   util::parallelChunks(&pool, 100, [](std::size_t, std::size_t) {});
   const util::ThreadPoolStats stats = pool.stats();
   ASSERT_EQ(stats.workers.size(), 2u);
   EXPECT_EQ(stats.totalChunks(), 100u);
-  EXPECT_LE(stats.totalStolen(), stats.totalChunks());
   EXPECT_GT(stats.totalTasks(), 0u);
 
   const std::string text = util::formatThreadPoolStats(stats);

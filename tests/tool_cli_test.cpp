@@ -16,6 +16,7 @@
 #include "apps/cosmo_specs.hpp"
 #include "apps/paper_examples.hpp"
 #include "sim/simulator.hpp"
+#include "support/binary_v1.hpp"
 #include "support/fault_injection.hpp"
 #include "trace/binary_io.hpp"
 
@@ -171,16 +172,15 @@ TEST(ToolCli, InfoPrintsV2LayoutSummary) {
   EXPECT_NE(r.out.find("events, "), std::string::npos);  // per-rank line
 }
 
-TEST(ToolCli, FormatFlagSelectsTheOnDiskLayout) {
+TEST(ToolCli, V1InputIsReadAndRewrittenAsV2) {
   const std::string v1 = uniqueName("tool_cli_fmt_v1");
   const std::string v2 = uniqueName("tool_cli_fmt_v2");
-  // A full-range slice is a copy; --format picks the output layout.
-  ASSERT_EQ(run(tool() + " --format v1 slice " + tracePath() + " " + v1 +
-                " 0 1e6").exitCode,
-            0);
-  ASSERT_EQ(run(tool() + " --format v2 slice " + tracePath() + " " + v2 +
-                " 0 1e6").exitCode,
-            0);
+  {
+    std::ofstream out(v1, std::ios::binary | std::ios::trunc);
+    perfvar::testing::writeBinaryV1(trace::loadBinaryFile(tracePath()), out);
+  }
+  // A full-range slice is a copy, and every written file is v2.
+  ASSERT_EQ(run(tool() + " slice " + v1 + " " + v2 + " 0 1e6").exitCode, 0);
 
   const RunResult infoV1 = run(tool() + " info " + v1);
   ASSERT_EQ(infoV1.exitCode, 0);
@@ -201,6 +201,10 @@ TEST(ToolCli, FormatFlagSelectsTheOnDiskLayout) {
 }
 
 TEST(ToolCli, BadFormatValueIsAUsageError) {
+  // Every value is bad: v1 is read-only and --format is no option.
+  EXPECT_EQ(run(tool() + " --format v1 info " + tracePath() +
+                " 2>/dev/null").exitCode,
+            2);
   EXPECT_EQ(run(tool() + " --format v3 info " + tracePath() +
                 " 2>/dev/null").exitCode,
             2);

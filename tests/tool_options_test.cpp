@@ -31,7 +31,6 @@ TEST(ToolOptions, DefaultsMatchDocumentedContract) {
   std::string error;
   EXPECT_EQ(parse({"analyze", "in.pvt"}, options, error), ParseStatus::Ok);
   EXPECT_EQ(options.threads, 1u);
-  EXPECT_EQ(options.format, trace::kBinaryFormatV2);
   EXPECT_FALSE(options.salvage);
   EXPECT_FALSE(options.lazy);
   EXPECT_EQ(options.shardBudgetMb, 256u);
@@ -88,7 +87,7 @@ TEST(ToolOptions, DurabilityAndRetryFlagsParse) {
 TEST(ToolOptions, AllFlagsParse) {
   ToolOptions options;
   std::string error;
-  EXPECT_EQ(parse({"--threads", "8", "--format", "v1", "--salvage",
+  EXPECT_EQ(parse({"--threads", "8", "--salvage",
                    "--verify", "--lazy", "--shard-budget-mb", "64",
                    "--budget-mb", "512", "--session-budget-mb", "128",
                    "--json", "--fail-on", "error", "--disable",
@@ -98,7 +97,6 @@ TEST(ToolOptions, AllFlagsParse) {
             ParseStatus::Ok)
       << error;
   EXPECT_EQ(options.threads, 8u);
-  EXPECT_EQ(options.format, trace::kBinaryFormatV1);
   EXPECT_TRUE(options.salvage);
   EXPECT_TRUE(options.verify);
   EXPECT_TRUE(options.lazy);
@@ -153,13 +151,14 @@ TEST(ToolOptions, OnlyAndExcludeRejectMalformedLists) {
 TEST(ToolOptions, OptionsInterleaveWithPositionals) {
   ToolOptions options;
   std::string error;
-  EXPECT_EQ(parse({"generate", "--format", "v2", "scale", "out.pvt",
+  EXPECT_EQ(parse({"generate", "--salvage", "scale", "out.pvt",
                    "--threads", "2", "100000"},
                   options, error),
             ParseStatus::Ok);
   EXPECT_EQ(options.positional, (std::vector<std::string>{
                                     "generate", "scale", "out.pvt",
                                     "100000"}));
+  EXPECT_TRUE(options.salvage);
   EXPECT_EQ(options.threads, 2u);
 }
 
@@ -176,14 +175,17 @@ TEST(ToolOptions, UnknownFlagsAreRejected) {
   EXPECT_EQ(parse({"--no-such-flag", "analyze"}, options, error),
             ParseStatus::Error);
   EXPECT_EQ(error, "unknown option '--no-such-flag'");
+  // v1 is read-only: there is no output-layout flag any more.
+  EXPECT_EQ(parse({"--format", "v1", "analyze"}, options, error),
+            ParseStatus::Error);
+  EXPECT_EQ(error, "unknown option '--format'");
   EXPECT_EQ(parse({"-x"}, options, error), ParseStatus::Error);
 }
 
 TEST(ToolOptions, MissingAndMalformedValues) {
   const std::vector<const char*> valueFlags{
-      "--threads",   "--format",           "--shard-budget-mb",
-      "--budget-mb", "--session-budget-mb", "--fail-on",
-      "--disable"};
+      "--threads",   "--shard-budget-mb", "--budget-mb",
+      "--session-budget-mb", "--fail-on", "--disable"};
   for (const char* flag : valueFlags) {
     ToolOptions options;
     std::string error;
@@ -197,7 +199,6 @@ TEST(ToolOptions, MissingAndMalformedValues) {
   EXPECT_EQ(parse({"--threads", "-3"}, options, error), ParseStatus::Error);
   EXPECT_EQ(parse({"--threads", "many"}, options, error),
             ParseStatus::Error);
-  EXPECT_EQ(parse({"--format", "v3"}, options, error), ParseStatus::Error);
   EXPECT_EQ(parse({"--fail-on", "fatal"}, options, error),
             ParseStatus::Error);
   EXPECT_EQ(parse({"--shard-budget-mb", "1.5"}, options, error),

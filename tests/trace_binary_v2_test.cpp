@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "apps/paper_examples.hpp"
+#include "support/binary_v1.hpp"
 #include "trace/binary_format.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/builder.hpp"
@@ -101,6 +102,13 @@ std::string image(const Trace& tr, const BinaryWriteOptions& options = {}) {
   return os.str();
 }
 
+/// The legacy v1 encoding of `tr` (the library reads v1, never writes it).
+std::string v1Image(const Trace& tr) {
+  std::ostringstream os;
+  perfvar::testing::writeBinaryV1(tr, os);
+  return os.str();
+}
+
 TEST(BinaryV2, SerialAndThreadedDecodeMatchOriginal) {
   for (const Trace& original : goldenTraces()) {
     const std::string bytes = image(original);
@@ -130,9 +138,7 @@ TEST(BinaryV2, ThreadedEncodeIsByteIdenticalToSerial) {
 
 TEST(BinaryV2, ExplicitV1WriteStillRoundTrips) {
   for (const Trace& original : goldenTraces()) {
-    BinaryWriteOptions options;
-    options.version = kBinaryFormatV1;
-    const std::string bytes = image(original, options);
+    const std::string bytes = v1Image(original);
     ASSERT_GE(bytes.size(), 8u);
     EXPECT_EQ(bytes[4], 1);  // version field says v1
     expectTracesEqual(original,
@@ -144,8 +150,9 @@ TEST(BinaryV2, ExplicitV1WriteStillRoundTrips) {
 
 /// The exact bytes the v1 writer produced before v2 existed, for a small
 /// two-rank trace. Guards both directions of compatibility: the modern
-/// reader must accept files from old writers, and the v1 writer must keep
-/// emitting the same bytes (older tools read what we write).
+/// reader must accept files from old writers, and the test-support v1
+/// encoder must keep emitting those bytes (the v1 fuzz and fault suites
+/// feed the reader through it).
 const unsigned char kGoldenV1[] = {
     0x50, 0x56, 0x54, 0x46, 0x01, 0x00, 0x00, 0x00, 0x80, 0x94, 0xeb, 0xdc,
     0x03, 0x02, 0x04, 0x6d, 0x61, 0x69, 0x6e, 0x03, 0x41, 0x50, 0x50, 0x00,
@@ -186,29 +193,24 @@ TEST(BinaryV2, GoldenV1FileFromOldWriterStillLoads) {
 }
 
 TEST(BinaryV2, V1WriterIsByteStable) {
-  BinaryWriteOptions options;
-  options.version = kBinaryFormatV1;
-  const std::string bytes = image(goldenV1Trace(), options);
+  const std::string bytes = v1Image(goldenV1Trace());
   ASSERT_EQ(bytes.size(), sizeof(kGoldenV1));
   EXPECT_EQ(0, std::memcmp(bytes.data(), kGoldenV1, sizeof(kGoldenV1)));
 }
 
 TEST(BinaryV2, V2FilesAreNoLargerThanV1) {
-  BinaryWriteOptions v1;
-  v1.version = kBinaryFormatV1;
   // The tag byte folds small function ids into the event header, so v2
   // wins about one byte per event; real traces (the sizes the format is
   // for) come out smaller than v1 despite the block table.
   for (const Trace& original :
        {syntheticTrace(16, 40), syntheticTrace(64, 200)}) {
-    EXPECT_LE(image(original).size(), image(original, v1).size());
+    EXPECT_LE(image(original).size(), v1Image(original).size());
   }
   // Tiny traces cannot amortize the fixed header; the overhead is bounded
   // by the header/table/hash scaffolding, never proportional to events.
   for (const Trace& original : goldenTraces()) {
     const std::size_t overhead = 48 + 40 * original.processCount();
-    EXPECT_LE(image(original).size(),
-              image(original, v1).size() + overhead);
+    EXPECT_LE(image(original).size(), v1Image(original).size() + overhead);
   }
 }
 
@@ -284,13 +286,6 @@ TEST(BinaryV2, InspectReportsV1Layout) {
   EXPECT_EQ(info.blocks[0].events, original.processes[0].events.size());
   EXPECT_GT(info.blocks[0].bytes, 0u);
   std::remove(path.c_str());
-}
-
-TEST(BinaryV2, WriteRejectsUnknownVersion) {
-  BinaryWriteOptions options;
-  options.version = 7;
-  std::ostringstream os;
-  EXPECT_THROW(writeBinary(syntheticTrace(1, 2), os, options), Error);
 }
 
 // ---- lazy shard cache under concurrent sweeps -----------------------------

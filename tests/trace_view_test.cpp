@@ -79,9 +79,7 @@ TEST(ScaleSynthetic, StreamedFileMatchesEagerSave) {
 
   const trace::Trace built = apps::buildScaleTrace(cfg);
   EXPECT_EQ(written.events, built.eventCount());
-  trace::BinaryWriteOptions v2;
-  v2.version = trace::kBinaryFormatV2;
-  trace::saveBinaryFile(built, eager.path, v2);
+  trace::saveBinaryFile(built, eager.path);
 
   const std::string streamedBytes = readFile(streamed.path);
   ASSERT_FALSE(streamedBytes.empty());
