@@ -5,57 +5,91 @@
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/format.hpp"
 #include "util/json_writer.hpp"
 
 namespace perfvar::analysis {
 
 using util::JsonWriter;
 
+namespace {
+
+// The CSV writers build each table in one string, numbers as
+// printf("%.12g") (fmt::appendGeneral), and write it at once. They leave
+// precision 12 set on `out`, as their stream-based predecessors did.
+constexpr int kCsvPrecision = 12;
+
+void writeCsv(const std::string& text, std::ostream& out) {
+  out.precision(kCsvPrecision);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+}
+
+}  // namespace
+
 namespace detail {
 
 void writeSosMatrixCsv(const SosResult& sos, std::ostream& out) {
   const std::size_t cols = sos.maxSegmentsPerProcess();
-  out << "process";
+  std::string text = "process";
   for (std::size_t i = 0; i < cols; ++i) {
-    out << ",iter" << i;
+    text += ",iter";
+    fmt::appendInteger(text, i);
   }
-  out << '\n';
-  out.precision(12);
+  text += '\n';
   for (std::size_t p = 0; p < sos.processCount(); ++p) {
-    out << sos.trace().processName(static_cast<trace::ProcessId>(p));
+    text += sos.trace().processName(static_cast<trace::ProcessId>(p));
     const auto& per = sos.process(static_cast<trace::ProcessId>(p));
     for (std::size_t i = 0; i < cols; ++i) {
-      out << ',';
+      text += ',';
       if (i < per.size()) {
-        out << sos.trace().toSeconds(per[i].sosTime);
+        fmt::appendGeneral(text, sos.trace().toSeconds(per[i].sosTime),
+                           kCsvPrecision);
       }
     }
-    out << '\n';
+    text += '\n';
   }
+  writeCsv(text, out);
 }
 
 void writeIterationStatsCsv(const VariationReport& report, std::ostream& out) {
-  out << "iteration,processes,minSos,meanSos,maxSos,stddevSos,meanDuration,"
-         "imbalance,slowestProcess\n";
-  out.precision(12);
+  std::string text =
+      "iteration,processes,minSos,meanSos,maxSos,stddevSos,meanDuration,"
+      "imbalance,slowestProcess\n";
   for (const auto& it : report.iterations) {
-    out << it.iteration << ',' << it.processCount << ',' << it.minSos << ','
-        << it.meanSos << ',' << it.maxSos << ',' << it.stddevSos << ','
-        << it.meanDuration << ',' << it.imbalance << ',' << it.slowestProcess
-        << '\n';
+    fmt::appendInteger(text, it.iteration);
+    text += ',';
+    fmt::appendInteger(text, it.processCount);
+    for (const double v : {it.minSos, it.meanSos, it.maxSos, it.stddevSos,
+                           it.meanDuration, it.imbalance}) {
+      text += ',';
+      fmt::appendGeneral(text, v, kCsvPrecision);
+    }
+    text += ',';
+    fmt::appendInteger(text, it.slowestProcess);
+    text += '\n';
   }
+  writeCsv(text, out);
 }
 
 void writeHotspotsCsv(const trace::TraceView& tr,
                       const VariationReport& report, std::ostream& out) {
-  out << "process,processName,iteration,sosSeconds,durationSeconds,globalZ,"
-         "iterationZ\n";
-  out.precision(12);
+  std::string text =
+      "process,processName,iteration,sosSeconds,durationSeconds,globalZ,"
+      "iterationZ\n";
   for (const auto& h : report.hotspots) {
-    out << h.process << ",\"" << tr.processName(h.process) << "\","
-        << h.iteration << ',' << h.sosSeconds << ',' << h.durationSeconds
-        << ',' << h.globalZ << ',' << h.iterationZ << '\n';
+    fmt::appendInteger(text, h.process);
+    text += ",\"";
+    text += tr.processName(h.process);
+    text += "\",";
+    fmt::appendInteger(text, h.iteration);
+    for (const double v :
+         {h.sosSeconds, h.durationSeconds, h.globalZ, h.iterationZ}) {
+      text += ',';
+      fmt::appendGeneral(text, v, kCsvPrecision);
+    }
+    text += '\n';
   }
+  writeCsv(text, out);
 }
 
 void writeAnalysisJson(const trace::TraceView& tr,

@@ -10,15 +10,13 @@
 
 namespace perfvar::analysis {
 
-trace::ProcessId VariationReport::slowestProcess() const {
+trace::ProcessId VariationStats::slowestProcess() const {
   PERFVAR_REQUIRE(!processesBySos.empty(), "report has no processes");
   return processesBySos.front();
 }
 
-VariationReport analyzeVariation(const SosResult& sos,
-                                 const VariationOptions& options,
-                                 util::ThreadPool* pool) {
-  VariationReport report;
+VariationBasis variationBasis(const SosResult& sos, util::ThreadPool* pool) {
+  VariationBasis basis;
   const auto& perProcess = sos.all();
   const std::size_t nProcs = perProcess.size();
   const std::size_t nIters = sos.maxSegmentsPerProcess();
@@ -26,28 +24,36 @@ VariationReport analyzeVariation(const SosResult& sos,
 
   // ---- global SOS distribution -------------------------------------------
   const std::vector<double> allSos = sos.allSosSeconds();
-  report.sosSummary = stats::summarize(allSos);
-  report.sosMedian = stats::median(allSos);
-  report.sosMad = stats::mad(allSos);
-  const double globalScale = stats::kMadToSigma * report.sosMad;
+  basis.sosSummary = stats::summarize(allSos);
+  basis.sosMedian = stats::median(allSos);
+  basis.sosMad = stats::mad(allSos);
+  const double globalScale = stats::kMadToSigma * basis.sosMad;
 
   const auto globalZ = [&](double x) {
     if (globalScale > 0.0) {
-      return (x - report.sosMedian) / globalScale;
+      return (x - basis.sosMedian) / globalScale;
     }
-    return report.sosSummary.stddev > 0.0
-               ? (x - report.sosSummary.mean) / report.sosSummary.stddev
+    return basis.sosSummary.stddev > 0.0
+               ? (x - basis.sosSummary.mean) / basis.sosSummary.stddev
                : 0.0;
   };
 
-  // ---- per-iteration stats ------------------------------------------------
-  // Every index writes only its own slot; the inner sums always walk the
-  // processes in ascending order, so the result is pool-independent.
-  report.iterations.resize(nIters);
+  // ---- per-iteration stats and leave-one-out z ----------------------------
+  // Process p's segments start at processBegin[p] of the z-vectors.
+  std::vector<std::size_t> processBegin(nProcs + 1, 0);
+  for (std::size_t p = 0; p < nProcs; ++p) {
+    processBegin[p + 1] = processBegin[p] + perProcess[p].size();
+  }
+  basis.iterations.resize(nIters);
+  basis.globalZ.resize(processBegin[nProcs]);
+  basis.iterationZ.resize(processBegin[nProcs]);
+  // Every index writes only its own slots; the inner loops always walk
+  // the processes in ascending order, so the basis is pool-independent.
   util::parallelChunks(pool, nIters, [&](std::size_t begin,
                                             std::size_t end) {
+    std::vector<double> iterSos;
     for (std::size_t i = begin; i < end; ++i) {
-      std::vector<double> iterSos;
+      iterSos.clear();
       IterationStats is;
       is.iteration = i;
       double durationSum = 0.0;
@@ -74,7 +80,15 @@ VariationReport analyzeVariation(const SosResult& sos,
         is.meanDuration = durationSum / static_cast<double>(iterSos.size());
         is.imbalance = stats::imbalanceFactor(iterSos);
       }
-      report.iterations[i] = is;
+      basis.iterations[i] = is;
+      // Leave-one-out like the process scoring below.
+      const std::vector<double> iterZ = stats::leaveOneOutZ(iterSos);
+      std::size_t k = 0;
+      for (std::size_t p = 0; p < nProcs; ++p) {
+        if (i < perProcess[p].size()) {
+          basis.iterationZ[processBegin[p] + i] = iterZ[k++];
+        }
+      }
     }
   });
 
@@ -82,15 +96,15 @@ VariationReport analyzeVariation(const SosResult& sos,
   {
     std::vector<double> meanDur(nIters), meanSos(nIters);
     for (std::size_t i = 0; i < nIters; ++i) {
-      meanDur[i] = report.iterations[i].meanDuration;
-      meanSos[i] = report.iterations[i].meanSos;
+      meanDur[i] = basis.iterations[i].meanDuration;
+      meanSos[i] = basis.iterations[i].meanSos;
     }
-    report.durationTrend = stats::olsTrend(meanDur);
-    report.sosTrend = stats::olsTrend(meanSos);
+    basis.durationTrend = stats::olsTrend(meanDur);
+    basis.sosTrend = stats::olsTrend(meanSos);
   }
 
   // ---- per-process stats ----------------------------------------------------
-  report.processes.resize(nProcs);
+  basis.processes.resize(nProcs);
   std::vector<double> totals(nProcs, 0.0);
   util::parallelChunks(pool, nProcs, [&](std::size_t begin,
                                             std::size_t end) {
@@ -98,16 +112,18 @@ VariationReport analyzeVariation(const SosResult& sos,
       ProcessStats ps;
       ps.process = static_cast<trace::ProcessId>(p);
       ps.segments = perProcess[p].size();
+      double* z = basis.globalZ.data() + processBegin[p];
       for (const auto& a : perProcess[p]) {
         const double v = static_cast<double>(a.sosTime) / res;
         ps.totalSos += v;
         ps.maxSos = std::max(ps.maxSos, v);
+        *z++ = globalZ(v);
       }
       if (ps.segments > 0) {
         ps.meanSos = ps.totalSos / static_cast<double>(ps.segments);
       }
       totals[p] = ps.totalSos;
-      report.processes[p] = ps;
+      basis.processes[p] = ps;
     }
   });
   // Leave-one-out scoring: a single extreme process must not dilute its
@@ -115,88 +131,83 @@ VariationReport analyzeVariation(const SosResult& sos,
   // all processes from one shared sort.
   const std::vector<double> totalZ = stats::leaveOneOutZ(totals);
   for (std::size_t p = 0; p < nProcs; ++p) {
-    report.processes[p].totalZ = totalZ[p];
+    basis.processes[p].totalZ = totalZ[p];
   }
 
-  report.processesBySos.resize(nProcs);
-  std::iota(report.processesBySos.begin(), report.processesBySos.end(), 0u);
-  std::sort(report.processesBySos.begin(), report.processesBySos.end(),
+  basis.processesBySos.resize(nProcs);
+  std::iota(basis.processesBySos.begin(), basis.processesBySos.end(), 0u);
+  std::sort(basis.processesBySos.begin(), basis.processesBySos.end(),
             [&](trace::ProcessId a, trace::ProcessId b) {
               if (totals[a] != totals[b]) {
                 return totals[a] > totals[b];
               }
               return a < b;
             });
+  return basis;
+}
+
+VariationReport classifyVariation(const SosResult& sos,
+                                  const VariationBasis& basis,
+                                  const VariationOptions& options) {
+  const auto& perProcess = sos.all();
+  PERFVAR_REQUIRE(perProcess.size() == basis.processes.size(),
+                  "variation basis of a different SOS result");
+  const double res = static_cast<double>(sos.trace().resolution());
+
+  VariationReport report;
+  static_cast<VariationStats&>(report) = basis;
+
   for (const trace::ProcessId p : report.processesBySos) {
     if (report.processes[p].totalZ >= options.processThreshold) {
       report.culpritProcesses.push_back(p);
     }
   }
 
-  // ---- hotspots --------------------------------------------------------------
-  // Collected per iteration into disjoint slots, then concatenated in
-  // iteration order; the final sort key (globalZ, process, iteration) is a
-  // total order, so the ranking is independent of the pool.
-  std::vector<std::vector<Hotspot>> perIterHotspots(nIters);
-  util::parallelChunks(pool, nIters, [&](std::size_t begin,
-                                            std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      std::vector<double> iterSos;
-      for (std::size_t p = 0; p < nProcs; ++p) {
-        if (i < perProcess[p].size()) {
-          iterSos.push_back(static_cast<double>(perProcess[p][i].sosTime) /
-                            res);
-        }
-      }
-      // Leave-one-out iteration z, batched like the process scoring above;
-      // computed lazily because most iterations have no hotspot at all.
-      std::vector<double> iterZ;
-      bool iterZReady = false;
-      std::size_t compactIdx = 0;
-      for (std::size_t p = 0; p < nProcs; ++p) {
-        if (i >= perProcess[p].size()) {
-          continue;
-        }
-        const std::size_t myIdx = compactIdx++;
+  auto& hotspots = report.hotspots;
+  std::size_t k = 0;  // the segment's slot in the basis' z-vectors
+  for (std::size_t p = 0; p < perProcess.size(); ++p) {
+    PERFVAR_REQUIRE(perProcess[p].size() == basis.processes[p].segments,
+                    "variation basis of a different SOS result");
+    for (std::size_t i = 0; i < perProcess[p].size(); ++i, ++k) {
+      if (basis.globalZ[k] >= options.outlierThreshold) {
         const auto& a = perProcess[p][i];
-        const double v = static_cast<double>(a.sosTime) / res;
-        const double gz = globalZ(v);
-        if (gz >= options.outlierThreshold) {
-          Hotspot h;
-          h.process = static_cast<trace::ProcessId>(p);
-          h.iteration = i;
-          h.sosSeconds = v;
-          h.durationSeconds = static_cast<double>(a.segment.inclusive()) / res;
-          h.globalZ = gz;
-          if (!iterZReady) {
-            iterZ = stats::leaveOneOutZ(iterSos);
-            iterZReady = true;
-          }
-          h.iterationZ = iterZ[myIdx];
-          perIterHotspots[i].push_back(h);
-        }
+        Hotspot h;
+        h.process = static_cast<trace::ProcessId>(p);
+        h.iteration = i;
+        h.sosSeconds = static_cast<double>(a.sosTime) / res;
+        h.durationSeconds = static_cast<double>(a.segment.inclusive()) / res;
+        h.globalZ = basis.globalZ[k];
+        h.iterationZ = basis.iterationZ[k];
+        hotspots.push_back(h);
       }
     }
-  });
-  std::vector<Hotspot> hotspots;
-  for (auto& per : perIterHotspots) {
-    hotspots.insert(hotspots.end(), per.begin(), per.end());
   }
-  std::sort(hotspots.begin(), hotspots.end(),
-            [](const Hotspot& a, const Hotspot& b) {
-              if (a.globalZ != b.globalZ) {
-                return a.globalZ > b.globalZ;
-              }
-              if (a.process != b.process) {
-                return a.process < b.process;
-              }
-              return a.iteration < b.iteration;
-            });
+  // (globalZ, process, iteration) is a total order, so the ranking does
+  // not depend on the order the segments were visited in.
+  const auto ranked = [](const Hotspot& a, const Hotspot& b) {
+    if (a.globalZ != b.globalZ) {
+      return a.globalZ > b.globalZ;
+    }
+    if (a.process != b.process) {
+      return a.process < b.process;
+    }
+    return a.iteration < b.iteration;
+  };
   if (hotspots.size() > options.maxHotspots) {
-    hotspots.resize(options.maxHotspots);
+    const auto kept =
+        hotspots.begin() + static_cast<std::ptrdiff_t>(options.maxHotspots);
+    std::partial_sort(hotspots.begin(), kept, hotspots.end(), ranked);
+    hotspots.erase(kept, hotspots.end());
+  } else {
+    std::sort(hotspots.begin(), hotspots.end(), ranked);
   }
-  report.hotspots = std::move(hotspots);
   return report;
+}
+
+VariationReport analyzeVariation(const SosResult& sos,
+                                 const VariationOptions& options,
+                                 util::ThreadPool* pool) {
+  return classifyVariation(sos, variationBasis(sos, pool), options);
 }
 
 std::string formatVariationReport(const SosResult& sos,

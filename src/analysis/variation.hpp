@@ -12,6 +12,12 @@
 /// Outliers are scored with a robust z-score (median/MAD based) so that a
 /// handful of extreme segments cannot mask themselves by inflating the
 /// scale estimate.
+///
+/// The analysis is two steps. variationBasis() computes everything no
+/// threshold changes: the statistics and every segment's scores.
+/// classifyVariation() picks culprits and hotspots from a basis under a
+/// VariationOptions, one pass with nothing recomputed, which is what lets
+/// a drill-down move a threshold over one cached SOS result cheaply.
 
 #include <cstddef>
 #include <string>
@@ -69,13 +75,11 @@ struct VariationOptions {
   std::size_t maxHotspots = 100;
 };
 
-/// Complete variation-analysis result.
-struct VariationReport {
+/// The statistics of a variation analysis that no threshold changes.
+struct VariationStats {
   std::vector<IterationStats> iterations;
   std::vector<ProcessStats> processes;      ///< indexed by process id
   std::vector<trace::ProcessId> processesBySos;  ///< ranked, slowest first
-  std::vector<trace::ProcessId> culpritProcesses;  ///< totalZ >= threshold
-  std::vector<Hotspot> hotspots;            ///< ranked by globalZ, desc
 
   /// OLS trend of the mean segment *duration* per iteration
   /// (seconds per iteration); positive slope = run gets slower.
@@ -93,10 +97,44 @@ struct VariationReport {
   trace::ProcessId slowestProcess() const;
 };
 
-/// Run the variation analysis over an SOS result. The per-iteration and
-/// per-process loops are sharded over `pool` (inline when null); every
-/// cross-cutting reduction (global summary, rankings, trends) stays on the
-/// calling thread, so the report is bit-identical either way.
+/// Complete variation-analysis result: the statistics plus what the
+/// thresholds select from them.
+struct VariationReport : VariationStats {
+  std::vector<trace::ProcessId> culpritProcesses;  ///< totalZ >= threshold
+  std::vector<Hotspot> hotspots;            ///< ranked by globalZ, desc
+};
+
+/// The threshold-free part of the variation analysis of one SOS result:
+/// its statistics plus every segment's scores. An AnalysisEngine caches
+/// one basis next to each SOS result, so a query that only moves a
+/// threshold re-runs classifyVariation() alone.
+struct VariationBasis : VariationStats {
+  /// Robust z of every segment's SOS-time against all segments of the
+  /// run, and against the other processes of its iteration (each
+  /// iteration's leave-one-out z-vector). Both are laid out like the SOS
+  /// result: process by process, each in segment order.
+  std::vector<double> globalZ;
+  std::vector<double> iterationZ;
+};
+
+/// Compute the basis of an SOS result. The per-iteration and per-process
+/// loops are sharded over `pool` (inline when null); every cross-cutting
+/// reduction (global summary, rankings, trends) stays on the calling
+/// thread, so the basis is bit-identical either way.
+VariationBasis variationBasis(const SosResult& sos,
+                              util::ThreadPool* pool = nullptr);
+
+/// Select culprits (totalZ >= processThreshold) and hotspots (globalZ >=
+/// outlierThreshold, ranked by globalZ desc, then process, then
+/// iteration, at most maxHotspots) from `basis`, which must be
+/// variationBasis(sos). One pass over the segments; no statistic is
+/// recomputed.
+VariationReport classifyVariation(const SosResult& sos,
+                                  const VariationBasis& basis,
+                                  const VariationOptions& options = {});
+
+/// The whole variation analysis of an SOS result:
+/// classifyVariation(sos, variationBasis(sos, pool), options).
 VariationReport analyzeVariation(const SosResult& sos,
                                  const VariationOptions& options = {},
                                  util::ThreadPool* pool = nullptr);

@@ -108,6 +108,23 @@ std::size_t approxBytes(const analysis::SosResult& r) {
   return total;
 }
 
+/// The SOS stage's cache entry: the SOS result and the threshold-free
+/// variation basis over it, so a query that only moves a threshold
+/// re-classifies the basis instead of recomputing its statistics.
+struct SosEntry {
+  analysis::SosResult sos;
+  analysis::VariationBasis basis;
+};
+
+std::size_t approxBytes(const SosEntry& e) {
+  return approxBytes(e.sos) +
+         e.basis.iterations.capacity() * sizeof(analysis::IterationStats) +
+         e.basis.processes.capacity() * sizeof(analysis::ProcessStats) +
+         e.basis.processesBySos.capacity() * sizeof(trace::ProcessId) +
+         (e.basis.globalZ.capacity() + e.basis.iterationZ.capacity()) *
+             sizeof(double);
+}
+
 std::size_t approxBytes(const analysis::VariationReport& v) {
   return sizeof(v) +
          v.iterations.capacity() * sizeof(analysis::IterationStats) +
@@ -175,7 +192,7 @@ struct AnalysisEngine::Impl {
   Map<profile::FlatProfile> profile;
   Map<lint::LintReport> lint;
   Map<analysis::DominantSelection> dominant;
-  Map<analysis::SosResult> sos;
+  Map<SosEntry> sos;
   Map<analysis::VariationReport> variation;
   Map<analysis::DepAnalysis> dep;
 
@@ -399,17 +416,23 @@ EngineResult AnalysisEngine::analyze(const analysis::PipelineOptions& options) {
 
   const std::uint64_t sosKey =
       fingerprintSos(result.segmentFunction, options.sync);
-  result.sos = impl_->getOrCompute(
+  const std::shared_ptr<const SosEntry> sos = impl_->getOrCompute(
       impl_->sos, sosKey, options_.maxCacheEntries, [&] {
-        return analysis::analyzeSos(analysisView_, result.segmentFunction,
-                                    options.sync, impl_->pool.get());
+        analysis::SosResult computed =
+            analysis::analyzeSos(analysisView_, result.segmentFunction,
+                                 options.sync, impl_->pool.get());
+        analysis::VariationBasis basis =
+            analysis::variationBasis(computed, impl_->pool.get());
+        return SosEntry{std::move(computed), std::move(basis)};
       });
+  // Shares the entry's ownership: the result keeps the basis alive too.
+  result.sos = std::shared_ptr<const analysis::SosResult>(sos, &sos->sos);
 
   result.variation = impl_->getOrCompute(
       impl_->variation, fingerprintVariation(sosKey, options.variation),
       options_.maxCacheEntries, [&] {
-        return analysis::analyzeVariation(*result.sos, options.variation,
-                                          impl_->pool.get());
+        return analysis::classifyVariation(sos->sos, sos->basis,
+                                           options.variation);
       });
   return result;
 }

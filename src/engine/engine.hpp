@@ -17,15 +17,18 @@
 ///   profile      (none; one per trace)
 ///   dominant     DominantOptions fields (+ classifier token if excluding)
 ///   SOS          segment function id + SyncClassifier::cacheToken()
-///   variation    SOS key + VariationOptions fields
+///                (the entry also holds the variation basis of the SOS)
+///   variation    SOS key + VariationOptions thresholds
 ///   dep          SyncClassifier token + Serialization/IdleWave thresholds
 ///   lint         (none; one per trace; its rules read the profile,
 ///                dominant and dep entries above, default options)
 ///
 /// A drill-down that only changes candidateIndex therefore recomputes the
-/// SOS and variation stages for the new segment function and reuses the
-/// cached profile and dominant ranking; a re-export with unchanged options
-/// recomputes nothing.
+/// SOS stage (with its variation basis) and the variation stage for the
+/// new segment function and reuses the cached profile and dominant
+/// ranking; one that only moves a threshold re-classifies the cached
+/// basis (analysis::classifyVariation) and recomputes no statistic; a
+/// re-export with unchanged options recomputes nothing.
 ///
 /// The execution option EngineOptions::threads does NOT change results
 /// (see analyzeTrace's determinism guarantee), so it is deliberately
@@ -100,6 +103,8 @@ struct EngineResult {
   std::shared_ptr<const profile::FlatProfile> profile;
   std::shared_ptr<const analysis::DominantSelection> selection;
   trace::FunctionId segmentFunction = trace::kInvalidFunction;
+  /// Points into the SOS stage's cache entry and shares its ownership
+  /// (the entry also holds the variation basis the report came from).
   std::shared_ptr<const analysis::SosResult> sos;
   std::shared_ptr<const analysis::VariationReport> variation;
 };

@@ -2,17 +2,36 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
+#include <system_error>
+
+#include "util/error.hpp"
 
 namespace perfvar::fmt {
 
+void appendGeneral(std::string& out, double v, int precision) {
+  // Sign, 40 digits, point and "e-308".
+  char buf[64];
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof buf, v, std::chars_format::general, precision);
+  PERFVAR_REQUIRE(r.ec == std::errc{}, "appendGeneral: precision above 40");
+  out.append(buf, r.ptr);
+}
+
+void appendFixed(std::string& out, double v, int decimals) {
+  // The widest double has 309 integer digits; add the sign, the point and
+  // 64 decimals.
+  char buf[384];
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof buf, v, std::chars_format::fixed, decimals);
+  PERFVAR_REQUIRE(r.ec == std::errc{}, "appendFixed: more than 64 decimals");
+  out.append(buf, r.ptr);
+}
+
 std::string fixed(double v, int decimals) {
-  std::ostringstream os;
-  os.setf(std::ios::fixed);
-  os.precision(decimals);
-  os << v;
-  return os.str();
+  std::string out;
+  appendFixed(out, v, decimals);
+  return out;
 }
 
 std::string seconds(double s) {
@@ -81,24 +100,26 @@ std::string table(const std::vector<std::vector<std::string>>& rows) {
       widths[c] = std::max(widths[c], r[c].size());
     }
   }
-  std::ostringstream os;
+  std::string out;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     for (std::size_t c = 0; c < rows[i].size(); ++c) {
-      os << pad(rows[i][c], static_cast<int>(widths[c]));
+      out += rows[i][c];
+      out.append(widths[c] - rows[i][c].size(), ' ');
       if (c + 1 < rows[i].size()) {
-        os << "  ";
+        out += "  ";
       }
     }
-    os << '\n';
+    out += '\n';
     if (i == 0) {
       std::size_t total = 0;
       for (std::size_t c = 0; c < cols; ++c) {
         total += widths[c] + (c + 1 < cols ? 2 : 0);
       }
-      os << std::string(total, '-') << '\n';
+      out.append(total, '-');
+      out += '\n';
     }
   }
-  return os.str();
+  return out;
 }
 
 std::string sparkline(std::span<const double> values) {

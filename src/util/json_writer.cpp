@@ -1,48 +1,47 @@
 #include "util/json_writer.hpp"
 
 #include <cmath>
-#include <cstdio>
 
 namespace perfvar::util {
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+void JsonWriter::appendString(std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  buf_ += '"';
   for (const char c : s) {
     switch (c) {
       case '"':
-        out += "\\\"";
+        buf_ += "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        buf_ += "\\\\";
         break;
       case '\n':
-        out += "\\n";
+        buf_ += "\\n";
         break;
       case '\t':
-        out += "\\t";
+        buf_ += "\\t";
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
+          buf_ += "\\u00";
+          buf_ += kHex[static_cast<unsigned char>(c) >> 4];
+          buf_ += kHex[static_cast<unsigned char>(c) & 0xf];
         } else {
-          out += c;
+          buf_ += c;
         }
     }
   }
-  return out;
+  buf_ += '"';
 }
 
 void JsonWriter::value(double v) {
   separator();
   if (std::isfinite(v)) {
-    out_ << v;
+    fmt::appendGeneral(buf_, v, 17);
   } else {
-    out_ << "null";
+    buf_ += "null";
   }
-  fresh_ = false;
+  valueDone();
 }
 
 }  // namespace perfvar::util

@@ -5,80 +5,106 @@
 /// Minimal structured JSON writer shared by every JSON export path
 /// (analysis reports, lint reports). No dependencies, deterministic
 /// byte-for-byte output: numbers print with 17 significant digits so
-/// doubles round-trip, non-finite values render as null.
+/// doubles round-trip (printf("%.17g") via std::to_chars), non-finite
+/// values render as null. The document is built in one string and
+/// written to the stream when its top-level value is complete (or when
+/// the writer is destroyed), so a writer and direct writes to its stream
+/// must not interleave inside one document.
 
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
+
+#include "util/format.hpp"
 
 namespace perfvar::util {
-
-/// JSON-escape a string (quotes, backslashes, control characters).
-std::string jsonEscape(const std::string& s);
 
 /// Streaming JSON writer. The caller is responsible for well-formedness
 /// (matching begin/end calls, keys only inside objects); the writer only
 /// handles separators and escaping.
 class JsonWriter {
 public:
+  /// Also sets the stream's precision to 17, which callers that stream
+  /// doubles after the document rely on.
   explicit JsonWriter(std::ostream& out) : out_(out) {
     out_.precision(17);
   }
+  ~JsonWriter() { flush(); }
 
-  void beginObject() {
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
+
+  void beginObject() { open('{'); }
+  void endObject() { close('}'); }
+  void beginArray() { open('['); }
+  void endArray() { close(']'); }
+  void key(std::string_view name) {
     separator();
-    out_ << '{';
-    fresh_ = true;
-  }
-  void endObject() {
-    out_ << '}';
-    fresh_ = false;
-  }
-  void beginArray() {
-    separator();
-    out_ << '[';
-    fresh_ = true;
-  }
-  void endArray() {
-    out_ << ']';
-    fresh_ = false;
-  }
-  void key(const std::string& name) {
-    separator();
-    out_ << '"' << jsonEscape(name) << "\":";
+    appendString(name);
+    buf_ += ':';
     fresh_ = true;
   }
   void value(double v);
   void value(std::uint64_t v) {
     separator();
-    out_ << v;
-    fresh_ = false;
+    fmt::appendInteger(buf_, v);
+    valueDone();
   }
   void value(std::int64_t v) {
     separator();
-    out_ << v;
-    fresh_ = false;
+    fmt::appendInteger(buf_, v);
+    valueDone();
   }
   void value(const std::string& s) {
     separator();
-    out_ << '"' << jsonEscape(s) << '"';
-    fresh_ = false;
+    appendString(s);
+    valueDone();
   }
   void value(bool b) {
     separator();
-    out_ << (b ? "true" : "false");
-    fresh_ = false;
+    buf_ += b ? "true" : "false";
+    valueDone();
   }
 
 private:
   void separator() {
     if (!fresh_) {
-      out_ << ',';
+      buf_ += ',';
     }
     fresh_ = true;
   }
+  void open(char bracket) {
+    separator();
+    buf_ += bracket;
+    ++depth_;
+    fresh_ = true;
+  }
+  void close(char bracket) {
+    buf_ += bracket;
+    --depth_;
+    valueDone();
+  }
+  /// A value ended: the next one needs a separator, and a complete
+  /// top-level value goes to the stream.
+  void valueDone() {
+    fresh_ = false;
+    if (depth_ == 0) {
+      flush();
+    }
+  }
+  void flush() {
+    out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
+  }
+  /// A quoted, JSON-escaped string (quotes, backslashes, control
+  /// characters).
+  void appendString(std::string_view s);
 
   std::ostream& out_;
+  std::string buf_;
+  std::size_t depth_ = 0;
   bool fresh_ = true;
 };
 

@@ -135,8 +135,19 @@ void ThreadPool::runnerLoop(ChunkRun& run, WorkerCounters& counters) {
     counters.chunksRun.fetch_add(end - begin, std::memory_order_relaxed);
   }
 
+  // The cursor is drained: this call's entries still queued would only
+  // find it drained too. Withdraw them (before counting down, so the run
+  // outlives every entry) and count them down with this runner.
+  std::size_t withdrawn = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto kept = std::remove(queue_.begin(), queue_.end(), &run);
+    withdrawn = static_cast<std::size_t>(queue_.end() - kept);
+    queue_.erase(kept, queue_.end());
+  }
   std::lock_guard<std::mutex> lock(run.mutex);
-  if (--run.runnersLeft == 0) {
+  run.runnersLeft -= withdrawn + 1;
+  if (run.runnersLeft == 0) {
     run.done.notify_one();
   }
 }

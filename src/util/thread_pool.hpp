@@ -104,11 +104,13 @@ private:
   /// runners finished.
   void runChunks(std::size_t n, const ChunkBody& body);
   void workerLoop(std::size_t workerIndex);
-  static void runnerLoop(ChunkRun& run, WorkerCounters& counters);
+  void runnerLoop(ChunkRun& run, WorkerCounters& counters);
 
   std::vector<std::thread> workers_;
   std::unique_ptr<WorkerCounters[]> counters_;
-  std::deque<ChunkRun*> queue_;  ///< one entry per runner of a call
+  /// One entry per runner of a call, until a runner of the call finds
+  /// its cursor drained and withdraws the call's remaining entries.
+  std::deque<ChunkRun*> queue_;
   std::mutex mutex_;
   std::condition_variable taskReady_;
   bool stop_ = false;

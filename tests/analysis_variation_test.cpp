@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
+#include <string>
+
 #include "analysis/pipeline.hpp"
 #include "analysis/variation.hpp"
 #include "apps/paper_examples.hpp"
 #include "trace/builder.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
+#include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 
 namespace perfvar::analysis {
 namespace {
@@ -152,6 +160,293 @@ TEST(Variation, ReportFormatsKeyFacts) {
   EXPECT_NE(text.find("segmentation function: step"), std::string::npos);
   EXPECT_NE(text.find("Rank 1"), std::string::npos);
   EXPECT_NE(text.find("top hotspots"), std::string::npos);
+}
+
+// --- basis + classification against the single-pass oracle ------------------
+
+/// The variation analysis as one pass that selects while it scores (the
+/// form it had before the basis/classification split, serial), kept as
+/// the oracle classifyVariation(sos, variationBasis(sos)) must equal field by
+/// field.
+VariationReport oracleVariation(const SosResult& sos,
+                                const VariationOptions& options) {
+  VariationReport report;
+  const auto& perProcess = sos.all();
+  const std::size_t nProcs = perProcess.size();
+  const std::size_t nIters = sos.maxSegmentsPerProcess();
+  const double res = static_cast<double>(sos.trace().resolution());
+
+  const std::vector<double> allSos = sos.allSosSeconds();
+  report.sosSummary = stats::summarize(allSos);
+  report.sosMedian = stats::median(allSos);
+  report.sosMad = stats::mad(allSos);
+  const double globalScale = stats::kMadToSigma * report.sosMad;
+  const auto globalZ = [&](double x) {
+    if (globalScale > 0.0) {
+      return (x - report.sosMedian) / globalScale;
+    }
+    return report.sosSummary.stddev > 0.0
+               ? (x - report.sosSummary.mean) / report.sosSummary.stddev
+               : 0.0;
+  };
+
+  report.iterations.resize(nIters);
+  for (std::size_t i = 0; i < nIters; ++i) {
+    std::vector<double> iterSos;
+    IterationStats is;
+    is.iteration = i;
+    double durationSum = 0.0;
+    double best = -1.0;
+    for (std::size_t p = 0; p < nProcs; ++p) {
+      if (i < perProcess[p].size()) {
+        const auto& a = perProcess[p][i];
+        const double v = static_cast<double>(a.sosTime) / res;
+        iterSos.push_back(v);
+        durationSum += static_cast<double>(a.segment.inclusive()) / res;
+        if (v > best) {
+          best = v;
+          is.slowestProcess = static_cast<trace::ProcessId>(p);
+        }
+      }
+    }
+    is.processCount = iterSos.size();
+    if (!iterSos.empty()) {
+      const auto s = stats::summarize(iterSos);
+      is.minSos = s.min;
+      is.maxSos = s.max;
+      is.meanSos = s.mean;
+      is.stddevSos = s.stddev;
+      is.meanDuration = durationSum / static_cast<double>(iterSos.size());
+      is.imbalance = stats::imbalanceFactor(iterSos);
+    }
+    report.iterations[i] = is;
+  }
+  {
+    std::vector<double> meanDur(nIters), meanSos(nIters);
+    for (std::size_t i = 0; i < nIters; ++i) {
+      meanDur[i] = report.iterations[i].meanDuration;
+      meanSos[i] = report.iterations[i].meanSos;
+    }
+    report.durationTrend = stats::olsTrend(meanDur);
+    report.sosTrend = stats::olsTrend(meanSos);
+  }
+
+  report.processes.resize(nProcs);
+  std::vector<double> totals(nProcs, 0.0);
+  for (std::size_t p = 0; p < nProcs; ++p) {
+    ProcessStats ps;
+    ps.process = static_cast<trace::ProcessId>(p);
+    ps.segments = perProcess[p].size();
+    for (const auto& a : perProcess[p]) {
+      const double v = static_cast<double>(a.sosTime) / res;
+      ps.totalSos += v;
+      ps.maxSos = std::max(ps.maxSos, v);
+    }
+    if (ps.segments > 0) {
+      ps.meanSos = ps.totalSos / static_cast<double>(ps.segments);
+    }
+    totals[p] = ps.totalSos;
+    report.processes[p] = ps;
+  }
+  const std::vector<double> totalZ = stats::leaveOneOutZ(totals);
+  for (std::size_t p = 0; p < nProcs; ++p) {
+    report.processes[p].totalZ = totalZ[p];
+  }
+  report.processesBySos.resize(nProcs);
+  std::iota(report.processesBySos.begin(), report.processesBySos.end(), 0u);
+  std::sort(report.processesBySos.begin(), report.processesBySos.end(),
+            [&](trace::ProcessId a, trace::ProcessId b) {
+              if (totals[a] != totals[b]) {
+                return totals[a] > totals[b];
+              }
+              return a < b;
+            });
+  for (const trace::ProcessId p : report.processesBySos) {
+    if (report.processes[p].totalZ >= options.processThreshold) {
+      report.culpritProcesses.push_back(p);
+    }
+  }
+
+  std::vector<Hotspot> hotspots;
+  for (std::size_t i = 0; i < nIters; ++i) {
+    std::vector<double> iterSos;
+    for (std::size_t p = 0; p < nProcs; ++p) {
+      if (i < perProcess[p].size()) {
+        iterSos.push_back(static_cast<double>(perProcess[p][i].sosTime) /
+                          res);
+      }
+    }
+    std::vector<double> iterZ;
+    bool iterZReady = false;
+    std::size_t compactIdx = 0;
+    for (std::size_t p = 0; p < nProcs; ++p) {
+      if (i >= perProcess[p].size()) {
+        continue;
+      }
+      const std::size_t myIdx = compactIdx++;
+      const auto& a = perProcess[p][i];
+      const double v = static_cast<double>(a.sosTime) / res;
+      const double gz = globalZ(v);
+      if (gz >= options.outlierThreshold) {
+        Hotspot h;
+        h.process = static_cast<trace::ProcessId>(p);
+        h.iteration = i;
+        h.sosSeconds = v;
+        h.durationSeconds = static_cast<double>(a.segment.inclusive()) / res;
+        h.globalZ = gz;
+        if (!iterZReady) {
+          iterZ = stats::leaveOneOutZ(iterSos);
+          iterZReady = true;
+        }
+        h.iterationZ = iterZ[myIdx];
+        hotspots.push_back(h);
+      }
+    }
+  }
+  std::sort(hotspots.begin(), hotspots.end(),
+            [](const Hotspot& a, const Hotspot& b) {
+              if (a.globalZ != b.globalZ) {
+                return a.globalZ > b.globalZ;
+              }
+              if (a.process != b.process) {
+                return a.process < b.process;
+              }
+              return a.iteration < b.iteration;
+            });
+  if (hotspots.size() > options.maxHotspots) {
+    hotspots.resize(options.maxHotspots);
+  }
+  report.hotspots = std::move(hotspots);
+  return report;
+}
+
+void expectSameReport(const VariationReport& a, const VariationReport& b) {
+  ASSERT_EQ(a.iterations.size(), b.iterations.size());
+  for (std::size_t i = 0; i < a.iterations.size(); ++i) {
+    const IterationStats& x = a.iterations[i];
+    const IterationStats& y = b.iterations[i];
+    EXPECT_EQ(x.iteration, y.iteration);
+    EXPECT_EQ(x.processCount, y.processCount);
+    EXPECT_EQ(x.minSos, y.minSos);
+    EXPECT_EQ(x.maxSos, y.maxSos);
+    EXPECT_EQ(x.meanSos, y.meanSos);
+    EXPECT_EQ(x.stddevSos, y.stddevSos);
+    EXPECT_EQ(x.meanDuration, y.meanDuration);
+    EXPECT_EQ(x.imbalance, y.imbalance);
+    EXPECT_EQ(x.slowestProcess, y.slowestProcess);
+  }
+  ASSERT_EQ(a.processes.size(), b.processes.size());
+  for (std::size_t p = 0; p < a.processes.size(); ++p) {
+    const ProcessStats& x = a.processes[p];
+    const ProcessStats& y = b.processes[p];
+    EXPECT_EQ(x.process, y.process);
+    EXPECT_EQ(x.segments, y.segments);
+    EXPECT_EQ(x.totalSos, y.totalSos);
+    EXPECT_EQ(x.meanSos, y.meanSos);
+    EXPECT_EQ(x.maxSos, y.maxSos);
+    EXPECT_EQ(x.totalZ, y.totalZ);
+  }
+  EXPECT_EQ(a.processesBySos, b.processesBySos);
+  EXPECT_EQ(a.culpritProcesses, b.culpritProcesses);
+  ASSERT_EQ(a.hotspots.size(), b.hotspots.size());
+  for (std::size_t i = 0; i < a.hotspots.size(); ++i) {
+    const Hotspot& x = a.hotspots[i];
+    const Hotspot& y = b.hotspots[i];
+    EXPECT_EQ(x.process, y.process) << "hotspot " << i;
+    EXPECT_EQ(x.iteration, y.iteration) << "hotspot " << i;
+    EXPECT_EQ(x.sosSeconds, y.sosSeconds);
+    EXPECT_EQ(x.durationSeconds, y.durationSeconds);
+    EXPECT_EQ(x.globalZ, y.globalZ);
+    EXPECT_EQ(x.iterationZ, y.iterationZ);
+  }
+  const auto sameFit = [](const stats::OlsFit& x, const stats::OlsFit& y) {
+    return x.slope == y.slope && x.intercept == y.intercept && x.r2 == y.r2;
+  };
+  EXPECT_TRUE(sameFit(a.durationTrend, b.durationTrend));
+  EXPECT_TRUE(sameFit(a.sosTrend, b.sosTrend));
+  EXPECT_EQ(a.sosMedian, b.sosMedian);
+  EXPECT_EQ(a.sosMad, b.sosMad);
+  EXPECT_EQ(a.sosSummary.count, b.sosSummary.count);
+  EXPECT_EQ(a.sosSummary.min, b.sosSummary.min);
+  EXPECT_EQ(a.sosSummary.max, b.sosSummary.max);
+  EXPECT_EQ(a.sosSummary.mean, b.sosSummary.mean);
+  EXPECT_EQ(a.sosSummary.stddev, b.sosSummary.stddev);
+}
+
+/// A seeded random SOS matrix over `tr`'s processes: ragged rows (some
+/// processes have no segment at all, one always has `iters`), and SOS
+/// ticks drawn per `shape`: 0 wide spread, 1 a few distinct values (ties
+/// in the global z), 2 one value with one outlier (MAD = 0, the stddev
+/// fallback), 3 one value everywhere (zero scale).
+SosResult randomSos(const trace::Trace& tr, std::size_t iters, int shape,
+                    Rng& rng) {
+  const std::size_t procs = tr.processCount();
+  const auto outlier = static_cast<std::size_t>(
+      rng.uniformInt(0, static_cast<std::int64_t>(procs * iters) - 1));
+  std::vector<std::vector<SegmentAnalysis>> per(procs);
+  for (std::size_t p = 0; p < procs; ++p) {
+    const std::size_t count =
+        p == 0 ? iters
+               : static_cast<std::size_t>(
+                     rng.uniformInt(0, static_cast<std::int64_t>(iters)));
+    for (std::size_t i = 0; i < count; ++i) {
+      trace::Timestamp sos = 100;
+      switch (shape) {
+        case 0:
+          sos = static_cast<trace::Timestamp>(rng.uniformInt(1, 100000));
+          break;
+        case 1:
+          sos = static_cast<trace::Timestamp>(100 * rng.uniformInt(1, 3));
+          break;
+        case 2:
+          sos = p * iters + i == outlier ? 5000 : 100;
+          break;
+        default:
+          break;
+      }
+      SegmentAnalysis a;
+      a.segment.process = static_cast<trace::ProcessId>(p);
+      a.segment.index = static_cast<std::uint32_t>(i);
+      a.segment.enter = static_cast<trace::Timestamp>(i) * 1'000'000;
+      a.sosTime = sos;
+      a.syncTime = static_cast<trace::Timestamp>(rng.uniformInt(0, 50));
+      a.segment.leave = a.segment.enter + a.sosTime + a.syncTime;
+      per[p].push_back(a);
+    }
+  }
+  return SosResult(tr, trace::kInvalidFunction, std::move(per));
+}
+
+TEST(VariationBasis, ClassificationEqualsTheSinglePassOracle) {
+  Rng rng(20161);
+  util::ThreadPool pool(4);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double thresholds[] = {-inf, -2.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.5, inf};
+  const std::size_t caps[] = {0, 1, 3, 100};
+  for (int round = 0; round < 48; ++round) {
+    const int shape = round % 4;
+    const auto procs = static_cast<std::size_t>(rng.uniformInt(1, 12));
+    const auto iters = static_cast<std::size_t>(rng.uniformInt(1, 20));
+    const trace::Trace tr = trace::TraceBuilder(procs).finish();
+    const SosResult sos = randomSos(tr, iters, shape, rng);
+    const VariationBasis serial = variationBasis(sos);
+    const VariationBasis pooled = variationBasis(sos, &pool);
+    for (int k = 0; k < 6; ++k) {
+      VariationOptions options;
+      options.outlierThreshold = thresholds[rng.uniformInt(0, 8)];
+      options.processThreshold = thresholds[rng.uniformInt(0, 8)];
+      options.maxHotspots = caps[rng.uniformInt(0, 3)];
+      SCOPED_TRACE("round " + std::to_string(round) + " shape " +
+                   std::to_string(shape) + " outlier " +
+                   std::to_string(options.outlierThreshold) + " process " +
+                   std::to_string(options.processThreshold) + " cap " +
+                   std::to_string(options.maxHotspots));
+      const VariationReport oracle = oracleVariation(sos, options);
+      expectSameReport(oracle, classifyVariation(sos, serial, options));
+      expectSameReport(oracle, classifyVariation(sos, pooled, options));
+      expectSameReport(oracle, analyzeVariation(sos, options, &pool));
+    }
+  }
 }
 
 // --- pipeline ----------------------------------------------------------------

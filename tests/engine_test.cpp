@@ -157,6 +157,66 @@ TEST(Engine, ThresholdSweepRecomputesOnlyTheVariationStage) {
   EXPECT_EQ(eng.formatReport(opts), reference(probe, opts));
 }
 
+TEST(Engine, ThresholdLadderReclassifiesTheCachedSos) {
+  // The drill-down of the paper: one candidate, the outlier threshold
+  // walked over 24 rungs and back to the first. The SOS stage (and the
+  // variation basis cached with it) is computed once; every rung after
+  // the first is one variation miss, and every answer is the answer of a
+  // fresh engine and of analyzeTrace for the same options.
+  trace::Trace cosmo = smallCosmo();
+  const trace::Trace probe = cosmo;
+  engine::EngineOptions eopts;
+  eopts.threads = 4;
+  engine::AnalysisEngine eng{std::move(cosmo), eopts};
+  using analysis::ExportFormat;
+  const auto answer = [](engine::AnalysisEngine& e,
+                         const analysis::PipelineOptions& opts) {
+    std::ostringstream out;
+    out << e.formatReport(opts);
+    e.exportReport(ExportFormat::Json, out, opts);
+    e.exportReport(ExportFormat::CsvHotspots, out, opts);
+    e.exportReport(ExportFormat::CsvIterations, out, opts);
+    return out.str();
+  };
+
+  std::vector<double> ladder;
+  for (int rung = 0; rung < 24; ++rung) {
+    ladder.push_back(2.0 + 0.125 * rung);
+  }
+  ladder.push_back(ladder.front());
+  const analysis::SosResult* sos = nullptr;
+  for (const double z : ladder) {
+    SCOPED_TRACE("outlierThreshold=" + std::to_string(z));
+    analysis::PipelineOptions opts;
+    opts.candidateIndex = 1;
+    opts.variation.outlierThreshold = z;
+    const engine::EngineResult result = eng.analyze(opts);
+    if (sos == nullptr) {
+      sos = result.sos.get();
+    }
+    EXPECT_EQ(result.sos.get(), sos);
+    const std::string warm = answer(eng, opts);
+
+    engine::AnalysisEngine fresh{trace::Trace(probe)};
+    EXPECT_EQ(warm, answer(fresh, opts));
+
+    const analysis::AnalysisResult serial = analysis::analyzeTrace(probe, opts);
+    EXPECT_EQ(warm,
+              analysis::formatAnalysis(probe, serial) +
+                  analysis::exportReportString(probe, serial,
+                                               ExportFormat::Json) +
+                  analysis::exportReportString(probe, serial,
+                                               ExportFormat::CsvHotspots) +
+                  analysis::exportReportString(probe, serial,
+                                               ExportFormat::CsvIterations));
+  }
+  // A cold analyze is 4 misses (profile, dominant, SOS, variation); each
+  // later rung misses the variation stage alone and the way back to the
+  // first rung misses nothing.
+  EXPECT_EQ(eng.cacheStats().misses, 4u + 23u);
+  EXPECT_EQ(eng.cacheStats().evictions, 0u);
+}
+
 TEST(Engine, DominantOptionsAreKeyedSeparately) {
   trace::Trace tr = apps::buildFigure2Trace();
   const trace::Trace probe = tr;

@@ -16,6 +16,7 @@
 #include <string>
 
 #include "analysis/depgraph.hpp"
+#include "analysis/export.hpp"
 #include "analysis/pipeline.hpp"
 #include "apps/cosmo_specs.hpp"
 #include "apps/desync_stencil.hpp"
@@ -147,6 +148,30 @@ TEST(GoldenReport, SmallCosmoTimelineSvg) {
               vis::renderTimelineSvg(tr, vis::FunctionColors::standard(tr),
                                      opts)
                   .finalize());
+}
+
+// Machine-readable exports of the small COSMO-SPECS analysis: the SOS
+// matrix, per-iteration and hotspot CSVs (%.12g numbers) and the JSON
+// document (%.17g), so the number formatting of every export writer is
+// pinned, at one thread and at four.
+TEST(GoldenReport, SmallCosmoExports) {
+  const trace::Trace tr = smallCosmo();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    analysis::PipelineOptions opts;
+    opts.threads = threads;
+    const analysis::AnalysisResult result = analysis::analyzeTrace(tr, opts);
+    const auto exported = [&](analysis::ExportFormat format) {
+      return analysis::exportReportString(tr, result, format);
+    };
+    checkGolden("cosmo_4x4_export.csv", exported(analysis::ExportFormat::Csv));
+    checkGolden("cosmo_4x4_iterations.csv",
+                exported(analysis::ExportFormat::CsvIterations));
+    checkGolden("cosmo_4x4_hotspots.csv",
+                exported(analysis::ExportFormat::CsvHotspots));
+    checkGolden("cosmo_4x4_export.json",
+                exported(analysis::ExportFormat::Json));
+  }
 }
 
 TEST(GoldenReport, ParallelCritpathReproducesTheGoldenReports) {

@@ -470,6 +470,53 @@ TEST(ChunkScheduler, BlockedRangeDoesNotStrandTheRest) {
   }
 }
 
+TEST(ChunkScheduler, DrainedCallWithdrawsItsQueuedRunners) {
+  // One of two workers is held inside another call's range, so the free
+  // worker runs the whole second call alone. Once it drains that call's
+  // cursor, the call's other queued runner entry has nothing left to
+  // claim: the worker withdraws it instead of popping it as a second
+  // task. Three tasks in all: one per worker for the blocked call, one
+  // for the second call.
+  util::ThreadPool pool(2);
+  std::mutex mutex;
+  std::condition_variable changed;
+  bool holding = false;
+  bool release = false;
+  std::thread blocked([&] {
+    util::parallelChunks(&pool, 2, [&](std::size_t begin, std::size_t) {
+      if (begin != 0) {
+        return;
+      }
+      std::unique_lock<std::mutex> lock(mutex);
+      holding = true;
+      changed.notify_all();
+      changed.wait(lock, [&] { return release; });
+    });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    changed.wait(lock, [&] { return holding; });
+  }
+  std::atomic<std::size_t> ran{0};
+  util::parallelChunks(&pool, 64, [&](std::size_t begin, std::size_t end) {
+    ran.fetch_add(end - begin, std::memory_order_relaxed);
+  });
+  const util::ThreadPoolStats stats = pool.stats();
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    release = true;
+  }
+  changed.notify_all();
+  blocked.join();
+
+  EXPECT_EQ(ran.load(), 64u);
+  ASSERT_EQ(stats.workers.size(), 2u);
+  EXPECT_EQ(stats.totalChunks(), 65u);  // index 0 of the blocked call runs on
+  EXPECT_EQ(stats.totalTasks(), 3u);
+  EXPECT_EQ(std::min(stats.workers[0].tasksRun, stats.workers[1].tasksRun),
+            1u);
+}
+
 TEST(ChunkScheduler, StatsCountChunks) {
   util::ThreadPool pool(2);
   util::parallelChunks(&pool, 100, [](std::size_t, std::size_t) {});
