@@ -1,15 +1,16 @@
 #include "engine/engine.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <limits>
 #include <mutex>
+#include <ostream>
 #include <set>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "trace/binary_io.hpp"
 #include "util/error.hpp"
@@ -26,6 +27,7 @@ constexpr std::uint64_t kTagDominant = 0x646f6d;    // "dom"
 constexpr std::uint64_t kTagSos = 0x736f73;         // "sos"
 constexpr std::uint64_t kTagVariation = 0x766172;   // "var"
 constexpr std::uint64_t kTagDep = 0x646570;         // "dep"
+constexpr std::uint64_t kTagRender = 0x726e64;      // "rnd"
 
 std::uint64_t fingerprintDominant(const analysis::DominantOptions& o) {
   util::Hasher h;
@@ -72,6 +74,17 @@ std::uint64_t fingerprintDep(const analysis::DepAnalysisOptions& o) {
       .u64(o.idleWave.minWaitTicks)
       .f64(o.idleWave.minWaitShare)
       .u64(o.idleWave.minRanks)
+      .digest();
+}
+
+/// The renderKey of an answer held by the variation entry: the dominant
+/// ranking is part of the text and JSON reports, and the variation key
+/// does not cover it.
+std::uint64_t variationRenderKey(analysis::ExportFormat format,
+                                 const analysis::DominantOptions& dominant) {
+  return util::Hasher{}
+      .u64(static_cast<std::uint64_t>(format))
+      .u64(fingerprintDominant(dominant))
       .digest();
 }
 
@@ -168,21 +181,57 @@ std::size_t approxBytes(const lint::LintReport& r) {
 
 }  // namespace
 
+/// One rendered answer: its bytes and the precision the render left set
+/// on its stream (the CSV writers set 12, JSON sets 17; kPrecisionKept
+/// when it set none), so a copy leaves the caller's stream as a render
+/// would.
+struct AnalysisEngine::Render {
+  static constexpr std::streamsize kPrecisionKept = -1;
+  std::string bytes;
+  std::streamsize precision = kPrecisionKept;
+
+  /// Run `draw(std::ostream&)` into a fresh stream and keep what it wrote.
+  template <typename Draw>
+  static std::shared_ptr<const Render> of(Draw&& draw) {
+    std::ostringstream os;
+    os.precision(kPrecisionKept);
+    draw(os);
+    std::string bytes = std::move(os).str();
+    bytes.shrink_to_fit();  // the stream grew it geometrically
+    return std::make_shared<const Render>(
+        Render{std::move(bytes), os.precision()});
+  }
+
+  void writeTo(std::ostream& out) const {
+    if (precision != kPrecisionKept) {
+      out.precision(precision);
+    }
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+};
+
 struct AnalysisEngine::Impl {
   template <typename T>
   struct Entry {
     std::shared_ptr<const T> value;
     std::uint64_t lastUse = 0;
+    /// The value's bytes plus those of its renders.
     std::size_t bytes = 0;
+    /// Answers rendered from `value`, by renderKey (see renderOf). They
+    /// leave with the entry.
+    std::vector<std::pair<std::uint64_t, std::shared_ptr<const Render>>>
+        renders;
   };
   template <typename T>
   using Map = std::unordered_map<std::uint64_t, Entry<T>>;
 
   /// Guards every cache container, computing, useClock and bytes. Held
-  /// only for map lookups/inserts, never while a stage computes.
+  /// only for map lookups/inserts, never while a stage computes or an
+  /// answer renders.
   std::mutex cacheMutex;
-  /// The (map, key) pairs a caller is computing; another caller that
-  /// misses on one waits on `computed` instead of computing it again.
+  /// The (map, key) pairs a caller is computing (a render's key is its
+  /// slotKey); another caller that misses on one waits on `computed`
+  /// instead of computing it again.
   std::set<std::pair<const void*, std::uint64_t>> computing;
   std::condition_variable computed;
   std::uint64_t useClock = 0;
@@ -213,64 +262,64 @@ struct AnalysisEngine::Impl {
   }
 
   /// Drop least-recently-used derived entries until the combined count is
-  /// within `maxEntries` again. Caller holds cacheMutex.
+  /// within `maxEntries` again. Caller holds cacheMutex. One scan per map
+  /// and victim; on equal use the earlier map (dominant, SOS, variation,
+  /// dep) loses its entry.
   void evictIfNeeded(std::size_t maxEntries) {
     if (maxEntries == 0) {
       return;
     }
-    auto lruUse = [](const auto& map) {
-      std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
-      for (const auto& [key, entry] : map) {
-        best = std::min(best, entry.lastUse);
-      }
-      return best;
-    };
-    auto lruIt = [](auto& map) {
-      auto best = map.begin();
+    auto oldestIn = [](auto& map) {
+      auto best = map.end();
       for (auto it = map.begin(); it != map.end(); ++it) {
-        if (it->second.lastUse < best->second.lastUse) {
+        if (best == map.end() || it->second.lastUse < best->second.lastUse) {
           best = it;
         }
       }
       return best;
     };
+    auto useOf = [](const auto& map, auto it) {
+      return it == map.end() ? std::numeric_limits<std::uint64_t>::max()
+                             : it->second.lastUse;
+    };
     while (dominant.size() + sos.size() + variation.size() + dep.size() >
            maxEntries) {
-      const std::uint64_t d = lruUse(dominant);
-      const std::uint64_t s = lruUse(sos);
-      const std::uint64_t v = lruUse(variation);
-      const std::uint64_t g = lruUse(dep);
+      const auto dIt = oldestIn(dominant);
+      const auto sIt = oldestIn(sos);
+      const auto vIt = oldestIn(variation);
+      const auto gIt = oldestIn(dep);
+      const std::uint64_t d = useOf(dominant, dIt);
+      const std::uint64_t s = useOf(sos, sIt);
+      const std::uint64_t v = useOf(variation, vIt);
+      const std::uint64_t g = useOf(dep, gIt);
       if (d <= s && d <= v && d <= g) {
-        evictLruFrom(dominant, lruIt(dominant));
+        evictLruFrom(dominant, dIt);
       } else if (s <= v && s <= g) {
-        evictLruFrom(sos, lruIt(sos));
+        evictLruFrom(sos, sIt);
       } else if (v <= g) {
-        evictLruFrom(variation, lruIt(variation));
+        evictLruFrom(variation, vIt);
       } else {
-        evictLruFrom(dep, lruIt(dep));
+        evictLruFrom(dep, gIt);
       }
     }
   }
 
-  /// The cache protocol of every stage: lookup under the lock, compute
-  /// outside it on a miss, insert. A key is computed by one caller at a
-  /// time: a caller that misses while another computes the same key
-  /// waits for that insert and counts a hit, so concurrent queries never
+  /// The compute-once protocol of stages and renders. Under the lock,
+  /// `find()` returns the cached value or null. On null, one caller
+  /// claims `slot`, computes outside the lock and `store`s the value
+  /// under it; a caller that misses while another computes the same slot
+  /// waits for that store and looks again, so concurrent queries never
   /// hold two copies of one stage's working memory. A failed compute
-  /// leaves the key missing; the next waiter computes it (and fails) in
-  /// turn. Stages only wait on stages they read, so no cycle can form.
-  template <typename T, typename Compute>
-  std::shared_ptr<const T> getOrCompute(Map<T>& map, std::uint64_t key,
-                                        std::size_t maxEntries,
-                                        Compute&& compute) {
-    const std::pair<const void*, std::uint64_t> slot{&map, key};
+  /// leaves the slot free; the next waiter computes it (and fails) in
+  /// turn. Stages only wait on stages they read and renders on nothing,
+  /// so no cycle can form.
+  template <typename Find, typename Compute, typename Store>
+  auto computeOnce(std::pair<const void*, std::uint64_t> slot, Find&& find,
+                   Compute&& compute, Store&& store) {
     std::unique_lock<std::mutex> lock(cacheMutex);
     while (true) {
-      const auto it = map.find(key);
-      if (it != map.end()) {
-        it->second.lastUse = ++useClock;
-        hits.fetch_add(1, std::memory_order_relaxed);
-        return it->second.value;
+      if (auto found = find()) {
+        return found;
       }
       if (computing.insert(slot).second) {
         break;
@@ -278,10 +327,9 @@ struct AnalysisEngine::Impl {
       computed.wait(lock);
     }
     lock.unlock();
-    misses.fetch_add(1, std::memory_order_relaxed);
-    std::shared_ptr<const T> value;
+    decltype(find()) value;
     try {
-      value = std::make_shared<const T>(compute());
+      value = compute();
     } catch (...) {
       lock.lock();
       computing.erase(slot);
@@ -291,13 +339,76 @@ struct AnalysisEngine::Impl {
     lock.lock();
     computing.erase(slot);
     computed.notify_all();
-    Entry<T>& entry = map[key];
-    entry.value = value;
-    entry.lastUse = ++useClock;
-    entry.bytes = approxBytes(*value);
-    bytes += entry.bytes;
-    evictIfNeeded(maxEntries);
+    store(value);
     return value;
+  }
+
+  /// The cache protocol of every stage: a hit (waiting for another
+  /// caller's compute included) counts a hit, a compute counts a miss.
+  template <typename T, typename Compute>
+  std::shared_ptr<const T> getOrCompute(Map<T>& map, std::uint64_t key,
+                                        std::size_t maxEntries,
+                                        Compute&& compute) {
+    return computeOnce(
+        {&map, key},
+        [&]() -> std::shared_ptr<const T> {
+          const auto it = map.find(key);
+          if (it == map.end()) {
+            return nullptr;
+          }
+          it->second.lastUse = ++useClock;
+          hits.fetch_add(1, std::memory_order_relaxed);
+          return it->second.value;
+        },
+        [&] {
+          misses.fetch_add(1, std::memory_order_relaxed);
+          return std::make_shared<const T>(compute());
+        },
+        [&](const std::shared_ptr<const T>& value) {
+          Entry<T>& entry = map[key];
+          entry.value = value;
+          entry.lastUse = ++useClock;
+          entry.bytes = approxBytes(*value);
+          bytes += entry.bytes;
+          evictIfNeeded(maxEntries);
+        });
+  }
+
+  /// The answer `draw` renders from the value cached under `key`, kept
+  /// with that entry under `renderKey`: rendered once while the entry
+  /// stays resident, then served as a copy. Its bytes count towards the
+  /// entry's and the cache's. It counts no hit, miss or eviction and does
+  /// not touch the entry's LRU position (the stage lookup before it
+  /// did). If the entry was evicted since that lookup, the render is
+  /// returned unkept: `draw` reads the caller's own stage results.
+  template <typename T, typename Draw>
+  std::shared_ptr<const Render> renderOf(Map<T>& map, std::uint64_t key,
+                                         std::uint64_t renderKey,
+                                         Draw&& draw) {
+    const std::uint64_t slotKey =
+        util::Hasher{}.u64(kTagRender).u64(key).u64(renderKey).digest();
+    return computeOnce(
+        {&map, slotKey},
+        [&]() -> std::shared_ptr<const Render> {
+          const auto it = map.find(key);
+          if (it != map.end()) {
+            for (const auto& [k, kept] : it->second.renders) {
+              if (k == renderKey) {
+                return kept;
+              }
+            }
+          }
+          return nullptr;
+        },
+        [&] { return Render::of(draw); },
+        [&](const std::shared_ptr<const Render>& value) {
+          const auto it = map.find(key);
+          if (it != map.end()) {
+            it->second.renders.emplace_back(renderKey, value);
+            it->second.bytes += value->bytes.size();
+            bytes += value->bytes.size();
+          }
+        });
   }
 
   /// Stage 2 over an already-fetched profile, shared by dominant() and
@@ -388,16 +499,27 @@ std::shared_ptr<const analysis::DepAnalysis> AnalysisEngine::depAnalysis(
       });
 }
 
+std::shared_ptr<const AnalysisEngine::Render> AnalysisEngine::depRender(
+    analysis::ExportFormat format,
+    const analysis::DepAnalysisOptions& options) {
+  const std::shared_ptr<const analysis::DepAnalysis> dep = depAnalysis(options);
+  return impl_->renderOf(impl_->dep, fingerprintDep(options),
+                         static_cast<std::uint64_t>(format),
+                         [&](std::ostream& out) {
+                           analysis::exportDepAnalysis(analysisView_, *dep,
+                                                       format, out);
+                         });
+}
+
 std::string AnalysisEngine::formatDepReport(
     const analysis::DepAnalysisOptions& options) {
-  return analysis::formatDepAnalysis(analysisView_, *depAnalysis(options));
+  return depRender(analysis::ExportFormat::Text, options)->bytes;
 }
 
 void AnalysisEngine::exportDepReport(analysis::ExportFormat format,
                                      std::ostream& out,
                                      const analysis::DepAnalysisOptions& options) {
-  analysis::exportDepAnalysis(analysisView_, *depAnalysis(options), format,
-                              out);
+  depRender(format, options)->writeTo(out);
 }
 
 EngineResult AnalysisEngine::analyze(const analysis::PipelineOptions& options) {
@@ -437,18 +559,33 @@ EngineResult AnalysisEngine::analyze(const analysis::PipelineOptions& options) {
   return result;
 }
 
+std::shared_ptr<const AnalysisEngine::Render> AnalysisEngine::reportRender(
+    analysis::ExportFormat format, const analysis::PipelineOptions& options) {
+  const EngineResult r = analyze(options);
+  const auto draw = [&](std::ostream& out) {
+    analysis::exportReport(view_, *r.selection, *r.sos, *r.variation, format,
+                           out);
+  };
+  const std::uint64_t sosKey = fingerprintSos(r.segmentFunction, options.sync);
+  if (format == analysis::ExportFormat::Csv) {
+    // The SOS matrix reads the SOS stage alone.
+    return impl_->renderOf(impl_->sos, sosKey,
+                           static_cast<std::uint64_t>(format), draw);
+  }
+  return impl_->renderOf(impl_->variation,
+                         fingerprintVariation(sosKey, options.variation),
+                         variationRenderKey(format, options.dominant), draw);
+}
+
 std::string AnalysisEngine::formatReport(
     const analysis::PipelineOptions& options) {
-  const EngineResult r = analyze(options);
-  return analysis::formatAnalysis(view_, *r.selection, *r.sos, *r.variation);
+  return reportRender(analysis::ExportFormat::Text, options)->bytes;
 }
 
 void AnalysisEngine::exportReport(analysis::ExportFormat format,
                                   std::ostream& out,
                                   const analysis::PipelineOptions& options) {
-  const EngineResult r = analyze(options);
-  analysis::exportReport(view_, *r.selection, *r.sos, *r.variation, format,
-                         out);
+  reportRender(format, options)->writeTo(out);
 }
 
 CacheStats AnalysisEngine::cacheStats() const {

@@ -22,13 +22,20 @@
 ///   dep          SyncClassifier token + Serialization/IdleWave thresholds
 ///   lint         (none; one per trace; its rules read the profile,
 ///                dominant and dep entries above, default options)
+///   rendered     kept with the entry it renders: the SOS-matrix CSV in
+///   answer       the SOS entry; text, JSON, iteration and hotspot CSV
+///                in the variation entry under (format, dominant key);
+///                dependency text, JSON and CSV in the dep entry
 ///
 /// A drill-down that only changes candidateIndex therefore recomputes the
 /// SOS stage (with its variation basis) and the variation stage for the
 /// new segment function and reuses the cached profile and dominant
 /// ranking; one that only moves a threshold re-classifies the cached
 /// basis (analysis::classifyVariation) and recomputes no statistic; a
-/// re-export with unchanged options recomputes nothing.
+/// re-export with unchanged options recomputes nothing and renders
+/// nothing: it copies the bytes kept with the entry into the caller's
+/// stream. A kept render counts no hit, miss or eviction; its bytes
+/// count in CacheStats::bytes and it is evicted with its entry.
 ///
 /// The execution option EngineOptions::threads does NOT change results
 /// (see analyzeTrace's determinism guarantee), so it is deliberately
@@ -202,6 +209,16 @@ private:
   /// lint::StageSource: the view the stages compute on (null when every
   /// rank is quarantined).
   const trace::TraceView* analysisTrace() override;
+
+  /// The cached answer of exportReport/formatReport (exportDepReport/
+  /// formatDepReport): analyze (depAnalysis), then the render kept with
+  /// the stage entry it reads.
+  struct Render;
+  std::shared_ptr<const Render> reportRender(
+      analysis::ExportFormat format, const analysis::PipelineOptions& options);
+  std::shared_ptr<const Render> depRender(
+      analysis::ExportFormat format,
+      const analysis::DepAnalysisOptions& options);
 
   struct Impl;
   trace::TraceView view_;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <latch>
 #include <sstream>
@@ -23,6 +24,7 @@
 #include "engine/engine.hpp"
 #include "lint/lint.hpp"
 #include "sim/simulator.hpp"
+#include "support/fault_injection.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/builder.hpp"
 #include "util/error.hpp"
@@ -105,6 +107,161 @@ TEST(Engine, ExportsMatchTheUnifiedExporters) {
     eng.exportReport(format, viaEngine);
     EXPECT_EQ(viaEngine.str(), analysis::exportReportString(tr, serial, format));
   }
+}
+
+// ---- rendered answers are kept with their cache entries -----------------
+
+using analysis::ExportFormat;
+constexpr ExportFormat kReportFormats[] = {
+    ExportFormat::Text, ExportFormat::Json, ExportFormat::Csv,
+    ExportFormat::CsvIterations, ExportFormat::CsvHotspots};
+constexpr ExportFormat kDepFormats[] = {ExportFormat::Text, ExportFormat::Json,
+                                        ExportFormat::Csv};
+
+/// One rendered answer and the precision its stream was left with (0 for
+/// the string-returning calls).
+struct Rendered {
+  std::string bytes;
+  std::streamsize precision = 0;
+  bool operator==(const Rendered&) const = default;
+};
+
+template <typename Draw>
+Rendered renderInto(Draw&& draw) {
+  std::ostringstream os;
+  draw(os);
+  return {os.str(), os.precision()};
+}
+
+/// Every answer the engine renders for `opts`: formatReport, exportReport
+/// in each format, formatDepReport and exportDepReport in each format.
+std::vector<Rendered> engineAnswers(engine::AnalysisEngine& eng,
+                                    const analysis::PipelineOptions& opts) {
+  std::vector<Rendered> out;
+  out.push_back({eng.formatReport(opts), 0});
+  for (const ExportFormat format : kReportFormats) {
+    out.push_back(renderInto(
+        [&](std::ostream& os) { eng.exportReport(format, os, opts); }));
+    if (format != ExportFormat::Text && format != ExportFormat::Json) {
+      EXPECT_EQ(out.back().precision, 12);  // as writeCsv leaves it
+    }
+  }
+  out.push_back({eng.formatDepReport(), 0});
+  for (const ExportFormat format : kDepFormats) {
+    out.push_back(
+        renderInto([&](std::ostream& os) { eng.exportDepReport(format, os); }));
+  }
+  return out;
+}
+
+/// The same answers from a fresh analyzeTrace and analyzeDependencies.
+std::vector<Rendered> freshAnswers(const trace::Trace& tr,
+                                   const analysis::PipelineOptions& opts) {
+  const analysis::AnalysisResult serial = analysis::analyzeTrace(tr, opts);
+  const trace::TraceView analyzed = trace::TraceView(tr).dropQuarantined();
+  const analysis::DepAnalysis dep = analysis::analyzeDependencies(analyzed);
+  std::vector<Rendered> out;
+  out.push_back({analysis::formatAnalysis(tr, serial), 0});
+  for (const ExportFormat format : kReportFormats) {
+    out.push_back(renderInto([&](std::ostream& os) {
+      analysis::exportReport(tr, serial, format, os);
+    }));
+  }
+  out.push_back({analysis::formatDepAnalysis(analyzed, dep), 0});
+  for (const ExportFormat format : kDepFormats) {
+    out.push_back(renderInto([&](std::ostream& os) {
+      analysis::exportDepAnalysis(analyzed, dep, format, os);
+    }));
+  }
+  return out;
+}
+
+/// smallCosmo() loaded in Salvage mode from a v2 image whose rank 5 block
+/// entry is zeroed: rank 5 is quarantined.
+trace::Trace salvagedCosmo() {
+  const testing::Image image = testing::FaultInjector::zeroTableEntry(
+      testing::encodeImage(smallCosmo(), trace::kBinaryFormatV2), 5);
+  trace::BinaryReadOptions options;
+  options.recovery = trace::RecoveryMode::Salvage;
+  return trace::readBinaryBuffer(image.data(), image.size(), options);
+}
+
+TEST(Engine, KeptRendersMatchFreshRendersColdWarmAndAfterEviction) {
+  std::vector<Scenario> traces;
+  traces.push_back({"cosmo4x4", smallCosmo()});
+  traces.push_back({"salvaged", salvagedCosmo()});
+  ASSERT_EQ(trace::TraceView(traces[1].tr).quarantined().size(), 1u);
+  for (const Scenario& s : traces) {
+    SCOPED_TRACE(s.name);
+    const std::size_t candidates = std::min<std::size_t>(
+        4, analysis::analyzeTrace(s.tr).selection.candidates.size());
+    ASSERT_GE(candidates, 2u);
+    std::vector<analysis::PipelineOptions> queries;
+    std::vector<std::vector<Rendered>> expected;
+    for (std::size_t k = 0; k < candidates; ++k) {
+      for (const double z : {2.0, 3.0, 4.5}) {
+        analysis::PipelineOptions opts;
+        opts.candidateIndex = k;
+        opts.variation.outlierThreshold = z;
+        queries.push_back(opts);
+        expected.push_back(freshAnswers(s.tr, opts));
+      }
+    }
+    // Another dominant ranking (MPI functions become candidates) over the
+    // same top candidate as queries[1]: the same SOS and variation
+    // entries, another text and JSON report.
+    analysis::PipelineOptions withSync = queries[1];
+    withSync.dominant.excludeSynchronization = false;
+    queries.push_back(withSync);
+    expected.push_back(freshAnswers(s.tr, withSync));
+    ASSERT_NE(expected.back().front(), expected[1].front());
+    ASSERT_EQ(expected.back()[3], expected[1][3]);  // the same SOS matrix
+    // 0 = unlimited: nothing is evicted, so the second and third passes
+    // are served from the kept renders and add no bytes.
+    for (const std::size_t capacity : {0u, 1u, 2u, 3u}) {
+      SCOPED_TRACE("maxCacheEntries=" + std::to_string(capacity));
+      engine::EngineOptions eopts;
+      eopts.maxCacheEntries = capacity;
+      engine::AnalysisEngine eng{trace::Trace(s.tr), eopts};
+      std::uint64_t bytesAfterFirstPass = 0;
+      for (const char* pass : {"cold", "kept", "after churn"}) {
+        SCOPED_TRACE(pass);
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+          SCOPED_TRACE("query " + std::to_string(q));
+          EXPECT_EQ(engineAnswers(eng, queries[q]), expected[q]);
+          EXPECT_EQ(engineAnswers(eng, queries[q]), expected[q]);
+        }
+        if (bytesAfterFirstPass == 0) {
+          bytesAfterFirstPass = eng.cacheStats().bytes;
+        } else if (capacity == 0) {
+          EXPECT_EQ(eng.cacheStats().bytes, bytesAfterFirstPass);
+        }
+      }
+      EXPECT_EQ(eng.cacheStats().evictions > 0, capacity != 0);
+    }
+  }
+}
+
+TEST(Engine, KeptRenderCountsNoCacheEvent) {
+  // A render is kept with its entry but is not an entry: a re-export
+  // counts the stage lookups of analyze() and nothing else, and its bytes
+  // are charged once.
+  const trace::Trace tr = smallCosmo();
+  engine::AnalysisEngine eng{trace::Trace(tr)};
+  (void)eng.analyze();
+  const engine::CacheStats analyzed = eng.cacheStats();
+  std::ostringstream first;
+  eng.exportReport(ExportFormat::Csv, first);
+  const engine::CacheStats rendered = eng.cacheStats();
+  EXPECT_EQ(rendered.misses, analyzed.misses);
+  EXPECT_EQ(rendered.hits, analyzed.hits + 4u);
+  EXPECT_EQ(rendered.bytes, analyzed.bytes + first.str().size());
+  std::ostringstream second;
+  eng.exportReport(ExportFormat::Csv, second);
+  EXPECT_EQ(second.str(), first.str());
+  EXPECT_EQ(eng.cacheStats().hits, rendered.hits + 4u);
+  EXPECT_EQ(eng.cacheStats().bytes, rendered.bytes);
+  EXPECT_EQ(eng.cacheStats().evictions, 0u);
 }
 
 // ---- drill-down sweeps reuse upstream stages -----------------------------
@@ -551,6 +708,52 @@ TEST(Engine, ConcurrentColdQueriesComputeEachStageOnce) {
   const engine::CacheStats stats = eng.cacheStats();
   EXPECT_EQ(stats.misses, 5u);
   EXPECT_EQ(stats.hits, 5u * (kThreads - 1));
+}
+
+TEST(Engine, ConcurrentColdExportRendersOnce) {
+  // Eight threads ask for one cold SOS-matrix export at once: every one
+  // gets the same bytes, the cache counts equal eight serial exports, and
+  // the cache holds one render of it.
+  const trace::Trace tr = smallCosmo();
+  const std::string expected = analysis::exportReportString(
+      tr, analysis::analyzeTrace(tr), ExportFormat::Csv);
+  engine::EngineOptions eopts;
+  eopts.threads = 2;
+  constexpr int kThreads = 8;
+
+  engine::AnalysisEngine serial{trace::Trace(tr), eopts};
+  for (int t = 0; t < kThreads; ++t) {
+    std::ostringstream os;
+    serial.exportReport(ExportFormat::Csv, os);
+  }
+  engine::AnalysisEngine analyzedOnly{trace::Trace(tr), eopts};
+  (void)analyzedOnly.analyze();
+
+  engine::AnalysisEngine eng{trace::Trace(tr), eopts};
+  std::latch start(kThreads);
+  std::vector<std::string> answers(kThreads);
+  {
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        std::ostringstream os;
+        start.arrive_and_wait();
+        eng.exportReport(ExportFormat::Csv, os);
+        answers[static_cast<std::size_t>(t)] = os.str();
+      });
+    }
+    for (auto& w : workers) {
+      w.join();
+    }
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(answers[static_cast<std::size_t>(t)], expected) << "thread " << t;
+  }
+  const engine::CacheStats stats = eng.cacheStats();
+  EXPECT_EQ(stats.hits, serial.cacheStats().hits);
+  EXPECT_EQ(stats.misses, serial.cacheStats().misses);
+  EXPECT_EQ(stats.bytes, serial.cacheStats().bytes);
+  EXPECT_EQ(stats.bytes, analyzedOnly.cacheStats().bytes + expected.size());
 }
 
 TEST(Engine, ConcurrentFailingStageThrowsForEveryCaller) {
