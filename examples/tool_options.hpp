@@ -42,7 +42,7 @@ struct ToolOptions {
   /// --verbose: analysis commands append scheduler diagnostics
   /// (per-worker thread-pool counters) after their report.
   bool verbose = false;
-  /// --shard-budget-mb N: decoded-shard LRU budget of --lazy (MiB).
+  /// --shard-budget-mb N: budget of --lazy's resident shard set (MiB).
   std::size_t shardBudgetMb = 256;
   /// --budget-mb N: serve only — global resident-trace budget (MiB).
   std::size_t budgetMb = 0;

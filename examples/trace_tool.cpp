@@ -41,11 +41,11 @@
 /// to serial); --salvage loads damaged inputs in recovery mode
 /// (quarantined ranks are excluded from analysis and reported); --lazy
 /// opens analysis inputs out-of-core (mmap + per-rank lazy decode,
-/// --shard-budget-mb N caps the decoded LRU) so six-figure-rank traces
-/// analyze in bounded memory with byte-identical output; --budget-mb N /
-/// --session-budget-mb N cap the serve daemon's resident-trace memory
-/// (LRU eviction); --help prints the usage text. Unknown options are
-/// rejected.
+/// --shard-budget-mb N caps the decoded shards kept) so six-figure-rank
+/// traces analyze in bounded memory with byte-identical output;
+/// --budget-mb N / --session-budget-mb N cap the serve daemon's
+/// resident-trace memory (LRU eviction); --help prints the usage text.
+/// Unknown options are rejected.
 ///
 /// Exit codes: 0 = success, 1 = runtime/analysis error (unreadable trace,
 /// no dominant function, failed validation, ...), 2 = usage error
@@ -213,15 +213,16 @@ void printUsage(std::ostream& out) {
       "                quarantined (and excluded from analysis) instead\n"
       "                of failing the whole load\n"
       "  --lazy        open analysis inputs out-of-core (PVTF v2 only):\n"
-      "                mmap + per-rank lazy decode under an LRU budget;\n"
+      "                mmap + per-rank lazy decode under a shard budget;\n"
       "                output is byte-identical to an eager load\n"
       "  --verbose     analyze only: append the thread pool's scheduling\n"
       "                counters (per-worker tasks/chunks/idle wakeups)\n"
       "                after the report; with --threads 1 notes the\n"
       "                serial run\n"
-      "  --shard-budget-mb N    --lazy only: decoded-shard LRU budget\n"
-      "                         (MiB, default 256); new shards enter\n"
-      "                         cold, so rank sweeps keep what fit\n"
+      "  --shard-budget-mb N    --lazy only: budget of the decoded shards\n"
+      "                         kept (MiB, default 256): the ranks in\n"
+      "                         index order that fit, fixed at open;\n"
+      "                         other ranks decode at every pin\n"
       "  --budget-mb N          serve only: global memory budget over all\n"
       "                         resident traces (MiB, LRU eviction);\n"
       "                         0 = unlimited (default)\n"

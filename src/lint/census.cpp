@@ -62,14 +62,20 @@ struct OpenFrame {
 
 }  // namespace
 
-/// One worker's lookup tables, stack, and the records and findings of the
-/// rank it is folding. Every slot is back to zero between ranks.
+/// One worker's lookup tables and stack, the records of the ranks its
+/// Tally has folded, and the findings of the rank it is folding. Every
+/// slot is back to zero between ranks; the records are empty between
+/// Tallies.
 struct CensusBuilder::Scratch {
   std::vector<std::uint32_t> peerSlot;      ///< 1 + index in channels
   std::vector<std::uint32_t> functionSlot;  ///< 1 + index in functions
   std::vector<TraceCensus::Channel> channels;
   std::vector<TraceCensus::Invocations> functions;
   std::vector<std::uint32_t> open;  ///< strict frames, parallel to functions
+  /// Each folded rank, its offsets relative to channels and functions.
+  std::vector<std::pair<ProcessId, TraceCensus::Rank>> ranks;
+  std::size_t channelBegin = 0;   ///< the current rank's first channel
+  std::size_t functionBegin = 0;  ///< the current rank's first function
   std::vector<OpenFrame> stack;  ///< see fold()
   std::vector<FoldFinding> findings;
 };
@@ -104,7 +110,22 @@ CensusBuilder::Tally::Tally(CensusBuilder& builder) : builder_(builder) {
 }
 
 CensusBuilder::Tally::~Tally() {
+  Scratch& s = *scratch_;
   std::lock_guard<std::mutex> lock(builder_.mutex_);
+  TraceCensus& out = builder_.out_;
+  for (auto& [process, rank] : s.ranks) {
+    rank.channelBegin += out.channels_.size();
+    rank.functionBegin += out.functions_.size();
+    out.ranks_[process] = std::move(rank);
+  }
+  out.channels_.insert(out.channels_.end(), s.channels.begin(),
+                       s.channels.end());
+  out.functions_.insert(out.functions_.end(), s.functions.begin(),
+                        s.functions.end());
+  s.ranks.clear();
+  s.channels.clear();
+  s.functions.clear();
+  s.open.clear();
   builder_.idle_.push_back(std::move(scratch_));
 }
 
@@ -134,16 +155,18 @@ void CensusBuilder::Tally::record(FoldCheck check, std::size_t event,
 
 void CensusBuilder::Tally::add(RankEvents& rank) {
   process_ = rank.process();
+  scratch_->channelBegin = scratch_->channels.size();
+  scratch_->functionBegin = scratch_->functions.size();
   scratch_->findings.clear();
   rank.fold_ = &scratch_->findings;
   trace::EventSpan events;
   try {
     events = rank.events();
   } catch (...) {
-    publish(std::current_exception(), true);
+    keep(std::current_exception(), true);
     return;
   }
-  publish(fold(events), false);
+  keep(fold(events), false);
 }
 
 /// The rank's one sweep. It pairs enters and leaves twice:
@@ -268,40 +291,34 @@ std::exception_ptr CensusBuilder::Tally::fold(trace::EventSpan events) {
   return unpaired;
 }
 
-void CensusBuilder::Tally::publish(std::exception_ptr error, bool pinFailed) {
-  std::vector<TraceCensus::Channel>& channels = scratch_->channels;
-  std::vector<TraceCensus::Invocations>& functions = scratch_->functions;
-  for (const TraceCensus::Channel& c : channels) {
-    scratch_->peerSlot[c.peer] = 0;
+void CensusBuilder::Tally::keep(std::exception_ptr error, bool pinFailed) {
+  Scratch& s = *scratch_;
+  const auto channels =
+      s.channels.begin() + static_cast<std::ptrdiff_t>(s.channelBegin);
+  const auto functions =
+      s.functions.begin() + static_cast<std::ptrdiff_t>(s.functionBegin);
+  for (auto c = channels; c != s.channels.end(); ++c) {
+    s.peerSlot[c->peer] = 0;
   }
-  for (const TraceCensus::Invocations& f : functions) {
-    scratch_->functionSlot[f.function] = 0;
+  for (auto f = functions; f != s.functions.end(); ++f) {
+    s.functionSlot[f->function] = 0;
   }
-  std::sort(channels.begin(), channels.end(),
+  std::sort(channels, s.channels.end(),
             [](const TraceCensus::Channel& a, const TraceCensus::Channel& b) {
               return a.peer < b.peer;
             });
-  std::sort(functions.begin(), functions.end(),
+  std::sort(functions, s.functions.end(),
             [](const TraceCensus::Invocations& a,
                const TraceCensus::Invocations& b) {
               return a.function < b.function;
             });
-  {
-    std::lock_guard<std::mutex> lock(builder_.mutex_);
-    TraceCensus& out = builder_.out_;
-    out.ranks_[process_] = TraceCensus::Rank{
-        out.channels_.size(), out.functions_.size(),
-        static_cast<std::uint32_t>(channels.size()),
-        static_cast<std::uint32_t>(functions.size()), std::move(error),
-        pinFailed};
-    out.channels_.insert(out.channels_.end(), channels.begin(),
-                         channels.end());
-    out.functions_.insert(out.functions_.end(), functions.begin(),
-                          functions.end());
-  }
-  channels.clear();
-  functions.clear();
-  scratch_->open.clear();
+  s.ranks.emplace_back(
+      process_,
+      TraceCensus::Rank{
+          s.channelBegin, s.functionBegin,
+          static_cast<std::uint32_t>(s.channels.size() - s.channelBegin),
+          static_cast<std::uint32_t>(s.functions.size() - s.functionBegin),
+          std::move(error), pinFailed});
 }
 
 }  // namespace perfvar::lint

@@ -38,9 +38,10 @@ struct FoldFinding {
 };
 
 /// Folds the ranks of the per-rank phase into a TraceCensus. Each worker
-/// folds its ranks through its own Tally and appends each rank's records
-/// as one slice, so what the census says about a rank does not depend on
-/// which worker took it. A rank's findings stay with the Tally.
+/// folds a range of ranks through its own Tally, which appends the
+/// range's records once, when it is destroyed, each rank's records as one
+/// slice. So what the census says about a rank does not depend on which
+/// worker took it. A rank's findings stay with the Tally.
 class CensusBuilder {
   struct Scratch;
 
@@ -57,7 +58,8 @@ public:
   static std::span<const FoldFinding> findings(const RankEvents& rank);
 
   /// Folds ranks on one thread with scratch tables borrowed from the
-  /// builder until destruction.
+  /// builder until destruction, which appends the folded ranks' records
+  /// to the census.
   class Tally {
   public:
     explicit Tally(CensusBuilder& builder);
@@ -75,10 +77,11 @@ public:
     std::exception_ptr fold(trace::EventSpan events);
     void record(FoldCheck check, std::size_t event, std::string message);
     TraceCensus::Channel& channel(trace::ProcessId peer);
-    /// Index of f's record in the rank's functions, added on first use.
+    /// Index of f's record in functions, added at the rank's first use.
     std::uint32_t function(trace::FunctionId f);
-    /// Append the rank's records to the census; clear the lookups.
-    void publish(std::exception_ptr error, bool pinFailed);
+    /// Sort the rank's records and keep them for the census; clear the
+    /// lookups.
+    void keep(std::exception_ptr error, bool pinFailed);
 
     CensusBuilder& builder_;
     std::unique_ptr<Scratch> scratch_;

@@ -1,7 +1,8 @@
 /// \file view.cpp
 /// TraceView backends: eager (borrowed/owned/shared in-memory Trace),
-/// out-of-core PVTF v2 (mmap + per-rank lazy decode into a bounded LRU of
-/// decoded shards), and the filtered sub-view over a lazy parent.
+/// out-of-core PVTF v2 (mmap + per-rank lazy decode into a resident set of
+/// decoded shards fixed at open), and the filtered sub-view over a lazy
+/// parent.
 ///
 /// Byte-identity between the eager and lazy paths holds by construction:
 /// both run the same per-block codec (detail::decodeV2Block /
@@ -11,9 +12,8 @@
 #include "trace/view.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
-#include <iterator>
-#include <list>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -29,11 +29,11 @@ namespace detail {
 
 namespace {
 
-/// Shared ownership bundle of a pin: the backend (process names, mapped
-/// file) plus, for decoded shards, the shard storage itself.
-struct PinHold {
+/// Events decoded for one pin alone. The pin owns them and the backend,
+/// which holds the rank's name.
+struct OwnedShard {
   std::shared_ptr<const TraceViewBackend> backend;
-  std::shared_ptr<const std::vector<Event>> shard;  ///< null for eager spans
+  std::vector<Event> events;
 };
 
 }  // namespace
@@ -70,16 +70,23 @@ public:
   }
 
 protected:
-  static RankPin makePin(std::shared_ptr<const TraceViewBackend> backend,
-                         std::shared_ptr<const std::vector<Event>> shard,
-                         const std::string* name, EventSpan span) {
-    auto hold = std::make_shared<PinHold>();
-    hold->backend = std::move(backend);
-    hold->shard = std::move(shard);
-    return RankPin(std::move(hold), name, span);
+  /// A pin of events the backend keeps for its whole life: it shares the
+  /// backend through an aliasing pointer and allocates nothing.
+  static RankPin keptPin(std::shared_ptr<const TraceViewBackend> self,
+                         const std::string* name,
+                         const std::vector<Event>& events) {
+    return RankPin(std::shared_ptr<const void>(std::move(self), &events),
+                   name, EventSpan(events.data(), events.size()));
   }
 
-  /// One streaming pass over the ranks (bounded by the shard cache for
+  /// A pin that alone owns its decoded events.
+  static RankPin ownedPin(std::shared_ptr<OwnedShard> shard,
+                          const std::string* name) {
+    const EventSpan span(shard->events.data(), shard->events.size());
+    return RankPin(std::move(shard), name, span);
+  }
+
+  /// One streaming pass over the ranks (bounded by the resident set for
   /// the lazy backends). Overridden by the eager backend to reuse the
   /// Trace's own cached bounds.
   virtual std::pair<Timestamp, Timestamp> computeTimeBounds(
@@ -140,8 +147,7 @@ public:
   RankPin rank(ProcessId p,
                std::shared_ptr<const TraceViewBackend> self) const override {
     const ProcessTrace& proc = trace_->processes[p];
-    return makePin(std::move(self), nullptr, &proc.name,
-                   EventSpan(proc.events.data(), proc.events.size()));
+    return keptPin(std::move(self), &proc.name, proc.events);
   }
   const Trace* eagerOrNull() const override { return trace_; }
 
@@ -158,26 +164,132 @@ private:
 
 // ---- out-of-core v2 backend -----------------------------------------------
 
-/// mmapped PVTF v2 file with per-rank lazy decode. Decoded shards live in
-/// a mutex-protected LRU bounded by `budgetBytes`; outstanding pins keep
-/// their shard alive past eviction (shared_ptr), so eviction only bounds
-/// the cache, never invalidates spans. Salvaged (quarantined) ranks keep
-/// their balanced prefix resident — they are rare and small by definition.
+/// mmapped PVTF v2 file with per-rank lazy decode into a resident set
+/// fixed at open (see view.hpp). Each rank has a slot; a resident rank's
+/// first pin decodes its shard and publishes it with a compare-exchange,
+/// and the shard stays until the backend goes, so a later pin is one
+/// acquire load and takes no lock. A rank outside the set is decoded for
+/// each pin and owned by that pin alone. Salvaged (quarantined) ranks keep
+/// their balanced prefix in their slot from open on, outside the budget —
+/// they are rare and small by definition.
 class LazyV2Backend final : public TraceViewBackend {
 public:
+  /// Classifies every block first when `salvage` is set (RecoveryMode::
+  /// Salvage), then fixes the resident set.
   LazyV2Backend(util::FileView file, V2Summary summary,
-                std::size_t budgetBytes)
+                std::size_t budgetBytes, LoadReport* salvage)
       : file_(std::move(file)),
         summary_(std::move(summary)),
-        budget_(budgetBytes) {
-    salvaged_.resize(summary_.blocks.size());
+        slots_(std::make_unique<Slot[]>(summary_.blocks.size())) {
+    if (salvage != nullptr) {
+      classifySalvage(*salvage);
+    }
+    // Ranks in index order; each that still fits the budget is resident.
+    // A rank that does not fit is skipped, and a later, smaller one may
+    // still fit, so resident bytes never exceed the budget.
+    std::size_t remaining = budgetBytes;
+    for (std::size_t i = 0; i < summary_.blocks.size(); ++i) {
+      const std::uint64_t events = summary_.blocks[i].events;
+      Slot& slot = slots_[i];
+      if (!slot.salvaged && events <= remaining / sizeof(Event)) {
+        slot.resident = true;
+        remaining -= static_cast<std::size_t>(events) * sizeof(Event);
+      }
+    }
   }
 
-  /// Salvage classification pass (openFile, RecoveryMode::Salvage): run
-  /// every block through the shared salvage codec, keep only the faulty
-  /// ranks' balanced events resident, discard healthy decodes. One rank's
-  /// decode is in flight at a time, so peak memory is one shard.
+  std::uint64_t resolution() const override { return summary_.resolution; }
+  const FunctionRegistry& functions() const override {
+    return summary_.functions;
+  }
+  const MetricRegistry& metrics() const override { return summary_.metrics; }
+  std::size_t processCount() const override { return summary_.blocks.size(); }
+  const std::string& processName(ProcessId p) const override {
+    return summary_.processNames[p];
+  }
+  std::uint64_t eventCount(ProcessId p) const override {
+    if (slots_[p].salvaged) {
+      // The balanced salvaged prefix.
+      return slots_[p].shard.load(std::memory_order_relaxed)->size();
+    }
+    return summary_.blocks[p].events;  // from the block table, no decode
+  }
+  const std::vector<QuarantinedRank>& quarantined() const override {
+    return quarantined_;
+  }
+
+  RankPin rank(ProcessId p,
+               std::shared_ptr<const TraceViewBackend> self) const override {
+    PERFVAR_REQUIRE(p < summary_.blocks.size(),
+                    "TraceView::rank: process id out of range");
+    Slot& slot = slots_[p];
+    const std::string* name = &summary_.processNames[p];
+    const std::vector<Event>* shard =
+        slot.shard.load(std::memory_order_acquire);
+    if (shard != nullptr) {
+      if (!slot.salvaged) {
+        slot.hits.fetch_add(1, std::memory_order_relaxed);
+      }
+      return keptPin(std::move(self), name, *shard);
+    }
+    if (!slot.resident) {
+      // Outside the set: a shard the cache does not keep, so one decode and
+      // one eviction.
+      auto owned = std::make_shared<OwnedShard>();
+      decodeV2Block(file_.data(), summary_.blocks[p], p, owned->events);
+      owned->backend = std::move(self);
+      decodes_.fetch_add(1, std::memory_order_relaxed);
+      evictions_.fetch_add(1, std::memory_order_relaxed);
+      return ownedPin(std::move(owned), name);
+    }
+    auto decoded = std::make_unique<std::vector<Event>>();
+    decodeV2Block(file_.data(), summary_.blocks[p], p, *decoded);
+    if (slot.shard.compare_exchange_strong(shard, decoded.get(),
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_acquire)) {
+      shard = decoded.release();
+      decodes_.fetch_add(1, std::memory_order_relaxed);
+      residentBytes_.fetch_add(shard->size() * sizeof(Event),
+                               std::memory_order_relaxed);
+    } else {
+      // Another pin published the rank first: drop this decode, count a
+      // hit.
+      slot.hits.fetch_add(1, std::memory_order_relaxed);
+    }
+    return keptPin(std::move(self), name, *shard);
+  }
+
+  TraceViewStats stats() const override {
+    TraceViewStats s;
+    s.shardDecodes = decodes_.load(std::memory_order_relaxed);
+    s.shardEvictions = evictions_.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < summary_.blocks.size(); ++i) {
+      s.shardHits += slots_[i].hits.load(std::memory_order_relaxed);
+    }
+    // A resident shard is never evicted, so the peak is the current total.
+    s.residentBytes = residentBytes_.load(std::memory_order_relaxed);
+    s.peakResidentBytes = s.residentBytes;
+    return s;
+  }
+
+private:
+  /// One rank's decoded shard. `resident` and `salvaged` are fixed at
+  /// open; `shard` is published at most once and owned by the slot.
+  struct Slot {
+    ~Slot() { delete shard.load(std::memory_order_relaxed); }
+
+    std::atomic<const std::vector<Event>*> shard{nullptr};
+    std::atomic<std::uint64_t> hits{0};  ///< summed by stats()
+    bool resident = false;
+    bool salvaged = false;  ///< `shard` holds the salvaged prefix
+  };
+
+  /// Salvage classification pass: run every block through the shared
+  /// salvage codec, keep only the faulty ranks' balanced events, discard
+  /// healthy decodes. One rank's decode is in flight at a time, so peak
+  /// memory is one shard.
   void classifySalvage(LoadReport& report) {
+    report = LoadReport{};
     report.version = kBinaryFormatV2;
     report.mode = RecoveryMode::Salvage;
     report.ranks.assign(summary_.blocks.size(), RankLoadStatus{});
@@ -193,117 +305,20 @@ public:
         quarantined_.push_back(QuarantinedRank{
             static_cast<ProcessId>(i), st.process, st.error, st.bytesSalvaged,
             st.eventsSalvaged, st.eventsDropped});
-        salvaged_[i] =
-            std::make_shared<const std::vector<Event>>(std::move(events));
+        slots_[i].shard.store(new std::vector<Event>(std::move(events)),
+                              std::memory_order_relaxed);
+        slots_[i].salvaged = true;
       }
     }
-  }
-
-  std::uint64_t resolution() const override { return summary_.resolution; }
-  const FunctionRegistry& functions() const override {
-    return summary_.functions;
-  }
-  const MetricRegistry& metrics() const override { return summary_.metrics; }
-  std::size_t processCount() const override { return summary_.blocks.size(); }
-  const std::string& processName(ProcessId p) const override {
-    return summary_.processNames[p];
-  }
-  std::uint64_t eventCount(ProcessId p) const override {
-    if (salvaged_[p] != nullptr) {
-      return salvaged_[p]->size();  // balanced salvaged prefix
-    }
-    return summary_.blocks[p].events;  // from the block table, no decode
-  }
-  const std::vector<QuarantinedRank>& quarantined() const override {
-    return quarantined_;
-  }
-
-  RankPin rank(ProcessId p,
-               std::shared_ptr<const TraceViewBackend> self) const override {
-    PERFVAR_REQUIRE(p < summary_.blocks.size(),
-                    "TraceView::rank: process id out of range");
-    if (salvaged_[p] != nullptr) {
-      const auto& shard = salvaged_[p];
-      return makePin(std::move(self), shard, &summary_.processNames[p],
-                     EventSpan(shard->data(), shard->size()));
-    }
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (auto it = cache_.find(p); it != cache_.end()) {
-      ++stats_.shardHits;
-      touch(it->second);
-      const auto shard = it->second.shard;
-      lock.unlock();
-      return makePin(std::move(self), shard, &summary_.processNames[p],
-                     EventSpan(shard->data(), shard->size()));
-    }
-    lock.unlock();
-    // Decode outside the lock so concurrent misses on different ranks
-    // proceed in parallel. On a same-rank race the first insert wins and
-    // the duplicate decode is dropped.
-    auto decoded = std::make_shared<std::vector<Event>>();
-    decodeV2Block(file_.data(), summary_.blocks[p],
-                  static_cast<ProcessId>(p), *decoded);
-    std::shared_ptr<const std::vector<Event>> shard = std::move(decoded);
-    lock.lock();
-    if (auto it = cache_.find(p); it != cache_.end()) {
-      ++stats_.shardHits;
-      touch(it->second);
-      shard = it->second.shard;
-    } else {
-      ++stats_.shardDecodes;
-      // LRU insertion (see view.hpp): enter at the cold end; only a hit
-      // promotes.
-      const auto inserted = lru_.insert(lru_.end(), p);
-      const std::size_t bytes = shard->size() * sizeof(Event);
-      cache_.emplace(p, CacheEntry{shard, inserted, bytes});
-      stats_.residentBytes += bytes;
-      stats_.peakResidentBytes =
-          std::max(stats_.peakResidentBytes, stats_.residentBytes);
-      // Evict from the cold end down to the budget, skipping the shard
-      // just inserted (the cache may overshoot by one shard so the
-      // requested rank always fits).
-      while (stats_.residentBytes > budget_ && cache_.size() > 1) {
-        const auto coldest = std::prev(inserted);
-        const ProcessId victim = *coldest;
-        lru_.erase(coldest);
-        const auto vit = cache_.find(victim);
-        stats_.residentBytes -= vit->second.bytes;
-        ++stats_.shardEvictions;
-        cache_.erase(vit);
-      }
-    }
-    lock.unlock();
-    return makePin(std::move(self), shard, &summary_.processNames[p],
-                   EventSpan(shard->data(), shard->size()));
-  }
-
-  TraceViewStats stats() const override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
-  }
-
-private:
-  struct CacheEntry {
-    std::shared_ptr<const std::vector<Event>> shard;
-    std::list<ProcessId>::iterator lru;  ///< position in lru_
-    std::size_t bytes = 0;
-  };
-
-  void touch(CacheEntry& entry) const {
-    lru_.splice(lru_.begin(), lru_, entry.lru);
   }
 
   util::FileView file_;
   V2Summary summary_;
-  std::size_t budget_;
   std::vector<QuarantinedRank> quarantined_;
-  /// Resident balanced events of quarantined ranks (null = healthy).
-  std::vector<std::shared_ptr<const std::vector<Event>>> salvaged_;
-
-  mutable std::mutex mutex_;
-  mutable std::list<ProcessId> lru_;  ///< front = hot, back = cold
-  mutable std::unordered_map<ProcessId, CacheEntry> cache_;
-  mutable TraceViewStats stats_;
+  std::unique_ptr<Slot[]> slots_;  ///< one per rank
+  mutable std::atomic<std::uint64_t> decodes_{0};
+  mutable std::atomic<std::uint64_t> evictions_{0};
+  mutable std::atomic<std::uint64_t> residentBytes_{0};
 };
 
 // ---- filtered sub-view ----------------------------------------------------
@@ -348,7 +363,7 @@ public:
       }
     }
     // Message-drop filtering changes the count; decode once to learn it.
-    const std::uint64_t n = rankEvents(p)->size();
+    const std::uint64_t n = filteredEvents(p).size();
     std::lock_guard<std::mutex> lock(countsMutex_);
     filteredCounts_[p] = n;
     return n;
@@ -359,9 +374,10 @@ public:
 
   RankPin rank(ProcessId p,
                std::shared_ptr<const TraceViewBackend> self) const override {
-    auto shard = rankEvents(p);
-    return makePin(std::move(self), shard, &names_[p],
-                   EventSpan(shard->data(), shard->size()));
+    auto owned = std::make_shared<OwnedShard>();
+    owned->events = filteredEvents(p);
+    owned->backend = std::move(self);
+    return ownedPin(std::move(owned), &names_[p]);
   }
 
   TraceViewStats stats() const override { return parent_->stats(); }
@@ -369,11 +385,11 @@ public:
 private:
   static constexpr std::uint64_t kUnknownCount = ~std::uint64_t{0};
 
-  std::shared_ptr<const std::vector<Event>> rankEvents(ProcessId p) const {
+  std::vector<Event> filteredEvents(ProcessId p) const {
     const RankPin parentPin = parent_->rank(keep_[p], parent_);
     const EventSpan in = parentPin.events();
-    auto out = std::make_shared<std::vector<Event>>();
-    out->reserve(in.size());
+    std::vector<Event> out;
+    out.reserve(in.size());
     for (const Event& e : in) {
       if (e.kind == EventKind::MpiSend || e.kind == EventKind::MpiRecv) {
         const auto it = remap_.find(e.ref);
@@ -382,9 +398,9 @@ private:
         }
         Event remapped = e;
         remapped.ref = it->second;
-        out->push_back(remapped);
+        out.push_back(remapped);
       } else {
-        out->push_back(e);
+        out.push_back(e);
       }
     }
     return out;
@@ -464,15 +480,15 @@ TraceView TraceView::openFile(const std::string& path,
     detail::V2Summary summary =
         detail::parseV2Summary(file.data(), file.size(),
                                /*lenientBlocks=*/salvage);
-    auto backend = std::make_shared<detail::LazyV2Backend>(
-        std::move(file), std::move(summary), options.shardBudgetBytes);
+    LoadReport local;
+    LoadReport* salvageReport = nullptr;
     if (salvage) {
-      LoadReport local;
-      LoadReport& report =
-          options.report != nullptr ? *options.report : local;
-      report = LoadReport{};
-      backend->classifySalvage(report);
-    } else if (options.report != nullptr) {
+      salvageReport = options.report != nullptr ? options.report : &local;
+    }
+    auto backend = std::make_shared<detail::LazyV2Backend>(
+        std::move(file), std::move(summary), options.shardBudgetBytes,
+        salvageReport);
+    if (!salvage && options.report != nullptr) {
       // Strict opens defer block verification to first access; the report
       // reflects the (verified) header view of the file.
       LoadReport& report = *options.report;

@@ -10,29 +10,34 @@
 ///   - **Eager** backends wrap an in-memory Trace (borrowed, owned or
 ///     shared); rank() hands out zero-copy spans over its vectors.
 ///   - The **out-of-core** backend (openFile) memory-maps a PVTF v2 file
-///     and decodes per-rank blocks on demand into a bounded LRU cache of
-///     decoded shards, so analyzing a 100k-rank trace never materializes
-///     more than the working set. Decoded events are bit-identical to an
+///     and decodes per-rank blocks on demand. It keeps the decoded shards
+///     of a resident set bounded by a byte budget, so analyzing a
+///     100k-rank trace never materializes more than that set plus the
+///     shards pinned at the moment. Decoded events are bit-identical to an
 ///     eager load (both paths run the same block codec), so every analysis
 ///     report is byte-identical between the two.
 ///
-/// Every analysis stage is a sweep over the ranks, and a cyclic sweep
-/// larger than a plain LRU evicts exactly the shards the next sweep needs
-/// first. The cache therefore uses LRU insertion: a newly decoded shard
-/// enters at the cold end and only a hit promotes it. The shards that
-/// filled the budget stay resident across sweeps, each newcomer replaces
-/// only the previous one, and a later sweep decodes only the ranks that
-/// did not fit. A pass should pin each rank once; a second pin is a hit
-/// and promotes the rank.
+/// Every analysis stage is a sweep over the ranks. For a repeated sweep
+/// the best policy keeps a fixed set of shards, so the resident set is
+/// fixed when the view opens: the ranks in index order, each kept if its
+/// decoded size (from the block table) still fits the budget. A rank that
+/// does not fit is skipped, and a later, smaller rank may still fit, so
+/// resident bytes never exceed the budget. A resident rank is decoded at
+/// its first pin and kept until the view goes; a later pin is a hit that
+/// takes no lock and allocates nothing. A rank outside the set is decoded
+/// for each pin and owned by that pin alone. So a sweep after the first
+/// decodes exactly the ranks outside the set, at every thread count and
+/// in every pin order. A hit promotes nothing.
 ///
 /// A TraceView is a cheap value type (one shared_ptr); copies share the
-/// backend and its shard cache. Borrowed views (the implicit conversion
-/// from `const Trace&`) have exactly the lifetime semantics the historical
-/// `const Trace&` parameters had: the Trace must outlive the view.
+/// backend and its resident shards. Borrowed views (the implicit
+/// conversion from `const Trace&`) have exactly the lifetime semantics
+/// the historical `const Trace&` parameters had: the Trace must outlive
+/// the view.
 ///
 /// rank() returns a RankPin holding shared ownership of the decoded
-/// storage — LRU eviction never invalidates an outstanding pin; the
-/// memory bound is budget + pinned working set (+ one in-flight shard).
+/// storage; the memory bound is the budget plus the shards of the ranks
+/// outside the set that are pinned at the moment.
 
 #include <cstdint>
 #include <memory>
@@ -69,8 +74,8 @@ private:
 };
 
 /// Pinned, decoded event stream of one rank. The pin shares ownership of
-/// the decoded storage (and of the backend), so a shard stays valid for as
-/// long as any pin references it even if the backend's LRU evicts it.
+/// the backend and, for a rank outside the resident set, owns the shard
+/// decoded for it, so the events stay valid for as long as the pin lives.
 class RankPin {
 public:
   RankPin() = default;
@@ -92,20 +97,23 @@ private:
 
 /// Shard-cache telemetry of a view (all zero for eager backends).
 struct TraceViewStats {
-  std::uint64_t shardDecodes = 0;    ///< blocks decoded from the file
-  std::uint64_t shardHits = 0;       ///< rank() calls served from cache
-  std::uint64_t shardEvictions = 0;  ///< shards dropped by the LRU
-  std::uint64_t residentBytes = 0;   ///< decoded bytes currently cached
-  std::uint64_t peakResidentBytes = 0;  ///< high-water mark of the above
+  std::uint64_t shardDecodes = 0;  ///< blocks decoded from the file
+  std::uint64_t shardHits = 0;     ///< rank() calls served from the set
+  /// Decoded shards the cache did not keep: the pins of ranks outside the
+  /// resident set.
+  std::uint64_t shardEvictions = 0;
+  std::uint64_t residentBytes = 0;  ///< decoded bytes the set keeps
+  /// High-water mark of the above; equal to it, since a resident shard is
+  /// never evicted.
+  std::uint64_t peakResidentBytes = 0;
 };
 
 /// Options of TraceView::openFile().
 struct TraceViewOptions {
-  /// Decoded-shard LRU budget in bytes (0 = keep only the shard being
-  /// pinned). The cache may overshoot by at most one shard so the shard
-  /// currently requested always fits. New shards enter at the cold end
-  /// (see the file comment), so repeated rank sweeps keep the shards that
-  /// first filled the budget and re-decode only the rest.
+  /// Budget in bytes of the resident set of decoded shards, fixed at open
+  /// (see the file comment): the ranks in index order, each kept if it
+  /// still fits. There is no overshoot, so resident bytes never exceed the
+  /// budget. 0 keeps no events: every pin of a non-empty rank decodes it.
   std::size_t shardBudgetBytes = 256ull << 20;
   /// Strict (default): header/table/defs verify at open, block checksums
   /// verify at first access — a corrupt block throws from rank().
@@ -143,9 +151,10 @@ public:
   static TraceView owned(Trace&& trace);
 
   /// Out-of-core view of a PVTF v2 file: mmap + per-rank lazy decode into
-  /// a bounded LRU of decoded shards. v1 files (no per-rank block table)
-  /// are materialized eagerly behind the same interface. Throws
-  /// perfvar::Error on open faults (see TraceViewOptions::recovery).
+  /// a resident set of decoded shards fixed at open. v1 files (no
+  /// per-rank block table) are materialized eagerly behind the same
+  /// interface. Throws perfvar::Error on open faults (see
+  /// TraceViewOptions::recovery).
   static TraceView openFile(const std::string& path,
                             const TraceViewOptions& options = {});
 
@@ -179,8 +188,9 @@ public:
     return toSeconds(endTime() - startTime());
   }
 
-  /// Pin rank `p`: decode (or fetch from cache) its event shard and return
-  /// a handle that keeps the decoded events alive. Thread-safe.
+  /// Pin rank `p`: decode (or fetch from the resident set) its event shard
+  /// and return a handle that keeps the decoded events alive. Thread-safe;
+  /// a pin of a resident rank takes no lock.
   RankPin rank(ProcessId p) const;
 
   /// Sub-view over a subset of ranks with the exact trace::selectProcesses

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <latch>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -518,12 +519,11 @@ TEST(Engine, SharedLintAndDependencyReportsMatchTheStandaloneCalls) {
 
 // ---- shard decodes per stage on the lazy path ----------------------------
 
-/// One-thread decode counts of each report stage over a v2 file whose
-/// shard budget holds about half the decoded trace. The first pass over
-/// the ranks decodes all of them; new shards enter the cache's cold end,
-/// so the ranks that filled the budget stay resident and each later pass
-/// decodes only the ranks that did not fit. A stage that re-reads the
-/// trace shows here.
+/// Decode counts of each report stage over a v2 file whose shard budget
+/// holds about half the decoded trace. The resident set is fixed when the
+/// view opens, so the first pass over the ranks decodes all of them and
+/// each later pass decodes only the ranks outside the set, at every
+/// thread count. A stage that re-reads the trace shows here.
 TEST(Engine, ShardDecodesPerStageArePinned) {
   const trace::Trace tr = smallCosmo();
   const std::string path = "engine_test_shard_decodes.pvt";
@@ -537,31 +537,48 @@ TEST(Engine, ShardDecodesPerStageArePinned) {
     vopts.shardBudgetBytes = all.stats().residentBytes / 2;
   }
 
-  const trace::TraceView view = trace::TraceView::openFile(path, vopts);
-  engine::AnalysisEngine eng{view};
-  std::uint64_t seen = 0;
-  const auto decodesSince = [&] {
-    const std::uint64_t now = view.stats().shardDecodes;
-    const std::uint64_t delta = now - seen;
-    seen = now;
-    return delta;
-  };
-  // 16 ranks: the first pass decodes all 16, each later pass the 10 that
-  // did not fit.
-  (void)eng.analyze();
-  EXPECT_EQ(decodesSince(), 26u);  // profile, SOS
-  (void)eng.lintReport();
-  // The per-rank phase and the dependency graph; the profile and dominant
-  // ranking are hits.
-  EXPECT_EQ(decodesSince(), 20u);
-  (void)eng.formatDepReport();
-  EXPECT_EQ(decodesSince(), 0u);  // lint's dep entry
+  std::optional<trace::TraceViewStats> oneThread;
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(threads);
+    const trace::TraceView view = trace::TraceView::openFile(path, vopts);
+    engine::EngineOptions eopts;
+    eopts.threads = threads;
+    engine::AnalysisEngine eng{view, eopts};
+    std::uint64_t seen = 0;
+    const auto decodesSince = [&] {
+      const std::uint64_t now = view.stats().shardDecodes;
+      const std::uint64_t delta = now - seen;
+      seen = now;
+      return delta;
+    };
+    // 16 ranks, 8 of them resident: the first pass decodes all 16, each
+    // later pass the 8 outside the set.
+    (void)eng.analyze();
+    EXPECT_EQ(decodesSince(), 24u);  // profile, SOS
+    (void)eng.lintReport();
+    // The per-rank phase and the dependency graph; the profile and
+    // dominant ranking are hits.
+    EXPECT_EQ(decodesSince(), 16u);
+    (void)eng.formatDepReport();
+    EXPECT_EQ(decodesSince(), 0u);  // lint's dep entry
+    const trace::TraceViewStats stats = view.stats();
+    EXPECT_EQ(stats.shardEvictions, 32u);
+    EXPECT_LE(stats.peakResidentBytes, vopts.shardBudgetBytes);
+    // Every stage pins the same ranks at every thread count.
+    if (!oneThread) {
+      oneThread = stats;
+    }
+    EXPECT_EQ(stats.shardHits, oneThread->shardHits);
+    EXPECT_EQ(stats.peakResidentBytes, oneThread->peakResidentBytes);
 
-  // Standalone lint: the per-rank phase and the dependency graph plus its
-  // own profile.
-  const trace::TraceView fresh = trace::TraceView::openFile(path, vopts);
-  (void)lint::lintTrace(fresh);
-  EXPECT_EQ(fresh.stats().shardDecodes, 36u);
+    // Standalone lint: the per-rank phase and the dependency graph plus
+    // its own profile.
+    const trace::TraceView fresh = trace::TraceView::openFile(path, vopts);
+    lint::LintOptions lopts;
+    lopts.threads = threads;
+    (void)lint::lintTrace(fresh, lopts);
+    EXPECT_EQ(fresh.stats().shardDecodes, 32u);
+  }
   std::remove(path.c_str());
 }
 

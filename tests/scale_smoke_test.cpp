@@ -34,7 +34,7 @@ TEST(ScaleSmoke, TenThousandRanksAnalyzeUnderBoundedMemory) {
 
   // 4 MiB decoded-shard budget: ~23 events/rank * 10k ranks would be
   // several MiB decoded at once eagerly; the sweep must stay under
-  // budget + one shard.
+  // the budget.
   trace::TraceViewOptions opts;
   opts.shardBudgetBytes = 4ull << 20;
   const trace::TraceView view = trace::TraceView::openFile(path, opts);
@@ -51,16 +51,14 @@ TEST(ScaleSmoke, TenThousandRanksAnalyzeUnderBoundedMemory) {
   EXPECT_EQ(view.functions().name(result.segmentFunction), "compute");
   EXPECT_FALSE(result.variation.culpritProcesses.empty());
 
-  // computeStats and analyzeTrace sweep the ranks four times. New shards
-  // enter the cache's cold end, so the ranks that filled the budget stay
-  // resident and later sweeps decode only the rest.
+  // computeStats and analyzeTrace sweep the ranks four times. The
+  // resident set is fixed at open, so later sweeps decode only the ranks
+  // outside it.
   const trace::TraceViewStats cache = view.stats();
   EXPECT_GT(cache.shardDecodes, 0u);
   EXPECT_LE(cache.shardDecodes, 3 * cfg.ranks)
       << "each sweep re-decoded the ranks the previous one left resident";
-  const std::uint64_t maxShardBytes =
-      (2 + cfg.iterations * 7) * sizeof(trace::Event) + 4096;
-  EXPECT_LE(cache.peakResidentBytes, opts.shardBudgetBytes + maxShardBytes)
+  EXPECT_LE(cache.peakResidentBytes, opts.shardBudgetBytes)
       << "lazy analysis exceeded the decoded-shard budget";
 
   std::remove(path.c_str());

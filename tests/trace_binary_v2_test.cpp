@@ -12,6 +12,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <latch>
+#include <numeric>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -290,26 +293,91 @@ TEST(BinaryV2, InspectReportsV1Layout) {
 
 // ---- lazy shard cache under concurrent sweeps -----------------------------
 
+/// The resident set TraceViewOptions::shardBudgetBytes documents: the
+/// ranks in index order, each kept if its decoded size still fits.
+std::vector<bool> residentRanks(const Trace& trace, std::size_t budget) {
+  std::vector<bool> resident;
+  for (const ProcessTrace& proc : trace.processes) {
+    const std::size_t bytes = proc.events.size() * sizeof(Event);
+    resident.push_back(bytes <= budget);
+    if (resident.back()) {
+      budget -= bytes;
+    }
+  }
+  return resident;
+}
+
+/// A v2 copy of `trace`, removed at scope exit (the views keep their
+/// mapping).
+struct SavedTrace {
+  SavedTrace(const Trace& trace, const std::string& stem)
+      : path(stem + "_" + std::to_string(getpid()) + ".pvt") {
+    saveBinaryFile(trace, path);
+  }
+  ~SavedTrace() { std::remove(path.c_str()); }
+  std::string path;
+};
+
+/// Decoded bytes of every rank together.
+std::size_t decodedBytes(const Trace& trace) {
+  return trace.eventCount() * sizeof(Event);
+}
+
+TEST(LazyViewResidency, ARankThatDoesNotFitIsSkippedAndALaterSmallerOneFits) {
+  // Ranks of 40, 400, 40 and 40 iterations: with room for about three
+  // small ranks, rank 1 does not fit, ranks 0 and 2 do, and rank 3 no
+  // longer does.
+  TraceBuilder b(4);
+  const FunctionId f = b.defineFunction("f", "APP", Paradigm::Compute);
+  for (ProcessId p = 0; p < 4; ++p) {
+    const std::size_t iterations = p == 1 ? 400 : 40;
+    for (std::size_t it = 0; it < iterations; ++it) {
+      b.enter(p, 10 * it, f);
+      b.leave(p, 10 * it + 5, f);
+    }
+  }
+  const Trace trace = b.finish();
+  const std::size_t small = trace.processes[0].events.size() * sizeof(Event);
+  const SavedTrace file(trace, "binary_v2_residency");
+  TraceViewOptions options;
+  options.shardBudgetBytes = 2 * small + small / 2;
+  const TraceView view = TraceView::openFile(file.path, options);
+  for (int sweep = 0; sweep < 3; ++sweep) {
+    for (ProcessId p = 0; p < 4; ++p) {
+      (void)view.rank(p);
+    }
+  }
+  const TraceViewStats stats = view.stats();
+  EXPECT_EQ(stats.shardDecodes, 2u + 3u * 2u);  // ranks 0, 2 once; 1, 3 each
+  EXPECT_EQ(stats.shardHits, 2u * 2u);
+  EXPECT_EQ(stats.shardEvictions, 3u * 2u);
+  EXPECT_EQ(stats.residentBytes, 2 * small);
+  EXPECT_EQ(stats.peakResidentBytes, 2 * small);
+
+  // Budget 0 keeps no events: every pin decodes.
+  options.shardBudgetBytes = 0;
+  const TraceView none = TraceView::openFile(file.path, options);
+  for (ProcessId p = 0; p < 4; ++p) {
+    (void)none.rank(p);
+    (void)none.rank(p);
+  }
+  EXPECT_EQ(none.stats().shardDecodes, 8u);
+  EXPECT_EQ(none.stats().shardHits, 0u);
+  EXPECT_EQ(none.stats().peakResidentBytes, 0u);
+}
+
 /// Four threads sweep a lazy view's ranks repeatedly, each from its own
 /// starting rank, over a shard budget of about half the decoded trace:
-/// concurrent misses, same-rank decode races, hits and evictions all
-/// interleave. Every pin must read the original events, and the cache
-/// must stay within budget plus the shard being brought in.
+/// concurrent misses, same-rank decode races, hits and decodes outside
+/// the resident set all interleave. Every pin must read the original
+/// events, and the counts must be what the fixed resident set dictates
+/// whatever the scheduling.
 TEST(LazyViewSweeps, FourThreadsRepeatedlySweepingReadTheOriginalEvents) {
   const Trace original = syntheticTrace(32, 40);
-  const std::string path =
-      "binary_v2_lazy_sweeps_" + std::to_string(getpid()) + ".pvt";
-  saveBinaryFile(original, path);
-  std::size_t totalBytes = 0;
-  std::size_t maxShardBytes = 0;
-  for (const ProcessTrace& proc : original.processes) {
-    const std::size_t bytes = proc.events.size() * sizeof(Event);
-    totalBytes += bytes;
-    maxShardBytes = std::max(maxShardBytes, bytes);
-  }
+  const SavedTrace file(original, "binary_v2_lazy_sweeps");
   TraceViewOptions options;
-  options.shardBudgetBytes = totalBytes / 2;
-  const TraceView view = TraceView::openFile(path, options);
+  options.shardBudgetBytes = decodedBytes(original) / 2;
+  const TraceView view = TraceView::openFile(file.path, options);
 
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kSweeps = 6;
@@ -338,8 +406,90 @@ TEST(LazyViewSweeps, FourThreadsRepeatedlySweepingReadTheOriginalEvents) {
   const TraceViewStats stats = view.stats();
   EXPECT_EQ(stats.shardDecodes + stats.shardHits, kThreads * kSweeps * ranks);
   EXPECT_GT(stats.shardEvictions, 0u);
-  EXPECT_LE(stats.peakResidentBytes, options.shardBudgetBytes + maxShardBytes);
-  std::remove(path.c_str());
+  // Each resident rank is decoded once; each pin of another rank decodes.
+  const std::vector<bool> resident =
+      residentRanks(original, options.shardBudgetBytes);
+  const auto kept = static_cast<std::size_t>(
+      std::count(resident.begin(), resident.end(), true));
+  const std::size_t passing = kThreads * kSweeps * (ranks - kept);
+  EXPECT_EQ(stats.shardDecodes, kept + passing);
+  EXPECT_EQ(stats.shardHits, kThreads * kSweeps * kept - kept);
+  EXPECT_EQ(stats.shardEvictions, passing);
+  EXPECT_LE(stats.peakResidentBytes, options.shardBudgetBytes);
+}
+
+/// Eight threads released together pin shuffled ranks of a half-budget
+/// view. Every thread starts with the same resident rank and the same
+/// rank outside the set, so those pins race. Each pin must read the
+/// original events, each resident rank pinned must be decoded exactly
+/// once, and each pin of a rank outside the set exactly once more.
+TEST(LazyViewSweeps, EightShuffledThreadsDecodeEachResidentRankOnce) {
+  const Trace original = syntheticTrace(32, 40);
+  const SavedTrace file(original, "binary_v2_lazy_shuffled");
+  TraceViewOptions options;
+  options.shardBudgetBytes = decodedBytes(original) / 2;
+  const TraceView view = TraceView::openFile(file.path, options);
+  const std::vector<bool> resident =
+      residentRanks(original, options.shardBudgetBytes);
+  const auto firstOutside = static_cast<ProcessId>(
+      std::find(resident.begin(), resident.end(), false) - resident.begin());
+  ASSERT_TRUE(resident[0]);
+  ASSERT_LT(firstOutside, original.processes.size());
+
+  // Each thread: rank 0, the first rank outside the set, then its own
+  // shuffled half of the ranks.
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::vector<ProcessId>> orders(kThreads);
+  std::vector<bool> pinned(original.processes.size(), false);
+  std::size_t passing = 0;
+  std::mt19937 rng(20161018);
+  for (std::vector<ProcessId>& order : orders) {
+    std::vector<ProcessId> all(original.processes.size());
+    std::iota(all.begin(), all.end(), ProcessId{0});
+    std::shuffle(all.begin(), all.end(), rng);
+    order = {0, firstOutside};
+    order.insert(order.end(), all.begin(), all.begin() + all.size() / 2);
+    for (const ProcessId p : order) {
+      pinned[p] = true;
+      passing += resident[p] ? 0 : 1;
+    }
+  }
+  std::size_t distinctResident = 0;
+  for (std::size_t p = 0; p < pinned.size(); ++p) {
+    distinctResident += pinned[p] && resident[p] ? 1 : 0;
+  }
+
+  std::latch start(kThreads);
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (const ProcessId p : orders[t]) {
+        const RankPin pin = view.rank(p);
+        const std::vector<Event>& expected = original.processes[p].events;
+        if (!std::equal(pin.events().begin(), pin.events().end(),
+                        expected.begin(), expected.end())) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+  EXPECT_EQ(std::accumulate(mismatches.begin(), mismatches.end(),
+                            std::size_t{0}),
+            0u);
+  const TraceViewStats stats = view.stats();
+  EXPECT_EQ(stats.shardDecodes, distinctResident + passing);
+  EXPECT_EQ(stats.shardEvictions, passing);
+  std::size_t pins = 0;
+  for (const std::vector<ProcessId>& order : orders) {
+    pins += order.size();
+  }
+  EXPECT_EQ(stats.shardHits, pins - stats.shardDecodes);
+  EXPECT_LE(stats.peakResidentBytes, options.shardBudgetBytes);
 }
 
 // ---- varint decoder properties --------------------------------------------

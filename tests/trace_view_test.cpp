@@ -2,8 +2,8 @@
 /// The TraceView contract: eager and out-of-core backends are
 /// interchangeable. The differential suite pins byte-identical analysis
 /// output between the two at several thread counts, the streamed scale
-/// writer against the one-shot serializer, LRU bounds of the shard cache,
-/// and the salvage path on FaultInjector-corrupted files.
+/// writer against the one-shot serializer, the fixed resident set of the
+/// shard cache, and the salvage path on FaultInjector-corrupted files.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -176,7 +178,7 @@ TEST(TraceViewLru, EvictionStaysWithinBudgetAndPinsSurvive) {
   apps::writeScaleTrace(file.path, cfg);
 
   // Budget of roughly two decoded shards, so a sequential sweep of the
-  // 32 ranks must evict.
+  // 32 ranks must decode shards the cache does not keep.
   const trace::Trace eagerTrace = apps::buildScaleTrace(cfg);
   const std::size_t shardBytes =
       eagerTrace.processes[0].events.size() * sizeof(trace::Event);
@@ -184,8 +186,10 @@ TEST(TraceViewLru, EvictionStaysWithinBudgetAndPinsSurvive) {
   opts.shardBudgetBytes = 2 * shardBytes;
   const trace::TraceView lazy = trace::TraceView::openFile(file.path, opts);
 
-  // Hold rank 0 pinned across the sweep: eviction must not invalidate it.
-  const trace::RankPin pinned = lazy.rank(0);
+  // Hold the last rank pinned across the sweep: it lies outside the
+  // resident set, so only the pin keeps its decoded events.
+  const trace::ProcessId last = static_cast<trace::ProcessId>(cfg.ranks - 1);
+  const trace::RankPin pinned = lazy.rank(last);
   for (trace::ProcessId p = 0; p < cfg.ranks; ++p) {
     const trace::RankPin pin = lazy.rank(p);
     ASSERT_EQ(pin.events().size(), eagerTrace.processes[p].events.size());
@@ -193,31 +197,31 @@ TEST(TraceViewLru, EvictionStaysWithinBudgetAndPinsSurvive) {
   const trace::TraceViewStats stats = lazy.stats();
   EXPECT_GT(stats.shardEvictions, 0u) << "sweep must exceed the budget";
   EXPECT_GE(stats.shardDecodes, static_cast<std::uint64_t>(cfg.ranks));
-  // The cache may overshoot by at most the shard being brought in (plus
-  // the held pin, whose shard no longer counts once evicted).
-  EXPECT_LE(stats.residentBytes, opts.shardBudgetBytes + shardBytes);
-  EXPECT_LE(stats.peakResidentBytes, opts.shardBudgetBytes + 2 * shardBytes);
+  // Resident bytes never exceed the budget: there is no overshoot.
+  EXPECT_LE(stats.residentBytes, opts.shardBudgetBytes);
+  EXPECT_LE(stats.peakResidentBytes, opts.shardBudgetBytes);
 
-  // The held pin still reads the right data after its shard was evicted.
+  // The held pin still reads the right data after the sweep.
   const trace::EventSpan span = pinned.events();
-  ASSERT_EQ(span.size(), eagerTrace.processes[0].events.size());
+  ASSERT_EQ(span.size(), eagerTrace.processes[last].events.size());
   for (std::size_t i = 0; i < span.size(); ++i) {
-    ASSERT_EQ(span[i], eagerTrace.processes[0].events[i]);
+    ASSERT_EQ(span[i], eagerTrace.processes[last].events[i]);
   }
 
-  // Re-pinning a cached rank is a hit, not a decode.
+  // Re-pinning a resident rank is a hit, not a decode.
   const std::uint64_t decodesBefore = lazy.stats().shardDecodes;
-  const trace::ProcessId last = static_cast<trace::ProcessId>(cfg.ranks - 1);
-  const trace::RankPin again = lazy.rank(last);
+  const std::uint64_t hitsBefore = lazy.stats().shardHits;
+  const trace::RankPin again = lazy.rank(1);
   EXPECT_EQ(lazy.stats().shardDecodes, decodesBefore);
-  EXPECT_GT(lazy.stats().shardHits, 0u);
+  EXPECT_EQ(lazy.stats().shardHits, hitsBefore + 1);
   (void)again;
 }
 
 /// A 32-rank file of equal-size ranks, lazily opened with a shard budget
-/// of 16 shards: about half the decoded trace.
+/// of 16 shards: about half the decoded trace. Ranks 0..15 are resident.
 struct HalfBudgetView {
-  HalfBudgetView() : file(uniquePath("view_policy")) {
+  explicit HalfBudgetView(const std::string& stem = "view_policy")
+      : file(uniquePath(stem)) {
     apps::ScaleConfig cfg = smallConfig();
     cfg.ranks = 32;
     apps::writeScaleTrace(file.path, cfg);
@@ -231,17 +235,24 @@ struct HalfBudgetView {
     view = trace::TraceView::openFile(file.path, opts);
   }
 
-  /// Pin every rank in order, checking each pin against the eager events;
-  /// returns the number of shards decoded.
-  std::uint64_t sweep() const {
+  /// Pin every rank in `order`, checking each pin against the eager
+  /// events; returns the number of shards decoded.
+  std::uint64_t sweep(const std::vector<trace::ProcessId>& order) const {
     const std::uint64_t before = view.stats().shardDecodes;
-    for (trace::ProcessId p = 0; p < view.processCount(); ++p) {
+    for (const trace::ProcessId p : order) {
       const trace::RankPin pin = view.rank(p);
       EXPECT_TRUE(std::equal(pin.events().begin(), pin.events().end(),
                              eager.processes[p].events.begin(),
                              eager.processes[p].events.end()));
     }
     return view.stats().shardDecodes - before;
+  }
+
+  /// The ranks in index order.
+  std::uint64_t sweep() const {
+    std::vector<trace::ProcessId> order(view.processCount());
+    std::iota(order.begin(), order.end(), trace::ProcessId{0});
+    return sweep(order);
   }
 
   FileGuard file;
@@ -252,10 +263,8 @@ struct HalfBudgetView {
 
 TEST(TraceViewLru, LaterSweepsDecodeOnlyTheRanksThatDidNotFit) {
   const HalfBudgetView h;
-  // New shards enter the cold end. Of the 16 shards the budget holds,
-  // ranks 0..14 stay resident and the last slot cycles through the
-  // newcomers, each replacing the previous one. So every sweep after the
-  // first decodes ranks 15..31 and hits ranks 0..14.
+  // The resident set is fixed at open: ranks 0..15 fill the budget. Every
+  // sweep after the first decodes ranks 16..31 and hits ranks 0..15.
   EXPECT_EQ(h.sweep(), 32u);
   for (int pass = 2; pass <= 3; ++pass) {
     SCOPED_TRACE(pass);
@@ -263,33 +272,48 @@ TEST(TraceViewLru, LaterSweepsDecodeOnlyTheRanksThatDidNotFit) {
     for (trace::ProcessId p = 0; p < 32; ++p) {
       const std::uint64_t before = h.view.stats().shardDecodes;
       (void)h.view.rank(p);
-      EXPECT_EQ(h.view.stats().shardDecodes - before, p < 15 ? 0u : 1u)
+      EXPECT_EQ(h.view.stats().shardDecodes - before, p < 16 ? 0u : 1u)
           << "rank " << p;
     }
-    EXPECT_EQ(h.view.stats().shardHits - hitsBefore, 15u);
+    EXPECT_EQ(h.view.stats().shardHits - hitsBefore, 16u);
   }
-  EXPECT_EQ(h.sweep(), 17u);
-  EXPECT_LE(h.view.stats().peakResidentBytes, 17 * h.shardBytes);
+  EXPECT_EQ(h.sweep(), 16u);
+  EXPECT_EQ(h.view.stats().peakResidentBytes, 16 * h.shardBytes);
 }
 
-TEST(TraceViewLru, AHitPromotesARankPastTheNextSweep) {
+TEST(TraceViewLru, AHitPromotesNothingAndPinOrderDoesNotChangeTheCounts) {
   const HalfBudgetView h;
   for (trace::ProcessId p = 0; p < 32; ++p) {
     (void)h.view.rank(p);
     if (p == 20) {
-      (void)h.view.rank(p);  // a hit: rank 20 moves to the hot end
+      (void)h.view.rank(p);  // rank 20 lies outside the set: decoded again
     }
   }
-  // Rank 20 outlives the newcomers that followed it, and the next sweep
-  // finds it resident.
-  for (trace::ProcessId p = 0; p < 20; ++p) {
-    (void)h.view.rank(p);
-  }
+  EXPECT_EQ(h.view.stats().shardDecodes, 33u);
+  // A second pin kept nothing: rank 20 is decoded again by the next sweep.
   const std::uint64_t before = h.view.stats().shardDecodes;
   (void)h.view.rank(20);
-  EXPECT_EQ(h.view.stats().shardDecodes, before);
-  EXPECT_EQ(h.sweep(), 17u);
-  EXPECT_LE(h.view.stats().peakResidentBytes, 17 * h.shardBytes);
+  EXPECT_EQ(h.view.stats().shardDecodes, before + 1);
+  EXPECT_EQ(h.sweep(), 16u);
+
+  // Shuffled sweeps decode and hit as many shards as ordered ones do.
+  std::vector<trace::ProcessId> order(32);
+  std::iota(order.begin(), order.end(), trace::ProcessId{0});
+  std::mt19937 rng(2016);
+  for (int pass = 0; pass < 4; ++pass) {
+    SCOPED_TRACE(pass);
+    std::shuffle(order.begin(), order.end(), rng);
+    const std::uint64_t hitsBefore = h.view.stats().shardHits;
+    EXPECT_EQ(h.sweep(order), 16u);
+    EXPECT_EQ(h.view.stats().shardHits - hitsBefore, 16u);
+  }
+  const HalfBudgetView shuffled("view_policy_shuffled");
+  std::shuffle(order.begin(), order.end(), rng);
+  EXPECT_EQ(shuffled.sweep(order), 32u);
+  std::shuffle(order.begin(), order.end(), rng);
+  EXPECT_EQ(shuffled.sweep(order), 16u);
+  EXPECT_EQ(h.view.stats().peakResidentBytes, 16 * h.shardBytes);
+  EXPECT_EQ(shuffled.view.stats().peakResidentBytes, 16 * h.shardBytes);
 }
 
 TEST(TraceViewSalvage, CorruptBlocksQuarantineIdenticallyToEagerSalvage) {
