@@ -229,8 +229,10 @@ void printUsage(std::ostream& out) {
       "  --session-budget-mb N  serve only: per-session memory budget\n"
       "                         (MiB); 0 = unlimited (default)\n"
       "  --journal-dir D        serve only: per-trace write-ahead journals\n"
-      "                         for live streams; budget evictions spill\n"
-      "                         to disk and fault back in on demand\n"
+      "                         for live streams; with it, a budget\n"
+      "                         eviction keeps the trace's file or journal\n"
+      "                         and faults it back in on demand (without\n"
+      "                         it, the evicted name is tombstoned)\n"
       "  --recover              serve only: replay --journal-dir before\n"
       "                         listening (crash recovery)\n"
       "  --journal-fsync        serve only: fsync after every journal\n"
@@ -722,7 +724,6 @@ int main(int argc, char** argv) {
       serverOptions.recover = options.recover;
       serverOptions.journalFsync = options.journalFsync;
       serverOptions.reorderWindowBytes = options.reorderWindowBytes;
-      serverOptions.rehydrate = !options.journalDir.empty();
       serverOptions.sendTimeoutMs = static_cast<int>(options.sendTimeoutMs);
       server::Server srv(serverOptions);
       if (options.recover) {

@@ -15,12 +15,10 @@ using util::JsonWriter;
 namespace {
 
 // The CSV writers build each table in one string, numbers as
-// printf("%.12g") (fmt::appendGeneral), and write it at once. They leave
-// precision 12 set on `out`, as their stream-based predecessors did.
+// printf("%.12g") (fmt::appendGeneral), and write it at once.
 constexpr int kCsvPrecision = 12;
 
 void writeCsv(const std::string& text, std::ostream& out) {
-  out.precision(kCsvPrecision);
   out.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 

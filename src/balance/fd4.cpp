@@ -50,16 +50,6 @@ std::size_t Fd4Balancer::ownerOf(std::uint32_t bx, std::uint32_t by) const {
   return partition_.ownerOf(curveIndex(bx, by));
 }
 
-std::vector<std::size_t> Fd4Balancer::blocksOf(std::size_t rank) const {
-  PERFVAR_REQUIRE(rank < ranks_, "invalid rank");
-  std::vector<std::size_t> blocks;
-  for (std::size_t pos = partition_.begin(rank); pos < partition_.end(rank);
-       ++pos) {
-    blocks.push_back(blockAtCurvePos_[pos]);
-  }
-  return blocks;
-}
-
 std::vector<double> Fd4Balancer::curveWeights(
     std::span<const double> blockWeights) const {
   PERFVAR_REQUIRE(blockWeights.size() == blockAtCurvePos_.size(),

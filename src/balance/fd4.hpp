@@ -51,9 +51,6 @@ public:
   /// Current owner rank of grid block (bx, by).
   std::size_t ownerOf(std::uint32_t bx, std::uint32_t by) const;
 
-  /// Blocks currently owned by `rank`, as linear block ids (by * X + bx).
-  std::vector<std::size_t> blocksOf(std::size_t rank) const;
-
   /// Update with measured per-block weights (indexed linearly, by*X+bx)
   /// and rebalance if the imbalance threshold is exceeded.
   Fd4StepResult update(std::span<const double> blockWeights);

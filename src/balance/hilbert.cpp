@@ -10,25 +10,6 @@ HilbertCurve::HilbertCurve(unsigned order) : order_(order) {
   side_ = 1u << order;
 }
 
-std::uint64_t HilbertCurve::toIndex(std::uint32_t x, std::uint32_t y) const {
-  PERFVAR_REQUIRE(x < side_ && y < side_, "hilbert cell out of range");
-  std::uint64_t d = 0;
-  for (std::uint32_t s = side_ / 2; s > 0; s /= 2) {
-    const std::uint32_t rx = (x & s) ? 1 : 0;
-    const std::uint32_t ry = (y & s) ? 1 : 0;
-    d += static_cast<std::uint64_t>(s) * s * ((3 * rx) ^ ry);
-    // Rotate the quadrant.
-    if (ry == 0) {
-      if (rx == 1) {
-        x = s - 1 - x;
-        y = s - 1 - y;
-      }
-      std::swap(x, y);
-    }
-  }
-  return d;
-}
-
 std::pair<std::uint32_t, std::uint32_t> HilbertCurve::toXY(
     std::uint64_t index) const {
   PERFVAR_REQUIRE(index < cells(), "hilbert index out of range");

@@ -26,9 +26,6 @@ public:
     return static_cast<std::uint64_t>(side_) * side_;
   }
 
-  /// Curve index of cell (x, y); x and y must be < side().
-  std::uint64_t toIndex(std::uint32_t x, std::uint32_t y) const;
-
   /// Cell coordinates of a curve index; index must be < cells().
   std::pair<std::uint32_t, std::uint32_t> toXY(std::uint64_t index) const;
 

@@ -3,11 +3,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <limits>
 #include <mutex>
 #include <ostream>
 #include <set>
 #include <sstream>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -23,6 +23,8 @@ namespace {
 
 // Stage tags mixed into every fingerprint so keys of different stages can
 // never collide even for identical option content.
+constexpr std::uint64_t kTagProfile = 0x707266;     // "prf"
+constexpr std::uint64_t kTagLint = 0x6c6e74;        // "lnt"
 constexpr std::uint64_t kTagDominant = 0x646f6d;    // "dom"
 constexpr std::uint64_t kTagSos = 0x736f73;         // "sos"
 constexpr std::uint64_t kTagVariation = 0x766172;   // "var"
@@ -179,71 +181,45 @@ std::size_t approxBytes(const lint::LintReport& r) {
   return total;
 }
 
+/// Copy a kept answer into the caller's stream.
+void writeAnswer(const std::string& answer, std::ostream& out) {
+  out.write(answer.data(), static_cast<std::streamsize>(answer.size()));
+}
+
 }  // namespace
 
-/// One rendered answer: its bytes and the precision the render left set
-/// on its stream (the CSV writers set 12, JSON sets 17; kPrecisionKept
-/// when it set none), so a copy leaves the caller's stream as a render
-/// would.
-struct AnalysisEngine::Render {
-  static constexpr std::streamsize kPrecisionKept = -1;
-  std::string bytes;
-  std::streamsize precision = kPrecisionKept;
-
-  /// Run `draw(std::ostream&)` into a fresh stream and keep what it wrote.
-  template <typename Draw>
-  static std::shared_ptr<const Render> of(Draw&& draw) {
-    std::ostringstream os;
-    os.precision(kPrecisionKept);
-    draw(os);
-    std::string bytes = std::move(os).str();
-    bytes.shrink_to_fit();  // the stream grew it geometrically
-    return std::make_shared<const Render>(
-        Render{std::move(bytes), os.precision()});
-  }
-
-  void writeTo(std::ostream& out) const {
-    if (precision != kPrecisionKept) {
-      out.precision(precision);
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-};
-
 struct AnalysisEngine::Impl {
-  template <typename T>
+  /// One cached value: a stage result of the type its key's tag names.
   struct Entry {
-    std::shared_ptr<const T> value;
+    std::shared_ptr<const void> value;
     std::uint64_t lastUse = 0;
     /// The value's bytes plus those of its renders.
     std::size_t bytes = 0;
     /// Answers rendered from `value`, by renderKey (see renderOf). They
     /// leave with the entry.
-    std::vector<std::pair<std::uint64_t, std::shared_ptr<const Render>>>
+    std::vector<std::pair<std::uint64_t, std::shared_ptr<const std::string>>>
         renders;
   };
-  template <typename T>
-  using Map = std::unordered_map<std::uint64_t, Entry<T>>;
 
-  /// Guards every cache container, computing, useClock and bytes. Held
-  /// only for map lookups/inserts, never while a stage computes or an
-  /// answer renders.
+  /// Guards table, computing, useClock and bytes. Held only for table
+  /// lookups/inserts, never while a stage computes or an answer renders.
   std::mutex cacheMutex;
-  /// The (map, key) pairs a caller is computing (a render's key is its
-  /// slotKey); another caller that misses on one waits on `computed`
-  /// instead of computing it again.
-  std::set<std::pair<const void*, std::uint64_t>> computing;
+  /// Every cached stage result, by stage-tagged fingerprint.
+  std::unordered_map<std::uint64_t, Entry> table;
+  /// The keys a caller is computing (a render's key is its slotKey);
+  /// another caller that misses on one waits on `computed` instead of
+  /// computing it again.
+  std::set<std::uint64_t> computing;
   std::condition_variable computed;
   std::uint64_t useClock = 0;
   std::uint64_t bytes = 0;
 
-  /// Single-key maps (key 0), inserted with maxEntries 0: never evicted.
-  Map<profile::FlatProfile> profile;
-  Map<lint::LintReport> lint;
-  Map<analysis::DominantSelection> dominant;
-  Map<SosEntry> sos;
-  Map<analysis::VariationReport> variation;
-  Map<analysis::DepAnalysis> dep;
+  /// EngineOptions::maxCacheEntries.
+  std::size_t maxEntries = 0;
+  /// The profile and the lint report, one of each per engine, are never
+  /// evicted and do not count toward maxEntries.
+  const std::uint64_t profileKey = util::Hasher{}.u64(kTagProfile).digest();
+  const std::uint64_t lintKey = util::Hasher{}.u64(kTagLint).digest();
 
   std::atomic<std::uint64_t> hits{0};
   std::atomic<std::uint64_t> misses{0};
@@ -254,53 +230,29 @@ struct AnalysisEngine::Impl {
   /// for its own ranges.
   std::unique_ptr<util::ThreadPool> pool;
 
-  template <typename Map>
-  void evictLruFrom(Map& map, typename Map::iterator victim) {
-    bytes -= victim->second.bytes;
-    map.erase(victim);
-    evictions.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Drop least-recently-used derived entries until the combined count is
-  /// within `maxEntries` again. Caller holds cacheMutex. One scan per map
-  /// and victim; on equal use the earlier map (dominant, SOS, variation,
-  /// dep) loses its entry.
-  void evictIfNeeded(std::size_t maxEntries) {
+  /// Drop the least recently used evictable entry once there are more
+  /// than maxEntries. Caller holds cacheMutex, right after a store: one
+  /// store adds one entry, so at most one leaves.
+  void evictIfNeeded() {
     if (maxEntries == 0) {
       return;
     }
-    auto oldestIn = [](auto& map) {
-      auto best = map.end();
-      for (auto it = map.begin(); it != map.end(); ++it) {
-        if (best == map.end() || it->second.lastUse < best->second.lastUse) {
-          best = it;
-        }
+    std::size_t evictable = 0;
+    auto victim = table.end();
+    for (auto it = table.begin(); it != table.end(); ++it) {
+      if (it->first == profileKey || it->first == lintKey) {
+        continue;
       }
-      return best;
-    };
-    auto useOf = [](const auto& map, auto it) {
-      return it == map.end() ? std::numeric_limits<std::uint64_t>::max()
-                             : it->second.lastUse;
-    };
-    while (dominant.size() + sos.size() + variation.size() + dep.size() >
-           maxEntries) {
-      const auto dIt = oldestIn(dominant);
-      const auto sIt = oldestIn(sos);
-      const auto vIt = oldestIn(variation);
-      const auto gIt = oldestIn(dep);
-      const std::uint64_t d = useOf(dominant, dIt);
-      const std::uint64_t s = useOf(sos, sIt);
-      const std::uint64_t v = useOf(variation, vIt);
-      const std::uint64_t g = useOf(dep, gIt);
-      if (d <= s && d <= v && d <= g) {
-        evictLruFrom(dominant, dIt);
-      } else if (s <= v && s <= g) {
-        evictLruFrom(sos, sIt);
-      } else if (v <= g) {
-        evictLruFrom(variation, vIt);
-      } else {
-        evictLruFrom(dep, gIt);
+      ++evictable;
+      if (victim == table.end() ||
+          it->second.lastUse < victim->second.lastUse) {
+        victim = it;
       }
+    }
+    if (evictable > maxEntries) {
+      bytes -= victim->second.bytes;
+      table.erase(victim);
+      evictions.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
@@ -314,8 +266,8 @@ struct AnalysisEngine::Impl {
   /// turn. Stages only wait on stages they read and renders on nothing,
   /// so no cycle can form.
   template <typename Find, typename Compute, typename Store>
-  auto computeOnce(std::pair<const void*, std::uint64_t> slot, Find&& find,
-                   Compute&& compute, Store&& store) {
+  auto computeOnce(std::uint64_t slot, Find&& find, Compute&& compute,
+                   Store&& store) {
     std::unique_lock<std::mutex> lock(cacheMutex);
     while (true) {
       if (auto found = find()) {
@@ -345,32 +297,31 @@ struct AnalysisEngine::Impl {
 
   /// The cache protocol of every stage: a hit (waiting for another
   /// caller's compute included) counts a hit, a compute counts a miss.
-  template <typename T, typename Compute>
-  std::shared_ptr<const T> getOrCompute(Map<T>& map, std::uint64_t key,
-                                        std::size_t maxEntries,
-                                        Compute&& compute) {
+  /// `key` names the type T of the value `compute` returns.
+  template <typename Compute, typename T = std::invoke_result_t<Compute&>>
+  std::shared_ptr<const T> getOrCompute(std::uint64_t key, Compute&& compute) {
     return computeOnce(
-        {&map, key},
+        key,
         [&]() -> std::shared_ptr<const T> {
-          const auto it = map.find(key);
-          if (it == map.end()) {
+          const auto it = table.find(key);
+          if (it == table.end()) {
             return nullptr;
           }
           it->second.lastUse = ++useClock;
           hits.fetch_add(1, std::memory_order_relaxed);
-          return it->second.value;
+          return std::static_pointer_cast<const T>(it->second.value);
         },
         [&] {
           misses.fetch_add(1, std::memory_order_relaxed);
           return std::make_shared<const T>(compute());
         },
         [&](const std::shared_ptr<const T>& value) {
-          Entry<T>& entry = map[key];
+          Entry& entry = table[key];
           entry.value = value;
           entry.lastUse = ++useClock;
           entry.bytes = approxBytes(*value);
           bytes += entry.bytes;
-          evictIfNeeded(maxEntries);
+          evictIfNeeded();
         });
   }
 
@@ -381,17 +332,17 @@ struct AnalysisEngine::Impl {
   /// not touch the entry's LRU position (the stage lookup before it
   /// did). If the entry was evicted since that lookup, the render is
   /// returned unkept: `draw` reads the caller's own stage results.
-  template <typename T, typename Draw>
-  std::shared_ptr<const Render> renderOf(Map<T>& map, std::uint64_t key,
-                                         std::uint64_t renderKey,
-                                         Draw&& draw) {
+  template <typename Draw>
+  std::shared_ptr<const std::string> renderOf(std::uint64_t key,
+                                              std::uint64_t renderKey,
+                                              Draw&& draw) {
     const std::uint64_t slotKey =
         util::Hasher{}.u64(kTagRender).u64(key).u64(renderKey).digest();
     return computeOnce(
-        {&map, slotKey},
-        [&]() -> std::shared_ptr<const Render> {
-          const auto it = map.find(key);
-          if (it != map.end()) {
+        slotKey,
+        [&]() -> std::shared_ptr<const std::string> {
+          const auto it = table.find(key);
+          if (it != table.end()) {
             for (const auto& [k, kept] : it->second.renders) {
               if (k == renderKey) {
                 return kept;
@@ -400,13 +351,19 @@ struct AnalysisEngine::Impl {
           }
           return nullptr;
         },
-        [&] { return Render::of(draw); },
-        [&](const std::shared_ptr<const Render>& value) {
-          const auto it = map.find(key);
-          if (it != map.end()) {
+        [&] {
+          std::ostringstream os;
+          draw(os);
+          std::string rendered = std::move(os).str();
+          rendered.shrink_to_fit();  // the stream grew it geometrically
+          return std::make_shared<const std::string>(std::move(rendered));
+        },
+        [&](const std::shared_ptr<const std::string>& value) {
+          const auto it = table.find(key);
+          if (it != table.end()) {
             it->second.renders.emplace_back(renderKey, value);
-            it->second.bytes += value->bytes.size();
-            bytes += value->bytes.size();
+            it->second.bytes += value->size();
+            bytes += value->size();
           }
         });
   }
@@ -415,12 +372,10 @@ struct AnalysisEngine::Impl {
   /// analyze() so each counts one cache event per stage.
   std::shared_ptr<const analysis::DominantSelection> dominantOf(
       const trace::TraceView& view, const profile::FlatProfile& prof,
-      const analysis::DominantOptions& options, std::size_t maxEntries) {
-    return getOrCompute(dominant, fingerprintDominant(options), maxEntries,
-                        [&] {
-                          return analysis::selectDominantFunction(view, prof,
-                                                                  options);
-                        });
+      const analysis::DominantOptions& options) {
+    return getOrCompute(fingerprintDominant(options), [&] {
+      return analysis::selectDominantFunction(view, prof, options);
+    });
   }
 };
 
@@ -443,6 +398,7 @@ AnalysisEngine::AnalysisEngine(trace::TraceView view, EngineOptions options)
   if (options_.threads != 1) {
     impl_->pool = std::make_unique<util::ThreadPool>(options_.threads);
   }
+  impl_->maxEntries = options_.maxCacheEntries;
 }
 
 AnalysisEngine::~AnalysisEngine() = default;
@@ -458,14 +414,14 @@ AnalysisEngine AnalysisEngine::fromFile(const std::string& path,
 }
 
 std::shared_ptr<const profile::FlatProfile> AnalysisEngine::profile() {
-  return impl_->getOrCompute(impl_->profile, 0, /*maxEntries=*/0, [&] {
+  return impl_->getOrCompute(impl_->profileKey, [&] {
     return profile::FlatProfile::build(analyzable(analysisView_),
                                        impl_->pool.get());
   });
 }
 
 std::shared_ptr<const lint::LintReport> AnalysisEngine::lintReport() {
-  return impl_->getOrCompute(impl_->lint, 0, /*maxEntries=*/0, [&] {
+  return impl_->getOrCompute(impl_->lintKey, [&] {
     // Lint the raw trace (not the filtered view): the
     // quarantine-interaction rule exists precisely to surface the ranks
     // the analyses drop. The engine is the run's stage source, so the
@@ -483,27 +439,24 @@ const trace::TraceView* AnalysisEngine::analysisTrace() {
 
 std::shared_ptr<const analysis::DominantSelection> AnalysisEngine::dominant(
     const analysis::DominantOptions& options) {
-  return impl_->dominantOf(analysisView_, *profile(), options,
-                           options_.maxCacheEntries);
+  return impl_->dominantOf(analysisView_, *profile(), options);
 }
 
 std::shared_ptr<const analysis::DepAnalysis> AnalysisEngine::depAnalysis(
     const analysis::DepAnalysisOptions& options) {
-  return impl_->getOrCompute(
-      impl_->dep, fingerprintDep(options), options_.maxCacheEntries, [&] {
-        analysis::DepAnalysisOptions effective = options;
-        effective.threads = 1;  // the engine's pool, or inline
-        effective.pool = impl_->pool.get();
-        return analysis::analyzeDependencies(analyzable(analysisView_),
-                                             effective);
-      });
+  return impl_->getOrCompute(fingerprintDep(options), [&] {
+    analysis::DepAnalysisOptions effective = options;
+    effective.threads = 1;  // the engine's pool, or inline
+    effective.pool = impl_->pool.get();
+    return analysis::analyzeDependencies(analyzable(analysisView_), effective);
+  });
 }
 
-std::shared_ptr<const AnalysisEngine::Render> AnalysisEngine::depRender(
+std::shared_ptr<const std::string> AnalysisEngine::depRender(
     analysis::ExportFormat format,
     const analysis::DepAnalysisOptions& options) {
   const std::shared_ptr<const analysis::DepAnalysis> dep = depAnalysis(options);
-  return impl_->renderOf(impl_->dep, fingerprintDep(options),
+  return impl_->renderOf(fingerprintDep(options),
                          static_cast<std::uint64_t>(format),
                          [&](std::ostream& out) {
                            analysis::exportDepAnalysis(analysisView_, *dep,
@@ -513,13 +466,13 @@ std::shared_ptr<const AnalysisEngine::Render> AnalysisEngine::depRender(
 
 std::string AnalysisEngine::formatDepReport(
     const analysis::DepAnalysisOptions& options) {
-  return depRender(analysis::ExportFormat::Text, options)->bytes;
+  return *depRender(analysis::ExportFormat::Text, options);
 }
 
 void AnalysisEngine::exportDepReport(analysis::ExportFormat format,
                                      std::ostream& out,
                                      const analysis::DepAnalysisOptions& options) {
-  depRender(format, options)->writeTo(out);
+  writeAnswer(*depRender(format, options), out);
 }
 
 EngineResult AnalysisEngine::analyze(const analysis::PipelineOptions& options) {
@@ -530,16 +483,15 @@ EngineResult AnalysisEngine::analyze(const analysis::PipelineOptions& options) {
   result.profile = profile();
   // Stage 2 on the profile already in hand: one counter event per stage
   // per query (a cold analyze is 4 misses, a warm one 4 hits).
-  result.selection = impl_->dominantOf(analysisView_, *result.profile,
-                                       options.dominant,
-                                       options_.maxCacheEntries);
+  result.selection =
+      impl_->dominantOf(analysisView_, *result.profile, options.dominant);
   result.segmentFunction =
       result.selection->candidateFunction(options.candidateIndex);
 
   const std::uint64_t sosKey =
       fingerprintSos(result.segmentFunction, options.sync);
-  const std::shared_ptr<const SosEntry> sos = impl_->getOrCompute(
-      impl_->sos, sosKey, options_.maxCacheEntries, [&] {
+  const std::shared_ptr<const SosEntry> sos =
+      impl_->getOrCompute(sosKey, [&] {
         analysis::SosResult computed =
             analysis::analyzeSos(analysisView_, result.segmentFunction,
                                  options.sync, impl_->pool.get());
@@ -551,15 +503,14 @@ EngineResult AnalysisEngine::analyze(const analysis::PipelineOptions& options) {
   result.sos = std::shared_ptr<const analysis::SosResult>(sos, &sos->sos);
 
   result.variation = impl_->getOrCompute(
-      impl_->variation, fingerprintVariation(sosKey, options.variation),
-      options_.maxCacheEntries, [&] {
+      fingerprintVariation(sosKey, options.variation), [&] {
         return analysis::classifyVariation(sos->sos, sos->basis,
                                            options.variation);
       });
   return result;
 }
 
-std::shared_ptr<const AnalysisEngine::Render> AnalysisEngine::reportRender(
+std::shared_ptr<const std::string> AnalysisEngine::reportRender(
     analysis::ExportFormat format, const analysis::PipelineOptions& options) {
   const EngineResult r = analyze(options);
   const auto draw = [&](std::ostream& out) {
@@ -569,23 +520,21 @@ std::shared_ptr<const AnalysisEngine::Render> AnalysisEngine::reportRender(
   const std::uint64_t sosKey = fingerprintSos(r.segmentFunction, options.sync);
   if (format == analysis::ExportFormat::Csv) {
     // The SOS matrix reads the SOS stage alone.
-    return impl_->renderOf(impl_->sos, sosKey,
-                           static_cast<std::uint64_t>(format), draw);
+    return impl_->renderOf(sosKey, static_cast<std::uint64_t>(format), draw);
   }
-  return impl_->renderOf(impl_->variation,
-                         fingerprintVariation(sosKey, options.variation),
+  return impl_->renderOf(fingerprintVariation(sosKey, options.variation),
                          variationRenderKey(format, options.dominant), draw);
 }
 
 std::string AnalysisEngine::formatReport(
     const analysis::PipelineOptions& options) {
-  return reportRender(analysis::ExportFormat::Text, options)->bytes;
+  return *reportRender(analysis::ExportFormat::Text, options);
 }
 
 void AnalysisEngine::exportReport(analysis::ExportFormat format,
                                   std::ostream& out,
                                   const analysis::PipelineOptions& options) {
-  reportRender(format, options)->writeTo(out);
+  writeAnswer(*reportRender(format, options), out);
 }
 
 CacheStats AnalysisEngine::cacheStats() const {

@@ -10,9 +10,10 @@
 /// with a different candidateIndex, exporters re-render the same results,
 /// and a query service answers many requests against one loaded trace.
 /// AnalysisEngine loads the trace once and serves repeated queries from
-/// content-addressed stage-level caches:
+/// one content-addressed cache table. Each stage result is an entry keyed
+/// by a util::Hasher fingerprint of a tag naming its stage and:
 ///
-///   stage        cache key (util::Hasher fingerprint)
+///   stage        cache key (besides the stage tag)
 ///   ---------    ------------------------------------------------------
 ///   profile      (none; one per trace)
 ///   dominant     DominantOptions fields (+ classifier token if excluding)
@@ -34,8 +35,9 @@
 /// basis (analysis::classifyVariation) and recomputes no statistic; a
 /// re-export with unchanged options recomputes nothing and renders
 /// nothing: it copies the bytes kept with the entry into the caller's
-/// stream. A kept render counts no hit, miss or eviction; its bytes
-/// count in CacheStats::bytes and it is evicted with its entry.
+/// stream, and sets nothing else on it. A kept render counts no hit, miss
+/// or eviction; its bytes count in CacheStats::bytes and it is evicted
+/// with its entry.
 ///
 /// The execution option EngineOptions::threads does NOT change results
 /// (see analyzeTrace's determinism guarantee), so it is deliberately
@@ -45,7 +47,7 @@
 ///
 /// Thread safety: all public member functions may be called concurrently.
 /// Cache lookups and inserts synchronize on an internal mutex held only
-/// for map operations; stage computation runs outside the lock. A missing
+/// for table operations; stage computation runs outside the lock. A missing
 /// key is computed once: a thread that asks for a key another thread is
 /// computing waits for that result (and counts a cache hit), so both
 /// observe the same instance. Heavy
@@ -55,11 +57,10 @@
 /// only its own errors. An engine with threads == 1 owns no pool and runs
 /// every stage inline on the calling thread.
 ///
-/// Capacity: derived-stage entries (dominant, SOS, variation and
-/// dependency analysis) are evicted least-recently-used once their
-/// combined count exceeds EngineOptions::maxCacheEntries; the profile and
-/// the lint report are never evicted. EngineResult holds shared_ptrs, so
-/// eviction never invalidates a result a caller still owns.
+/// Capacity: the least recently used entry is evicted once the table
+/// holds more than EngineOptions::maxCacheEntries of them (see there).
+/// EngineResult holds shared_ptrs, so eviction never invalidates a
+/// result a caller still owns.
 
 #include <cstdint>
 #include <iosfwd>
@@ -211,12 +212,11 @@ private:
   const trace::TraceView* analysisTrace() override;
 
   /// The cached answer of exportReport/formatReport (exportDepReport/
-  /// formatDepReport): analyze (depAnalysis), then the render kept with
-  /// the stage entry it reads.
-  struct Render;
-  std::shared_ptr<const Render> reportRender(
+  /// formatDepReport): analyze (depAnalysis), then the bytes kept with
+  /// the stage entry they render.
+  std::shared_ptr<const std::string> reportRender(
       analysis::ExportFormat format, const analysis::PipelineOptions& options);
-  std::shared_ptr<const Render> depRender(
+  std::shared_ptr<const std::string> depRender(
       analysis::ExportFormat format,
       const analysis::DepAnalysisOptions& options);
 

@@ -304,13 +304,14 @@ public:
       }
       return victim;
     };
+    const bool spill = !options.journalDir.empty();
     while (options.maxResidentBytes > 0 &&
            residentBytes > options.maxResidentBytes) {
       const auto victim = lruVictim(/*sessionOnly=*/false);
       if (victim == entries.end()) {
         break;  // only `keep` is left; it may exceed the budget alone
       }
-      evictLocked(victim, options.rehydrate);
+      evictLocked(victim, spill);
     }
     while (options.maxSessionBytes > 0 &&
            sessionBytes[sessionId] > options.maxSessionBytes) {
@@ -318,7 +319,7 @@ public:
       if (victim == entries.end()) {
         break;
       }
-      evictLocked(victim, options.rehydrate);
+      evictLocked(victim, spill);
     }
   }
 
@@ -490,7 +491,7 @@ std::vector<util::Frame> TraceService::handleLoad(
   const std::string& name = tokens[0];
   const std::string& path = tokens[1];
 
-  if (options_.rehydrate) {
+  if (!options_.journalDir.empty()) {
     // Fault a spilled entry back in first, so the idempotent-reload check
     // below sees it as resident (a spilled entry is cold, not gone).
     resolveEntry(name);
@@ -575,7 +576,7 @@ std::vector<util::Frame> TraceService::handleOpen(
     }
   }
 
-  if (options_.rehydrate) {
+  if (!options_.journalDir.empty()) {
     // A spilled live entry is cold, not gone: fault it back in so a
     // same-spec re-open resumes the journaled history instead of
     // silently starting the trace over.

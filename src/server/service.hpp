@@ -26,7 +26,7 @@
 ///     maxSessionBytes (per loading session) are enforced by LRU
 ///     eviction. Evicted names are tombstoned; requests referencing them
 ///     receive a graceful Evicted frame (not a generic error) until the
-///     name is re-loaded or re-opened. With rehydration enabled, budget
+///     name is re-loaded or re-opened. With a journal directory set, budget
 ///     eviction instead spills the entry's source reference (trace file
 ///     path or journal path) and a later request faults it back in —
 ///     eviction becomes a cache miss, not data loss.
@@ -87,7 +87,10 @@ struct ServerOptions {
   /// Per-session budget over the traces a session loaded; 0 = unlimited.
   std::size_t maxSessionBytes = 0;
   /// Directory of per-trace write-ahead journals; empty = journaling off
-  /// (the pre-durability behavior, byte-identical on the wire).
+  /// (the pre-durability behavior, byte-identical on the wire). When set,
+  /// budget eviction also spills: an evicted entry keeps its source
+  /// reference (trace file path or journal path) and the next request
+  /// that names it faults it back in, instead of being tombstoned.
   std::string journalDir;
   /// Replay the journals found in journalDir at construction,
   /// reconstructing every live entry the crashed daemon had accepted.
@@ -98,10 +101,6 @@ struct ServerOptions {
   /// Byte budget of the per-live-trace out-of-order reorder window;
   /// 0 = appends must arrive time-ordered (the pre-window behavior).
   std::size_t reorderWindowBytes = 0;
-  /// Spill budget-evicted entries (journal/source reference) and fault
-  /// them back in when referenced, instead of tombstoning. trace_tool
-  /// enables this together with --journal-dir.
-  bool rehydrate = false;
   /// Per-send poll timeout in milliseconds: a peer whose socket stays
   /// unwritable this long is treated as dead and its sender deactivates
   /// (0 = block indefinitely, the pre-timeout behavior).

@@ -214,10 +214,6 @@ public:
   /// Shard-cache counters (zeros for eager backends). Thread-safe.
   TraceViewStats stats() const;
 
-  /// Stable identity of the backend for cache keying (engine
-  /// fingerprints): equal only for views sharing one backend.
-  const void* backendIdentity() const { return backend_.get(); }
-
 private:
   explicit TraceView(std::shared_ptr<const detail::TraceViewBackend> backend)
       : backend_(std::move(backend)) {}

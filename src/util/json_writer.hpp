@@ -26,11 +26,9 @@ namespace perfvar::util {
 /// handles separators and escaping.
 class JsonWriter {
 public:
-  /// Also sets the stream's precision to 17, which callers that stream
-  /// doubles after the document rely on.
-  explicit JsonWriter(std::ostream& out) : out_(out) {
-    out_.precision(17);
-  }
+  /// Leaves the stream's formatting state untouched: every number is
+  /// formatted into the document before it is written.
+  explicit JsonWriter(std::ostream& out) : out_(out) {}
   ~JsonWriter() { flush(); }
 
   JsonWriter(const JsonWriter&) = delete;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "balance/fd4.hpp"
 #include "balance/hilbert.hpp"
@@ -16,17 +19,15 @@ namespace {
 class HilbertSweep : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(HilbertSweep, BijectionOverTheWholeGrid) {
+  // Every index maps to a distinct in-grid cell, and there are as many
+  // indices as cells: toXY is a bijection onto the grid.
   const HilbertCurve curve(GetParam());
-  std::set<std::uint64_t> seen;
-  for (std::uint32_t y = 0; y < curve.side(); ++y) {
-    for (std::uint32_t x = 0; x < curve.side(); ++x) {
-      const std::uint64_t d = curve.toIndex(x, y);
-      EXPECT_LT(d, curve.cells());
-      EXPECT_TRUE(seen.insert(d).second) << "duplicate index " << d;
-      const auto [rx, ry] = curve.toXY(d);
-      EXPECT_EQ(rx, x);
-      EXPECT_EQ(ry, y);
-    }
+  std::set<std::pair<std::uint32_t, std::uint32_t>> seen;
+  for (std::uint64_t d = 0; d < curve.cells(); ++d) {
+    const auto [x, y] = curve.toXY(d);
+    EXPECT_LT(x, curve.side());
+    EXPECT_LT(y, curve.side());
+    EXPECT_TRUE(seen.emplace(x, y).second) << "cell revisited at index " << d;
   }
   EXPECT_EQ(seen.size(), curve.cells());
 }
@@ -188,26 +189,31 @@ TEST(Fd4, EveryBlockHasExactlyOneOwner) {
   std::vector<double> weights(35, 1.0);
   weights[17] = 50.0;
   balancer.update(weights);
-  std::set<std::size_t> seen;
-  for (std::size_t r = 0; r < balancer.ranks(); ++r) {
-    for (const std::size_t blockId : balancer.blocksOf(r)) {
-      EXPECT_TRUE(seen.insert(blockId).second);
+  // Each block's one owner is a valid rank; the blocks of a rank are one
+  // contiguous run of curve positions (the heavy block may leave a rank
+  // none); and the owned blocks carry exactly the loads the balancer
+  // reports.
+  std::vector<double> loads(balancer.ranks(), 0.0);
+  std::vector<std::size_t> owned(balancer.ranks(), 0);
+  std::vector<std::size_t> first(balancer.ranks(), 35);
+  std::vector<std::size_t> last(balancer.ranks(), 0);
+  for (std::uint32_t by = 0; by < 7; ++by) {
+    for (std::uint32_t bx = 0; bx < 5; ++bx) {
+      const std::size_t r = balancer.ownerOf(bx, by);
+      ASSERT_LT(r, balancer.ranks());
+      loads[r] += weights[by * 5 + bx];
+      ++owned[r];
+      const std::size_t pos = balancer.curveIndex(bx, by);
+      first[r] = std::min(first[r], pos);
+      last[r] = std::max(last[r], pos);
     }
   }
-  EXPECT_EQ(seen.size(), 35u);
-  // ownerOf agrees with blocksOf.
-  EXPECT_EQ(balancer.ownerOf(2, 3),
-            [&] {
-              const std::size_t blockId = 3 * 5 + 2;
-              for (std::size_t r = 0; r < balancer.ranks(); ++r) {
-                for (const auto id : balancer.blocksOf(r)) {
-                  if (id == blockId) {
-                    return r;
-                  }
-                }
-              }
-              return std::size_t{9999};
-            }());
+  for (std::size_t r = 0; r < balancer.ranks(); ++r) {
+    if (owned[r] > 0) {
+      EXPECT_EQ(last[r] - first[r] + 1, owned[r]) << "rank " << r;
+    }
+  }
+  EXPECT_EQ(loads, balancer.rankLoads(weights));
 }
 
 TEST(Fd4, RankLoadsSumToTotalWeight) {

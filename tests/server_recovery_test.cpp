@@ -6,7 +6,7 @@
 /// SIGKILL would leave it — acknowledged records present, nothing else)
 /// plus a truncation sweep that cuts the journal at record boundaries
 /// and mid-record to model writes torn by the crash itself. Also the
-/// evict-to-disk rehydration contract: with rehydration on, a
+/// evict-to-disk rehydration contract: with a journal directory set, a
 /// budget-evicted trace is cold, not gone.
 
 #include <gtest/gtest.h>
@@ -329,13 +329,14 @@ TEST(ServerRecovery, ReorderedStreamRecoversIdenticalToOrderedDelivery) {
 // ---- evict-to-disk rehydration ---------------------------------------------
 
 TEST(ServerRecovery, BudgetEvictedEngineTraceRehydratesFromItsFile) {
+  const std::string dir = scratchDir("recovery_rehydrate_file");
   const trace::Trace tr = outlierTrace();
   const std::string path = "server_recovery_rehydrate.pvt";
   trace::saveBinaryFile(tr, path);
 
   ServerOptions options;
+  options.journalDir = dir;  // a journaled daemon spills instead of dropping
   options.maxResidentBytes = 1;  // nothing fits: every new load evicts
-  options.rehydrate = true;
   Rig rig(options);
   ASSERT_TRUE(rig.client.load("a", path).ok());
   ASSERT_TRUE(rig.client.load("b", path).ok());
@@ -354,6 +355,7 @@ TEST(ServerRecovery, BudgetEvictedEngineTraceRehydratesFromItsFile) {
   EXPECT_NE(stats.payload.find("spilled: 1"), std::string::npos)
       << stats.payload;
   std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ServerRecovery, BudgetEvictedLiveTraceRehydratesFromItsJournal) {
@@ -364,7 +366,6 @@ TEST(ServerRecovery, BudgetEvictedLiveTraceRehydratesFromItsJournal) {
 
   ServerOptions options;
   options.journalDir = dir;
-  options.rehydrate = true;
   options.maxResidentBytes = 1;
   Rig rig(options);
   ASSERT_TRUE(rig.client.open("live", "step threshold 6.0").ok());

@@ -397,12 +397,24 @@ TEST(TraceViewSemantics, InvalidViewAndOwnership) {
   EXPECT_EQ(owned.eventCount(), events);
   EXPECT_NE(owned.eagerOrNull(), nullptr);
 
-  // Copies share one backend (cache keying depends on this).
+  // Copies share one backend (cached results depend on this): the same
+  // in-memory trace, and on a file one shard cache, so a decode through
+  // the copy counts in the original's stats.
   const trace::TraceView copy = owned;
-  EXPECT_EQ(copy.backendIdentity(), owned.backendIdentity());
+  EXPECT_EQ(copy.eagerOrNull(), owned.eagerOrNull());
 
   const trace::Trace materialized = owned.materialize();
   EXPECT_EQ(materialized.eventCount(), events);
+
+  const FileGuard file(uniquePath("view_copy"));
+  trace::saveBinaryFile(materialized, file.path);
+  trace::TraceViewOptions opts;
+  opts.shardBudgetBytes = 0;  // every pin decodes
+  const trace::TraceView lazy = trace::TraceView::openFile(file.path, opts);
+  const trace::TraceView lazyCopy = lazy;
+  (void)lazyCopy.rank(0);
+  EXPECT_EQ(lazy.stats().shardDecodes, 1u);
+  EXPECT_EQ(lazyCopy.stats().shardDecodes, 1u);
 }
 
 }  // namespace
